@@ -1,29 +1,29 @@
-"""sievenorm benchmark: time one workload end to end, each iteration in a fresh interpreter.
+"""sievenorm benchmark: time one workload end to end in a fresh interpreter.
 
-    python3 perfbench/run.py --workload suite_default --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload l1_ladder --seed 1 --seconds 45 --trace 0
 
 Run from the root of a source checkout; the package is imported from
 ``src/`` and nothing is installed.  The loop is closed: one process, one
-client, suite ``workers = 1``.  Each iteration is a new interpreter that sets
-up, runs ``experiments.run_suite`` once and checks every row against the
-workload's reference (perfbench/worker.py).  Iterations repeat while the next
-one is expected to end within ``--seconds``; there is always at least one.
+client, suite ``workers = 1``.  The measured run is one new interpreter that
+sets up once and then runs ``experiments.run_suite`` pass after pass for
+``--seconds``, checking every row of every pass against the workload's
+reference (perfbench/worker.py); there is always at least one pass.
 
 ``--trace 0`` reports the end-to-end metrics:
   setup_s       median set-up time (import, config, build_tables) over
-                SETUP_SAMPLES fresh interpreters
-  run_s         median wall time of run_suite over the iterations
-  peak_rss_mib  median ru_maxrss of the iteration processes
-``--trace 1`` traces every iteration instead and reports the per-layer
-metrics (see tracing.py).  ``trace.run_s`` is the traced run_s, so traced
-minus untraced run_s is its difference from a ``--trace 0`` run;
+                SETUP_SAMPLES fresh interpreters, the measured one included
+  run_s         median wall time of one run_suite pass
+  peak_rss_mib  ru_maxrss of the measured interpreter
+``--trace 1`` runs one traced pass instead and reports the per-layer metrics
+(see tracing.py).  ``trace.run_s`` is the traced pass, so traced minus
+untraced run_s is its difference from a ``--trace 0`` run;
 ``trace.overhead_s`` is the wrappers' own cost, calibrated in the traced
-process, which a difference of two runs of this length cannot resolve.
+process, which a difference of two runs on a shared machine cannot resolve.
 Spans go to ``.bench_out/``.
 
 The last stdout line is one JSON object with the keys correct, attempted,
-failed and metrics; attempted and failed count suite rows.  Lines before it
-describe the machine, the source and each metric.
+failed and metrics; attempted and failed count suite rows over all passes.
+Lines before it describe the machine, the source and each metric.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import json
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import env
@@ -42,9 +41,9 @@ import workload
 ROOT = Path(__file__).resolve().parent.parent
 WORKER = Path(__file__).resolve().parent / "worker.py"
 
-#: Set-up is short and noisy (mostly import time on the small workloads),
-#: so it is sampled in this many fresh interpreters per run.
-SETUP_SAMPLES = 5
+#: Set-up is short and noisy (mostly import time on l1_ladder), so it is
+#: sampled in this many fresh interpreters per run.
+SETUP_SAMPLES = 7
 #: Seconds one worker may take; a run must end within 180 s.
 WORKER_TIMEOUT_S = 170
 
@@ -71,21 +70,6 @@ def _worker(wl: str, seed: int, *extra: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _measure(args, wl) -> list[dict]:
-    """Iterations while the next one is expected to end within --seconds (at least one)."""
-    iterations = []
-    start = time.perf_counter()
-    while True:
-        extra = []
-        if args.trace:
-            name = f"trace-{wl.name}-seed{args.seed}-{len(iterations)}.json"
-            extra = ["--trace-out", str(ROOT / ".bench_out" / name)]
-        iterations.append(_worker(wl.name, args.seed, *extra))
-        elapsed = time.perf_counter() - start
-        if elapsed * (len(iterations) + 1) / len(iterations) > args.seconds:
-            return iterations
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=workload.names())
@@ -104,41 +88,46 @@ def main(argv=None) -> int:
         check=True,
         timeout=WORKER_TIMEOUT_S,
     )
-    setups = []
-    if not args.trace:
-        setups = [_worker(wl.name, args.seed, "--setup-only") for _ in range(SETUP_SAMPLES - 1)]
-    iterations = _measure(args, wl)
-    setups += iterations
+    # Untraced, the set-up samples are split around the measured run so that
+    # their median covers the whole run's time on a machine whose speed drifts.
+    samples = 0 if args.trace else SETUP_SAMPLES - 1
+    setups = [_worker(wl.name, args.seed, "--setup-only") for _ in range(samples // 2)]
+    extra = ["--seconds", str(args.seconds)]
+    if args.trace:
+        name = f"trace-{wl.name}-seed{args.seed}.json"
+        extra = ["--trace-out", str(ROOT / ".bench_out" / name)]
+    run = _worker(wl.name, args.seed, *extra)
+    setups.append(run)
+    setups += [_worker(wl.name, args.seed, "--setup-only") for _ in range(samples - samples // 2)]
 
-    attempted = wl.rows * len(iterations)
-    failures = [f for it in iterations for f in it["failures"]]
+    passes = run["pass_s"]
+    attempted = wl.rows * len(passes)
+    failures = run["failures"]
     for line in failures:
         print(f"# FAILED {line}")
 
     if args.trace:
-        metrics = {
-            name: statistics.median(it["layers"][name] for it in iterations)
-            for name in iterations[0]["layers"]
-        }
-        metrics["trace.run_s"] = statistics.median(it["run_s"] for it in iterations)
+        metrics = dict(run["layers"])
+        metrics["trace.run_s"] = passes[0]
         metrics["rows_failed_frac"] = len(failures) / attempted
     else:
         metrics = {
             "setup_s": statistics.median(s["setup_s"] for s in setups),
-            "run_s": statistics.median(it["run_s"] for it in iterations),
-            "peak_rss_mib": statistics.median(it["peak_rss_mib"] for it in iterations),
+            "run_s": statistics.median(passes),
+            "peak_rss_mib": run["peak_rss_mib"],
         }
 
     meta = env.describe(ROOT)
     meta.update(
-        numpy=iterations[0]["numpy"],
-        blas=iterations[0]["blas"],
+        numpy=run["numpy"],
+        blas=run["blas"],
         workload=wl.name,
         seed=args.seed,
         setup_samples=len(setups),
-        iterations=len(iterations),
+        passes=len(passes),
+        pass_s=passes,
         traced=bool(args.trace),
-        rows_per_iteration=wl.rows,
+        rows_per_pass=wl.rows,
     )
     print(f"# meta {json.dumps(meta, sort_keys=True)}")
     for name in sorted(metrics):

@@ -1,13 +1,16 @@
-"""One measured iteration of a workload, in the fresh interpreter it runs in.
+"""One measured run of a workload, in the fresh interpreter it runs in.
 
-    python3 perfbench/worker.py --workload l1_ladder --seed 3 [--setup-only]
-                                [--trace-out .bench_out/trace.json]
+    python3 perfbench/worker.py --workload l1_ladder --seed 3 [--seconds 45]
+                                [--setup-only] [--trace-out .bench_out/trace.json]
 
 Times the set-up (``import sievenorm``, config parsing, ``build_tables``),
-then ``experiments.run_suite``, then checks every row against the workload's
-reference.  With ``--trace-out`` the package's public functions are wrapped
-first and the spans are written to that file.  The last stdout line is one
-JSON object; perfbench/run.py starts this script and reads it.
+then runs ``experiments.run_suite`` in a closed loop: pass after pass, each
+checked row by row against the workload's reference, while the next pass is
+expected to end within ``--seconds`` of the first pass's start; there is
+always at least one pass.  With ``--trace-out`` the package's public functions
+are wrapped first, exactly one pass runs, and its spans are written to that
+file.  The last stdout line is one JSON object; perfbench/run.py starts this
+script and reads it.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=workload.names())
     ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seconds", type=float, default=0.0)
     ap.add_argument("--setup-only", action="store_true")
     ap.add_argument("--trace-out", type=Path)
     args = ap.parse_args(argv)
@@ -62,13 +66,22 @@ def main(argv=None) -> int:
         tracer = tracing.Tracer()
         tracer.install()
         run_suite = tracer.span("experiments.run_suite", run_suite)
-    t4 = time.perf_counter()
-    rows = run_suite(cfg, tables=tables)
-    t5 = time.perf_counter()
-    out["run_s"] = t5 - t4
+    reference = check.load_reference(wl.name)
+    out["pass_s"] = []
+    out["failures"] = []
+    start = time.perf_counter()
+    while True:
+        t4 = time.perf_counter()
+        rows = run_suite(cfg, tables=tables)
+        t5 = time.perf_counter()
+        out["pass_s"].append(t5 - t4)
+        plain = [dataclasses.asdict(r) for r in rows]
+        out["failures"] += check.check_rows(plain, reference, args.seed)
+        passes = len(out["pass_s"])
+        elapsed = time.perf_counter() - start
+        if tracer is not None or elapsed * (passes + 1) / passes > args.seconds:
+            break
     out["peak_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    plain = [dataclasses.asdict(r) for r in rows]
-    out["failures"] = check.check_rows(plain, check.load_reference(wl.name), args.seed)
 
     if tracer is not None:
         record = cli.OutputRecord(cli.SCHEMA_VERSION, {"tool": "sievenorm"}, tuple(rows))
