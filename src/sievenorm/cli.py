@@ -16,8 +16,9 @@ the JSON form adds a timestamp (deliberately kept out of the CSV so that CSV
 output is byte-reproducible up to the ``runtime_s`` column).
 
 Exit codes: 0 success (warnings, e.g. non-convergence, stay 0), 1 usage
-errors, 2 internal invariant violations (a large-sieve ratio above 1, the
-two evaluation routes disagreeing, and similar).
+errors or out-of-range parameters (a job raising ValueError/CapacityError),
+2 internal invariant violations (a large-sieve ratio above 1, the two
+evaluation routes disagreeing, ...), 3 a crash (any other exception); 2 > 3 > 1.
 
 Config files for ``suite`` are flat ``key = value`` lines; ``#`` starts a
 comment.  Keys before the first ``experiment = <name>`` line are globals
@@ -35,6 +36,7 @@ import io
 import json
 import sys
 import time
+import traceback
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -452,6 +454,9 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"sievenorm: invariant violation: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
     text = render_json(record) if ns.json else render_csv(record)
     if ns.out:
         Path(ns.out).write_text(text)
@@ -462,14 +467,18 @@ def main(argv=None) -> int:
         for msg in violations:
             print(f"sievenorm: invariant violation: {msg}", file=sys.stderr)
         return 2
-    warnings = [r for r in record.rows if not r.passed]
-    for row in warnings:
+    errors = {r.measured["error"] for r in record.rows if "error" in r.measured}
+    for row in (r for r in record.rows if not r.passed):
         print(
-            f"sievenorm: warning: {row.experiment}({row.params}) did not pass: "
+            f"sievenorm: {'error' if 'error' in row.measured else 'warning'}: "
+            f"{row.experiment}({row.params}) did not pass: "
             f"{row.detail or 'empirical check failed'}",
             file=sys.stderr,
         )
-    return 0
+    # a job that raised anything but a bad-parameter error crashed
+    if errors - {"ValueError", "CapacityError"}:
+        return 3
+    return 1 if errors else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

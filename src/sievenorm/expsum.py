@@ -24,12 +24,12 @@ sets of rationals:
     sum over q <= Q of mu(q) * sum_{a <= q, (a,q)=1} |F_N(alpha - a/q)|^2,
     a signed (not nonnegative) kernel used against prime-power weights.
 
-Every kernel with a spectral form can be evaluated both from its translate
-definition (``eval_kernel``) and from its coefficients
-(``eval_kernel_spectral``, ``grid_eval_kernel``); the two routes share no
-code so tests can play them against each other.  ``k_part3`` is evaluated
-from translates only -- its Ramanujan-sum spectral expansion lives in
-:mod:`sievenorm.experiments` as a cross-check, not here.
+Every kernel can be evaluated both from its translate definition
+(``eval_kernel``) and from its coefficients (``eval_kernel_spectral``,
+``grid_eval_kernel``); the two routes share no code so tests can play them
+against each other.  All coefficients have one form: sum_q w_q * R_q[k mod q],
+with R_q the length-q FFT of a residue mask (all residues for ``gstar``/``h``,
+the ones coprime to q, weighted by mu(q)*N, for ``k_part3``).
 """
 
 from __future__ import annotations
@@ -244,29 +244,46 @@ def eval_sequence(seq: CoefficientSequence, alphas) -> np.ndarray:
 # kernel coefficients (spectral route)
 
 
-def _pairwise_sum(values: np.ndarray) -> float:
-    # np.sum uses pairwise accumulation for contiguous float arrays, which is
-    # what the long-sum accuracy contract here relies on.
-    return float(np.sum(values))
+def _residue_spectrum(mask: np.ndarray) -> np.ndarray:
+    """Length-q FFT of a 0/1 residue mask, checked integral and rounded.
+
+    The full mask gives q*[q | k], the coprime mask the Ramanujan sum c_q(k).
+    """
+    r = np.fft.fft(mask)
+    exact = np.rint(r.real)
+    err = float(np.max(np.abs(r - exact)))
+    if err > 1e-6:
+        raise InvariantError(
+            f"residue-mask spectrum for q={mask.size} is off the integers by {err:.3e}"
+        )
+    return exact
 
 
 @lru_cache(maxsize=16)
 def _cached_coefficients(tables: "ArithmeticTables", spec: KernelSpec) -> np.ndarray:
-    N, P = spec.N, spec.P
-    primes = tables.primes
-    ps = primes[primes <= P]
-    if ps.size == 0:
-        raise ValueError(f"no primes <= {P}; need P >= 2 and tables that large")
+    N = spec.N
+    if spec.kind == "k_part3":
+        mob = tables.mobius
+        moduli = [q for q in range(1, spec.Q + 1) if mob[q] != 0]
+        weights = [int(mob[q]) * float(N) for q in moduli]
+    else:
+        primes = tables.primes
+        ps = primes[primes <= spec.P].tolist()
+        if not ps:
+            raise ValueError(f"no primes <= {spec.P}; need P >= 2 and tables that large")
+        moduli = [p * p if spec.kind == "gstar" else p for p in ps]
+        weights = [1.0] * len(moduli)
     coef = np.zeros(2 * N + 1)
-    for p in ps.tolist():
-        q = p * p if spec.kind == "gstar" else p
-        # k = index - N, so k % q == 0 exactly at index N mod q, step q.
-        coef[(N % q) :: q] += float(q)
-    coef /= ps.size
+    for q, w in zip(moduli, weights):
+        a = np.arange(q)
+        mask = np.gcd(a, q) == 1 if spec.kind == "k_part3" else np.ones(q, dtype=bool)
+        spectrum = _residue_spectrum(mask.astype(float))
+        # R_q[k mod q] for k = -N..N: rotate k = -N to the front, then repeat.
+        coef += w * np.resize(np.roll(spectrum, N % q), 2 * N + 1)
+    if spec.kind != "k_part3":
+        coef /= len(moduli)
     if spec.kind == "h_truncated":
-        lo = max(0, N - P)
-        hi = min(2 * N, N + P)
-        coef[lo : hi + 1] = 0.0
+        coef[max(0, N - spec.P) : N + spec.P + 1] = 0.0
     coef.setflags(write=False)
     return coef
 
@@ -276,13 +293,15 @@ def kernel_coefficients(tables: "ArithmeticTables", spec: KernelSpec) -> np.ndar
 
     Index k + N stores c_k.  Defined for ``gstar`` (mean of the q-periodic
     spike trains q*[q | k] over q = p^2, p <= P), ``h`` (same over q = p),
-    and ``h_truncated`` (``h`` with |k| <= P zeroed).  ``fejer`` and
-    ``k_part3`` have no stored coefficient array here and raise ValueError.
+    ``h_truncated`` (``h`` with |k| <= P zeroed) and ``k_part3``
+    (N * sum_{q <= Q} mu(q) * c_q(k)).  ``fejer`` has no stored coefficient
+    array here and raises ValueError.
     """
-    if spec.kind not in ("gstar", "h", "h_truncated"):
-        raise ValueError(f"kernel kind {spec.kind!r} has no coefficient array")
-    if spec.P > tables.n_max:
-        raise ValueError(f"tables cover n <= {tables.n_max} < P = {spec.P}")
+    if spec.kind == "fejer":
+        raise ValueError("kernel kind 'fejer' has no coefficient array")
+    side, name = (spec.Q, "Q") if spec.kind == "k_part3" else (spec.P, "P")
+    if side > tables.n_max:
+        raise ValueError(f"tables cover n <= {tables.n_max} < {name} = {side}")
     return _cached_coefficients(tables, spec)
 
 
@@ -309,8 +328,6 @@ def _translate_scheme(tables: "ArithmeticTables", spec: KernelSpec):
     """
     shifts: list[float] = []
     weights: list[float] = []
-    if spec.kind == "fejer":
-        return np.zeros(1), np.ones(1)
     if spec.kind in ("gstar", "h", "h_truncated"):
         primes = tables.primes
         ps = primes[primes <= spec.P]
@@ -345,7 +362,7 @@ def eval_kernel(tables: "ArithmeticTables", spec: KernelSpec, alpha: float) -> f
     """Kernel value at one point, computed from the translate definition.
 
     This is the primary route; ``eval_kernel_spectral`` recomputes the same
-    value from Fourier coefficients for all kinds except ``k_part3``.
+    value from Fourier coefficients.
     """
     a = float(alpha)
     if spec.kind == "fejer":
@@ -371,12 +388,7 @@ def _low_frequency_value(tables: "ArithmeticTables", spec: KernelSpec, alpha: fl
 
 
 def eval_kernel_spectral(tables: "ArithmeticTables", spec: KernelSpec, alpha: float) -> float:
-    """Kernel value from its Fourier expansion (independent check route).
-
-    Raises ValueError for ``k_part3``, which is defined by translates only.
-    """
-    if spec.kind == "k_part3":
-        raise ValueError("k_part3 has no spectral evaluation route here")
+    """Kernel value from its Fourier expansion (independent check route)."""
     N = spec.N
     w = spectral_weights(tables, spec)
     k = np.arange(1, N + 1)
@@ -421,15 +433,11 @@ def grid_eval_kernel(
 ) -> GridEvaluation:
     """Kernel values on the grid j/M, j = 0..M-1, as a real array.
 
-    For spectral kinds this is one transform over the 2N+1 coefficients:
-    weights are folded into frequency bins modulo M (exact aliasing) and one
-    inverse FFT produces all M values.  ``k_part3`` has no spectral route and
-    is accumulated from shifted |F_N|^2 values instead.
+    One transform over the 2N+1 spectral weights: they are folded into
+    frequency bins modulo M (exact aliasing) and one inverse FFT produces all
+    M values.
     """
     _check_grid(M, budget)
-    if spec.kind == "k_part3":
-        values = _k_part3_grid(tables, spec, M)
-        return GridEvaluation(M=M, values=values, spec=spec)
     w = spectral_weights(tables, spec)
     k = np.arange(-spec.N, spec.N + 1)
     bins = np.bincount(k % M, weights=w, minlength=M)
@@ -441,42 +449,6 @@ def grid_eval_kernel(
             f"real kernel produced imaginary residue {imag:.3e} on grid M={M}"
         )
     return GridEvaluation(M=M, values=np.ascontiguousarray(v.real), spec=spec)
-
-
-def _k_part3_grid(tables: "ArithmeticTables", spec: KernelSpec, M: int) -> np.ndarray:
-    """Accumulate sum_q mu(q) sum_{(a,q)=1} |F_N(j/M - a/q)|^2 over the grid.
-
-    |F_N(x)|^2 = sin^2(pi N x)/sin^2(pi x) is expanded by angle addition:
-    the grid factors sin/cos(pi N j/M) and sin/cos(pi j/M) are computed once,
-    each translate then costs a handful of multiplies per grid point.  Points
-    with ||x|| < 1/(4N^2) (detected via |sin(pi x)| below the matching
-    threshold) fall back to the direct sum, exactly as ``eval_F`` does.
-    """
-    N = spec.N
-    shifts, weights = _translate_scheme(tables, spec)
-    base = np.arange(M) / M
-    sin_nb = np.sin((math.pi * N) * base)
-    cos_nb = np.cos((math.pi * N) * base)
-    sin_b = np.sin(math.pi * base)
-    cos_b = np.cos(math.pi * base)
-    thresh = math.sin(math.pi * min(0.25, 1.0 / (4.0 * N * N)))
-    values = np.zeros(M)
-    for s, w in zip(shifts.tolist(), weights.tolist()):
-        phase_n = math.pi * N * s
-        phase_1 = math.pi * s
-        num = sin_nb * math.cos(phase_n) - cos_nb * math.sin(phase_n)
-        den = sin_b * math.cos(phase_1) - cos_b * math.sin(phase_1)
-        near = np.abs(den) < thresh
-        if near.any():
-            den = np.where(near, 1.0, den)
-        f2 = (num / den) ** 2
-        if near.any():
-            for j in np.flatnonzero(near):
-                f = eval_F(N, j / M - s)
-                f2[j] = f.real * f.real + f.imag * f.imag
-        values += w * f2
-    # weights carry the factor N, values accumulated are weight * |F|^2 / N
-    return values / N
 
 
 def duality_gap(tables: "ArithmeticTables", spec: KernelSpec, alphas) -> float:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import sievenorm.cli as cli
+import sievenorm.experiments as experiments
 from sievenorm import LargeSieveResult
 from sievenorm.errors import InvariantError
 
@@ -220,6 +221,49 @@ class TestExitCodes:
         # the offending row is still rendered before the failure exit
         _, _, rows = parse_csv(out)
         assert field_map(rows[0][2])["invariant_ok"] == "false"
+
+    @pytest.mark.parametrize(
+        "block",
+        ["experiment = squarefree_l1\nn = 1023\n", "experiment = kernel_gap\nkind = fejer\n"],
+        ids=["odd_n", "fejer_gap"],
+    )
+    def test_job_value_error_exits_1(self, capsys, tmp_path, block):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(block)
+        code, out, err = run_cli(capsys, ["suite", "--config", str(cfg)])
+        assert code == 1
+        assert "sievenorm: error:" in err
+        _, _, rows = parse_csv(out)
+        assert rows and all(field_map(r[2])["error"] == "ValueError" for r in rows)
+
+    def test_job_crash_exits_3(self, capsys, tmp_path, monkeypatch):
+        def crash(tables, n):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(experiments, "mangoldt_weighted_sum_row", crash)
+        cfg = tmp_path / "crash.cfg"
+        cfg.write_text(
+            "experiment = mangoldt_weighted_sum\nn = 64\n"
+            "experiment = squarefree_l1\nn = 1023\n"
+        )
+        code, out, err = run_cli(capsys, ["suite", "--config", str(cfg)])
+        assert code == 3
+        _, _, rows = parse_csv(out)
+        assert [field_map(r[2])["error"] for r in rows] == ["RuntimeError", "ValueError"]
+        assert "RuntimeError: unexpected" in err
+
+    def test_command_crash_exits_3(self, capsys, monkeypatch):
+        def crashing_check(seq, point_set, shift=0.0, workers=1):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(cli, "large_sieve_check", crashing_check)
+        code, out, err = run_cli(
+            capsys,
+            ["sieve-check", "--set-kind", "prime_farey", "--param", "5", "--n", "32"],
+        )
+        assert code == 3
+        assert out == ""
+        assert "RuntimeError: unexpected" in err
 
     def test_invariant_error_raised_exits_2(self, capsys, monkeypatch):
         def raising_check(seq, point_set, shift=0.0, workers=1):

@@ -17,6 +17,7 @@ from sievenorm.experiments import (
     prime_support_experiments,
     run_suite,
     squarefree_theorem_ratio,
+    vaughan_report_row,
     vaughan_V,
 )
 
@@ -65,6 +66,13 @@ class TestVaughanV:
         assert rep.v_quadrature == pytest.approx(rep.v_spectral, rel=1e-9, abs=1e-6 * N * N)
         assert rep.target == pytest.approx(3.0 * Q * N * N / math.pi**2)
 
+    @pytest.mark.parametrize("N,Q", [(256, 16), (1024, 32), (4096, 64)])
+    def test_route_gap_within_roundoff_bound(self, tables, N, Q):
+        rep = vaughan_V(tables, N, Q)
+        row = vaughan_report_row(rep, 0.0, 1e-4)
+        assert 0.0 < rep.route_bound
+        assert row.ratios["route_gap_over_bound"] <= 1.0
+
     def test_default_q(self, tables):
         rep = vaughan_V(tables, 256)
         assert rep.Q == 16
@@ -106,9 +114,10 @@ class TestKernelGapScan:
     def test_truncation_fields(self, tables):
         row = kernel_gap_scan(tables, 256, kind="h_truncated")
         P = row.params["p"]
-        assert row.measured["truncation_gap"] <= 3.5 * P
+        assert row.measured["truncation_gap"] <= 3.0 * P * (1.0 + 1e-9)
         assert row.reference["truncation_ceiling"] == 3.0 * P
-        assert row.ratios["truncation_over_3p"] <= 3.5 / 3.0
+        assert row.reference["truncation_tolerance"] == 3.0 * P * (1.0 + 1e-9)
+        assert row.ratios["truncation_over_3p"] <= 1.0 + 1e-9
 
     def test_low_resolution_warning(self, tables):
         with pytest.warns(UserWarning, match="under-resolve"):
@@ -299,6 +308,8 @@ class TestRunSuite:
         assert len(rows) == 2
         assert rows[0].passed is False
         assert "ValueError" in rows[0].detail
+        assert rows[0].measured["error"] == "ValueError"
+        assert "error" not in rows[1].measured
         assert rows[0].measured["invariant_ok"] is True  # not an invariant failure
         assert rows[1].passed is True
 
