@@ -14,17 +14,12 @@ import math
 import sys
 
 from sievenorm import build_tables, coefficient_sequence, l1_norm, l2_norm_sq
+from sievenorm.experiments import GROWTH_RATIOS
 
 
-def growth_ratio(kind: str, n: int, l1: float, l2: float) -> float:
-    log_n = math.log(n)
-    if kind in ("mobius", "squarefree_random"):
-        return l1 * n**0.375 * math.sqrt(log_n) / math.sqrt(l2)
-    if kind == "prime_indicator":
-        return l1 * math.sqrt(n) / log_n**2
-    if kind == "chi3_on_primes":
-        return l1 * n**0.25 / log_n
-    return l1 / math.sqrt(l2)  # generic: fraction of the trivial ceiling
+def fraction_of_ceiling(n: int, l1: float, l2: float) -> float:
+    """Growth ratio for kinds without a theorem: l1 as a fraction of sqrt(l2)."""
+    return l1 / math.sqrt(l2)
 
 
 def main(argv=None) -> int:
@@ -46,6 +41,7 @@ def main(argv=None) -> int:
     if not 1 <= lo <= hi:
         ap.error("--powers wants 1 <= LO <= HI")
     ladder = [1 << k for k in range(lo, hi + 1)]
+    growth_ratio = GROWTH_RATIOS.get(args.kind, fraction_of_ceiling)
     tables = build_tables(max(64, ladder[-1]))
 
     print(f"kind={args.kind} seed={args.seed} rel_tol={args.tol:g}")
@@ -59,7 +55,7 @@ def main(argv=None) -> int:
         row = (
             f"{n:>8d} {est.value:>12.5g} {est.value / math.sqrt(n):>12.5g} "
             f"{est.value / math.sqrt(n * math.log(n)):>14.5g} "
-            f"{growth_ratio(args.kind, n, est.value, l2):>10.4g}"
+            f"{growth_ratio(n, est.value, l2):>10.4g}"
         )
         print(row + ("" if est.converged else "  (not converged)"))
     return 0

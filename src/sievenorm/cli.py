@@ -1,12 +1,13 @@
 """Command-line driver: run experiments, emit CSV (default) or JSON.
 
-Subcommands map one-to-one onto the experiment entry points::
+Subcommands run registered experiments (``experiments.EXPERIMENTS``) with
+their flags as parameters, checked by the same schema as config blocks::
 
     sievenorm norm --kind mobius --n 1024 [--tol 1e-4]
     sievenorm kernel-gap --kind gstar --n 4096 [--p 8] [--m 32768]
     sievenorm sieve-check --set-kind reduced_farey --param 22 --kind mobius --n 512
     sievenorm vaughan --n 4096 [--q 64]
-    sievenorm suite [--config PATH]
+    sievenorm suite [--config PATH] [--workers K]
 
 Output contract: CSV to stdout by default (or ``--out PATH``); ``--json``
 switches to a JSON document ``{schema_version, metadata, rows}``.  CSV and
@@ -22,9 +23,9 @@ evaluation routes disagreeing, ...), 3 a crash (any other exception); 2 > 3 > 1.
 
 Config files for ``suite`` are flat ``key = value`` lines; ``#`` starts a
 comment.  Keys before the first ``experiment = <name>`` line are globals
-(seed, rel_tol, floor, workers); each ``experiment`` line opens a block whose
-keys are that experiment's parameters.  Values may be comma- or
-space-separated lists, e.g. ``n = 1024, 4096``.
+(the ``SuiteConfig`` knobs seed, rel_tol, floor, workers); each ``experiment``
+line opens a block whose keys are that experiment's parameters.  Values may
+be comma- or space-separated lists (ladder keys only), e.g. ``n = 1024, 4096``.
 """
 
 from __future__ import annotations
@@ -35,30 +36,25 @@ import dataclasses
 import io
 import json
 import sys
-import time
 import traceback
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .arith import SEQUENCE_KINDS, build_tables, coefficient_sequence
+from .arith import build_tables
 from .errors import CapacityError, InvariantError
 from .experiments import (
     EXPERIMENT_NAMES,
+    EXPERIMENTS,
     ExperimentRow,
     SuiteConfig,
-    _BUILDERS,
     default_suite_config,
+    expand,
     invariant_violations,
-    kernel_gap_scan,
-    lambda_l1_bounds,
+    required_nmax,
+    run_job,
     run_suite,
-    vaughan_report_row,
-    vaughan_V,
 )
-from .expsum import KernelSpec
-from .largesieve import FAREY_KINDS, build_point_set, large_sieve_check
-from .quadrature import l1_norm, l2_norm_sq
 
 SCHEMA_VERSION = 1
 
@@ -185,11 +181,15 @@ def _parse_value(raw: str):
     return vals if len(vals) > 1 else vals[0]
 
 
-_GLOBAL_KEYS = ("seed", "rel_tol", "floor", "workers")
+#: Global config keys: every SuiteConfig field but the blocks.
+_KNOBS = tuple(f.name for f in dataclasses.fields(SuiteConfig) if f.name != "experiments")
 
 
 def parse_config(text: str) -> SuiteConfig:
-    """Parse the flat key-value suite config format (see module docstring)."""
+    """Parse the flat key-value suite config format (see module docstring).
+
+    Block parameters are checked when the suite expands them (error rows).
+    """
     globals_: dict = {}
     blocks: list[tuple[str, dict]] = []
     current: dict | None = None
@@ -205,7 +205,7 @@ def parse_config(text: str) -> SuiteConfig:
         if not key or not value:
             raise UsageError(f"config line {lineno}: empty key or value")
         if key == "experiment":
-            if value not in _BUILDERS:
+            if value not in EXPERIMENTS:
                 raise UsageError(
                     f"config line {lineno}: unknown experiment {value!r} "
                     f"(known: {', '.join(EXPERIMENT_NAMES)})"
@@ -218,118 +218,44 @@ def parse_config(text: str) -> SuiteConfig:
         except ValueError as exc:
             raise UsageError(f"config line {lineno}: {exc}") from None
         if current is None:
-            if key not in _GLOBAL_KEYS:
+            if key not in _KNOBS:
                 raise UsageError(
                     f"config line {lineno}: unknown global key {key!r} "
-                    f"(known: {', '.join(_GLOBAL_KEYS)})"
+                    f"(known: {', '.join(_KNOBS)})"
                 )
             globals_[key] = parsed
         else:
             current[key] = parsed
-    return SuiteConfig(
-        seed=int(globals_.get("seed", 0)),
-        rel_tol=float(globals_.get("rel_tol", 1e-4)),
-        floor=float(globals_.get("floor", 0.1)),
-        workers=int(globals_.get("workers", 1)),
-        experiments=tuple((name, params) for name, params in blocks),
-    )
+    try:
+        return SuiteConfig(**globals_, experiments=tuple(blocks))
+    except ValueError as exc:
+        raise UsageError(f"config: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
-def _metadata(ns: argparse.Namespace, **extra) -> dict:
-    md = {
+def _metadata(**extra) -> dict:
+    return {
         "tool": "sievenorm",
         "tool_version": __version__,
-        "workers": getattr(ns, "workers", 1),
+        "workers": 1,
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        **extra,
     }
-    md.update(extra)
-    return md
 
 
-def _cmd_norm(ns: argparse.Namespace) -> OutputRecord:
-    t0 = time.perf_counter()
-    n = _positive(ns.n, "--n")
-    tables = build_tables(max(64, n))
-    seq = coefficient_sequence(tables, ns.kind, n, seed=ns.seed)
-    est = l1_norm(seq, rel_tol=ns.tol, workers=ns.workers)
-    l2 = l2_norm_sq(seq)
-    ceiling = l2**0.5
-    row = ExperimentRow(
-        experiment="norm",
-        params={"kind": ns.kind, "n": n, "rel_tol": ns.tol, "seed": ns.seed},
-        measured={
-            "l1": est.value,
-            "l2_sq": l2,
-            "converged": est.converged,
-            "last_delta": est.last_delta,
-            "grids": [[m, v] for m, v in est.grids],
-            "invariant_ok": True,
-        },
-        reference={"cauchy_ceiling": ceiling},
-        ratios={"l1_over_l2": est.value / ceiling if ceiling > 0 else 0.0},
-        passed=est.converged,
-        runtime_s=time.perf_counter() - t0,
-        detail="" if est.converged else "quadrature did not converge (warning)",
-    )
-    return OutputRecord(
-        SCHEMA_VERSION, _metadata(ns, rel_tol=ns.tol, seed=ns.seed), (row,)
-    )
-
-
-def _cmd_kernel_gap(ns: argparse.Namespace) -> OutputRecord:
-    n = _positive(ns.n, "--n")
-    spec = KernelSpec(ns.kind, n, P=ns.p)  # validates kind/p early
-    tables = build_tables(max(64, spec.P))
-    row = kernel_gap_scan(tables, n, P=ns.p, kind=ns.kind, M=ns.m)
-    return OutputRecord(SCHEMA_VERSION, _metadata(ns), (row,))
-
-
-def _cmd_sieve_check(ns: argparse.Namespace) -> OutputRecord:
-    t0 = time.perf_counter()
-    n = _positive(ns.n, "--n")
-    param = _positive(ns.param, "--param")
-    tables = build_tables(max(64, n, param))
-    point_set = build_point_set(tables, ns.set_kind, param)
-    seq = coefficient_sequence(tables, ns.kind, n, seed=ns.seed)
-    result = large_sieve_check(seq, point_set, ns.shift, workers=ns.workers)
-    ok = result.ratio <= 1.0 + 1e-9
-    row = ExperimentRow(
-        experiment="sieve_check",
-        params={
-            "set_kind": ns.set_kind,
-            "param": param,
-            "kind": ns.kind,
-            "n": n,
-            "shift": ns.shift,
-            "seed": ns.seed,
-        },
-        measured={
-            "lhs": result.lhs,
-            "rhs": result.rhs,
-            "points": len(point_set),
-            "delta": point_set.delta,
-            "invariant_ok": ok,
-        },
-        reference={"ratio_bound": 1.0 + 1e-9},
-        ratios={"lhs_over_rhs": result.ratio},
-        passed=ok,
-        runtime_s=time.perf_counter() - t0,
-    )
-    return OutputRecord(SCHEMA_VERSION, _metadata(ns, seed=ns.seed), (row,))
-
-
-def _cmd_vaughan(ns: argparse.Namespace) -> OutputRecord:
-    t0 = time.perf_counter()
-    n = _positive(ns.n, "--n")
-    tables = build_tables(max(64, n))
-    report = vaughan_V(tables, n, ns.q, rel_tol=ns.tol)
-    row_v = vaughan_report_row(report, time.perf_counter() - t0, ns.tol)
-    row_l1 = lambda_l1_bounds(tables, n, ns.q, rel_tol=ns.tol)
-    return OutputRecord(SCHEMA_VERSION, _metadata(ns, rel_tol=ns.tol), (row_v, row_l1))
+def _cmd_experiments(ns: argparse.Namespace) -> OutputRecord:
+    """Run the subcommand's experiments, its flags as their params (knobs go to metadata)."""
+    jobs = []
+    for name in ns.experiments:
+        keys = EXPERIMENTS[name].params
+        jobs += expand(name, {k: getattr(ns, k) for k in keys if getattr(ns, k, None) is not None})
+    tables = build_tables(required_nmax(jobs))
+    rows = tuple(row for name, params in jobs for row in run_job(tables, name, params))
+    knobs = {k: v for k, v in jobs[0][1].items() if k in _KNOBS}
+    return OutputRecord(SCHEMA_VERSION, _metadata(**knobs), rows)
 
 
 def _cmd_suite(ns: argparse.Namespace) -> OutputRecord:
@@ -342,39 +268,28 @@ def _cmd_suite(ns: argparse.Namespace) -> OutputRecord:
         cfg = parse_config(text)
     else:
         cfg = default_suite_config()
-    overrides = {}
-    if ns.seed is not None:
-        overrides["seed"] = ns.seed
-    if ns.tol is not None:
-        overrides["rel_tol"] = ns.tol
-    if ns.floor is not None:
-        overrides["floor"] = ns.floor
-    if ns.workers is not None and ns.workers != 1:
-        overrides["workers"] = ns.workers
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+    overrides = {k: getattr(ns, k) for k in _KNOBS if getattr(ns, k, None) is not None}
+    cfg = dataclasses.replace(cfg, **overrides)
     rows = tuple(run_suite(cfg))
-    md = _metadata(
-        ns,
-        rel_tol=cfg.rel_tol,
-        seed=cfg.seed,
-        floor=cfg.floor,
-        config="default" if ns.config is None else str(ns.config),
-    )
-    md["workers"] = cfg.workers
-    return OutputRecord(SCHEMA_VERSION, md, rows)
-
-
-def _positive(value: int, flag: str) -> int:
-    if value is None:
-        raise UsageError(f"{flag} is required")
-    if value < 1:
-        raise UsageError(f"{flag} must be >= 1, got {value}")
-    return int(value)
+    knobs = {k: getattr(cfg, k) for k in _KNOBS}
+    config = "default" if ns.config is None else str(ns.config)
+    return OutputRecord(SCHEMA_VERSION, _metadata(**knobs, config=config), rows)
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _checked(schema):
+    """argparse ``type`` for a flag: its value, as the registry ``Param`` admits it."""
+
+    def parse(text: str):
+        try:
+            return schema.check(_parse_scalar(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -382,52 +297,65 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"sievenorm {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def common(p: _Parser) -> None:
+    def command(name, summary, *experiments):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=_cmd_experiments, experiments=experiments)
+        return p
+
+    def param(p, flag, key, **kw):
+        """A flag for schema key ``key`` of the command's first experiment."""
+        schema = EXPERIMENTS[p.get_default("experiments")[0]].params[key]
+        if schema.choices:
+            kw["choices"] = schema.choices
+        else:
+            kw["type"] = _checked(schema)
+        p.add_argument(flag, dest=key, **kw)
+
+    def output(p: _Parser) -> None:
         p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
         p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-        p.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
 
-    p = sub.add_parser("norm", parents=[], help="L1/L2 norms of a coefficient sequence")
-    p.add_argument("--kind", required=True, choices=SEQUENCE_KINDS)
-    p.add_argument("--n", type=int, required=True, help="sequence length")
-    p.add_argument("--tol", type=float, default=1e-4, help="relative tolerance (default 1e-4)")
-    p.add_argument("--seed", type=int, default=0, help="seed for random kinds")
-    common(p)
-    p.set_defaults(handler=_cmd_norm)
+    p = command("norm", "L1/L2 norms of a coefficient sequence", "norm")
+    param(p, "--kind", "kind", required=True)
+    param(p, "--n", "n", required=True, help="sequence length")
+    param(p, "--tol", "rel_tol", help="relative tolerance (default 1e-4)")
+    param(p, "--seed", "seed", help="seed for random kinds (default 0)")
+    output(p)
 
-    p = sub.add_parser("kernel-gap", help="scan |kernel - T_N| against its ceilings")
-    p.add_argument(
-        "--kind", default="gstar", choices=("gstar", "h", "h_truncated")
+    p = command("kernel-gap", "scan |kernel - T_N| against its ceilings", "kernel_gap")
+    param(p, "--kind", "kind", default="gstar")
+    param(p, "--n", "n", required=True)
+    param(p, "--p", "p", help="prime cutoff (defaults from N)")
+    param(p, "--m", "m", help="scan grid size (default 8N)")
+    output(p)
+
+    p = command("sieve-check", "one large-sieve inequality evaluation", "sieve_check")
+    param(p, "--set-kind", "set_kind", required=True)
+    param(p, "--param", "param", required=True, help="Farey parameter (Q or P)")
+    param(p, "--kind", "kind", help="sequence kind (default random_complex)")
+    param(p, "--n", "n", required=True)
+    param(p, "--shift", "shift", help="shift of the point set (default 0)")
+    param(p, "--seed", "seed", help="seed for random kinds (default 0)")
+    output(p)
+
+    p = command(
+        "vaughan",
+        "signed-kernel identity and L1 bracket for Lambda",
+        "lambda_kernel_integral",
+        "lambda_l1",
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, default=None, help="prime cutoff (defaults from N)")
-    p.add_argument("--m", type=int, default=None, help="scan grid size (default 8N)")
-    common(p)
-    p.set_defaults(handler=_cmd_kernel_gap)
-
-    p = sub.add_parser("sieve-check", help="one large-sieve inequality evaluation")
-    p.add_argument("--set-kind", required=True, choices=FAREY_KINDS, dest="set_kind")
-    p.add_argument("--param", type=int, required=True, help="Farey parameter (Q or P)")
-    p.add_argument("--kind", default="random_complex", choices=SEQUENCE_KINDS)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--shift", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(handler=_cmd_sieve_check)
-
-    p = sub.add_parser("vaughan", help="signed-kernel identity and L1 bracket for Lambda")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, default=None, help="modulus cutoff (default isqrt(N))")
-    p.add_argument("--tol", type=float, default=1e-4)
-    common(p)
-    p.set_defaults(handler=_cmd_vaughan)
+    param(p, "--n", "n", required=True)
+    param(p, "--q", "q", help="modulus cutoff (default isqrt(N))")
+    param(p, "--tol", "rel_tol", help="relative tolerance (default 1e-4)")
+    output(p)
 
     p = sub.add_parser("suite", help="run an experiment suite")
     p.add_argument("--config", metavar="PATH", default=None, help="suite config file")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--tol", type=float, default=None, help="override config rel_tol")
-    p.add_argument("--floor", type=float, default=None, help="override config floor")
-    common(p)
+    p.add_argument("--seed", type=int, help="override config seed")
+    p.add_argument("--tol", type=float, dest="rel_tol", help="override config rel_tol")
+    p.add_argument("--floor", type=float, help="override config floor")
+    p.add_argument("--workers", type=int, help="override config worker threads")
+    output(p)
     p.set_defaults(handler=_cmd_suite)
 
     return parser

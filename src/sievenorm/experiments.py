@@ -26,16 +26,18 @@ trends along an N-ladder, never as absolute-constant claims.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from math import isqrt
 
 import numpy as np
 
-from .arith import ArithmeticTables, build_tables, coefficient_sequence
+from .arith import SEQUENCE_KINDS, ArithmeticTables, build_tables, coefficient_sequence
 from .errors import InvariantError
 from .expsum import (
     CoefficientSequence,
@@ -43,16 +45,34 @@ from .expsum import (
     grid_eval_kernel,
     grid_eval_sequence,
 )
-from .largesieve import build_point_set, large_sieve_check, sieve_bound_for_kernel_gap
+from .largesieve import FAREY_KINDS, build_point_set, large_sieve_check, sieve_bound_for_kernel_gap
 from .quadrature import DEFAULT_REL_TOL, l1_norm, l2_norm_sq
 
 DEFAULT_FLOOR = 0.1
 DEFAULT_LADDER = (1 << 10, 1 << 12, 1 << 14, 1 << 16)
 
+#: Kernel kinds whose gap to the Fejer kernel ``kernel_gap_scan`` measures.
+GAP_KINDS = ("gstar", "h", "h_truncated")
+
 #: Work cap for one large-sieve trial: points * sequence length.
 TRIAL_WORK_BUDGET = 4_000_000
 
 _SQUAREFREE_MONOTONE_SLACK = 0.999
+
+
+def _squarefree_growth(n, l1, l2):
+    return l1 * (n**0.375 * math.sqrt(math.log(n))) / math.sqrt(l2)
+
+
+#: L1 growth ratio ``f(N, l1, l2)`` (l2 = sum |b_n|^2): l1 times the powers of N
+#: and log N under which the lower-bound theorems keep it above a constant.
+GROWTH_RATIOS = {
+    "mobius": _squarefree_growth,
+    "squarefree_random": _squarefree_growth,
+    "prime_indicator": lambda n, l1, l2: l1 * math.sqrt(n) / math.log(n) ** 2,
+    "chi3_on_primes": lambda n, l1, l2: l1 * n**0.25 / math.log(n),
+    "random_primes": lambda n, l1, l2: l1 * n**0.25 * math.sqrt(math.log(n)) / math.sqrt(l2),
+}
 
 
 def _plain(obj):
@@ -101,9 +121,9 @@ class VReport:
     S_Lambda against the signed kernel (FFT-of-residue-mask coefficients, no
     code shared) on a 4N grid, where the rectangle rule is exact, so the two
     routes agree to roundoff: ``route_bound`` = 16*eps*log2(M)*||s||*||k||/M
-    (two length-M inverse FFTs, then Cauchy-Schwarz on the dot product).
-    ``target`` is the asymptotic prediction 3*Q*N^2/pi^2 and ``ratio`` is
-    v_spectral / target.
+    (two length-M inverse FFTs, then Cauchy-Schwarz on the dot product), and
+    ``routes_agree`` holds when they do.  ``target`` is the asymptotic
+    prediction 3*Q*N^2/pi^2 and ``ratio`` is v_spectral / target.
     """
 
     N: int
@@ -116,15 +136,66 @@ class VReport:
     route_bound: float
 
 
+_REQUIRED = object()
+_ACCEPTED_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
+
+
+@dataclass(frozen=True)
+class Param:
+    """Type, default and admitted values of one parameter.
+
+    ``default``: a value, a tuple (a ladder key's list), ``None`` (the row
+    function picks) or omitted (required); ``inherit`` names the SuiteConfig
+    knob to default to instead.  ``low`` is a lower bound, exclusive if ``strict``.
+    """
+
+    type: type
+    default: object = _REQUIRED
+    low: float | None = None
+    strict: bool = False
+    choices: tuple = ()
+    inherit: str = ""
+
+    def check(self, value):
+        """``value`` as ``type``; ValueError for another type or an out-of-range value."""
+        if value is None and self.default is None:
+            return None
+        if isinstance(value, bool) or not isinstance(value, _ACCEPTED_TYPES[self.type]):
+            raise ValueError(f"must be {self.type.__name__}, got {value!r}")
+        value = self.type(value)
+        if self.choices and value not in self.choices:
+            raise ValueError(f"must be one of {', '.join(self.choices)}, got {value!r}")
+        if self.low is not None and not (value > self.low if self.strict else value >= self.low):
+            raise ValueError(f"must be {'>' if self.strict else '>='} {self.low}, got {value}")
+        return value
+
+
+_SEED = Param(int, low=0, inherit="seed")
+_REL_TOL = Param(float, low=0.0, strict=True, inherit="rel_tol")
+_FLOOR = Param(float, inherit="floor")
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Global knobs plus an ordered list of (experiment, params) blocks."""
+    """Global knobs plus an ordered list of (experiment, params) blocks.
 
-    seed: int = 0
-    rel_tol: float = DEFAULT_REL_TOL
-    floor: float = DEFAULT_FLOOR
-    workers: int = 1
+    Each knob is checked by the :class:`Param` in its field metadata (ValueError).
+    """
+
+    seed: int = field(default=0, metadata={"param": _SEED})
+    rel_tol: float = field(default=DEFAULT_REL_TOL, metadata={"param": _REL_TOL})
+    floor: float = field(default=DEFAULT_FLOOR, metadata={"param": _FLOOR})
+    workers: int = field(default=1, metadata={"param": Param(int, low=1)})
     experiments: tuple = ()
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if "param" in f.metadata:
+                try:
+                    value = f.metadata["param"].check(getattr(self, f.name))
+                except ValueError as exc:
+                    raise ValueError(f"{f.name} {exc}") from None
+                object.__setattr__(self, f.name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +231,13 @@ def mobius_ramanujan_weighted_sum(tables: ArithmeticTables, N: int, Q: int) -> f
     return total
 
 
-def vaughan_V(
-    tables: ArithmeticTables,
-    N: int,
-    Q: int | None = None,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> VReport:
+def vaughan_V(tables: ArithmeticTables, N: int, Q: int | None = None) -> VReport:
     """Compute the weighted sum by both routes and compare against 3QN^2/pi^2.
 
     The quadrature route uses M = 4N samples, comfortably above the exactness
     threshold 2(N + N) for the product of a degree-N sum and a degree-N
     kernel; it shares no code with the spectral route (see :class:`VReport`).
-    Route agreement is judged at max(1e-6 * |v_spectral|, rel_tol * N^2 * Q).
+    The routes agree when they differ by at most ``route_bound``.
     """
     if Q is None:
         Q = max(1, isqrt(N))
@@ -189,8 +255,7 @@ def vaughan_V(
     norms = float(np.linalg.norm(s_grid) * np.linalg.norm(k_grid))
     route_bound = 16.0 * float(np.finfo(float).eps) * math.log2(M) * norms / M
     target = 3.0 * Q * N * N / math.pi**2
-    tol = max(1e-6 * abs(v_spectral), rel_tol * float(N) * N * Q)
-    agree = abs(v_spectral - v_quadrature) <= tol
+    agree = abs(v_spectral - v_quadrature) <= route_bound
     return VReport(
         N=N,
         Q=Q,
@@ -223,8 +288,8 @@ def kernel_gap_scan(
     sqrt(N) log N (``h``-family) is informational and reported as a ratio.
     """
     t0 = time.perf_counter()
-    if kind not in ("gstar", "h", "h_truncated"):
-        raise ValueError(f"kernel gap scan needs gstar/h/h_truncated, got {kind!r}")
+    if kind not in GAP_KINDS:
+        raise ValueError(f"kernel gap scan needs one of {', '.join(GAP_KINDS)}, got {kind!r}")
     spec = KernelSpec(kind, N, P=P)
     P = spec.P
     M = 8 * N if M is None else int(M)
@@ -320,17 +385,14 @@ def squarefree_theorem_ratio(
     t0 = time.perf_counter()
     if N < 2 or N % 2:
         raise ValueError(f"N must be even and >= 2, got {N}")
-    log_n = math.log(N)
-    scale = N**0.375 * math.sqrt(log_n)
-
     seq_m = coefficient_sequence(tables, "mobius", N)
     est_m = l1_norm(seq_m, rel_tol=rel_tol)
-    ratio_m = est_m.value * scale / math.sqrt(l2_norm_sq(seq_m))
-    mobius_floor_value = N**0.125 / math.sqrt(log_n)
+    ratio_m = GROWTH_RATIOS["mobius"](N, est_m.value, l2_norm_sq(seq_m))
+    mobius_floor_value = N**0.125 / math.sqrt(math.log(N))
 
     seq_r = coefficient_sequence(tables, "squarefree_random", N, seed=seed)
     est_r = l1_norm(seq_r, rel_tol=rel_tol)
-    ratio_r = est_r.value * scale / math.sqrt(l2_norm_sq(seq_r))
+    ratio_r = GROWTH_RATIOS["squarefree_random"](N, est_r.value, l2_norm_sq(seq_r))
 
     measured = {
         "l1_mobius": est_m.value,
@@ -402,12 +464,11 @@ def prime_support_experiments(
     Variants: the prime indicator (ratio l1 * sqrt(N) / (log N)^2), the
     character chi3 restricted to primes (ratio l1 * N^(1/4) / log N, with the
     character's partial sum over primes recorded as context), and a random
-    prime-supported sequence (ratio l1 * N^(1/4) * sqrt(log N) / sqrt(l2)).
-    All floors are empirical (default 0.1).
+    prime-supported sequence (ratio l1 * N^(1/4) * sqrt(log N) / sqrt(l2));
+    see :data:`GROWTH_RATIOS`.  All floors are empirical (default 0.1).
     """
     if N < 3:
         raise ValueError(f"N must be >= 3, got {N}")
-    log_n = math.log(N)
     rows = []
     variants = (
         ("prime_indicator", coefficient_sequence(tables, "prime_indicator", N)),
@@ -417,12 +478,7 @@ def prime_support_experiments(
     for variant, seq in variants:
         t0 = time.perf_counter()
         est = l1_norm(seq, rel_tol=rel_tol)
-        if variant == "prime_indicator":
-            ratio = est.value * math.sqrt(N) / log_n**2
-        elif variant == "chi3_on_primes":
-            ratio = est.value * N**0.25 / log_n
-        else:
-            ratio = est.value * N**0.25 * math.sqrt(log_n) / math.sqrt(l2_norm_sq(seq))
+        ratio = GROWTH_RATIOS[variant](N, est.value, l2_norm_sq(seq))
         measured = {
             "l1": est.value,
             "converged": bool(est.converged),
@@ -456,8 +512,18 @@ def prime_support_experiments(
     return rows
 
 
-def vaughan_report_row(report: VReport, runtime_s: float, rel_tol: float) -> ExperimentRow:
-    """Render a VReport as a suite row; the ratio band gates only N >= 4096."""
+def lambda_kernel_integral_row(
+    tables: ArithmeticTables,
+    N: int,
+    Q: int | None = None,
+    rel_tol: float = DEFAULT_REL_TOL,
+) -> ExperimentRow:
+    """:func:`vaughan_V` as a row; the ratio band gates only N >= 4096.
+
+    ``rel_tol`` decides nothing; it labels the row like the ``lambda_l1`` one.
+    """
+    t0 = time.perf_counter()
+    report = vaughan_V(tables, N, Q)
     band_lo, band_hi = 0.6, 1.4
     band_applies = report.N >= 4096
     band_ok = band_lo <= report.ratio <= band_hi
@@ -484,7 +550,7 @@ def vaughan_report_row(report: VReport, runtime_s: float, rel_tol: float) -> Exp
         },
         ratios={"v_over_target": report.ratio, "route_gap_over_bound": gap_over_bound},
         passed=report.routes_agree and (band_ok or not band_applies),
-        runtime_s=runtime_s,
+        runtime_s=time.perf_counter() - t0,
         detail="; ".join(notes),
     )
 
@@ -606,6 +672,77 @@ def prime_count_floor_row(tables: ArithmeticTables, n_max: int | None = None) ->
     )
 
 
+def norm_row(
+    tables: ArithmeticTables,
+    kind: str,
+    N: int,
+    rel_tol: float = DEFAULT_REL_TOL,
+    seed: int = 0,
+) -> ExperimentRow:
+    """L1 and L2 norms of one coefficient sequence; passes when the L1 quadrature converged."""
+    t0 = time.perf_counter()
+    seq = coefficient_sequence(tables, kind, N, seed=seed)
+    est = l1_norm(seq, rel_tol=rel_tol)
+    l2 = l2_norm_sq(seq)
+    ceiling = l2**0.5
+    return ExperimentRow(
+        experiment="norm",
+        params={"kind": kind, "n": N, "rel_tol": rel_tol, "seed": seed},
+        measured={
+            "l1": est.value,
+            "l2_sq": l2,
+            "converged": est.converged,
+            "last_delta": est.last_delta,
+            "grids": [[m, v] for m, v in est.grids],
+            "invariant_ok": True,
+        },
+        reference={"cauchy_ceiling": ceiling},
+        ratios={"l1_over_l2": est.value / ceiling if ceiling > 0 else 0.0},
+        passed=est.converged,
+        runtime_s=time.perf_counter() - t0,
+        detail="" if est.converged else "quadrature did not converge (warning)",
+    )
+
+
+def sieve_check_row(
+    tables: ArithmeticTables,
+    set_kind: str,
+    param: int,
+    N: int,
+    kind: str = "random_complex",
+    shift: float = 0.0,
+    seed: int = 0,
+) -> ExperimentRow:
+    """One large-sieve evaluation: a coefficient sequence on a Farey point set."""
+    t0 = time.perf_counter()
+    point_set = build_point_set(tables, set_kind, param)
+    seq = coefficient_sequence(tables, kind, N, seed=seed)
+    result = large_sieve_check(seq, point_set, shift)
+    ok = result.ratio <= 1.0 + 1e-9
+    return ExperimentRow(
+        experiment="sieve_check",
+        params={
+            "set_kind": set_kind,
+            "param": param,
+            "kind": kind,
+            "n": N,
+            "shift": shift,
+            "seed": seed,
+        },
+        measured={
+            "lhs": result.lhs,
+            "rhs": result.rhs,
+            "points": len(point_set),
+            "delta": point_set.delta,
+            "invariant_ok": ok,
+        },
+        reference={"ratio_bound": 1.0 + 1e-9},
+        ratios={"lhs_over_rhs": result.ratio},
+        passed=ok,
+        runtime_s=time.perf_counter() - t0,
+    )
+
+
 _TRIAL_PARAM_POOL = (3, 5, 8, 13, 22, 37, 61, 100, 165, 272, 449, 741, 1000)
 _TRIAL_SQUARE_POOL = (2, 3, 5, 7, 11, 17, 23, 31)
 _TRIAL_SEQ_KINDS = ("random_complex", "squarefree_random", "mobius", "ones", "mangoldt")
@@ -684,181 +821,155 @@ def large_sieve_trials(
 # suite plumbing
 
 
-def _as_list(value, default):
-    if value is None:
-        return list(default)
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return [value]
+_N = Param(int, DEFAULT_LADDER, low=2)
+_Q = Param(int, None, low=1)
 
 
-def _check_params(name: str, params: dict, allowed: tuple) -> None:
-    unknown = set(params) - set(allowed)
+@dataclass(frozen=True)
+class Experiment:
+    """A row function (by name, looked up per call), its parameter schema and its ladder.
+
+    A job calls ``row(tables, *params.values())``, params in schema order.
+    ``ladder`` keys take lists, one job per combination (first key outermost);
+    ``table`` keys are sizes the sieve tables must reach.
+    """
+
+    row: str
+    params: dict
+    ladder: tuple = ("n",)
+    table: tuple = ("n",)
+
+
+EXPERIMENTS = {
+    "kernel_gap": Experiment(
+        "kernel_gap_scan",
+        {
+            "n": _N,
+            "p": Param(int, None, low=2),
+            "kind": Param(str, GAP_KINDS, choices=GAP_KINDS),
+            "m": Param(int, None, low=1),
+        },
+        ladder=("kind", "n"),
+        table=("n", "p"),
+    ),
+    "squarefree_l1": Experiment(
+        "squarefree_theorem_ratio",
+        {"n": _N, "seed": _SEED, "rel_tol": _REL_TOL, "floor": _FLOOR},
+    ),
+    "prime_l1": Experiment(
+        "prime_support_experiments",
+        {
+            "n": Param(int, DEFAULT_LADDER, low=3),
+            "seed": _SEED,
+            "rel_tol": _REL_TOL,
+            "floor": _FLOOR,
+        },
+    ),
+    "lambda_kernel_integral": Experiment(
+        "lambda_kernel_integral_row", {"n": _N, "q": _Q, "rel_tol": _REL_TOL}
+    ),
+    "lambda_l1": Experiment("lambda_l1_bounds", {"n": _N, "q": _Q, "rel_tol": _REL_TOL}),
+    "mangoldt_weighted_sum": Experiment("mangoldt_weighted_sum_row", {"n": _N}),
+    "large_sieve": Experiment(
+        "large_sieve_trials",
+        {"trials": Param(int, 1000, low=1), "seed": _SEED, "max_param": Param(int, 1000, low=2)},
+        ladder=(),
+        table=("max_param",),
+    ),
+    "prime_count_floor": Experiment(
+        "prime_count_floor_row",
+        {"n_max": Param(int, 1 << 20, low=17)},
+        ladder=(),
+        table=("n_max",),
+    ),
+    "norm": Experiment(
+        "norm_row",
+        {
+            "kind": Param(str, choices=SEQUENCE_KINDS),
+            "n": Param(int, low=1),
+            "rel_tol": _REL_TOL,
+            "seed": _SEED,
+        },
+    ),
+    "sieve_check": Experiment(
+        "sieve_check_row",
+        {
+            "set_kind": Param(str, choices=FAREY_KINDS),
+            "param": Param(int, low=2),
+            "n": Param(int, low=1),
+            "kind": Param(str, "random_complex", choices=SEQUENCE_KINDS),
+            "shift": Param(float, 0.0),
+            "seed": _SEED,
+        },
+        table=("n", "param"),
+    ),
+}
+
+EXPERIMENT_NAMES = tuple(sorted(EXPERIMENTS))
+
+
+def expand(name: str, block: dict, cfg: SuiteConfig = SuiteConfig()) -> list[tuple[str, dict]]:
+    """One ``(name, params)`` job per combination of the block's ladder values.
+
+    Every schema key is resolved (block value, else inherited ``cfg`` knob,
+    else default) and checked; ValueError names the experiment and the key.
+    """
+    spec = EXPERIMENTS.get(name)
+    if spec is None:
+        raise ValueError(f"unknown experiment {name!r}")
+    unknown = sorted(set(block) - set(spec.params))
     if unknown:
-        raise ValueError(f"{name}: unknown parameter(s) {sorted(unknown)}")
-
-
-def _jobs_kernel_gap(tables, cfg, params):
-    _check_params("kernel_gap", params, ("kind", "n", "p", "m"))
-    kinds = _as_list(params.get("kind"), ("gstar", "h", "h_truncated"))
-    ns = _as_list(params.get("n"), DEFAULT_LADDER)
+        raise ValueError(f"{name}: unknown parameter(s) {unknown}")
+    values = {}
+    for key, param in spec.params.items():
+        if key in block:
+            raw = block[key]
+        else:
+            raw = getattr(cfg, param.inherit) if param.inherit else param.default
+        if raw is _REQUIRED:
+            raise ValueError(f"{name}: {key} is required")
+        items = raw if isinstance(raw, (list, tuple)) else [raw]
+        if len(items) != 1 and key not in spec.ladder:
+            raise ValueError(f"{name}: {key} takes one value, got {raw!r}")
+        try:
+            checked = [param.check(item) for item in items]
+        except ValueError as exc:
+            raise ValueError(f"{name}: {key} {exc}") from None
+        values[key] = checked if key in spec.ladder else checked[0]
     jobs = []
-    for kind in kinds:
-        for n in ns:
-            jobs.append(
-                (
-                    "kernel_gap",
-                    {"kind": kind, "n": n},
-                    lambda kind=kind, n=n: kernel_gap_scan(
-                        tables, int(n), P=params.get("p"), kind=str(kind), M=params.get("m")
-                    ),
-                )
-            )
+    for combo in itertools.product(*(values[key] for key in spec.ladder)):
+        params = dict(values)
+        params.update(zip(spec.ladder, combo))
+        jobs.append((name, params))
     return jobs
 
 
-def _jobs_squarefree(tables, cfg, params):
-    _check_params("squarefree_l1", params, ("n", "seed", "rel_tol", "floor"))
-    ns = _as_list(params.get("n"), DEFAULT_LADDER)
-    seed = int(params.get("seed", cfg.seed))
-    rel_tol = float(params.get("rel_tol", cfg.rel_tol))
-    floor = float(params.get("floor", cfg.floor))
-    return [
-        (
-            "squarefree_l1",
-            {"n": n},
-            lambda n=n: squarefree_theorem_ratio(
-                tables, int(n), seed=seed, rel_tol=rel_tol, floor=floor
-            ),
-        )
-        for n in ns
-    ]
+def run_job(tables: ArithmeticTables, name: str, params: dict) -> list[ExperimentRow]:
+    """The rows of one job from :func:`expand`."""
+    out = globals()[EXPERIMENTS[name].row](tables, *params.values())
+    return out if isinstance(out, list) else [out]
 
 
-def _jobs_prime(tables, cfg, params):
-    _check_params("prime_l1", params, ("n", "seed", "rel_tol", "floor"))
-    ns = _as_list(params.get("n"), DEFAULT_LADDER)
-    seed = int(params.get("seed", cfg.seed))
-    rel_tol = float(params.get("rel_tol", cfg.rel_tol))
-    floor = float(params.get("floor", cfg.floor))
-
-    def run(n):
-        return prime_support_experiments(
-            tables, int(n), seed=seed, rel_tol=rel_tol, floor=floor
-        )
-
-    return [("prime_l1", {"n": n}, lambda n=n: run(n)) for n in ns]
-
-
-def _jobs_lambda_kernel(tables, cfg, params):
-    _check_params("lambda_kernel_integral", params, ("n", "q", "rel_tol"))
-    ns = _as_list(params.get("n"), DEFAULT_LADDER)
-    rel_tol = float(params.get("rel_tol", cfg.rel_tol))
-
-    def run(n):
-        t0 = time.perf_counter()
-        q = params.get("q")
-        report = vaughan_V(tables, int(n), None if q is None else int(q), rel_tol=rel_tol)
-        return vaughan_report_row(report, time.perf_counter() - t0, rel_tol)
-
-    return [("lambda_kernel_integral", {"n": n}, lambda n=n: run(n)) for n in ns]
-
-
-def _jobs_lambda_l1(tables, cfg, params):
-    _check_params("lambda_l1", params, ("n", "q", "rel_tol"))
-    ns = _as_list(params.get("n"), DEFAULT_LADDER)
-    rel_tol = float(params.get("rel_tol", cfg.rel_tol))
-    q = params.get("q")
-    return [
-        (
-            "lambda_l1",
-            {"n": n},
-            lambda n=n: lambda_l1_bounds(
-                tables, int(n), None if q is None else int(q), rel_tol=rel_tol
-            ),
-        )
-        for n in ns
-    ]
-
-
-def _jobs_mangoldt(tables, cfg, params):
-    _check_params("mangoldt_weighted_sum", params, ("n",))
-    ns = _as_list(params.get("n"), DEFAULT_LADDER)
-    return [
-        ("mangoldt_weighted_sum", {"n": n}, lambda n=n: mangoldt_weighted_sum_row(tables, int(n)))
-        for n in ns
-    ]
-
-
-def _jobs_large_sieve(tables, cfg, params):
-    _check_params("large_sieve", params, ("trials", "seed", "max_param"))
-    trials = int(params.get("trials", 1000))
-    seed = int(params.get("seed", cfg.seed))
-    max_param = int(params.get("max_param", 1000))
-    return [
-        (
-            "large_sieve",
-            {"trials": trials},
-            lambda: large_sieve_trials(tables, trials=trials, seed=seed, max_param=max_param),
-        )
-    ]
-
-
-def _jobs_prime_count(tables, cfg, params):
-    _check_params("prime_count_floor", params, ("n_max",))
-    n_max = params.get("n_max")
-    return [
-        (
-            "prime_count_floor",
-            {"n_max": n_max},
-            lambda: prime_count_floor_row(tables, None if n_max is None else int(n_max)),
-        )
-    ]
-
-
-_BUILDERS = {
-    "kernel_gap": _jobs_kernel_gap,
-    "squarefree_l1": _jobs_squarefree,
-    "prime_l1": _jobs_prime,
-    "lambda_kernel_integral": _jobs_lambda_kernel,
-    "lambda_l1": _jobs_lambda_l1,
-    "mangoldt_weighted_sum": _jobs_mangoldt,
-    "large_sieve": _jobs_large_sieve,
-    "prime_count_floor": _jobs_prime_count,
-}
-
-EXPERIMENT_NAMES = tuple(sorted(_BUILDERS))
+def required_nmax(jobs) -> int:
+    """Sieve-table size covering every job's ``table`` keys (at least 4096)."""
+    sizes = (params[key] for name, params in jobs for key in EXPERIMENTS[name].table)
+    return max([4096, *(size for size in sizes if size is not None)])
 
 
 def default_suite_config() -> SuiteConfig:
-    """Every experiment over the default ladder N in {2^10, 2^12, 2^14, 2^16}."""
-    ladder = list(DEFAULT_LADDER)
+    """Every suite experiment at its defaults (N over {2^10, ..., 2^16}), with 200 sieve trials."""
     return SuiteConfig(
         experiments=(
-            ("kernel_gap", {"n": ladder}),
-            ("squarefree_l1", {"n": ladder}),
-            ("prime_l1", {"n": ladder}),
-            ("lambda_kernel_integral", {"n": ladder}),
-            ("lambda_l1", {"n": ladder}),
-            ("mangoldt_weighted_sum", {"n": ladder}),
+            ("kernel_gap", {}),
+            ("squarefree_l1", {}),
+            ("prime_l1", {}),
+            ("lambda_kernel_integral", {}),
+            ("lambda_l1", {}),
+            ("mangoldt_weighted_sum", {}),
             ("large_sieve", {"trials": 200}),
-            ("prime_count_floor", {"n_max": 1 << 20}),
+            ("prime_count_floor", {}),
         )
     )
-
-
-def _required_nmax(cfg: SuiteConfig) -> int:
-    need = 4096
-    for name, params in cfg.experiments:
-        ns = _as_list(params.get("n"), DEFAULT_LADDER if name != "large_sieve" else [])
-        for n in ns:
-            if isinstance(n, (int, float)):
-                need = max(need, int(n))
-        if name == "large_sieve":
-            need = max(need, int(params.get("max_param", 1000)), 512)
-        if name == "prime_count_floor":
-            need = max(need, int(params.get("n_max", 1 << 20)))
-    return need
 
 
 def _error_row(name: str, params: dict, exc: Exception, t0: float) -> ExperimentRow:
@@ -876,56 +987,44 @@ def _error_row(name: str, params: dict, exc: Exception, t0: float) -> Experiment
     )
 
 
+def _ladder(rows: list, experiment: str, ratio: str) -> tuple[list, list]:
+    """The n values and ``ratio`` values of the ``experiment`` rows, by increasing n."""
+    hits = sorted(
+        (r for r in rows if r.experiment == experiment and ratio in r.ratios),
+        key=lambda r: r.params.get("n", 0),
+    )
+    return [r.params["n"] for r in hits], [r.ratios[ratio] for r in hits]
+
+
+def _trend_row(experiment, ns, measured, ok, requirement, failure) -> ExperimentRow:
+    return ExperimentRow(
+        experiment=f"{experiment}_trend",
+        params={"n": ns},
+        measured={**measured, "invariant_ok": True},
+        reference={"requirement": requirement},
+        ratios={},
+        passed=ok,
+        runtime_s=0.0,
+        detail="" if ok else failure,
+    )
+
+
 def _summary_rows(rows: list) -> list:
     out = []
-    sq = sorted(
-        (r for r in rows if r.experiment == "squarefree_l1" and "ratio_mobius" in r.ratios),
-        key=lambda r: r.params.get("n", 0),
-    )
-    if len(sq) >= 2:
-        ratios = [r.ratios["ratio_mobius"] for r in sq]
-        ok = all(
-            b >= a * _SQUAREFREE_MONOTONE_SLACK for a, b in zip(ratios, ratios[1:])
-        )
+    ns, ratios = _ladder(rows, "squarefree_l1", "ratio_mobius")
+    if len(ns) >= 2:
+        ok = all(b >= a * _SQUAREFREE_MONOTONE_SLACK for a, b in zip(ratios, ratios[1:]))
+        requirement = "non-decreasing along the ladder"
+        failure = "mobius growth ratio decreased along the ladder"
+        out.append(_trend_row("squarefree_l1", ns, {"ratios": ratios}, ok, requirement, failure))
+    ns, ratios = _ladder(rows, "lambda_kernel_integral", "v_over_target")
+    if len(ns) >= 2:
+        first, last = abs(ratios[0] - 1.0), abs(ratios[-1] - 1.0)
+        measured = {"abs_gap_first": first, "abs_gap_last": last}
+        requirement = "ratio approaches 1 along the ladder"
+        failure = "ratio moved away from 1 along the ladder"
         out.append(
-            ExperimentRow(
-                experiment="squarefree_l1_trend",
-                params={"n": [r.params["n"] for r in sq]},
-                measured={"ratios": ratios, "invariant_ok": True},
-                reference={"requirement": "non-decreasing along the ladder"},
-                ratios={},
-                passed=ok,
-                runtime_s=0.0,
-                detail="" if ok else "mobius growth ratio decreased along the ladder",
-            )
-        )
-    lam = sorted(
-        (
-            r
-            for r in rows
-            if r.experiment == "lambda_kernel_integral" and "v_over_target" in r.ratios
-        ),
-        key=lambda r: r.params.get("n", 0),
-    )
-    if len(lam) >= 2:
-        first = abs(lam[0].ratios["v_over_target"] - 1.0)
-        last = abs(lam[-1].ratios["v_over_target"] - 1.0)
-        ok = last <= first
-        out.append(
-            ExperimentRow(
-                experiment="lambda_kernel_integral_trend",
-                params={"n": [r.params["n"] for r in lam]},
-                measured={
-                    "abs_gap_first": first,
-                    "abs_gap_last": last,
-                    "invariant_ok": True,
-                },
-                reference={"requirement": "ratio approaches 1 along the ladder"},
-                ratios={},
-                passed=ok,
-                runtime_s=0.0,
-                detail="" if ok else "ratio moved away from 1 along the ladder",
-            )
+            _trend_row("lambda_kernel_integral", ns, measured, last <= first, requirement, failure)
         )
     return out
 
@@ -933,51 +1032,41 @@ def _summary_rows(rows: list) -> list:
 def run_suite(config: SuiteConfig | None = None, tables: ArithmeticTables | None = None):
     """Run the configured experiments and return rows in deterministic order.
 
-    Per-row failures (including exceptions) are captured as failed rows and
-    never abort the suite; a row for a job that raised names the exception
-    class in ``measured["error"]``.  With ``workers > 1`` rows are computed in a
+    Every block is expanded (and so checked) before any job runs.  Per-row
+    failures -- a bad block or a job that raised -- are captured as failed
+    rows and never abort the suite; such a row names the exception class in
+    ``measured["error"]``.  With ``workers > 1`` rows are computed in a
     thread pool but assembled in configuration order, so output ordering is
     identical for any worker count.
     """
     cfg = config if config is not None else default_suite_config()
-    if not cfg.experiments:
+    jobs = []
+    for name, block in cfg.experiments:
+        try:
+            jobs += [(job, None) for job in expand(name, block, cfg)]
+        except ValueError as exc:
+            jobs.append(((name, dict(block)), exc))
+    if not jobs:
         return []
     if tables is None:
-        tables = build_tables(_required_nmax(cfg))
-    jobs = []
-    for name, params in cfg.experiments:
-        builder = _BUILDERS.get(name)
-        if builder is None:
-            err = ValueError(f"unknown experiment {name!r}")
-            jobs.append((name, dict(params), err))
-            continue
-        try:
-            jobs.extend(builder(tables, cfg, dict(params)))
-        except Exception as exc:
-            jobs.append((name, dict(params), exc))
+        tables = build_tables(required_nmax(job for job, error in jobs if error is None))
 
-    def run_job(job):
-        name, params, thunk = job
+    def run(entry):
+        (name, params), error = entry
         t0 = time.perf_counter()
-        if isinstance(thunk, Exception):
-            return _error_row(name, params, thunk, t0)
+        if error is not None:
+            return [_error_row(name, params, error, t0)]
         try:
-            result = thunk()
+            return run_job(tables, name, params)
         except Exception as exc:
-            return _error_row(name, params, exc, t0)
-        return result
+            return [_error_row(name, params, exc, t0)]
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run_job, jobs))
+            results = list(pool.map(run, jobs))
     else:
-        results = [run_job(j) for j in jobs]
-    rows = []
-    for res in results:
-        if isinstance(res, list):
-            rows.extend(res)
-        else:
-            rows.append(res)
+        results = [run(entry) for entry in jobs]
+    rows = [row for result in results for row in result]
     rows.extend(_summary_rows(rows))
     return rows
 

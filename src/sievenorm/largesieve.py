@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InvariantError
 from .expsum import CoefficientSequence, eval_sequence
-from .quadrature import deterministic_sum, l2_norm_sq
+from .quadrature import l2_norm_sq
 
 FAREY_KINDS = ("reduced_farey", "prime_farey", "prime_square_farey")
 
@@ -181,7 +181,6 @@ def large_sieve_check(
     seq: CoefficientSequence,
     point_set: SpacedPointSet,
     shift: float = 0.0,
-    workers: int = 1,
 ) -> LargeSieveResult:
     """Evaluate both sides of the large-sieve inequality at the given points.
 
@@ -191,7 +190,7 @@ def large_sieve_check(
     the inequality is a theorem for any delta-spaced set.
     """
     values = eval_sequence(seq, point_set.points + float(shift))
-    lhs = deterministic_sum(np.abs(values) ** 2, workers)
+    lhs = float(np.sum(np.abs(values) ** 2))
     rhs = (seq.N + 1.0 / point_set.delta - 1.0) * l2_norm_sq(seq)
     ratio = lhs / rhs if rhs > 0 else 0.0
     if ratio > 1.0 + RATIO_TOLERANCE:

@@ -13,15 +13,13 @@ onto a single frequency).  A violation beyond tolerance raises
 :class:`InvariantError` -- the quadrature itself cannot produce either side
 wrongly unless there is a bug.
 
-Reductions over grid values are deterministic for a fixed worker count:
-the grid is split into contiguous chunks by index, chunk sums are computed
-independently (optionally in a thread pool), and combined in fixed order.
+Grid values are reduced by one ``np.sum`` per grid, so a given input always
+gives the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -59,31 +57,6 @@ class L1Estimate:
     grids: tuple[tuple[int, float], ...]
     converged: bool
     last_delta: float
-
-
-def deterministic_sum(values: np.ndarray, workers: int = 1) -> float:
-    """Sum with a worker-count-stable chunked reduction.
-
-    The chunk boundaries depend only on (len(values), workers); partial sums
-    combine left to right, so results are bitwise reproducible for a fixed
-    worker count regardless of thread scheduling.
-    """
-    n = len(values)
-    w = max(1, int(workers))
-    if w == 1 or n < 2 * w:
-        return float(np.sum(values))
-    bounds = [(i * n) // w for i in range(w + 1)]
-    chunks = [values[bounds[i] : bounds[i + 1]] for i in range(w)]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        partials = list(pool.map(np.sum, chunks))
-    total = 0.0
-    for s in partials:
-        total += float(s)
-    return total
-
-
-def deterministic_mean(values: np.ndarray, workers: int = 1) -> float:
-    return deterministic_sum(values, workers) / len(values)
 
 
 def l2_norm_sq(seq: CoefficientSequence) -> float:
@@ -159,7 +132,6 @@ def l1_norm(
     oversample_start: int = DEFAULT_OVERSAMPLE_START,
     oversample_cap: int = DEFAULT_OVERSAMPLE_CAP,
     budget: int = DEFAULT_GRID_BUDGET,
-    workers: int = 1,
 ) -> L1Estimate:
     """Estimate integral of |S(alpha)| d alpha by refining rectangle rules.
 
@@ -170,7 +142,7 @@ def l1_norm(
 
     def sample_mean(M: int) -> float:
         g = grid_eval_sequence(seq, M, budget=budget)
-        return deterministic_mean(np.abs(g.values), workers)
+        return float(np.sum(np.abs(g.values))) / len(g.values)
 
     est = _refine(sample_mean, seq.N, rel_tol, oversample_start, oversample_cap, budget)
     ceiling = math.sqrt(l2_norm_sq(seq))
@@ -186,7 +158,6 @@ def l1_norm_kernel(
     oversample_start: int = DEFAULT_OVERSAMPLE_START,
     oversample_cap: int = DEFAULT_OVERSAMPLE_CAP,
     budget: int = DEFAULT_GRID_BUDGET,
-    workers: int = 1,
 ) -> L1Estimate:
     """L1 norm of a kernel by the same refining quadrature.
 
@@ -198,6 +169,6 @@ def l1_norm_kernel(
 
     def sample_mean(M: int) -> float:
         g = grid_eval_kernel(tables, spec, M, budget=budget)
-        return deterministic_mean(np.abs(g.values), workers)
+        return float(np.sum(np.abs(g.values))) / len(g.values)
 
     return _refine(sample_mean, spec.N, rel_tol, oversample_start, oversample_cap, budget)

@@ -178,6 +178,17 @@ class TestExitCodes:
         assert code == 1
         assert "--n" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["vaughan", "--n", "1"], ["kernel-gap", "--n", "1"], ["suite", "--workers", "0"]],
+        ids=["vaughan_n1", "kernel_gap_n1", "suite_workers0"],
+    )
+    def test_out_of_range_flag_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "must be >= " in err
+
     def test_no_command_prints_help(self, capsys):
         code, _, err = run_cli(capsys, [])
         assert code == 1
@@ -208,10 +219,10 @@ class TestExitCodes:
         assert exc.value.code == 0
 
     def test_invariant_violation_in_row_exits_2(self, capsys, monkeypatch):
-        def fake_check(seq, point_set, shift=0.0, workers=1):
+        def fake_check(seq, point_set, shift=0.0):
             return LargeSieveResult(lhs=2.0, rhs=1.0, ratio=2.0)
 
-        monkeypatch.setattr(cli, "large_sieve_check", fake_check)
+        monkeypatch.setattr(experiments, "large_sieve_check", fake_check)
         code, out, err = run_cli(
             capsys,
             ["sieve-check", "--set-kind", "prime_farey", "--param", "5", "--n", "32"],
@@ -253,10 +264,10 @@ class TestExitCodes:
         assert "RuntimeError: unexpected" in err
 
     def test_command_crash_exits_3(self, capsys, monkeypatch):
-        def crashing_check(seq, point_set, shift=0.0, workers=1):
+        def crashing_check(seq, point_set, shift=0.0):
             raise RuntimeError("unexpected")
 
-        monkeypatch.setattr(cli, "large_sieve_check", crashing_check)
+        monkeypatch.setattr(experiments, "large_sieve_check", crashing_check)
         code, out, err = run_cli(
             capsys,
             ["sieve-check", "--set-kind", "prime_farey", "--param", "5", "--n", "32"],
@@ -266,10 +277,10 @@ class TestExitCodes:
         assert "RuntimeError: unexpected" in err
 
     def test_invariant_error_raised_exits_2(self, capsys, monkeypatch):
-        def raising_check(seq, point_set, shift=0.0, workers=1):
+        def raising_check(seq, point_set, shift=0.0):
             raise InvariantError("ratio exceeded 1")
 
-        monkeypatch.setattr(cli, "large_sieve_check", raising_check)
+        monkeypatch.setattr(experiments, "large_sieve_check", raising_check)
         code, out, err = run_cli(
             capsys,
             ["sieve-check", "--set-kind", "prime_farey", "--param", "5", "--n", "32"],

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 import sievenorm as sn
+import sievenorm.experiments as experiments
 from sievenorm.experiments import (
+    EXPERIMENTS,
     ExperimentRow,
     SuiteConfig,
     kernel_gap_scan,
+    lambda_kernel_integral_row,
     lambda_l1_bounds,
     large_sieve_trials,
     mangoldt_weighted_sum_row,
@@ -17,7 +20,6 @@ from sievenorm.experiments import (
     prime_support_experiments,
     run_suite,
     squarefree_theorem_ratio,
-    vaughan_report_row,
     vaughan_V,
 )
 
@@ -69,9 +71,22 @@ class TestVaughanV:
     @pytest.mark.parametrize("N,Q", [(256, 16), (1024, 32), (4096, 64)])
     def test_route_gap_within_roundoff_bound(self, tables, N, Q):
         rep = vaughan_V(tables, N, Q)
-        row = vaughan_report_row(rep, 0.0, 1e-4)
+        row = lambda_kernel_integral_row(tables, N, Q)
         assert 0.0 < rep.route_bound
         assert row.ratios["route_gap_over_bound"] <= 1.0
+
+    def test_routes_disagree_on_a_1e9_perturbation(self, tables, monkeypatch):
+        # a quadrature route off by 1e-9 relative is far outside the roundoff bound
+        original = experiments.grid_eval_kernel
+
+        def perturbed(tables, spec, M, **kwargs):
+            grid = original(tables, spec, M, **kwargs)
+            return dataclasses.replace(grid, values=grid.values * (1.0 + 1e-9))
+
+        monkeypatch.setattr(experiments, "grid_eval_kernel", perturbed)
+        rep = vaughan_V(tables, 1024, 32)
+        assert rep.v_quadrature == pytest.approx(rep.v_spectral, rel=2e-9)
+        assert not rep.routes_agree
 
     def test_default_q(self, tables):
         rep = vaughan_V(tables, 256)
@@ -327,6 +342,14 @@ class TestRunSuite:
         assert rows[0].passed is False
         assert "zeta" in rows[0].detail
 
+    @pytest.mark.parametrize("name", ["kernel_gap", "lambda_l1", "lambda_kernel_integral"])
+    def test_n_below_two_is_error_row(self, tables, name):
+        rows = run_suite(SuiteConfig(experiments=((name, {"n": 1}),)), tables=tables)
+        assert len(rows) == 1
+        assert rows[0].passed is False
+        assert rows[0].measured["error"] == "ValueError"
+        assert "n must be >= 2, got 1" in rows[0].detail
+
     def test_deterministic_modulo_runtime(self, tables):
         cfg = SuiteConfig(
             seed=5,
@@ -364,6 +387,60 @@ class TestRunSuite:
         trend = rows[names.index("squarefree_l1_trend")]
         assert trend.params["n"] == [64, 128]
         assert len(trend.measured["ratios"]) == 2
+
+
+#: One small block per registered experiment and the exact params of its rows.
+#: perfbench identifies a row by its experiment and params (without the seed),
+#: so these must not change when the registry does.
+ROW_IDENTITY_BLOCKS = (
+    ("kernel_gap", {"n": 64, "kind": "h"}),
+    ("squarefree_l1", {"n": [64, 128]}),
+    ("prime_l1", {"n": 64}),
+    ("lambda_kernel_integral", {"n": [64, 128]}),
+    ("lambda_l1", {"n": 64}),
+    ("mangoldt_weighted_sum", {"n": 64}),
+    ("large_sieve", {"trials": 3, "max_param": 22}),
+    ("prime_count_floor", {"n_max": 4096}),
+    ("norm", {"kind": "mobius", "n": 64}),
+    ("sieve_check", {"set_kind": "prime_farey", "param": 5, "n": 32}),
+)
+ROW_IDENTITY = [
+    ("kernel_gap", {"kind": "h", "n": 64, "p": 8, "m": 512}),
+    ("squarefree_l1", {"n": 64, "seed": 3, "rel_tol": 1e-4, "floor": 0.1}),
+    ("squarefree_l1", {"n": 128, "seed": 3, "rel_tol": 1e-4, "floor": 0.1}),
+    *(
+        ("prime_l1", {"variant": v, "n": 64, "seed": 3, "rel_tol": 1e-4, "floor": 0.1})
+        for v in ("prime_indicator", "chi3_on_primes", "random_primes")
+    ),
+    ("lambda_kernel_integral", {"n": 64, "q": 8, "rel_tol": 1e-4}),
+    ("lambda_kernel_integral", {"n": 128, "q": 11, "rel_tol": 1e-4}),
+    ("lambda_l1", {"n": 64, "q": 8, "rel_tol": 1e-4}),
+    ("mangoldt_weighted_sum", {"n": 64}),
+    ("large_sieve", {"trials": 3, "seed": 3, "max_param": 22}),
+    ("prime_count_floor", {"n_max": 4096}),
+    ("norm", {"kind": "mobius", "n": 64, "rel_tol": 1e-4, "seed": 3}),
+    (
+        "sieve_check",
+        {
+            "set_kind": "prime_farey",
+            "param": 5,
+            "kind": "random_complex",
+            "n": 32,
+            "shift": 0.0,
+            "seed": 3,
+        },
+    ),
+    ("squarefree_l1_trend", {"n": [64, 128]}),
+    ("lambda_kernel_integral_trend", {"n": [64, 128]}),
+]
+
+
+def test_row_identity_per_experiment(tables):
+    assert {name for name, _ in ROW_IDENTITY_BLOCKS} == set(EXPERIMENTS)
+    rows = run_suite(SuiteConfig(seed=3, experiments=ROW_IDENTITY_BLOCKS), tables=tables)
+    assert [r.measured.get("error") for r in rows] == [None] * len(rows)
+    got = [(r.experiment, list(r.params.items())) for r in rows]
+    assert got == [(name, list(params.items())) for name, params in ROW_IDENTITY]
 
 
 class TestInvariantViolations:

@@ -170,13 +170,6 @@ class TestLargeSieveCheck:
         with pytest.raises(InvariantError):
             sn.large_sieve_check(seq, fake)
 
-    def test_workers_agree(self, tables):
-        seq = sn.coefficient_sequence(tables, "random_complex", 128, seed=8)
-        ps = sn.build_point_set(tables, "reduced_farey", 15)
-        a = sn.large_sieve_check(seq, ps, 0.2, workers=1)
-        b = sn.large_sieve_check(seq, ps, 0.2, workers=3)
-        assert a.lhs == pytest.approx(b.lhs, rel=1e-12)
-
 
 class TestKernelGapBound:
     def test_frozen_values(self, tables_mid):

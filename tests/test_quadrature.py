@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import sievenorm as sn
 from sievenorm.expsum import grid_eval_sequence
-from sievenorm.quadrature import deterministic_mean, deterministic_sum
 
 
 def random_sequence(N, seed):
@@ -133,21 +132,3 @@ class TestL1Kernel:
     def test_h_mass_is_mean_prime(self, tables):
         est = sn.l1_norm_kernel(tables, sn.KernelSpec("h", 64, P=3))
         assert est.value == pytest.approx((2 + 3) / 2, rel=2e-4)
-
-
-class TestDeterministicReduction:
-    def test_worker_count_stability(self, rng):
-        values = rng.normal(size=100_001)
-        one = deterministic_sum(values, workers=1)
-        for w in (2, 3, 8):
-            assert deterministic_sum(values, workers=w) == deterministic_sum(values, workers=w)
-            assert deterministic_sum(values, workers=w) == pytest.approx(one, rel=1e-12)
-        assert deterministic_mean(values, workers=4) == pytest.approx(
-            one / len(values), rel=1e-12
-        )
-
-    def test_l1_norm_workers_agree(self, tables):
-        seq = sn.coefficient_sequence(tables, "mobius", 256)
-        a = sn.l1_norm(seq, workers=1).value
-        b = sn.l1_norm(seq, workers=4).value
-        assert a == pytest.approx(b, rel=1e-12)
