@@ -34,6 +34,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from math import isqrt
+from typing import Callable
 
 import numpy as np
 
@@ -825,19 +826,32 @@ _N = Param(int, DEFAULT_LADDER, low=2)
 _Q = Param(int, None, low=1)
 
 
+def _n_even(params: dict) -> None:
+    if params["n"] % 2:
+        raise ValueError(f"n must be even, got {params['n']}")
+
+
+def _q_at_most_n(params: dict) -> None:
+    if params["q"] is not None and params["q"] > params["n"]:
+        raise ValueError(f"q must be <= n, got q={params['q']}, n={params['n']}")
+
+
 @dataclass(frozen=True)
 class Experiment:
     """A row function (by name, looked up per call), its parameter schema and its ladder.
 
     A job calls ``row(tables, *params.values())``, params in schema order.
     ``ladder`` keys take lists, one job per combination (first key outermost);
-    ``table`` keys are sizes the sieve tables must reach.
+    ``table`` keys are sizes the sieve tables must reach.  ``check``, if set,
+    is called on each job's params and raises ValueError for a combination of
+    keys the row function would reject.
     """
 
     row: str
     params: dict
     ladder: tuple = ("n",)
     table: tuple = ("n",)
+    check: Callable[[dict], None] | None = None
 
 
 EXPERIMENTS = {
@@ -855,6 +869,7 @@ EXPERIMENTS = {
     "squarefree_l1": Experiment(
         "squarefree_theorem_ratio",
         {"n": _N, "seed": _SEED, "rel_tol": _REL_TOL, "floor": _FLOOR},
+        check=_n_even,
     ),
     "prime_l1": Experiment(
         "prime_support_experiments",
@@ -866,9 +881,11 @@ EXPERIMENTS = {
         },
     ),
     "lambda_kernel_integral": Experiment(
-        "lambda_kernel_integral_row", {"n": _N, "q": _Q, "rel_tol": _REL_TOL}
+        "lambda_kernel_integral_row", {"n": _N, "q": _Q, "rel_tol": _REL_TOL}, check=_q_at_most_n
     ),
-    "lambda_l1": Experiment("lambda_l1_bounds", {"n": _N, "q": _Q, "rel_tol": _REL_TOL}),
+    "lambda_l1": Experiment(
+        "lambda_l1_bounds", {"n": _N, "q": _Q, "rel_tol": _REL_TOL}, check=_q_at_most_n
+    ),
     "mangoldt_weighted_sum": Experiment("mangoldt_weighted_sum_row", {"n": _N}),
     "large_sieve": Experiment(
         "large_sieve_trials",
@@ -912,7 +929,8 @@ def expand(name: str, block: dict, cfg: SuiteConfig = SuiteConfig()) -> list[tup
     """One ``(name, params)`` job per combination of the block's ladder values.
 
     Every schema key is resolved (block value, else inherited ``cfg`` knob,
-    else default) and checked; ValueError names the experiment and the key.
+    else default) and checked, then every job by the experiment's ``check``;
+    ValueError names the experiment (and the key, for a one-key check).
     """
     spec = EXPERIMENTS.get(name)
     if spec is None:
@@ -940,6 +958,11 @@ def expand(name: str, block: dict, cfg: SuiteConfig = SuiteConfig()) -> list[tup
     for combo in itertools.product(*(values[key] for key in spec.ladder)):
         params = dict(values)
         params.update(zip(spec.ladder, combo))
+        if spec.check is not None:
+            try:
+                spec.check(params)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
         jobs.append((name, params))
     return jobs
 

@@ -141,7 +141,7 @@ class KernelSpec:
 
 @dataclass(frozen=True, eq=False)
 class GridEvaluation:
-    """Values of a kernel or sequence transform on the uniform grid j/M."""
+    """Values of a kernel or sequence transform on the uniform grid j/M or a shift of it."""
 
     M: int
     values: np.ndarray
@@ -407,21 +407,47 @@ def _check_grid(M: int, budget: int) -> None:
         raise CapacityError(f"grid size {M} exceeds budget {budget}")
 
 
-def grid_eval_sequence(
-    seq: CoefficientSequence, M: int, budget: int = DEFAULT_GRID_BUDGET
-) -> GridEvaluation:
-    """S(j/M) for j = 0..M-1.
+def _folded(coeffs: np.ndarray, first: int, M: int, shift: float) -> np.ndarray:
+    """Bins b_r = sum over k = r (mod M) of c_k * e(k*shift/M), c_k stored from k = first.
 
-    Uses a zero-padded inverse FFT when M >= N + 1 (exact placement of the
-    coefficients a_1..a_N into frequency bins), otherwise direct evaluation.
+    Folding aliases exactly: sum_r b_r e(r*j/M) = sum_k c_k e(k*(j + shift)/M)
+    for every integer j, so one inverse FFT of length M gives the values at
+    the points (j + shift)/M whatever M is.
+    """
+    k = np.arange(first, first + coeffs.size)
+    if shift:
+        coeffs = coeffs * np.exp(TWO_PI_I * (shift / M) * k)
+    if first >= 0 and first + coeffs.size <= M:
+        bins = np.zeros(M, dtype=coeffs.dtype)
+        bins[first : first + coeffs.size] = coeffs
+        return bins
+    r = k % M
+    if not np.iscomplexobj(coeffs):
+        return np.bincount(r, weights=coeffs, minlength=M)
+    bins = np.empty(M, dtype=np.complex128)
+    bins.real = np.bincount(r, weights=coeffs.real, minlength=M)
+    bins.imag = np.bincount(r, weights=coeffs.imag, minlength=M)
+    return bins
+
+
+def grid_eval_sequence(
+    seq: CoefficientSequence,
+    M: int,
+    budget: int = DEFAULT_GRID_BUDGET,
+    shift: float = 0.0,
+) -> GridEvaluation:
+    """S((j + shift)/M) for j = 0..M-1, from one inverse FFT of length M.
+
+    The coefficients are twisted by e(n*shift/M) and folded into frequency
+    bins n mod M (exact aliasing, so M may be below N + 1).  The L1
+    quadrature asks for power-of-two M, where the FFT is fastest; ``budget``
+    caps M, the length of every array allocated here.  At shift = 0 and
+    M >= N + 1 each a_n sits alone in bin n.  The pointwise route
+    ``eval_sequence`` shares no code with this one.
     """
     _check_grid(M, budget)
-    if M >= seq.N + 1:
-        x = np.zeros(M, dtype=np.complex128)
-        x[1 : seq.N + 1] = seq.coeffs
-        values = np.fft.ifft(x) * M
-    else:
-        values = eval_sequence(seq, np.arange(M) / M)
+    values = np.fft.ifft(_folded(seq.coeffs, 1, M, shift))
+    values *= M
     return GridEvaluation(M=M, values=values, spec=seq)
 
 
@@ -430,18 +456,16 @@ def grid_eval_kernel(
     spec: KernelSpec,
     M: int,
     budget: int = DEFAULT_GRID_BUDGET,
+    shift: float = 0.0,
 ) -> GridEvaluation:
-    """Kernel values on the grid j/M, j = 0..M-1, as a real array.
+    """Kernel values at (j + shift)/M, j = 0..M-1, as a real array.
 
-    One transform over the 2N+1 spectral weights: they are folded into
-    frequency bins modulo M (exact aliasing) and one inverse FFT produces all
-    M values.
+    One transform over the 2N+1 spectral weights: they are twisted by
+    e(k*shift/M), folded into frequency bins modulo M (exact aliasing) and
+    one inverse FFT produces all M values.
     """
     _check_grid(M, budget)
-    w = spectral_weights(tables, spec)
-    k = np.arange(-spec.N, spec.N + 1)
-    bins = np.bincount(k % M, weights=w, minlength=M)
-    v = np.fft.ifft(bins) * M
+    v = np.fft.ifft(_folded(spectral_weights(tables, spec), -spec.N, M, shift)) * M
     scale = max(1.0, float(np.max(np.abs(v.real))))
     imag = float(np.max(np.abs(v.imag)))
     if imag > 1e-9 * scale:

@@ -3,9 +3,14 @@
 For S(alpha) = sum_{n=1}^N a_n e(n*alpha), the L2 norm is exact (Parseval:
 integral of |S|^2 equals sum |a_n|^2, and the rectangle rule reproduces it
 exactly once M >= 2N + 1 samples are used).  The L1 norm has no closed form;
-it is estimated by rectangle-rule quadrature on refining grids
-M = oversample * (N + 1), doubling the oversample factor until successive
-values agree to a relative tolerance.
+it is estimated by rectangle-rule quadrature on nested power-of-two grids
+M = oversample * 2^ceil(log2 N), doubling M until successive values agree
+to a relative tolerance.  |S| has kinks at its zeros, so the rule converges
+only algebraically; each doubling therefore keeps the running sum of |S|
+and evaluates only the new odd samples, one grid of the previous size
+shifted by half a step.  A grid above ``_CHUNK`` points is evaluated as
+cosets of ``_CHUNK`` points each, so memory does not grow with N; ``budget``
+bounds the finest grid's sample count, that is the time an estimate may take.
 
 Every estimate is cross-checked against two analytic envelopes before being
 returned: l1 <= sqrt(l2) (Cauchy-Schwarz) and l1 >= max_n |a_n| (projection
@@ -13,8 +18,8 @@ onto a single frequency).  A violation beyond tolerance raises
 :class:`InvariantError` -- the quadrature itself cannot produce either side
 wrongly unless there is a bug.
 
-Grid values are reduced by one ``np.sum`` per grid, so a given input always
-gives the same bits.
+Grid values are reduced by one ``np.sum`` per grid or coset, in a fixed
+order, so a given input always gives the same bits.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ import numpy as np
 
 from .errors import CapacityError, InvariantError
 from .expsum import (
-    DEFAULT_GRID_BUDGET,
     CoefficientSequence,
+    GridEvaluation,
     KernelSpec,
     grid_eval_kernel,
     grid_eval_sequence,
@@ -40,6 +45,11 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_REL_TOL = 1e-4
 DEFAULT_OVERSAMPLE_START = 16
 DEFAULT_OVERSAMPLE_CAP = 1024
+#: Default cap on the finest L1 grid: 2^25 samples reach N = 2^20 at oversample 32.
+DEFAULT_SAMPLE_BUDGET = 1 << 26
+
+# Largest grid evaluated in one call; finer grids are split into cosets.
+_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -72,39 +82,58 @@ def l2_norm_sq_quadrature(seq: CoefficientSequence, M: int | None = None) -> flo
     return float(np.mean(np.abs(g.values) ** 2))
 
 
+def _abs_sum(evaluate: Callable[[int, float], GridEvaluation], M: int, shift: float) -> float:
+    """Sum of |f((j + shift)/M)| over j = 0..M-1, in cosets of at most ``_CHUNK`` points.
+
+    With M = R*L, the points j = R*i + r (i < L) of coset r are
+    (i + (r + shift)/R)/L: a grid of L points shifted by (r + shift)/R.
+    """
+    cosets = 1
+    while M > cosets * _CHUNK and M % (2 * cosets) == 0:
+        cosets *= 2
+    L = M // cosets
+    return sum(
+        float(np.sum(np.abs(evaluate(L, (r + shift) / cosets).values))) for r in range(cosets)
+    )
+
+
 def _refine(
-    sample_mean: Callable[[int], float],
+    evaluate: Callable[[int, float], GridEvaluation],
     N: int,
     rel_tol: float,
     oversample_start: int,
     oversample_cap: int,
     budget: int,
 ) -> L1Estimate:
+    """Mean of |f| on the grids M = oversample * 2^ceil(log2 N), doubling until settled.
+
+    ``evaluate(M, shift)`` gives f at (j + shift)/M.  Each doubling adds the
+    odd samples of the finer grid, evaluate(M, 1/2) on the current one, to
+    the running sum, so the finest grid is sampled once in total.
+    """
     if rel_tol <= 0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     if oversample_start < 2:
         raise ValueError(f"oversample_start must be >= 2, got {oversample_start}")
+    scale = 1 << (N - 1).bit_length()
     grids: list[tuple[int, float]] = []
-    prev: float | None = None
+    total = 0.0
     last_delta = math.inf
     converged = False
-    oversample = oversample_start
-    while oversample <= oversample_cap:
-        M = oversample * (N + 1)
-        if M > budget:
-            break
-        value = sample_mean(M)
+    M = oversample_start * scale
+    while M <= oversample_cap * scale and M <= budget:
+        total += _abs_sum(evaluate, M // 2, 0.5) if grids else _abs_sum(evaluate, M, 0.0)
+        value = total / M
+        if grids:
+            last_delta = abs(value - grids[-1][1]) / max(abs(value), 1e-300)
         grids.append((M, value))
-        if prev is not None:
-            last_delta = abs(value - prev) / max(abs(value), 1e-300)
-            if last_delta < rel_tol:
-                converged = True
-                break
-        prev = value
-        oversample *= 2
+        if last_delta < rel_tol:
+            converged = True
+            break
+        M *= 2
     if not grids:
         raise CapacityError(
-            f"coarsest grid {oversample_start * (N + 1)} already exceeds budget {budget}"
+            f"coarsest grid {oversample_start * scale} already exceeds budget {budget}"
         )
     return L1Estimate(
         value=grids[-1][1],
@@ -131,20 +160,21 @@ def l1_norm(
     rel_tol: float = DEFAULT_REL_TOL,
     oversample_start: int = DEFAULT_OVERSAMPLE_START,
     oversample_cap: int = DEFAULT_OVERSAMPLE_CAP,
-    budget: int = DEFAULT_GRID_BUDGET,
+    budget: int = DEFAULT_SAMPLE_BUDGET,
 ) -> L1Estimate:
     """Estimate integral of |S(alpha)| d alpha by refining rectangle rules.
 
-    Non-convergence within the oversample cap (or grid budget) is reported
-    via ``converged=False``, never as an exception; the analytic envelope
-    checks still run on whatever value the finest grid produced.
+    ``budget`` caps the finest grid's sample count (CapacityError if even
+    the coarsest grid exceeds it).  Non-convergence within the oversample
+    cap or the budget is reported via ``converged=False``, never as an
+    exception; the analytic envelope checks still run on whatever value the
+    finest grid produced.
     """
 
-    def sample_mean(M: int) -> float:
-        g = grid_eval_sequence(seq, M, budget=budget)
-        return float(np.sum(np.abs(g.values))) / len(g.values)
+    def evaluate(M: int, shift: float) -> GridEvaluation:
+        return grid_eval_sequence(seq, M, shift=shift)
 
-    est = _refine(sample_mean, seq.N, rel_tol, oversample_start, oversample_cap, budget)
+    est = _refine(evaluate, seq.N, rel_tol, oversample_start, oversample_cap, budget)
     ceiling = math.sqrt(l2_norm_sq(seq))
     floor = float(np.max(np.abs(seq.coeffs)))
     _check_envelopes(est.value, ceiling, floor, rel_tol)
@@ -157,9 +187,9 @@ def l1_norm_kernel(
     rel_tol: float = DEFAULT_REL_TOL,
     oversample_start: int = DEFAULT_OVERSAMPLE_START,
     oversample_cap: int = DEFAULT_OVERSAMPLE_CAP,
-    budget: int = DEFAULT_GRID_BUDGET,
+    budget: int = DEFAULT_SAMPLE_BUDGET,
 ) -> L1Estimate:
-    """L1 norm of a kernel by the same refining quadrature.
+    """L1 norm of a kernel by the same refining quadrature (and the same ``budget``).
 
     For the nonnegative kinds (``fejer``, ``gstar``, ``h``) the L1 norm
     equals the mean value, i.e. the zeroth spectral coefficient: 1 for
@@ -167,8 +197,7 @@ def l1_norm_kernel(
     (resp. ``h``).  That identity is a test-side oracle, not assumed here.
     """
 
-    def sample_mean(M: int) -> float:
-        g = grid_eval_kernel(tables, spec, M, budget=budget)
-        return float(np.sum(np.abs(g.values))) / len(g.values)
+    def evaluate(M: int, shift: float) -> GridEvaluation:
+        return grid_eval_kernel(tables, spec, M, shift=shift)
 
-    return _refine(sample_mean, spec.N, rel_tol, oversample_start, oversample_cap, budget)
+    return _refine(evaluate, spec.N, rel_tol, oversample_start, oversample_cap, budget)

@@ -350,6 +350,37 @@ class TestRunSuite:
         assert rows[0].measured["error"] == "ValueError"
         assert "n must be >= 2, got 1" in rows[0].detail
 
+    @pytest.mark.parametrize(
+        "name, block, row, message",
+        [
+            ("squarefree_l1", {"n": [64, 1023]}, "squarefree_theorem_ratio", "n must be even"),
+            ("lambda_l1", {"n": [64, 128], "q": 100}, "lambda_l1_bounds", "q must be <= n"),
+            (
+                "lambda_kernel_integral",
+                {"n": 64, "q": 65},
+                "lambda_kernel_integral_row",
+                "q must be <= n",
+            ),
+        ],
+        ids=["odd_n", "lambda_l1_q_above_n", "lambda_kernel_integral_q_above_n"],
+    )
+    def test_cross_key_check_runs_before_any_job(
+        self, tables, monkeypatch, name, block, row, message
+    ):
+        calls = []
+        original = getattr(experiments, row)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(experiments, row, counted)
+        rows = run_suite(SuiteConfig(experiments=((name, block),)), tables=tables)
+        assert calls == []
+        assert len(rows) == 1
+        assert rows[0].measured["error"] == "ValueError"
+        assert f"{name}: {message}" in rows[0].detail
+
     def test_deterministic_modulo_runtime(self, tables):
         cfg = SuiteConfig(
             seed=5,

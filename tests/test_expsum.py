@@ -278,11 +278,20 @@ class TestGridEvalSequence:
             assert grid.values[j] == pytest.approx(want, abs=1e-9)
 
     def test_direct_path_small_grid(self, tables):
-        # M < N + 1 exercises the non-FFT branch
+        # M < N + 1 folds the coefficients mod M before the FFT
         seq = sn.coefficient_sequence(tables, "random_complex", 40, seed=5)
         grid = sn.grid_eval_sequence(seq, 16)
         want = sn.eval_sequence(seq, np.arange(16) / 16.0)
         np.testing.assert_allclose(grid.values, want, atol=1e-10)
+
+    @pytest.mark.parametrize("M", [16, 64, 100, 101, 512])
+    @pytest.mark.parametrize("shift", [0.5, 0.3, 3.75])
+    def test_shifted_grid_matches_pointwise(self, tables, M, shift):
+        # M <= N folds the coefficients, M > N places each in its own bin
+        seq = sn.coefficient_sequence(tables, "random_complex", 100, seed=9)
+        grid = sn.grid_eval_sequence(seq, M, shift=shift)
+        want = sn.eval_sequence(seq, (np.arange(M) + shift) / M)
+        np.testing.assert_allclose(grid.values, want, rtol=0, atol=1e-9)
 
     def test_budget(self, tables):
         seq = sn.coefficient_sequence(tables, "ones", 4)
@@ -326,6 +335,16 @@ class TestGridEvalKernel:
         grid = sn.grid_eval_kernel(tables, spec, M)
         for j in (0, 17, 64, 100):
             want = sn.eval_kernel_spectral(tables, spec, j / M)
+            assert grid.values[j] == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("M", [32, 129, 512])
+    @pytest.mark.parametrize("kind", ["fejer", "gstar", "k_part3"])
+    def test_shifted_grid_matches_spectral(self, tables, kind, M):
+        # M = 32 < 2N + 1 folds the weights; the other grids are alias-free
+        spec = sn.KernelSpec(kind, 64, P=2) if kind == "gstar" else sn.KernelSpec(kind, 64)
+        grid = sn.grid_eval_kernel(tables, spec, M, shift=0.5)
+        for j in (0, 7, M // 2, M - 1):
+            want = sn.eval_kernel_spectral(tables, spec, (j + 0.5) / M)
             assert grid.values[j] == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_values_are_read_only(self, tables):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sievenorm as sn
+import sievenorm.quadrature as quadrature
 from sievenorm.expsum import grid_eval_sequence
 
 
@@ -66,6 +68,51 @@ class TestL1Norm:
         ms = [m for m, _ in est.grids]
         assert ms == sorted(set(ms))
         assert est.value == est.grids[-1][1]
+
+    def test_nested_grids_match_one_shot_means(self, tables):
+        # each doubling adds only the odd samples to a running sum; the result
+        # must still be the plain rectangle rule on the finer grid
+        seq = sn.coefficient_sequence(tables, "mangoldt", 300)
+        est = sn.l1_norm(seq, rel_tol=1e-15, oversample_start=2, oversample_cap=32)
+        assert [m for m, _ in est.grids] == [1024, 2048, 4096, 8192, 16384]
+        for M, value in est.grids:
+            one_shot = float(np.mean(np.abs(grid_eval_sequence(seq, M).values)))
+            assert value == pytest.approx(one_shot, rel=1e-12)
+
+    def test_cosets_match_unchunked_grids(self, tables, monkeypatch):
+        seq = sn.coefficient_sequence(tables, "mobius", 1000)
+        spec = sn.KernelSpec("h", 64, P=5)
+        whole = sn.l1_norm(seq, rel_tol=1e-9)
+        whole_kernel = sn.l1_norm_kernel(tables, spec, rel_tol=1e-9)
+        sizes = []
+
+        def recorded(seq, M, shift=0.0):
+            sizes.append(M)
+            return grid_eval_sequence(seq, M, shift=shift)
+
+        monkeypatch.setattr(quadrature, "_CHUNK", 256)
+        monkeypatch.setattr(quadrature, "grid_eval_sequence", recorded)
+        chunked = sn.l1_norm(seq, rel_tol=1e-9)
+        chunked_kernel = sn.l1_norm_kernel(tables, spec, rel_tol=1e-9)
+        assert set(sizes) == {256}
+        for a, b in ((whole, chunked), (whole_kernel, chunked_kernel)):
+            assert [m for m, _ in a.grids] == [m for m, _ in b.grids]
+            for (_, va), (_, vb) in zip(a.grids, b.grids):
+                assert vb == pytest.approx(va, rel=1e-12)
+
+    def test_large_n_converges_in_bounded_memory(self):
+        # N = 2^18 samples 2^22..2^23 points; evaluated in cosets of 2^20 its
+        # traced peak stays within three complex arrays of one coset
+        seq = random_sequence(1 << 18, 5)
+        tracemalloc.start()
+        try:
+            est = sn.l1_norm(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.converged
+        assert est.grids[0][0] == 1 << 22
+        assert peak < 3 * 16 * quadrature._CHUNK
 
     def test_refinement_settles(self, tables):
         # after the first refinement step the value barely moves: every later
