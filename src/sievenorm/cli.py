@@ -35,10 +35,14 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import platform
 import sys
 import traceback
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .arith import build_tables
@@ -240,6 +244,9 @@ def _metadata(**extra) -> dict:
     return {
         "tool": "sievenorm",
         "tool_version": __version__,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "cpu_count": os.cpu_count(),
         "workers": 1,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         **extra,

@@ -118,12 +118,13 @@ class VReport:
     """Both routes to the weighted Mobius/Ramanujan sum and their target.
 
     ``v_spectral`` sums mu(q) * sum_n (N - n) * Lambda(n) * c_q(-n) directly
-    (closed-form c_q from a divisor table); ``v_quadrature`` integrates
-    S_Lambda against the signed kernel (FFT-of-residue-mask coefficients, no
-    code shared) on a 4N grid, where the rectangle rule is exact, so the two
-    routes agree to roundoff: ``route_bound`` = 16*eps*log2(M)*||s||*||k||/M
-    (two length-M inverse FFTs, then Cauchy-Schwarz on the dot product), and
-    ``routes_agree`` holds when they do.  ``target`` is the asymptotic
+    (c_q in closed form at prime powers, summed per prime); ``v_quadrature``
+    integrates S_Lambda against the signed kernel (FFT-of-residue-mask
+    coefficients, no code shared) on a 4N grid, where the rectangle rule is
+    exact, so the two routes agree to roundoff:
+    ``route_bound`` = 16*eps*log2(M)*||s||*||k||/M (two length-M inverse
+    FFTs, then Cauchy-Schwarz on the dot product), and ``routes_agree`` holds
+    when they do.  ``target`` is the asymptotic
     prediction 3*Q*N^2/pi^2 and ``ratio`` is v_spectral / target.
     """
 
@@ -204,31 +205,24 @@ class SuiteConfig:
 
 
 def mobius_ramanujan_weighted_sum(tables: ArithmeticTables, N: int, Q: int) -> float:
-    """sum_{q <= Q} mu(q) sum_{n <= N} (N - n) * Lambda(n) * c_q(-n).
+    """sum_{q <= Q} mu(q) sum_{n <= N} (N - n) * Lambda(n) * c_q(-n), in closed form.
 
-    Only prime powers contribute (Lambda vanishes elsewhere) and c_q(-n)
-    depends on n only through gcd(n, q), so each q costs one gcd pass over
-    the prime powers plus a divisor-indexed lookup.
+    Only prime powers n = p^k contribute, and for squarefree q the Ramanujan
+    sum is c_q(p^k) = mu(q) if p does not divide q and mu(q/p) * (p - 1)
+    if it does.  With W = sum (N - n) Lambda(n) and W_p that sum over the
+    powers of p, q's term is W - sum_{p | q} p * W_p, so the total is
+    W * #{squarefree q <= Q} - sum_{p <= Q} p * W_p * #{squarefree q <= Q : p | q}.
     """
     if not 1 <= Q <= N <= tables.n_max:
         raise ValueError(f"need 1 <= Q <= N <= {tables.n_max}, got Q={Q}, N={N}")
     lam = tables.mangoldt[: N + 1]
     n_idx = np.flatnonzero(lam)
     weights = (N - n_idx) * lam[n_idx]
-    mob = tables.mobius
-    phi = tables.phi
-    total = 0.0
-    for q in range(1, Q + 1):
-        mq = int(mob[q])
-        if mq == 0:
-            continue
-        lut = np.zeros(q + 1)
-        for d in tables.divisors(q):
-            md = int(mob[q // d])
-            if md:
-                lut[d] = md * int(phi[q]) // int(phi[q // d])
-        g = np.gcd(n_idx, q)
-        total += mq * float(np.dot(weights, lut[g]))
+    per_prime = np.bincount(tables.spf[n_idx], weights=weights)
+    squarefree = tables.mobius[1 : Q + 1] != 0
+    total = float(np.count_nonzero(squarefree)) * float(np.sum(weights))
+    for p in tables.primes[tables.primes <= Q].tolist():
+        total -= p * float(per_prime[p]) * int(np.count_nonzero(squarefree[p - 1 :: p]))
     return total
 
 
@@ -735,6 +729,7 @@ def sieve_check_row(
             "rhs": result.rhs,
             "points": len(point_set),
             "delta": point_set.delta,
+            "margin": 1.0 - result.ratio,
             "invariant_ok": ok,
         },
         reference={"ratio_bound": 1.0 + 1e-9},
@@ -808,6 +803,7 @@ def large_sieve_trials(
         measured={
             "max_ratio": max_ratio,
             "mean_ratio": ratio_sum / trials,
+            "margin": 1.0 - max_ratio,
             "invariant_ok": max_ratio <= 1.0 + 1e-9,
         },
         reference={"ratio_bound": 1.0 + 1e-9},

@@ -141,7 +141,12 @@ class KernelSpec:
 
 @dataclass(frozen=True, eq=False)
 class GridEvaluation:
-    """Values of a kernel or sequence transform on the uniform grid j/M or a shift of it."""
+    """Values of a kernel or sequence transform on the uniform grid j/M or a shift of it.
+
+    ``values`` is read-only.  An ndarray that owns its memory is frozen in
+    place, so handing one over gives it up; a view or any other input is
+    copied first, so the caller's base array cannot change the values.
+    """
 
     M: int
     values: np.ndarray
@@ -150,10 +155,11 @@ class GridEvaluation:
     def __post_init__(self) -> None:
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
-        v = np.asarray(self.values)
+        v = self.values
+        if not isinstance(v, np.ndarray) or v.base is not None:
+            v = np.array(v)
         if v.shape != (self.M,):
             raise ValueError(f"expected {self.M} values, got shape {v.shape}")
-        v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -227,7 +233,9 @@ def eval_sequence(seq: CoefficientSequence, alphas) -> np.ndarray:
 
     Powers of e(alpha) are built by cumulative products in chunks; relative
     drift is of order N * machine-eps, comfortably below the tolerances used
-    anywhere in this package.
+    anywhere in this package.  This pointwise route shares no code with the
+    fold-and-FFT evaluations (``grid_eval_sequence``, the per-denominator
+    large-sieve sum), which it cross-checks.
     """
     pts = np.atleast_1d(np.asarray(alphas, dtype=float)).reshape(-1)
     out = np.empty(pts.shape[0], dtype=np.complex128)
@@ -446,7 +454,8 @@ def grid_eval_sequence(
     ``eval_sequence`` shares no code with this one.
     """
     _check_grid(M, budget)
-    values = np.fft.ifft(_folded(seq.coeffs, 1, M, shift))
+    bins = _folded(seq.coeffs, 1, M, shift)  # a fresh complex array, transformed in place
+    values = np.fft.ifft(bins, out=bins)
     values *= M
     return GridEvaluation(M=M, values=values, spec=seq)
 

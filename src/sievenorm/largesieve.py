@@ -8,10 +8,12 @@ satisfies
 
 ``build_point_set`` constructs the three Farey-type families used throughout
 this package and *certifies* delta at runtime: points are generated as exact
-rationals (``fractions.Fraction``), the minimal circular gap is computed
-exactly, checked against the family's analytic guarantee, and only then
-rounded (downward) to a float.  Nothing about the spacing is taken on faith
-from the parameter.
+integer pairs (numerator, denominator), reduced and sorted, and every
+consecutive gap a'/q' - a/q = (a'q - aq')/(qq') is checked by integer
+cross-multiplication: each cross-product must be >= 1 (order and
+distinctness) and each gap at least the family's analytic guarantee.  The
+exact minimal gap is only then rounded (downward) to a float.  Nothing about
+the spacing is taken on faith from the parameter.
 
 Families (``kind`` strings):
 
@@ -22,25 +24,35 @@ Families (``kind`` strings):
 ``prime_square_farey(P)``
     a/p^2 for primes p <= P, 1 <= a <= p^2 - 1, deduplicated (e.g. 2/4 and
     1/2 coincide for P = 2); delta >= 1/P^4.
+
+On a set with this exact form, ``large_sieve_check`` evaluates S at the
+points a/q + shift one denominator at a time (fold mod q, one length-q FFT)
+and cross-checks an evenly strided subset against the pointwise
+``eval_sequence``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvariantError
-from .expsum import CoefficientSequence, eval_sequence
+from .errors import CapacityError, InvariantError
+from .expsum import TWO_PI_I, CoefficientSequence, _folded, eval_sequence
 from .quadrature import l2_norm_sq
 
 FAREY_KINDS = ("reduced_farey", "prime_farey", "prime_square_farey")
 
 #: Ratio slack for the large-sieve inequality check (pure roundoff headroom).
 RATIO_TOLERANCE = 1e-9
+
+#: Points of an exact set re-evaluated by the pointwise route on every check.
+CROSS_CHECK_POINTS = 64
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,11 +63,18 @@ class SpacedPointSet:
     necessarily the exact minimum after float rounding; for the Farey
     families it is the exact minimal gap rounded toward zero.  A single
     point is 1-spaced by convention.
+
+    ``fractions`` is the exact form ``(num, den)``: read-only int64 arrays
+    with ``points[i]`` the float of ``num[i] / den[i]``.  The Farey
+    constructors set it; explicit and shifted sets leave it ``None``.
     """
 
     points: np.ndarray
     delta: float
     kind: str
+    fractions: tuple[np.ndarray, np.ndarray] | None = None
+    # (q, numerators, positions in ``points``) per distinct denominator q
+    _by_denominator: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -66,6 +85,22 @@ class SpacedPointSet:
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        if self.fractions is None:
+            return
+        num, den = (np.array(a, dtype=np.int64) for a in self.fractions)
+        if num.shape != pts.shape or den.shape != pts.shape:
+            raise ValueError(f"fractions must be two arrays of {pts.size} integers")
+        if den.min() < 1:
+            raise ValueError("denominators must be >= 1")
+        num.setflags(write=False)
+        den.setflags(write=False)
+        object.__setattr__(self, "fractions", (num, den))
+        order = np.argsort(den, kind="stable")
+        qs, starts = np.unique(den[order], return_index=True)
+        groups = []
+        for q, pos in zip(qs.tolist(), np.split(order, starts[1:])):
+            groups.append((q, num[pos], pos))
+        object.__setattr__(self, "_by_denominator", tuple(groups))
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -77,17 +112,6 @@ class LargeSieveResult(NamedTuple):
     ratio: float
 
 
-def _min_circular_gap_exact(ordered: list[Fraction]) -> Fraction:
-    if len(ordered) == 1:
-        return Fraction(1)
-    gaps = [b - a for a, b in zip(ordered, ordered[1:])]
-    gaps.append(1 - ordered[-1] + ordered[0])
-    smallest = min(gaps)
-    if smallest <= 0:
-        raise InvariantError("duplicate points survived deduplication")
-    return smallest
-
-
 def _round_down(x: Fraction) -> float:
     f = float(x)
     # float() rounds to nearest; step back one ulp if that overshot.
@@ -96,52 +120,110 @@ def _round_down(x: Fraction) -> float:
     return f
 
 
+def _check_int64(max_den: int, guarantee: Fraction) -> None:
+    """Raise CapacityError unless the certification products fit in int64.
+
+    Once the order is checked every cross-product a'q - aq' is at most
+    max_den^2 and is multiplied by the guarantee's denominator; the wrap
+    pair's (a + q)q' stays below 2*max_den^2.
+    """
+    if 2 * max_den * max_den * guarantee.denominator > _INT64_MAX:
+        raise CapacityError(
+            f"denominators up to {max_den} with spacing guarantee {guarantee} "
+            "overflow int64 certification products"
+        )
+
+
+def _certified(
+    num: np.ndarray, den: np.ndarray, guarantee: Fraction, kind: str
+) -> SpacedPointSet:
+    """Certify sorted fractions num/den in [0, 1) exactly and wrap them as a set.
+
+    Consecutive pairs, the wrap pair (last, first + 1) included, must have
+    cross-product a'q - aq' >= 1, which proves the order and that no point
+    repeats, and gap (a'q - aq')/(qq') >= ``guarantee``.  delta is the exact
+    minimal gap rounded down.  Raises InvariantError when either fails.
+    """
+    _check_int64(int(den.max()), guarantee)
+    nxt_num = np.append(num[1:], num[0] + den[0])
+    nxt_den = np.append(den[1:], den[0])
+    cross = nxt_num * den - num * nxt_den
+    span = den * nxt_den
+    if cross.min() < 1:
+        i = int(np.argmin(cross))
+        raise InvariantError(
+            f"{kind}: points {num[i]}/{den[i]} and {nxt_num[i]}/{nxt_den[i]} "
+            "are out of order or repeated"
+        )
+    short = cross * guarantee.denominator < guarantee.numerator * span
+    if short.any():
+        i = int(np.argmax(short))
+        raise InvariantError(
+            f"{kind}: certified gap {Fraction(int(cross[i]), int(span[i]))} "
+            f"below analytic bound {guarantee}"
+        )
+    # Float division is monotone, so the exact minimum has the smallest float;
+    # the slack only widens the exact comparison to near-ties.
+    gaps = cross / span
+    near = gaps <= gaps.min() * (1.0 + 1e-9)
+    pairs = np.unique(np.stack([cross[near], span[near]], axis=1), axis=0)
+    gap = min(Fraction(int(c), int(s)) for c, s in pairs)
+    return SpacedPointSet(
+        points=num / den, delta=_round_down(gap), kind=kind, fractions=(num, den)
+    )
+
+
+def _residues(moduli: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """All pairs (a, q) with q in ``moduli`` and first <= a <= q - 1, as int64 arrays."""
+    moduli = np.asarray(moduli, dtype=np.int64)
+    counts = moduli - first
+    den = np.repeat(moduli, counts)
+    starts = np.cumsum(counts) - counts
+    num = np.arange(den.size, dtype=np.int64) - np.repeat(starts, counts) + first
+    return num, den
+
+
 def build_point_set(tables, kind: str, parameter: int) -> SpacedPointSet:
-    """Construct one of the Farey families with exact-rational certification.
+    """Construct one of the Farey families with exact integer certification.
 
     ``parameter`` is Q for ``reduced_farey`` and P for the prime families;
     it must be >= 2 (and for the prime families small enough that the tables
-    contain the primes).  Raises ValueError if the family comes out empty.
+    contain the primes).  Raises ValueError if the family comes out empty and
+    CapacityError if its certification products could overflow int64.
     """
     if kind not in FAREY_KINDS:
         raise ValueError(f"unknown point-set kind {kind!r}")
     parameter = int(parameter)
     if parameter < 2:
         raise ValueError(f"parameter must be >= 2, got {parameter}")
-    fracs: set[Fraction] = set()
+    power = 4 if kind == "prime_square_farey" else 2
+    guarantee = Fraction(1, parameter**power)
+    _check_int64(parameter ** (power // 2), guarantee)
     if kind == "reduced_farey":
-        for q in range(1, parameter + 1):
-            for a in range(1, q + 1):
-                if math.gcd(a, q) == 1:
-                    fracs.add(Fraction(a % q, q))
-        guarantee = Fraction(1, parameter * parameter)
+        num, den = _residues(np.arange(1, parameter + 1), 0)
+        keep = np.gcd(num, den) == 1
+        num, den = num[keep], den[keep]
     else:
         if parameter > tables.n_max:
             raise ValueError(
                 f"tables cover n <= {tables.n_max} < parameter {parameter}"
             )
-        ps = tables.primes[tables.primes <= parameter]
+        ps = tables.primes[tables.primes <= parameter].astype(np.int64)
         if ps.size == 0:
             raise ValueError(f"no primes <= {parameter}: degenerate point set")
-        for p in ps.tolist():
-            q = p * p if kind == "prime_square_farey" else p
-            for a in range(1, q):
-                fracs.add(Fraction(a, q))
-        power = 4 if kind == "prime_square_farey" else 2
-        guarantee = Fraction(1, parameter**power)
-    if not fracs:
+        num, den = _residues(ps * ps if kind == "prime_square_farey" else ps, 1)
+        g = np.gcd(num, den)
+        num, den = num // g, den // g
+    if num.size == 0:
         raise ValueError(f"{kind}({parameter}) produced no points")
-    # Sort key uses floats for speed; safe because distinct fractions with the
-    # parameters accepted here differ by >= 1/parameter^4 >> float resolution.
-    ordered = sorted(fracs, key=float)
-    gap = _min_circular_gap_exact(ordered)
-    if gap < guarantee:
-        raise InvariantError(
-            f"{kind}({parameter}): certified gap {gap} below analytic bound {guarantee}"
-        )
-    delta = _round_down(gap)
-    points = np.array([float(f) for f in ordered])
-    return SpacedPointSet(points=points, delta=delta, kind=f"{kind}({parameter})")
+    # Sorting by float is safe: distinct fractions with the denominators
+    # accepted here differ by >= 1/parameter^4 >> float resolution, and equal
+    # reduced pairs (the duplicates dropped next) have equal floats.
+    order = np.argsort(num / den, kind="stable")
+    num, den = num[order], den[order]
+    fresh = np.ones(num.size, dtype=bool)
+    fresh[1:] = (num[1:] != num[:-1]) | (den[1:] != den[:-1])
+    return _certified(num[fresh], den[fresh], guarantee, f"{kind}({parameter})")
 
 
 def explicit_point_set(points, delta: float | None = None) -> SpacedPointSet:
@@ -177,6 +259,48 @@ def shifted_point_set(base: SpacedPointSet, alpha: float) -> SpacedPointSet:
     )
 
 
+def _values_by_denominator(
+    seq: CoefficientSequence, point_set: SpacedPointSet, shift: float
+) -> np.ndarray:
+    """S(a/q + shift) at every point of an exact set, in point order.
+
+    The coefficients are twisted once by e(n*shift); for each denominator q
+    they are folded into bins n mod q and one inverse FFT of length q gives
+    S at every a/q + shift, of which the set's numerators are picked.
+    """
+    coeffs = seq.coeffs
+    if shift:
+        coeffs = coeffs * np.exp(TWO_PI_I * shift * np.arange(1, seq.N + 1))
+    values = np.empty(len(point_set), dtype=np.complex128)
+    for q, nums, pos in point_set._by_denominator:
+        values[pos] = np.fft.ifft(_folded(coeffs, 1, q, 0.0))[nums] * q
+    return values
+
+
+def _cross_check(
+    seq: CoefficientSequence, point_set: SpacedPointSet, shift: float, values: np.ndarray
+) -> None:
+    """Re-evaluate an evenly strided subset of at most CROSS_CHECK_POINTS points pointwise.
+
+    Both routes are exact up to roundoff: a phase error of a few ulps in
+    n*alpha for n <= N (float points, cumulative powers, the twist) and
+    O(log q) ulps of FFT roundoff on sums bounded by sum |a_n|.  The bound
+    64 * eps * (N + max q) * sum |a_n| covers both with room to spare; any
+    misplaced coefficient moves a value by |a_n|, far above it.
+    """
+    stride = -(-len(point_set) // CROSS_CHECK_POINTS)
+    idx = np.arange(0, len(point_set), stride)
+    pointwise = eval_sequence(seq, point_set.points[idx] + shift)
+    max_den = int(point_set.fractions[1].max())
+    bound = 64.0 * np.finfo(float).eps * (seq.N + max_den) * float(np.abs(seq.coeffs).sum())
+    err = float(np.max(np.abs(pointwise - values[idx])))
+    if err > bound:
+        raise InvariantError(
+            f"per-denominator and pointwise S differ by {err:.3e} > {bound:.3e} "
+            f"on {point_set.kind} (N={seq.N}, shift={shift!r})"
+        )
+
+
 def large_sieve_check(
     seq: CoefficientSequence,
     point_set: SpacedPointSet,
@@ -188,8 +312,17 @@ def large_sieve_check(
     roundoff slack) is the caller's assertion to make -- this function only
     reports, except that a ratio above 1 + 1e-9 raises InvariantError since
     the inequality is a theorem for any delta-spaced set.
+
+    A set with an exact form is evaluated per denominator and cross-checked
+    on a fixed subset by ``eval_sequence`` (InvariantError on a mismatch);
+    any other set is evaluated pointwise by ``eval_sequence``.
     """
-    values = eval_sequence(seq, point_set.points + float(shift))
+    shift = float(shift)
+    if point_set.fractions is None:
+        values = eval_sequence(seq, point_set.points + shift)
+    else:
+        values = _values_by_denominator(seq, point_set, shift)
+        _cross_check(seq, point_set, shift, values)
     lhs = float(np.sum(np.abs(values) ** 2))
     rhs = (seq.N + 1.0 / point_set.delta - 1.0) * l2_norm_sq(seq)
     ratio = lhs / rhs if rhs > 0 else 0.0

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
+import platform
 
+import numpy as np
 import pytest
 
 import sievenorm.cli as cli
@@ -135,6 +138,16 @@ class TestOtherCommands:
             "mangoldt_weighted_sum",
         ]
         assert any(c == f"# config={cfg}" for c in comments)
+
+    def test_suite_json_metadata_records_environment(self, capsys, tmp_path):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("experiment = mangoldt_weighted_sum\nn = 64\n")
+        code, out, _ = run_cli(capsys, ["suite", "--config", str(cfg), "--json"])
+        assert code == 0
+        meta = json.loads(out)["metadata"]
+        assert meta["python_version"] == platform.python_version()
+        assert meta["numpy_version"] == np.__version__
+        assert meta["cpu_count"] == os.cpu_count()
 
 
 def strip_runtime(text):

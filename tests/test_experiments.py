@@ -19,6 +19,7 @@ from sievenorm.experiments import (
     prime_count_floor_row,
     prime_support_experiments,
     run_suite,
+    sieve_check_row,
     squarefree_theorem_ratio,
     vaughan_V,
 )
@@ -287,8 +288,14 @@ class TestLargeSieveTrials:
         assert row.params == {"trials": 25, "seed": 3, "max_param": 165}
         assert row.measured["max_ratio"] <= 1.0 + 1e-9
         assert row.measured["mean_ratio"] <= row.measured["max_ratio"]
+        assert row.measured["margin"] == 1.0 - row.measured["max_ratio"]
         assert row.passed is True
         assert row.detail.startswith("worst:")
+
+    def test_sieve_check_margin(self, tables):
+        row = sieve_check_row(tables, "reduced_farey", 22, 128, shift=0.3)
+        assert row.measured["margin"] == 1.0 - row.ratios["lhs_over_rhs"]
+        assert row.measured["margin"] > 0.0
 
     def test_validation(self, tables):
         with pytest.raises(ValueError):

@@ -352,6 +352,17 @@ class TestGridEvalKernel:
         with pytest.raises(ValueError):
             grid.values[0] = 1.0
 
+    def test_caller_base_array_cannot_change_values(self):
+        base = np.arange(8.0)
+        grid = sn.GridEvaluation(M=4, values=base[::2])
+        base[:] = -1.0
+        assert grid.values.tolist() == [0.0, 2.0, 4.0, 6.0]
+        with pytest.raises(ValueError):
+            grid.values[0] = 1.0
+        owned = np.arange(4.0)
+        assert sn.GridEvaluation(M=4, values=owned).values is owned  # frozen, not copied
+        assert not owned.flags.writeable
+
 
 class TestCoefficientSequenceType:
     def test_validation(self):

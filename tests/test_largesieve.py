@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sievenorm as sn
-from sievenorm.errors import InvariantError
+from sievenorm import largesieve
+from sievenorm.errors import CapacityError, InvariantError
+
+
+def fraction_point_set(tables, kind, parameter):
+    """Reference (points, delta) built with fractions.Fraction, one point at a time."""
+    fracs = set()
+    if kind == "reduced_farey":
+        for q in range(1, parameter + 1):
+            for a in range(1, q + 1):
+                if math.gcd(a, q) == 1:
+                    fracs.add(Fraction(a % q, q))
+    else:
+        for p in tables.primes[tables.primes <= parameter].tolist():
+            q = p * p if kind == "prime_square_farey" else p
+            fracs.update(Fraction(a, q) for a in range(1, q))
+    ordered = sorted(fracs, key=float)
+    gap = Fraction(1)
+    if len(ordered) > 1:
+        gaps = [b - a for a, b in zip(ordered, ordered[1:])]
+        gap = min(gaps + [1 - ordered[-1] + ordered[0]])
+    delta = float(gap)
+    if Fraction(delta) > gap:
+        delta = math.nextafter(delta, 0.0)
+    return np.array([float(f) for f in ordered]), delta
 
 
 class TestBuildPointSet:
@@ -69,6 +94,58 @@ class TestBuildPointSet:
         # so the minimal gap for Q=5 is 1/20
         ps = sn.build_point_set(tables, "reduced_farey", 5)
         assert ps.delta == pytest.approx(float(Fraction(1, 20)))
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("reduced_farey", (2, 3, 31, 1000)),
+            ("prime_farey", (2, 3, 31, 1000)),
+            ("prime_square_farey", (2, 3, 11, 31)),
+        ],
+    )
+    def test_matches_fraction_reference(self, tables, kind, params):
+        for p in params:
+            ps = sn.build_point_set(tables, kind, p)
+            points, delta = fraction_point_set(tables, kind, p)
+            assert np.array_equal(ps.points, points)
+            assert ps.delta == delta
+
+    def test_exact_form(self, tables):
+        ps = sn.build_point_set(tables, "prime_square_farey", 3)
+        num, den = ps.fractions
+        assert num.dtype == den.dtype == np.int64
+        assert np.array_equal(ps.points, num / den)
+        assert np.all(np.gcd(num, den) == 1)
+        with pytest.raises(ValueError):
+            num[0] = 2
+        assert sn.explicit_point_set([0.1, 0.4]).fractions is None
+        assert sn.shifted_point_set(ps, 0.25).fractions is None
+        with pytest.raises(ValueError):
+            sn.SpacedPointSet(np.array([0.0, 0.5]), 0.5, "x", fractions=([0], [1]))
+
+    def test_certification_rejects_duplicates_and_short_gaps(self):
+        num, den = np.array([0, 1, 1, 2]), np.array([1, 3, 3, 3])
+        with pytest.raises(InvariantError, match="out of order or repeated"):
+            largesieve._certified(num, den, Fraction(1, 9), "hand(dup)")
+        num, den = np.array([0, 1, 1]), np.array([1, 3, 2])
+        with pytest.raises(InvariantError, match="below analytic bound"):
+            largesieve._certified(num, den, Fraction(1, 5), "hand(short)")
+        ok = largesieve._certified(num, den, Fraction(1, 6), "hand(ok)")
+        assert ok.delta == pytest.approx(1 / 6)
+
+    def test_int64_guard_precedes_allocation(self, tables):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                sn.build_point_set(tables, "reduced_farey", 100_000)
+            with pytest.raises(CapacityError):
+                sn.build_point_set(tables, "prime_square_farey", 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # a family within the guard still certifies
+        assert sn.build_point_set(tables, "prime_square_farey", 31).delta > 0
 
     def test_validation(self, tables):
         with pytest.raises(ValueError):
@@ -160,6 +237,28 @@ class TestLargeSieveCheck:
         seq = sn.coefficient_sequence(tables, "random_complex", n, seed=seed)
         res = sn.large_sieve_check(seq, ps, shift)
         assert res.ratio <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("kind", sn.FAREY_KINDS)
+    def test_per_denominator_matches_pointwise(self, tables, rng, kind):
+        param = 11 if kind == "prime_square_farey" else 100
+        ps = sn.build_point_set(tables, kind, param)
+        for seq_kind in ("random_complex", "mobius", "ones", "mangoldt"):
+            for N, shift in ((8, 0.0), (97, rng.uniform()), (512, rng.uniform())):
+                seq = sn.coefficient_sequence(tables, seq_kind, N, seed=N)
+                res = sn.large_sieve_check(seq, ps, shift)
+                pointwise = sn.eval_sequence(seq, ps.points + shift)
+                want = float(np.sum(np.abs(pointwise) ** 2))
+                assert res.lhs == pytest.approx(want, rel=1e-12)
+
+    def test_corrupted_fold_is_caught(self, tables, monkeypatch):
+        ps = sn.build_point_set(tables, "reduced_farey", 50)
+        seq = sn.coefficient_sequence(tables, "random_complex", 64, seed=3)
+        fold = largesieve._folded
+        monkeypatch.setattr(
+            largesieve, "_folded", lambda c, first, M, shift: np.roll(fold(c, first, M, shift), 1)
+        )
+        with pytest.raises(InvariantError, match="pointwise"):
+            sn.large_sieve_check(seq, ps, 0.3)
 
     def test_lying_delta_is_caught(self):
         # hand-built point set with a wildly overstated delta must trip the
