@@ -67,15 +67,13 @@ from .largesieve import (
     LargeSieveResult,
     SpacedPointSet,
     build_point_set,
-    explicit_point_set,
+    exact_point_set,
     large_sieve_check,
-    shifted_point_set,
     sieve_bound_for_kernel_gap,
 )
 from .quadrature import (
     L1Estimate,
     l1_norm,
-    l1_norm_kernel,
     l2_norm_sq,
     l2_norm_sq_quadrature,
 )

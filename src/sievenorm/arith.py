@@ -63,27 +63,6 @@ class ArithmeticTables:
             raise ValueError(f"n={n} outside tables (n_max={self.n_max})")
         return n >= 2 and int(self.spf[n]) == n
 
-    def factor(self, n: int) -> list[tuple[int, int]]:
-        """Prime factorization [(p, exponent), ...] read off the spf table."""
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"n={n} outside 1..{self.n_max}")
-        out: list[tuple[int, int]] = []
-        while n > 1:
-            p = int(self.spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
-
-    def divisors(self, n: int) -> list[int]:
-        """All positive divisors of n, sorted."""
-        divs = [1]
-        for p, e in self.factor(n):
-            divs = [d * p**k for d in divs for k in range(e + 1)]
-        return sorted(divs)
-
 
 def build_tables(n_max: int) -> ArithmeticTables:
     """Sieve up to n_max (inclusive) and derive all tables.

@@ -32,7 +32,7 @@ import numbers
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from math import isqrt
 from typing import Callable
 
@@ -103,7 +103,7 @@ class ExperimentRow:
     reference: dict
     ratios: dict
     passed: bool
-    runtime_s: float
+    runtime_s: float = 0.0
     detail: str = ""
 
     def __post_init__(self) -> None:
@@ -159,12 +159,14 @@ class Param:
     inherit: str = ""
 
     def check(self, value):
-        """``value`` as ``type``; ValueError for another type or an out-of-range value."""
+        """``value`` as ``type``; ValueError for a wrong type, a non-finite float or out of range."""
         if value is None and self.default is None:
             return None
         if isinstance(value, bool) or not isinstance(value, _ACCEPTED_TYPES[self.type]):
             raise ValueError(f"must be {self.type.__name__}, got {value!r}")
         value = self.type(value)
+        if self.type is float and not math.isfinite(value):
+            raise ValueError(f"must be finite, got {value}")
         if self.choices and value not in self.choices:
             raise ValueError(f"must be one of {', '.join(self.choices)}, got {value!r}")
         if self.low is not None and not (value > self.low if self.strict else value >= self.low):
@@ -282,7 +284,6 @@ def kernel_gap_scan(
     truncation cost); the scale ceiling N^(3/4) log N (``gstar``) or
     sqrt(N) log N (``h``-family) is informational and reported as a ratio.
     """
-    t0 = time.perf_counter()
     if kind not in GAP_KINDS:
         raise ValueError(f"kernel gap scan needs one of {', '.join(GAP_KINDS)}, got {kind!r}")
     spec = KernelSpec(kind, N, P=P)
@@ -352,7 +353,6 @@ def kernel_gap_scan(
         reference=reference,
         ratios=ratios,
         passed=invariant_ok,
-        runtime_s=time.perf_counter() - t0,
         detail="; ".join(notes),
     )
 
@@ -377,7 +377,6 @@ def squarefree_theorem_ratio(
     summary.  For N <= 512 the autocorrelation inequality
     l1(|b|^2-sequence) <= l1(b)^2 is also enforced (theorem class).
     """
-    t0 = time.perf_counter()
     if N < 2 or N % 2:
         raise ValueError(f"N must be even and >= 2, got {N}")
     seq_m = coefficient_sequence(tables, "mobius", N)
@@ -428,7 +427,6 @@ def squarefree_theorem_ratio(
         reference=reference,
         ratios=ratios,
         passed=passed,
-        runtime_s=time.perf_counter() - t0,
         detail="; ".join(notes),
     )
 
@@ -471,7 +469,6 @@ def prime_support_experiments(
         ("random_primes", _random_prime_sequence(tables, N, seed)),
     )
     for variant, seq in variants:
-        t0 = time.perf_counter()
         est = l1_norm(seq, rel_tol=rel_tol)
         ratio = GROWTH_RATIOS[variant](N, est.value, l2_norm_sq(seq))
         measured = {
@@ -501,7 +498,6 @@ def prime_support_experiments(
                 },
                 ratios={"growth_ratio": ratio},
                 passed=passed,
-                runtime_s=time.perf_counter() - t0,
             )
         )
     return rows
@@ -517,7 +513,6 @@ def lambda_kernel_integral_row(
 
     ``rel_tol`` decides nothing; it labels the row like the ``lambda_l1`` one.
     """
-    t0 = time.perf_counter()
     report = vaughan_V(tables, N, Q)
     band_lo, band_hi = 0.6, 1.4
     band_applies = report.N >= 4096
@@ -545,7 +540,6 @@ def lambda_kernel_integral_row(
         },
         ratios={"v_over_target": report.ratio, "route_gap_over_bound": gap_over_bound},
         passed=report.routes_agree and (band_ok or not band_applies),
-        runtime_s=time.perf_counter() - t0,
         detail="; ".join(notes),
     )
 
@@ -563,7 +557,6 @@ def lambda_l1_bounds(
     l1 <= sqrt(0.75 * N * log N) -- gate rows with N >= 1024, where the
     asymptotics have set in.
     """
-    t0 = time.perf_counter()
     if Q is None:
         Q = max(1, isqrt(N))
     seq = coefficient_sequence(tables, "mangoldt", N)
@@ -607,7 +600,6 @@ def lambda_l1_bounds(
         reference=reference,
         ratios=ratios,
         passed=lower_ok and bool(est.converged) and (bracket_ok or not bracket_applies),
-        runtime_s=time.perf_counter() - t0,
         detail="; ".join(notes),
     )
 
@@ -618,7 +610,6 @@ def mangoldt_weighted_sum_row(tables: ArithmeticTables, N: int) -> ExperimentRow
     The band [0.9, 1.1] gates rows with N >= 16384; smaller N only record
     the ratio (the trend is visible but the band has not set in).
     """
-    t0 = time.perf_counter()
     if not 2 <= N <= tables.n_max:
         raise ValueError(f"N={N} outside 2..{tables.n_max}")
     lam = tables.mangoldt[: N + 1]
@@ -635,14 +626,12 @@ def mangoldt_weighted_sum_row(tables: ArithmeticTables, N: int) -> ExperimentRow
         reference={"target": target, "band": [0.9, 1.1], "band_applies_from_n": 16384},
         ratios={"sum_over_target": ratio},
         passed=band_ok or not band_applies,
-        runtime_s=time.perf_counter() - t0,
         detail="" if band_ok or not band_applies else "ratio outside [0.9, 1.1]",
     )
 
 
 def prime_count_floor_row(tables: ArithmeticTables, n_max: int | None = None) -> ExperimentRow:
     """Check pi(n) * log(n) / n > 1 for every 17 <= n <= n_max (theorem class)."""
-    t0 = time.perf_counter()
     if n_max is None:
         n_max = tables.n_max
     if not 17 <= n_max <= tables.n_max:
@@ -662,7 +651,6 @@ def prime_count_floor_row(tables: ArithmeticTables, n_max: int | None = None) ->
         reference={"floor": 1.0, "applies_from_n": 17},
         ratios={"min_ratio": min_ratio},
         passed=ok,
-        runtime_s=time.perf_counter() - t0,
         detail="" if ok else "pi(n) log n / n dipped to or below 1",
     )
 
@@ -675,7 +663,6 @@ def norm_row(
     seed: int = 0,
 ) -> ExperimentRow:
     """L1 and L2 norms of one coefficient sequence; passes when the L1 quadrature converged."""
-    t0 = time.perf_counter()
     seq = coefficient_sequence(tables, kind, N, seed=seed)
     est = l1_norm(seq, rel_tol=rel_tol)
     l2 = l2_norm_sq(seq)
@@ -694,7 +681,6 @@ def norm_row(
         reference={"cauchy_ceiling": ceiling},
         ratios={"l1_over_l2": est.value / ceiling if ceiling > 0 else 0.0},
         passed=est.converged,
-        runtime_s=time.perf_counter() - t0,
         detail="" if est.converged else "quadrature did not converge (warning)",
     )
 
@@ -709,7 +695,6 @@ def sieve_check_row(
     seed: int = 0,
 ) -> ExperimentRow:
     """One large-sieve evaluation: a coefficient sequence on a Farey point set."""
-    t0 = time.perf_counter()
     point_set = build_point_set(tables, set_kind, param)
     seq = coefficient_sequence(tables, kind, N, seed=seed)
     result = large_sieve_check(seq, point_set, shift)
@@ -735,7 +720,6 @@ def sieve_check_row(
         reference={"ratio_bound": 1.0 + 1e-9},
         ratios={"lhs_over_rhs": result.ratio},
         passed=ok,
-        runtime_s=time.perf_counter() - t0,
     )
 
 
@@ -760,7 +744,6 @@ def large_sieve_trials(
     inside large_sieve_check, so a returned row means every trial honored
     the bound.
     """
-    t0 = time.perf_counter()
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
@@ -809,7 +792,6 @@ def large_sieve_trials(
         reference={"ratio_bound": 1.0 + 1e-9},
         ratios={"max_ratio": max_ratio},
         passed=max_ratio <= 1.0 + 1e-9,
-        runtime_s=time.perf_counter() - t0,
         detail=f"worst: {worst}" if worst else "",
     )
 
@@ -964,9 +946,12 @@ def expand(name: str, block: dict, cfg: SuiteConfig = SuiteConfig()) -> list[tup
 
 
 def run_job(tables: ArithmeticTables, name: str, params: dict) -> list[ExperimentRow]:
-    """The rows of one job from :func:`expand`."""
+    """The rows of one job from :func:`expand`, each timed at an even share of the job."""
+    t0 = time.perf_counter()
     out = globals()[EXPERIMENTS[name].row](tables, *params.values())
-    return out if isinstance(out, list) else [out]
+    rows = out if isinstance(out, list) else [out]
+    share = (time.perf_counter() - t0) / len(rows)
+    return [replace(row, runtime_s=share) for row in rows]
 
 
 def required_nmax(jobs) -> int:
@@ -1023,7 +1008,6 @@ def _trend_row(experiment, ns, measured, ok, requirement, failure) -> Experiment
         reference={"requirement": requirement},
         ratios={},
         passed=ok,
-        runtime_s=0.0,
         detail="" if ok else failure,
     )
 

@@ -141,7 +141,7 @@ class KernelSpec:
 
 @dataclass(frozen=True, eq=False)
 class GridEvaluation:
-    """Values of a kernel or sequence transform on the uniform grid j/M or a shift of it.
+    """Values of a kernel on the uniform grid j/M, or of a sequence on j/M or a shift of it.
 
     ``values`` is read-only.  An ndarray that owns its memory is frozen in
     place, so handing one over gives it up; a view or any other input is
@@ -465,16 +465,15 @@ def grid_eval_kernel(
     spec: KernelSpec,
     M: int,
     budget: int = DEFAULT_GRID_BUDGET,
-    shift: float = 0.0,
 ) -> GridEvaluation:
-    """Kernel values at (j + shift)/M, j = 0..M-1, as a real array.
+    """Kernel values at j/M, j = 0..M-1, as a real array.
 
-    One transform over the 2N+1 spectral weights: they are twisted by
-    e(k*shift/M), folded into frequency bins modulo M (exact aliasing) and
-    one inverse FFT produces all M values.
+    One transform over the 2N+1 spectral weights: they are folded into
+    frequency bins modulo M (exact aliasing) and one inverse FFT produces
+    all M values.
     """
     _check_grid(M, budget)
-    v = np.fft.ifft(_folded(spectral_weights(tables, spec), -spec.N, M, shift)) * M
+    v = np.fft.ifft(_folded(spectral_weights(tables, spec), -spec.N, M, 0.0)) * M
     scale = max(1.0, float(np.max(np.abs(v.real))))
     imag = float(np.max(np.abs(v.imag)))
     if imag > 1e-9 * scale:

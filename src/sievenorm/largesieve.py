@@ -6,14 +6,15 @@ satisfies
 
     sum_r |S(alpha_r)|^2  <=  (N + 1/delta - 1) * sum_n |a_n|^2 .
 
-``build_point_set`` constructs the three Farey-type families used throughout
-this package and *certifies* delta at runtime: points are generated as exact
-integer pairs (numerator, denominator), reduced and sorted, and every
-consecutive gap a'/q' - a/q = (a'q - aq')/(qq') is checked by integer
-cross-multiplication: each cross-product must be >= 1 (order and
-distinctness) and each gap at least the family's analytic guarantee.  The
-exact minimal gap is only then rounded (downward) to a float.  Nothing about
-the spacing is taken on faith from the parameter.
+Every point set here is exact: int64 pairs (numerator, denominator), the
+points a/q in [0, 1).  ``build_point_set`` constructs the three Farey-type
+families used throughout this package and ``exact_point_set`` takes any
+fractions; both *certify* delta at runtime: the pairs are reduced and
+sorted, and every consecutive gap a'/q' - a/q = (a'q - aq')/(qq') is checked
+by integer cross-multiplication: each cross-product must be >= 1 (order and
+distinctness) and each gap at least the set's analytic guarantee.  The exact
+minimal gap is only then rounded (downward) to a float.  Nothing about the
+spacing is taken on faith from the parameter.
 
 Families (``kind`` strings):
 
@@ -24,11 +25,12 @@ Families (``kind`` strings):
 ``prime_square_farey(P)``
     a/p^2 for primes p <= P, 1 <= a <= p^2 - 1, deduplicated (e.g. 2/4 and
     1/2 coincide for P = 2); delta >= 1/P^4.
+``exact(R)``
+    R given fractions a/q (reduced mod 1, distinct); delta >= 1/max(q)^2.
 
-On a set with this exact form, ``large_sieve_check`` evaluates S at the
-points a/q + shift one denominator at a time (fold mod q, one length-q FFT)
-and cross-checks an evenly strided subset against the pointwise
-``eval_sequence``.
+``large_sieve_check`` evaluates S at the points a/q + shift one denominator
+at a time (fold mod q, one length-q FFT) and cross-checks an evenly strided
+subset against the pointwise ``eval_sequence``.
 """
 
 from __future__ import annotations
@@ -59,42 +61,34 @@ _INT64_MAX = np.iinfo(np.int64).max
 class SpacedPointSet:
     """Sorted points in [0, 1) with a certified minimal circular gap.
 
+    ``fractions`` is the exact form ``(num, den)``: int64 arrays, stored
+    read-only, and ``points`` is derived from it as ``num / den``.
     ``delta`` is a *valid* spacing (every circular gap is >= delta), not
-    necessarily the exact minimum after float rounding; for the Farey
-    families it is the exact minimal gap rounded toward zero.  A single
-    point is 1-spaced by convention.
-
-    ``fractions`` is the exact form ``(num, den)``: read-only int64 arrays
-    with ``points[i]`` the float of ``num[i] / den[i]``.  The Farey
-    constructors set it; explicit and shifted sets leave it ``None``.
+    necessarily the exact minimum after float rounding; the constructors
+    set it to the exact minimal gap rounded toward zero.  A single point
+    is 1-spaced by convention.
     """
 
-    points: np.ndarray
+    fractions: tuple[np.ndarray, np.ndarray]
     delta: float
     kind: str
-    fractions: tuple[np.ndarray, np.ndarray] | None = None
+    points: np.ndarray = field(init=False)
     # (q, numerators, positions in ``points``) per distinct denominator q
     _by_denominator: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size == 0:
-            raise ValueError("point set must be a nonempty 1-d array")
-        if not (0.0 < self.delta <= 1.0):
-            raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-        pts = pts.copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        if self.fractions is None:
-            return
         num, den = (np.array(a, dtype=np.int64) for a in self.fractions)
-        if num.shape != pts.shape or den.shape != pts.shape:
-            raise ValueError(f"fractions must be two arrays of {pts.size} integers")
+        if num.ndim != 1 or num.size == 0 or den.shape != num.shape:
+            raise ValueError("fractions must be two nonempty 1-d arrays of one length")
         if den.min() < 1:
             raise ValueError("denominators must be >= 1")
-        num.setflags(write=False)
-        den.setflags(write=False)
+        if not (0.0 < self.delta <= 1.0):
+            raise ValueError(f"delta must be in (0, 1], got {self.delta}")
+        pts = num / den
+        for arr in (num, den, pts):
+            arr.setflags(write=False)
         object.__setattr__(self, "fractions", (num, den))
+        object.__setattr__(self, "points", pts)
         order = np.argsort(den, kind="stable")
         qs, starts = np.unique(den[order], return_index=True)
         groups = []
@@ -168,9 +162,7 @@ def _certified(
     near = gaps <= gaps.min() * (1.0 + 1e-9)
     pairs = np.unique(np.stack([cross[near], span[near]], axis=1), axis=0)
     gap = min(Fraction(int(c), int(s)) for c, s in pairs)
-    return SpacedPointSet(
-        points=num / den, delta=_round_down(gap), kind=kind, fractions=(num, den)
-    )
+    return SpacedPointSet(fractions=(num, den), delta=_round_down(gap), kind=kind)
 
 
 def _residues(moduli: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,37 +218,33 @@ def build_point_set(tables, kind: str, parameter: int) -> SpacedPointSet:
     return _certified(num[fresh], den[fresh], guarantee, f"{kind}({parameter})")
 
 
-def explicit_point_set(points, delta: float | None = None) -> SpacedPointSet:
-    """Wrap explicit float points (reduced mod 1) with a float-level gap check.
+def exact_point_set(num, den) -> SpacedPointSet:
+    """The points num/den mod 1 as an exact set, certified against 1/max(den)^2.
 
-    With ``delta=None`` the minimal circular gap of the rounded floats is
-    used; certification is thus at float precision only, unlike the exact
-    Farey constructors.  Duplicate points (after reduction) raise ValueError.
+    ``num`` and ``den`` are integers that broadcast to one 1-d shape, e.g.
+    ``exact_point_set(np.arange(M), M)``; each num is reduced mod its den and
+    the pairs are sorted.  Distinct fractions with denominators <= D are at
+    least 1/D^2 apart, so only a repeated point (1/2 and 2/4 included) can
+    fail: ValueError.  CapacityError if certification could overflow int64.
     """
-    pts = np.sort(np.asarray(points, dtype=float) % 1.0)
-    if pts.size == 0:
-        raise ValueError("empty point set")
-    if pts.size == 1:
-        measured = 1.0
-    else:
-        gaps = np.diff(pts)
-        wrap = 1.0 - pts[-1] + pts[0]
-        measured = float(min(gaps.min(), wrap))
-        if measured <= 0.0:
-            raise ValueError("points are not distinct modulo 1")
-    if delta is None:
-        delta = measured
-    elif delta > measured:
-        raise ValueError(f"claimed delta {delta} exceeds measured gap {measured}")
-    return SpacedPointSet(points=pts, delta=float(delta), kind=f"explicit({pts.size})")
-
-
-def shifted_point_set(base: SpacedPointSet, alpha: float) -> SpacedPointSet:
-    """Rotate a point set by alpha (mod 1).  Circular gaps are unchanged."""
-    pts = np.sort((base.points + float(alpha)) % 1.0)
-    return SpacedPointSet(
-        points=pts, delta=base.delta, kind=f"shifted({base.kind},{float(alpha):.6g})"
-    )
+    num, den = np.asarray(num), np.asarray(den)
+    if not (np.issubdtype(num.dtype, np.integer) and np.issubdtype(den.dtype, np.integer)):
+        raise ValueError("numerators and denominators must be integers")
+    num, den = (a.astype(np.int64) for a in np.broadcast_arrays(num, den))
+    if num.ndim != 1 or num.size == 0:
+        raise ValueError("fractions must broadcast to a nonempty 1-d array")
+    if den.min() < 1:
+        raise ValueError("denominators must be >= 1")
+    max_den = int(den.max())
+    guarantee = Fraction(1, max_den * max_den)
+    _check_int64(max_den, guarantee)
+    num = num % den
+    # Within the int64 guard 1/max_den^2 is far above float resolution.
+    order = np.argsort(num / den, kind="stable")
+    num, den = num[order], den[order]
+    if np.any(num[1:] * den[:-1] == num[:-1] * den[1:]):
+        raise ValueError("points are not distinct modulo 1")
+    return _certified(num, den, guarantee, f"exact({num.size})")
 
 
 def _values_by_denominator(
@@ -294,7 +282,7 @@ def _cross_check(
     max_den = int(point_set.fractions[1].max())
     bound = 64.0 * np.finfo(float).eps * (seq.N + max_den) * float(np.abs(seq.coeffs).sum())
     err = float(np.max(np.abs(pointwise - values[idx])))
-    if err > bound:
+    if not err <= bound:  # NaN fails too
         raise InvariantError(
             f"per-denominator and pointwise S differ by {err:.3e} > {bound:.3e} "
             f"on {point_set.kind} (N={seq.N}, shift={shift!r})"
@@ -313,20 +301,16 @@ def large_sieve_check(
     reports, except that a ratio above 1 + 1e-9 raises InvariantError since
     the inequality is a theorem for any delta-spaced set.
 
-    A set with an exact form is evaluated per denominator and cross-checked
-    on a fixed subset by ``eval_sequence`` (InvariantError on a mismatch);
-    any other set is evaluated pointwise by ``eval_sequence``.
+    S is evaluated per denominator and cross-checked on a fixed subset by
+    ``eval_sequence`` (InvariantError on a mismatch).
     """
     shift = float(shift)
-    if point_set.fractions is None:
-        values = eval_sequence(seq, point_set.points + shift)
-    else:
-        values = _values_by_denominator(seq, point_set, shift)
-        _cross_check(seq, point_set, shift, values)
+    values = _values_by_denominator(seq, point_set, shift)
+    _cross_check(seq, point_set, shift, values)
     lhs = float(np.sum(np.abs(values) ** 2))
     rhs = (seq.N + 1.0 / point_set.delta - 1.0) * l2_norm_sq(seq)
     ratio = lhs / rhs if rhs > 0 else 0.0
-    if ratio > 1.0 + RATIO_TOLERANCE:
+    if not ratio <= 1.0 + RATIO_TOLERANCE:  # NaN fails too
         raise InvariantError(
             f"large-sieve ratio {ratio!r} exceeds 1 for {point_set.kind} "
             f"(R={len(point_set)}, N={seq.N})"

@@ -26,21 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import CapacityError, InvariantError
-from .expsum import (
-    CoefficientSequence,
-    GridEvaluation,
-    KernelSpec,
-    grid_eval_kernel,
-    grid_eval_sequence,
-)
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .arith import ArithmeticTables
+from .expsum import CoefficientSequence, grid_eval_sequence
 
 DEFAULT_REL_TOL = 1e-4
 DEFAULT_OVERSAMPLE_START = 16
@@ -82,8 +72,8 @@ def l2_norm_sq_quadrature(seq: CoefficientSequence, M: int | None = None) -> flo
     return float(np.mean(np.abs(g.values) ** 2))
 
 
-def _abs_sum(evaluate: Callable[[int, float], GridEvaluation], M: int, shift: float) -> float:
-    """Sum of |f((j + shift)/M)| over j = 0..M-1, in cosets of at most ``_CHUNK`` points.
+def _abs_sum(seq: CoefficientSequence, M: int, shift: float) -> float:
+    """Sum of |S((j + shift)/M)| over j = 0..M-1, in cosets of at most ``_CHUNK`` points.
 
     With M = R*L, the points j = R*i + r (i < L) of coset r are
     (i + (r + shift)/R)/L: a grid of L points shifted by (r + shift)/R.
@@ -93,36 +83,36 @@ def _abs_sum(evaluate: Callable[[int, float], GridEvaluation], M: int, shift: fl
         cosets *= 2
     L = M // cosets
     return sum(
-        float(np.sum(np.abs(evaluate(L, (r + shift) / cosets).values))) for r in range(cosets)
+        float(np.sum(np.abs(grid_eval_sequence(seq, L, shift=(r + shift) / cosets).values)))
+        for r in range(cosets)
     )
 
 
 def _refine(
-    evaluate: Callable[[int, float], GridEvaluation],
-    N: int,
+    seq: CoefficientSequence,
     rel_tol: float,
     oversample_start: int,
     oversample_cap: int,
     budget: int,
 ) -> L1Estimate:
-    """Mean of |f| on the grids M = oversample * 2^ceil(log2 N), doubling until settled.
+    """Mean of |S| on the grids M = oversample * 2^ceil(log2 N), doubling until settled.
 
-    ``evaluate(M, shift)`` gives f at (j + shift)/M.  Each doubling adds the
-    odd samples of the finer grid, evaluate(M, 1/2) on the current one, to
-    the running sum, so the finest grid is sampled once in total.
+    Each doubling adds the odd samples of the finer grid, the current grid
+    shifted by 1/2, to the running sum, so the finest grid is sampled once
+    in total.
     """
     if rel_tol <= 0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     if oversample_start < 2:
         raise ValueError(f"oversample_start must be >= 2, got {oversample_start}")
-    scale = 1 << (N - 1).bit_length()
+    scale = 1 << (seq.N - 1).bit_length()
     grids: list[tuple[int, float]] = []
     total = 0.0
     last_delta = math.inf
     converged = False
     M = oversample_start * scale
     while M <= oversample_cap * scale and M <= budget:
-        total += _abs_sum(evaluate, M // 2, 0.5) if grids else _abs_sum(evaluate, M, 0.0)
+        total += _abs_sum(seq, M // 2, 0.5) if grids else _abs_sum(seq, M, 0.0)
         value = total / M
         if grids:
             last_delta = abs(value - grids[-1][1]) / max(abs(value), 1e-300)
@@ -170,34 +160,8 @@ def l1_norm(
     exception; the analytic envelope checks still run on whatever value the
     finest grid produced.
     """
-
-    def evaluate(M: int, shift: float) -> GridEvaluation:
-        return grid_eval_sequence(seq, M, shift=shift)
-
-    est = _refine(evaluate, seq.N, rel_tol, oversample_start, oversample_cap, budget)
+    est = _refine(seq, rel_tol, oversample_start, oversample_cap, budget)
     ceiling = math.sqrt(l2_norm_sq(seq))
     floor = float(np.max(np.abs(seq.coeffs)))
     _check_envelopes(est.value, ceiling, floor, rel_tol)
     return est
-
-
-def l1_norm_kernel(
-    tables: "ArithmeticTables",
-    spec: KernelSpec,
-    rel_tol: float = DEFAULT_REL_TOL,
-    oversample_start: int = DEFAULT_OVERSAMPLE_START,
-    oversample_cap: int = DEFAULT_OVERSAMPLE_CAP,
-    budget: int = DEFAULT_SAMPLE_BUDGET,
-) -> L1Estimate:
-    """L1 norm of a kernel by the same refining quadrature (and the same ``budget``).
-
-    For the nonnegative kinds (``fejer``, ``gstar``, ``h``) the L1 norm
-    equals the mean value, i.e. the zeroth spectral coefficient: 1 for
-    ``fejer``, mean of p^2 (resp. p) over primes p <= P for ``gstar``
-    (resp. ``h``).  That identity is a test-side oracle, not assumed here.
-    """
-
-    def evaluate(M: int, shift: float) -> GridEvaluation:
-        return grid_eval_kernel(tables, spec, M, shift=shift)
-
-    return _refine(evaluate, spec.N, rel_tol, oversample_start, oversample_cap, budget)

@@ -15,12 +15,13 @@ import pytest
 
 import sievenorm as sn
 from sievenorm.experiments import (
+    expand,
     kernel_gap_scan,
     lambda_l1_bounds,
-    large_sieve_trials,
     mangoldt_weighted_sum_row,
     prime_count_floor_row,
     prime_support_experiments,
+    run_job,
     run_suite,
     squarefree_theorem_ratio,
     vaughan_V,
@@ -126,7 +127,9 @@ def test_a04_spike_orthogonality_and_duality(report, tables_mid):
 
 
 def test_a05_large_sieve_thousand_trials(report, tables_mid):
-    row = large_sieve_trials(tables_mid, trials=1000, seed=0)
+    # through run_job, which times the row
+    (job,) = expand("large_sieve", {"trials": 1000, "seed": 0})
+    (row,) = run_job(tables_mid, *job)
     ok = row.passed and row.measured["max_ratio"] <= 1.0 + 1e-9
     check(
         report,

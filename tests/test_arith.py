@@ -38,11 +38,6 @@ class TestBuildTables:
         assert t.mobius[2] == -1
         assert t.phi[2] == 1
 
-    def test_factor_and_divisors(self, tables):
-        assert tables.factor(360) == [(2, 3), (3, 2), (5, 1)]
-        assert tables.divisors(12) == [1, 2, 3, 4, 6, 12]
-        assert tables.divisors(1) == [1]
-
     def test_tables_are_read_only(self, tables):
         with pytest.raises(ValueError):
             tables.mobius[3] = 7

@@ -202,6 +202,24 @@ class TestExitCodes:
         assert out == ""
         assert "must be >= " in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sieve-check", "--set-kind", "reduced_farey", "--param", "22", "--kind", "mobius",
+             "--n", "512", "--shift", "nan"],
+            ["sieve-check", "--set-kind", "reduced_farey", "--param", "22", "--kind", "mobius",
+             "--n", "512", "--shift", "inf"],
+            ["suite", "--floor", "nan"],
+        ],
+        ids=["shift_nan", "shift_inf", "suite_floor_nan"],
+    )
+    def test_non_finite_float_exits_1(self, capsys, argv):
+        # a bad parameter, not an invariant violation (exit 2) nor a suite run
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
+
     def test_no_command_prints_help(self, capsys):
         code, _, err = run_cli(capsys, [])
         assert code == 1

@@ -309,6 +309,15 @@ def _strip_runtime(rows):
 
 
 class TestRunSuite:
+    def test_run_job_splits_job_time_evenly(self, tables):
+        direct = prime_support_experiments(tables, 64)
+        assert [r.runtime_s for r in direct] == [0.0, 0.0, 0.0]
+        (job,) = experiments.expand("prime_l1", {"n": 64})
+        rows = experiments.run_job(tables, *job)
+        assert _strip_runtime(rows) == direct
+        assert rows[0].runtime_s > 0.0
+        assert [r.runtime_s for r in rows] == [rows[0].runtime_s] * 3
+
     def test_empty_config(self):
         assert run_suite(SuiteConfig()) == []
 

@@ -337,16 +337,6 @@ class TestGridEvalKernel:
             want = sn.eval_kernel_spectral(tables, spec, j / M)
             assert grid.values[j] == pytest.approx(want, rel=1e-9, abs=1e-9)
 
-    @pytest.mark.parametrize("M", [32, 129, 512])
-    @pytest.mark.parametrize("kind", ["fejer", "gstar", "k_part3"])
-    def test_shifted_grid_matches_spectral(self, tables, kind, M):
-        # M = 32 < 2N + 1 folds the weights; the other grids are alias-free
-        spec = sn.KernelSpec(kind, 64, P=2) if kind == "gstar" else sn.KernelSpec(kind, 64)
-        grid = sn.grid_eval_kernel(tables, spec, M, shift=0.5)
-        for j in (0, 7, M // 2, M - 1):
-            want = sn.eval_kernel_spectral(tables, spec, (j + 0.5) / M)
-            assert grid.values[j] == pytest.approx(want, rel=1e-9, abs=1e-9)
-
     def test_values_are_read_only(self, tables):
         grid = sn.grid_eval_kernel(tables, sn.KernelSpec("fejer", 8), 32)
         with pytest.raises(ValueError):

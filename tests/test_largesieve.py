@@ -118,10 +118,8 @@ class TestBuildPointSet:
         assert np.all(np.gcd(num, den) == 1)
         with pytest.raises(ValueError):
             num[0] = 2
-        assert sn.explicit_point_set([0.1, 0.4]).fractions is None
-        assert sn.shifted_point_set(ps, 0.25).fractions is None
         with pytest.raises(ValueError):
-            sn.SpacedPointSet(np.array([0.0, 0.5]), 0.5, "x", fractions=([0], [1]))
+            sn.SpacedPointSet(fractions=([0, 1], [1]), delta=0.5, kind="x")
 
     def test_certification_rejects_duplicates_and_short_gaps(self):
         num, den = np.array([0, 1, 1, 2]), np.array([1, 3, 3, 3])
@@ -156,33 +154,57 @@ class TestBuildPointSet:
             sn.build_point_set(tables, "prime_farey", tables.n_max + 1)
 
 
-class TestExplicitAndShifted:
-    def test_explicit_measures_gap(self):
-        ps = sn.explicit_point_set([0.1, 0.4, 0.9])
-        assert ps.delta == pytest.approx(0.2)
-        assert ps.kind == "explicit(3)"
+class TestExactPointSet:
+    def test_measures_gap(self):
+        ps = sn.exact_point_set([1, 2, 9], 10)
+        assert ps.delta == pytest.approx(0.1)
+        assert ps.kind == "exact(3)"
+        # mixed denominators: the exact minimal gap 1/3 - 1/4 = 1/12
+        assert sn.exact_point_set([1, 1, 3], [3, 4, 4]).delta == pytest.approx(1 / 12)
 
-    def test_explicit_mod_one_and_duplicates(self):
-        ps = sn.explicit_point_set([1.25, 0.75])
-        np.testing.assert_allclose(ps.points, [0.25, 0.75])
-        with pytest.raises(ValueError):
-            sn.explicit_point_set([0.25, 1.25])  # dyadic, so reduction is exact
-
-    def test_explicit_rejects_inflated_delta(self):
-        with pytest.raises(ValueError):
-            sn.explicit_point_set([0.0, 0.3], delta=0.5)
+    def test_mod_one_and_duplicates(self):
+        ps = sn.exact_point_set([-1, 5], 4)
+        assert ps.fractions[0].tolist() == [1, 3]
+        assert ps.fractions[1].tolist() == [4, 4]
+        np.testing.assert_array_equal(ps.points, [0.25, 0.75])
+        for num, den in (([1, 5], 4), ([1, 2], [2, 4]), ([0, 3], [1, 3])):
+            with pytest.raises(ValueError, match="not distinct"):
+                sn.exact_point_set(num, den)
 
     def test_singleton(self):
-        ps = sn.explicit_point_set([0.37])
+        ps = sn.exact_point_set([37], 100)
         assert ps.delta == 1.0
+        assert ps.points.tolist() == [0.37]
 
-    def test_shift_preserves_delta(self, tables):
-        base = sn.build_point_set(tables, "reduced_farey", 7)
-        moved = sn.shifted_point_set(base, 0.318)
-        assert moved.delta == base.delta
-        assert len(moved) == len(base)
-        assert np.all(np.diff(moved.points) > 0)
-        assert moved.kind.startswith("shifted(reduced_farey(7)")
+    def test_matches_farey_family(self, tables):
+        ref = sn.build_point_set(tables, "reduced_farey", 22)
+        ps = sn.exact_point_set(*ref.fractions)
+        assert np.array_equal(ps.points, ref.points)
+        assert ps.delta == ref.delta
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            (np.array([], dtype=int), 3),
+            ([[1, 2]], 3),
+            (1, 3),
+            ([1, 2], [3, 4, 5]),
+            ([1, 2], 0),
+            ([1, 2], [3, -3]),
+            ([0.5, 1.5], 3),
+            ([1, 2], 3.0),
+        ],
+        ids=[
+            "empty", "2d", "scalar", "mismatch", "zero_den", "negative_den", "float_num", "float_den"
+        ],
+    )
+    def test_rejects_bad_shapes_and_denominators(self, num, den):
+        with pytest.raises(ValueError):
+            sn.exact_point_set(num, den)
+
+    def test_int64_guard(self):
+        with pytest.raises(CapacityError):
+            sn.exact_point_set([1, 2], 100_000)
 
 
 class TestLargeSieveCheck:
@@ -191,7 +213,8 @@ class TestLargeSieveCheck:
         N, M = 8, 16
         coeffs = rng.normal(size=N) + 1j * rng.normal(size=N)
         seq = sn.CoefficientSequence(N, coeffs)
-        ps = sn.explicit_point_set(np.arange(M) / M)
+        ps = sn.exact_point_set(np.arange(M), M)
+        assert ps.delta == 1 / M
         res = sn.large_sieve_check(seq, ps)
         assert res.lhs == pytest.approx(M * sn.l2_norm_sq(seq), rel=1e-12)
         assert res.ratio == pytest.approx(M / (N + M - 1), rel=1e-12)
@@ -200,16 +223,16 @@ class TestLargeSieveCheck:
         # M = N + 1 sits at ratio (N+1)/2N; M >> N pushes the ratio toward 1
         N = 16
         seq = sn.CoefficientSequence(N, rng.normal(size=N) + 0j)
-        tight = sn.large_sieve_check(seq, sn.explicit_point_set(np.arange(N + 1) / (N + 1)))
+        tight = sn.large_sieve_check(seq, sn.exact_point_set(np.arange(N + 1), N + 1))
         assert tight.ratio == pytest.approx((N + 1) / (2 * N), rel=1e-12)
         M = 4096
-        wide = sn.large_sieve_check(seq, sn.explicit_point_set(np.arange(M) / M))
+        wide = sn.large_sieve_check(seq, sn.exact_point_set(np.arange(M), M))
         assert wide.ratio == pytest.approx(M / (N + M - 1), rel=1e-12)
         assert wide.ratio > 0.99
 
     def test_single_point_is_cauchy_schwarz(self, rng):
         seq = sn.CoefficientSequence(32, rng.normal(size=32) + 0j)
-        ps = sn.explicit_point_set([0.123])
+        ps = sn.exact_point_set([123], 1000)
         res = sn.large_sieve_check(seq, ps)
         assert res.rhs == pytest.approx(32 * sn.l2_norm_sq(seq))
         assert res.ratio <= 1.0
@@ -260,11 +283,23 @@ class TestLargeSieveCheck:
         with pytest.raises(InvariantError, match="pointwise"):
             sn.large_sieve_check(seq, ps, 0.3)
 
+    def test_nan_fold_is_caught(self, tables, monkeypatch):
+        # a NaN compares false against every bound, so each check must be
+        # written to fail on it
+        ps = sn.build_point_set(tables, "reduced_farey", 22)
+        seq = sn.coefficient_sequence(tables, "mobius", 512)
+        monkeypatch.setattr(
+            largesieve, "_folded", lambda c, first, M, shift: np.full(M, np.nan + 0j)
+        )
+        with pytest.raises(InvariantError, match="pointwise"):
+            sn.large_sieve_check(seq, ps)
+
     def test_lying_delta_is_caught(self):
         # hand-built point set with a wildly overstated delta must trip the
         # internal invariant: three near-coincident points behave like one
-        points = np.array([0.0, 1e-12, 2e-12])
-        fake = sn.SpacedPointSet(points=points, delta=1.0, kind="explicit(lying)")
+        num = np.array([0, 1, 2])
+        den = np.array([1, 1000, 1000])
+        fake = sn.SpacedPointSet(fractions=(num, den), delta=1.0, kind="hand(lying)")
         seq = sn.CoefficientSequence(64, np.ones(64))
         with pytest.raises(InvariantError):
             sn.large_sieve_check(seq, fake)
@@ -288,11 +323,13 @@ class TestKernelGapBound:
 class TestSpacedPointSetType:
     def test_validation(self):
         with pytest.raises(ValueError):
-            sn.SpacedPointSet(points=np.array([]), delta=0.5, kind="x")
+            sn.SpacedPointSet(fractions=([], []), delta=0.5, kind="x")
         with pytest.raises(ValueError):
-            sn.SpacedPointSet(points=np.array([0.1]), delta=0.0, kind="x")
+            sn.SpacedPointSet(fractions=([1], [10]), delta=0.0, kind="x")
         with pytest.raises(ValueError):
-            sn.SpacedPointSet(points=np.array([0.1]), delta=1.5, kind="x")
+            sn.SpacedPointSet(fractions=([1], [10]), delta=1.5, kind="x")
+        with pytest.raises(ValueError):
+            sn.SpacedPointSet(fractions=([1], [0]), delta=0.5, kind="x")
 
     def test_points_read_only(self, tables):
         ps = sn.build_point_set(tables, "reduced_farey", 4)

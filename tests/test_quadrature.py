@@ -81,9 +81,7 @@ class TestL1Norm:
 
     def test_cosets_match_unchunked_grids(self, tables, monkeypatch):
         seq = sn.coefficient_sequence(tables, "mobius", 1000)
-        spec = sn.KernelSpec("h", 64, P=5)
         whole = sn.l1_norm(seq, rel_tol=1e-9)
-        whole_kernel = sn.l1_norm_kernel(tables, spec, rel_tol=1e-9)
         sizes = []
 
         def recorded(seq, M, shift=0.0):
@@ -93,12 +91,10 @@ class TestL1Norm:
         monkeypatch.setattr(quadrature, "_CHUNK", 256)
         monkeypatch.setattr(quadrature, "grid_eval_sequence", recorded)
         chunked = sn.l1_norm(seq, rel_tol=1e-9)
-        chunked_kernel = sn.l1_norm_kernel(tables, spec, rel_tol=1e-9)
         assert set(sizes) == {256}
-        for a, b in ((whole, chunked), (whole_kernel, chunked_kernel)):
-            assert [m for m, _ in a.grids] == [m for m, _ in b.grids]
-            for (_, va), (_, vb) in zip(a.grids, b.grids):
-                assert vb == pytest.approx(va, rel=1e-12)
+        assert [m for m, _ in whole.grids] == [m for m, _ in chunked.grids]
+        for (_, va), (_, vb) in zip(whole.grids, chunked.grids):
+            assert vb == pytest.approx(va, rel=1e-12)
 
     def test_large_n_converges_in_bounded_memory(self):
         # N = 2^18 samples 2^22..2^23 points; evaluated in cosets of 2^20 its
@@ -165,17 +161,3 @@ class TestL1Norm:
         with pytest.raises(ValueError):
             sn.l1_norm(seq, oversample_start=1)
 
-
-class TestL1Kernel:
-    def test_fejer_mass_is_one(self, tables):
-        est = sn.l1_norm_kernel(tables, sn.KernelSpec("fejer", 64))
-        assert est.value == pytest.approx(1.0, rel=1e-4)
-
-    def test_gstar_mass_is_mean_prime_square(self, tables):
-        # nonnegative kernel: L1 norm equals the zeroth coefficient
-        est = sn.l1_norm_kernel(tables, sn.KernelSpec("gstar", 64, P=3))
-        assert est.value == pytest.approx((4 + 9) / 2, rel=2e-4)
-
-    def test_h_mass_is_mean_prime(self, tables):
-        est = sn.l1_norm_kernel(tables, sn.KernelSpec("h", 64, P=3))
-        assert est.value == pytest.approx((2 + 3) / 2, rel=2e-4)
