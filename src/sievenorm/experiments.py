@@ -697,7 +697,7 @@ def sieve_check_row(
     """One large-sieve evaluation: a coefficient sequence on a Farey point set."""
     point_set = build_point_set(tables, set_kind, param)
     seq = coefficient_sequence(tables, kind, N, seed=seed)
-    result = large_sieve_check(seq, point_set, shift)
+    (result,) = large_sieve_check([seq], point_set, [shift])
     ok = result.ratio <= 1.0 + 1e-9
     return ExperimentRow(
         experiment="sieve_check",
@@ -726,6 +726,8 @@ def sieve_check_row(
 _TRIAL_PARAM_POOL = (3, 5, 8, 13, 22, 37, 61, 100, 165, 272, 449, 741, 1000)
 _TRIAL_SQUARE_POOL = (2, 3, 5, 7, 11, 17, 23, 31)
 _TRIAL_SEQ_KINDS = ("random_complex", "squarefree_random", "mobius", "ones", "mangoldt")
+#: Trials drawn, then checked one point set at a time; caps the sequences held.
+_TRIAL_WINDOW = 1000
 
 
 def large_sieve_trials(
@@ -755,31 +757,30 @@ def large_sieve_trials(
     kinds = tuple(k for k, pool in sorted(pools.items()) if pool)
     if not kinds:
         raise ValueError(f"max_param={max_param} leaves every parameter pool empty")
-    cache: dict[tuple[str, int], object] = {}
-    max_ratio = 0.0
-    ratio_sum = 0.0
-    worst = ""
-    for _ in range(trials):
-        kind = kinds[int(rng.integers(0, len(kinds)))]
-        pool = pools[kind]
-        param = pool[int(rng.integers(0, len(pool)))]
-        key = (kind, param)
-        pset = cache.get(key)
-        if pset is None:
-            pset = build_point_set(tables, kind, param)
-            cache[key] = pset
-        n_hi = max(16, min(512, work_budget // len(pset)))
-        N = int(rng.integers(8, n_hi + 1))
-        seq_kind = _TRIAL_SEQ_KINDS[int(rng.integers(0, len(_TRIAL_SEQ_KINDS)))]
-        seq = coefficient_sequence(
-            tables, seq_kind, N, seed=int(rng.integers(0, 2**31))
-        )
-        shift = float(rng.uniform())
-        result = large_sieve_check(seq, pset, shift)
-        ratio_sum += result.ratio
-        if result.ratio > max_ratio:
-            max_ratio = result.ratio
-            worst = f"{kind}({param}), {seq_kind}, N={N}"
+    sets: dict[tuple[str, int], object] = {}
+    max_ratio, ratio_sum, worst = 0.0, 0.0, ""
+    for start in range(0, trials, _TRIAL_WINDOW):
+        drawn: dict[tuple[str, int], list] = {}
+        for t in range(min(_TRIAL_WINDOW, trials - start)):
+            kind = kinds[int(rng.integers(0, len(kinds)))]
+            key = (kind, pools[kind][int(rng.integers(0, len(pools[kind])))])
+            if key not in sets:
+                sets[key] = build_point_set(tables, *key)
+            n_hi = max(16, min(512, work_budget // len(sets[key])))
+            N = int(rng.integers(8, n_hi + 1))
+            seq_kind = _TRIAL_SEQ_KINDS[int(rng.integers(0, len(_TRIAL_SEQ_KINDS)))]
+            seq_seed, shift = int(rng.integers(0, 2**31)), float(rng.uniform())
+            drawn.setdefault(key, []).append((t, seq_kind, N, seq_seed, shift))
+        checked = {}
+        for key, batch in drawn.items():
+            seqs = [coefficient_sequence(tables, k, N, seed=s) for _, k, N, s, _ in batch]
+            results = large_sieve_check(seqs, sets[key], [b[4] for b in batch])
+            for (t, k, N, _, _), res in zip(batch, results):
+                checked[t] = (res.ratio, f"{key[0]}({key[1]}), {k}, N={N}")
+        for _, (ratio, label) in sorted(checked.items()):
+            ratio_sum += ratio
+            if ratio > max_ratio:
+                max_ratio, worst = ratio, label
     return ExperimentRow(
         experiment="large_sieve",
         params={"trials": trials, "seed": seed, "max_param": max_param},

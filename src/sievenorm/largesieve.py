@@ -28,9 +28,10 @@ Families (``kind`` strings):
 ``exact(R)``
     R given fractions a/q (reduced mod 1, distinct); delta >= 1/max(q)^2.
 
-``large_sieve_check`` evaluates S at the points a/q + shift one denominator
-at a time (fold mod q, one length-q FFT) and cross-checks an evenly strided
-subset against the pointwise ``eval_sequence``.
+``large_sieve_check`` evaluates a batch of shifted sequences on one set:
+per denominator q, one 2-D fold mod q and one inverse FFT along the rows,
+with lhs summed per q; an evenly strided subset of each row is
+cross-checked against the pointwise ``eval_sequence``.
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, InvariantError
-from .expsum import TWO_PI_I, CoefficientSequence, _folded, eval_sequence
+from .expsum import TWO_PI_I, CoefficientSequence, eval_sequence
 from .quadrature import l2_norm_sq
 
 FAREY_KINDS = ("reduced_farey", "prime_farey", "prime_square_farey")
@@ -84,17 +85,19 @@ class SpacedPointSet:
             raise ValueError("denominators must be >= 1")
         if not (0.0 < self.delta <= 1.0):
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
+        max_den = int(den.max())  # bounded here, so the bincount below stays small
+        _check_int64(max_den, Fraction(1, max_den * max_den))
         pts = num / den
         for arr in (num, den, pts):
             arr.setflags(write=False)
         object.__setattr__(self, "fractions", (num, den))
         object.__setattr__(self, "points", pts)
-        order = np.argsort(den, kind="stable")
-        qs, starts = np.unique(den[order], return_index=True)
-        groups = []
-        for q, pos in zip(qs.tolist(), np.split(order, starts[1:])):
-            groups.append((q, num[pos], pos))
-        object.__setattr__(self, "_by_denominator", tuple(groups))
+        counts = np.bincount(den)
+        qs = np.flatnonzero(counts)
+        groups = np.split(np.argsort(den), np.cumsum(counts[qs])[:-1])
+        object.__setattr__(
+            self, "_by_denominator", tuple((q, num[pos], pos) for q, pos in zip(qs.tolist(), groups))
+        )
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -128,9 +131,7 @@ def _check_int64(max_den: int, guarantee: Fraction) -> None:
         )
 
 
-def _certified(
-    num: np.ndarray, den: np.ndarray, guarantee: Fraction, kind: str
-) -> SpacedPointSet:
+def _certified(num: np.ndarray, den: np.ndarray, guarantee: Fraction, kind: str) -> SpacedPointSet:
     """Certify sorted fractions num/den in [0, 1) exactly and wrap them as a set.
 
     Consecutive pairs, the wrap pair (last, first + 1) included, must have
@@ -197,17 +198,13 @@ def build_point_set(tables, kind: str, parameter: int) -> SpacedPointSet:
         num, den = num[keep], den[keep]
     else:
         if parameter > tables.n_max:
-            raise ValueError(
-                f"tables cover n <= {tables.n_max} < parameter {parameter}"
-            )
+            raise ValueError(f"tables cover n <= {tables.n_max} < parameter {parameter}")
         ps = tables.primes[tables.primes <= parameter].astype(np.int64)
         if ps.size == 0:
             raise ValueError(f"no primes <= {parameter}: degenerate point set")
         num, den = _residues(ps * ps if kind == "prime_square_farey" else ps, 1)
         g = np.gcd(num, den)
         num, den = num // g, den // g
-    if num.size == 0:
-        raise ValueError(f"{kind}({parameter}) produced no points")
     # Sorting by float is safe: distinct fractions with the denominators
     # accepted here differ by >= 1/parameter^4 >> float resolution, and equal
     # reduced pairs (the duplicates dropped next) have equal floats.
@@ -247,28 +244,19 @@ def exact_point_set(num, den) -> SpacedPointSet:
     return _certified(num, den, guarantee, f"exact({num.size})")
 
 
-def _values_by_denominator(
-    seq: CoefficientSequence, point_set: SpacedPointSet, shift: float
-) -> np.ndarray:
-    """S(a/q + shift) at every point of an exact set, in point order.
+def _fold_rows(coeffs: np.ndarray, row: np.ndarray, n: np.ndarray, q: int) -> np.ndarray:
+    """Bins b[t, r] = sum of coeffs[k] over k with row[k] = t and n[k] = r (mod q).
 
-    The coefficients are twisted once by e(n*shift); for each denominator q
-    they are folded into bins n mod q and one inverse FFT of length q gives
-    S at every a/q + shift, of which the set's numerators are picked.
+    Folding aliases exactly: an inverse FFT of row t gives sequence t at every a/q.
     """
-    coeffs = seq.coeffs
-    if shift:
-        coeffs = coeffs * np.exp(TWO_PI_I * shift * np.arange(1, seq.N + 1))
-    values = np.empty(len(point_set), dtype=np.complex128)
-    for q, nums, pos in point_set._by_denominator:
-        values[pos] = np.fft.ifft(_folded(coeffs, 1, q, 0.0))[nums] * q
-    return values
+    rows = int(row[-1]) + 1
+    bins = np.zeros(rows * q, dtype=np.complex128)
+    np.add.at(bins, row * q + n % q, coeffs)
+    return bins.reshape(rows, q)
 
 
-def _cross_check(
-    seq: CoefficientSequence, point_set: SpacedPointSet, shift: float, values: np.ndarray
-) -> None:
-    """Re-evaluate an evenly strided subset of at most CROSS_CHECK_POINTS points pointwise.
+def _cross_check(seq, point_set, shift, idx, picked) -> None:
+    """Compare ``picked``, the per-denominator S of ``seq`` at points ``idx`` + shift, pointwise.
 
     Both routes are exact up to roundoff: a phase error of a few ulps in
     n*alpha for n <= N (float points, cumulative powers, the twist) and
@@ -276,12 +264,10 @@ def _cross_check(
     64 * eps * (N + max q) * sum |a_n| covers both with room to spare; any
     misplaced coefficient moves a value by |a_n|, far above it.
     """
-    stride = -(-len(point_set) // CROSS_CHECK_POINTS)
-    idx = np.arange(0, len(point_set), stride)
     pointwise = eval_sequence(seq, point_set.points[idx] + shift)
     max_den = int(point_set.fractions[1].max())
     bound = 64.0 * np.finfo(float).eps * (seq.N + max_den) * float(np.abs(seq.coeffs).sum())
-    err = float(np.max(np.abs(pointwise - values[idx])))
+    err = float(np.max(np.abs(pointwise - picked)))
     if not err <= bound:  # NaN fails too
         raise InvariantError(
             f"per-denominator and pointwise S differ by {err:.3e} > {bound:.3e} "
@@ -290,32 +276,45 @@ def _cross_check(
 
 
 def large_sieve_check(
-    seq: CoefficientSequence,
-    point_set: SpacedPointSet,
-    shift: float = 0.0,
-) -> LargeSieveResult:
-    """Evaluate both sides of the large-sieve inequality at the given points.
+    seqs: Sequence[CoefficientSequence], point_set: SpacedPointSet, shifts: Sequence[float]
+) -> list[LargeSieveResult]:
+    """(lhs, rhs, ratio) of the large sieve for each ``seqs[t]`` at the points + ``shifts[t]``.
 
-    Returns (lhs, rhs, ratio); the inequality itself (ratio <= 1 up to
-    roundoff slack) is the caller's assertion to make -- this function only
-    reports, except that a ratio above 1 + 1e-9 raises InvariantError since
-    the inequality is a theorem for any delta-spaced set.
-
-    S is evaluated per denominator and cross-checked on a fixed subset by
-    ``eval_sequence`` (InvariantError on a mismatch).
+    Judging ratio <= 1 is the caller's job, but a ratio above 1 + 1e-9
+    raises InvariantError: the inequality is a theorem for any delta-spaced
+    set.  Per denominator q, one fold into a (len(seqs), q) array, the
+    largest held, and one inverse FFT along its rows; lhs is summed per q.
+    ``eval_sequence`` re-checks CROSS_CHECK_POINTS strided points per row.
     """
-    shift = float(shift)
-    values = _values_by_denominator(seq, point_set, shift)
-    _cross_check(seq, point_set, shift, values)
-    lhs = float(np.sum(np.abs(values) ** 2))
-    rhs = (seq.N + 1.0 / point_set.delta - 1.0) * l2_norm_sq(seq)
-    ratio = lhs / rhs if rhs > 0 else 0.0
-    if not ratio <= 1.0 + RATIO_TOLERANCE:  # NaN fails too
-        raise InvariantError(
-            f"large-sieve ratio {ratio!r} exceeds 1 for {point_set.kind} "
-            f"(R={len(point_set)}, N={seq.N})"
-        )
-    return LargeSieveResult(lhs=lhs, rhs=rhs, ratio=ratio)
+    shifts = np.array(shifts, dtype=float)
+    if not seqs or shifts.shape != (len(seqs),):
+        raise ValueError(f"need one shift per sequence, got {len(seqs)} and {shifts.size}")
+    row = np.repeat(np.arange(len(seqs)), [seq.N for seq in seqs])
+    n = np.concatenate([np.arange(1, seq.N + 1) for seq in seqs])
+    coeffs = np.concatenate([seq.coeffs for seq in seqs])
+    coeffs = coeffs * np.exp(TWO_PI_I * shifts[row] * n)
+    stride = -(-len(point_set) // CROSS_CHECK_POINTS)
+    idx = np.arange(0, len(point_set), stride)
+    lhs = np.zeros(len(seqs))
+    picked = np.empty((len(seqs), idx.size), dtype=np.complex128)
+    for q, nums, pos in point_set._by_denominator:
+        bins = _fold_rows(coeffs, row, n, q)
+        values = np.fft.ifft(bins, axis=1, out=bins)[:, nums] * q
+        lhs += np.sum(np.abs(values) ** 2, axis=1)
+        hit = pos % stride == 0
+        picked[:, pos[hit] // stride] = values[:, hit]
+    results = []
+    for seq, shift, seq_lhs, seq_picked in zip(seqs, shifts.tolist(), lhs.tolist(), picked):
+        _cross_check(seq, point_set, shift, idx, seq_picked)
+        rhs = (seq.N + 1.0 / point_set.delta - 1.0) * l2_norm_sq(seq)
+        ratio = seq_lhs / rhs if rhs > 0 else 0.0
+        if not ratio <= 1.0 + RATIO_TOLERANCE:  # NaN fails too
+            raise InvariantError(
+                f"large-sieve ratio {ratio!r} exceeds 1 for {point_set.kind} "
+                f"(R={len(point_set)}, N={seq.N})"
+            )
+        results.append(LargeSieveResult(lhs=seq_lhs, rhs=rhs, ratio=ratio))
+    return results
 
 
 def sieve_bound_for_kernel_gap(tables, N: int, P: int, kind: str) -> float:

@@ -250,8 +250,8 @@ class TestExitCodes:
         assert exc.value.code == 0
 
     def test_invariant_violation_in_row_exits_2(self, capsys, monkeypatch):
-        def fake_check(seq, point_set, shift=0.0):
-            return LargeSieveResult(lhs=2.0, rhs=1.0, ratio=2.0)
+        def fake_check(seqs, point_set, shifts):
+            return [LargeSieveResult(lhs=2.0, rhs=1.0, ratio=2.0) for _ in seqs]
 
         monkeypatch.setattr(experiments, "large_sieve_check", fake_check)
         code, out, err = run_cli(
@@ -295,7 +295,7 @@ class TestExitCodes:
         assert "RuntimeError: unexpected" in err
 
     def test_command_crash_exits_3(self, capsys, monkeypatch):
-        def crashing_check(seq, point_set, shift=0.0):
+        def crashing_check(seqs, point_set, shifts):
             raise RuntimeError("unexpected")
 
         monkeypatch.setattr(experiments, "large_sieve_check", crashing_check)
@@ -308,7 +308,7 @@ class TestExitCodes:
         assert "RuntimeError: unexpected" in err
 
     def test_invariant_error_raised_exits_2(self, capsys, monkeypatch):
-        def raising_check(seq, point_set, shift=0.0):
+        def raising_check(seqs, point_set, shifts):
             raise InvariantError("ratio exceeded 1")
 
         monkeypatch.setattr(experiments, "large_sieve_check", raising_check)

@@ -292,6 +292,29 @@ class TestLargeSieveTrials:
         assert row.passed is True
         assert row.detail.startswith("worst:")
 
+    @pytest.mark.parametrize(
+        "seed, max_ratio, mean_ratio, detail",
+        [
+            (0, 0.560028099980237, 0.1182869633344322, "worst: prime_farey(5), ones, N=12"),
+            (7, 0.8869692017648645, 0.12681957750464826, "worst: prime_square_farey(3), ones, N=301"),
+        ],
+    )
+    def test_batching_keeps_per_trial_values(self, tables, seed, max_ratio, mean_ratio, detail):
+        # recorded with one check per trial, in trial order (the same with
+        # 2^12 and 2^20 tables); batching moves lhs only by summation order
+        row = large_sieve_trials(tables, trials=200, seed=seed)
+        assert row.measured["max_ratio"] == pytest.approx(max_ratio, rel=1e-12)
+        assert row.measured["mean_ratio"] == pytest.approx(mean_ratio, rel=1e-12)
+        assert row.detail == detail
+
+    def test_window_boundaries_keep_values(self, tables, monkeypatch):
+        whole = large_sieve_trials(tables, trials=25, seed=3, max_param=165)
+        monkeypatch.setattr(experiments, "_TRIAL_WINDOW", 7)
+        windowed = large_sieve_trials(tables, trials=25, seed=3, max_param=165)
+        for key in ("max_ratio", "mean_ratio"):
+            assert windowed.measured[key] == pytest.approx(whole.measured[key], rel=1e-12)
+        assert windowed.detail == whole.detail
+
     def test_sieve_check_margin(self, tables):
         row = sieve_check_row(tables, "reduced_farey", 22, 128, shift=0.3)
         assert row.measured["margin"] == 1.0 - row.ratios["lhs_over_rhs"]

@@ -207,6 +207,11 @@ class TestExactPointSet:
             sn.exact_point_set([1, 2], 100_000)
 
 
+def check_one(seq, ps, shift=0.0):
+    (res,) = sn.large_sieve_check([seq], ps, [shift])
+    return res
+
+
 class TestLargeSieveCheck:
     def test_equispaced_exact_values(self, rng):
         # M equispaced points with N <= M: lhs = M * sum |a|^2 exactly
@@ -215,7 +220,7 @@ class TestLargeSieveCheck:
         seq = sn.CoefficientSequence(N, coeffs)
         ps = sn.exact_point_set(np.arange(M), M)
         assert ps.delta == 1 / M
-        res = sn.large_sieve_check(seq, ps)
+        res = check_one(seq, ps)
         assert res.lhs == pytest.approx(M * sn.l2_norm_sq(seq), rel=1e-12)
         assert res.ratio == pytest.approx(M / (N + M - 1), rel=1e-12)
 
@@ -223,26 +228,25 @@ class TestLargeSieveCheck:
         # M = N + 1 sits at ratio (N+1)/2N; M >> N pushes the ratio toward 1
         N = 16
         seq = sn.CoefficientSequence(N, rng.normal(size=N) + 0j)
-        tight = sn.large_sieve_check(seq, sn.exact_point_set(np.arange(N + 1), N + 1))
+        tight = check_one(seq, sn.exact_point_set(np.arange(N + 1), N + 1))
         assert tight.ratio == pytest.approx((N + 1) / (2 * N), rel=1e-12)
         M = 4096
-        wide = sn.large_sieve_check(seq, sn.exact_point_set(np.arange(M), M))
+        wide = check_one(seq, sn.exact_point_set(np.arange(M), M))
         assert wide.ratio == pytest.approx(M / (N + M - 1), rel=1e-12)
         assert wide.ratio > 0.99
 
     def test_single_point_is_cauchy_schwarz(self, rng):
         seq = sn.CoefficientSequence(32, rng.normal(size=32) + 0j)
         ps = sn.exact_point_set([123], 1000)
-        res = sn.large_sieve_check(seq, ps)
+        res = check_one(seq, ps)
         assert res.rhs == pytest.approx(32 * sn.l2_norm_sq(seq))
         assert res.ratio <= 1.0
 
     def test_shift_invariance_of_bound(self, tables, rng):
         seq = sn.coefficient_sequence(tables, "mobius", 512)
         ps = sn.build_point_set(tables, "reduced_farey", 22)
-        base_rhs = sn.large_sieve_check(seq, ps).rhs
-        for shift in rng.uniform(0, 1, 100):
-            res = sn.large_sieve_check(seq, ps, shift)
+        base_rhs = check_one(seq, ps).rhs
+        for res in sn.large_sieve_check([seq] * 100, ps, rng.uniform(0, 1, 100)):
             assert res.rhs == base_rhs
             assert res.ratio <= 1.0 + 1e-9
 
@@ -258,30 +262,52 @@ class TestLargeSieveCheck:
         kind = sn.FAREY_KINDS[kind_idx]
         ps = sn.build_point_set(tables, kind, param)
         seq = sn.coefficient_sequence(tables, "random_complex", n, seed=seed)
-        res = sn.large_sieve_check(seq, ps, shift)
-        assert res.ratio <= 1.0 + 1e-9
+        assert check_one(seq, ps, shift).ratio <= 1.0 + 1e-9
 
     @pytest.mark.parametrize("kind", sn.FAREY_KINDS)
     def test_per_denominator_matches_pointwise(self, tables, rng, kind):
+        # one mixed batch: every kind, length and shift together, each row
+        # matching the pointwise sum and its own one-element call
         param = 11 if kind == "prime_square_farey" else 100
         ps = sn.build_point_set(tables, kind, param)
+        seqs, shifts = [], []
         for seq_kind in ("random_complex", "mobius", "ones", "mangoldt"):
             for N, shift in ((8, 0.0), (97, rng.uniform()), (512, rng.uniform())):
-                seq = sn.coefficient_sequence(tables, seq_kind, N, seed=N)
-                res = sn.large_sieve_check(seq, ps, shift)
-                pointwise = sn.eval_sequence(seq, ps.points + shift)
-                want = float(np.sum(np.abs(pointwise) ** 2))
-                assert res.lhs == pytest.approx(want, rel=1e-12)
+                seqs.append(sn.coefficient_sequence(tables, seq_kind, N, seed=N))
+                shifts.append(shift)
+        batch = sn.large_sieve_check(seqs, ps, shifts)
+        assert len(batch) == len(seqs)
+        for seq, shift, res in zip(seqs, shifts, batch):
+            pointwise = sn.eval_sequence(seq, ps.points + shift)
+            want = float(np.sum(np.abs(pointwise) ** 2))
+            assert res.lhs == pytest.approx(want, rel=1e-12)
+            alone = check_one(seq, ps, shift)
+            assert res.lhs == pytest.approx(alone.lhs, rel=1e-12)
+            assert res.rhs == alone.rhs
+
+    def test_batch_validation(self, tables):
+        ps = sn.build_point_set(tables, "reduced_farey", 5)
+        seq = sn.coefficient_sequence(tables, "ones", 8)
+        with pytest.raises(ValueError, match="one shift per sequence"):
+            sn.large_sieve_check([seq, seq], ps, [0.0])
+        with pytest.raises(ValueError, match="one shift per sequence"):
+            sn.large_sieve_check([], ps, [])
 
     def test_corrupted_fold_is_caught(self, tables, monkeypatch):
         ps = sn.build_point_set(tables, "reduced_farey", 50)
-        seq = sn.coefficient_sequence(tables, "random_complex", 64, seed=3)
-        fold = largesieve._folded
-        monkeypatch.setattr(
-            largesieve, "_folded", lambda c, first, M, shift: np.roll(fold(c, first, M, shift), 1)
-        )
-        with pytest.raises(InvariantError, match="pointwise"):
-            sn.large_sieve_check(seq, ps, 0.3)
+        seqs = [sn.coefficient_sequence(tables, "random_complex", 60 + t, seed=t) for t in range(5)]
+        check_one(seqs[3], ps, 0.3)  # sound before the corruption
+        fold = largesieve._fold_rows
+
+        def corrupt_row_3(*args):
+            bins = fold(*args)
+            bins[3] = np.roll(bins[3], 1)
+            return bins
+
+        monkeypatch.setattr(largesieve, "_fold_rows", corrupt_row_3)
+        with pytest.raises(InvariantError, match="pointwise") as err:
+            sn.large_sieve_check(seqs, ps, [0.3] * 5)
+        assert "N=63" in str(err.value)
 
     def test_nan_fold_is_caught(self, tables, monkeypatch):
         # a NaN compares false against every bound, so each check must be
@@ -289,10 +315,10 @@ class TestLargeSieveCheck:
         ps = sn.build_point_set(tables, "reduced_farey", 22)
         seq = sn.coefficient_sequence(tables, "mobius", 512)
         monkeypatch.setattr(
-            largesieve, "_folded", lambda c, first, M, shift: np.full(M, np.nan + 0j)
+            largesieve, "_fold_rows", lambda c, row, n, q: np.full((int(row[-1]) + 1, q), np.nan + 0j)
         )
         with pytest.raises(InvariantError, match="pointwise"):
-            sn.large_sieve_check(seq, ps)
+            check_one(seq, ps)
 
     def test_lying_delta_is_caught(self):
         # hand-built point set with a wildly overstated delta must trip the
@@ -302,7 +328,25 @@ class TestLargeSieveCheck:
         fake = sn.SpacedPointSet(fractions=(num, den), delta=1.0, kind="hand(lying)")
         seq = sn.CoefficientSequence(64, np.ones(64))
         with pytest.raises(InvariantError):
-            sn.large_sieve_check(seq, fake)
+            check_one(seq, fake)
+
+    def test_oversized_denominator_is_rejected(self):
+        # a denominator past the int64 guard is refused when the set is
+        # built, before any length-q array could be asked for
+        with pytest.raises(CapacityError):
+            sn.SpacedPointSet(fractions=([1, 2], [10**12, 10**12]), delta=1e-12, kind="hand(huge)")
+
+    def test_peak_memory_is_bounded(self, tables):
+        # a (sequences x points) complex array would be 26 * 304,193 * 16 B = 127 MB
+        ps = sn.build_point_set(tables, "reduced_farey", 1000)
+        seqs = [sn.coefficient_sequence(tables, "random_complex", 512, seed=s) for s in range(26)]
+        tracemalloc.start()
+        try:
+            sn.large_sieve_check(seqs, ps, np.linspace(0, 1, 26, endpoint=False))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 class TestKernelGapBound:

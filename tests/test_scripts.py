@@ -1,5 +1,8 @@
 import importlib.util
+import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +45,32 @@ def test_l1_growth_table_smoke(capsys):
 def test_l1_growth_table_above_2_16(capsys):
     # one rung past the suite's ladder, in cosets of the quadrature's chunk
     check_growth_table(capsys, 17, 17)
+
+
+def test_bench_records_every_run(tmp_path, monkeypatch):
+    # the perfbench call is stubbed: this test runs no benchmark
+    script = load_script("bench")
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append(cmd)
+        meta = {"workload": cmd[cmd.index("--workload") + 1], "traced": cmd[-1] == "1"}
+        out = f"# meta {json.dumps(meta)}\n# run_s = 1 s\n" + json.dumps({"correct": True})
+        return subprocess.CompletedProcess(cmd, 0, stdout=out + "\n", stderr="")
+
+    monkeypatch.setattr(script.subprocess, "run", fake_run)
+    monkeypatch.setattr(script, "ROOT", tmp_path)
+    assert script.main(["--label", "abc", "--seed", "3", "--seconds", "5"]) == 0
+    doc = json.loads((tmp_path / "BENCH_abc.json").read_text())
+    assert (doc["label"], doc["seed"], doc["seconds"]) == ("abc", 3, 5.0)
+    got = [(r["meta"]["workload"], r["meta"]["traced"], r["result"]) for r in doc["runs"]]
+    assert got == [
+        (w, traced, {"correct": True})
+        for w in ("suite_default", "l1_ladder")
+        for traced in (False, True)
+    ]
+    assert doc["runs"][0]["command"] == [
+        "perfbench/run.py", "--workload", "suite_default", "--seed", "3", "--seconds", "5.0",
+        "--trace", "0",
+    ]
+    assert all(cmd[0] == sys.executable for cmd in calls)
