@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record this checkout's benchmark results in BENCH_<label>.json.
 
-    python3 scripts/bench.py --label 753137f --seed 7
+    python3 scripts/bench.py --label 753137f
 
 Runs perfbench/run.py on both workloads, with --trace 0 and --trace 1, and
 keeps each run's command, ``# meta`` line and final JSON line.
@@ -14,6 +14,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 7
+SECONDS = 45.0
 
 
 def run(*args: str) -> dict:
@@ -27,12 +29,10 @@ def run(*args: str) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="file name suffix, e.g. a commit sha")
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--seconds", type=float, default=45.0)
-    a = ap.parse_args(argv)
-    opts = ["--seed", str(a.seed), "--seconds", str(a.seconds), "--trace"]
+    label = ap.parse_args(argv).label
+    opts = ["--seed", str(SEED), "--seconds", str(SECONDS), "--trace"]
     runs = [run("--workload", w, *opts, t) for w in ("suite_default", "l1_ladder") for t in "01"]
-    (ROOT / f"BENCH_{a.label}.json").write_text(json.dumps(vars(a) | {"runs": runs}, indent=1))
+    (ROOT / f"BENCH_{label}.json").write_text(json.dumps({"label": label, "runs": runs}, indent=1))
     return 0
 
 

@@ -95,9 +95,8 @@ class SpacedPointSet:
         counts = np.bincount(den)
         qs = np.flatnonzero(counts)
         groups = np.split(np.argsort(den), np.cumsum(counts[qs])[:-1])
-        object.__setattr__(
-            self, "_by_denominator", tuple((q, num[pos], pos) for q, pos in zip(qs.tolist(), groups))
-        )
+        by_den = tuple((q, num[pos], pos) for q, pos in zip(qs.tolist(), groups))
+        object.__setattr__(self, "_by_denominator", by_den)
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -131,15 +130,17 @@ def _check_int64(max_den: int, guarantee: Fraction) -> None:
         )
 
 
-def _certified(num: np.ndarray, den: np.ndarray, guarantee: Fraction, kind: str) -> SpacedPointSet:
+def _certified(
+    num: np.ndarray, den: np.ndarray, guarantee: Fraction, kind: str
+) -> SpacedPointSet:
     """Certify sorted fractions num/den in [0, 1) exactly and wrap them as a set.
 
     Consecutive pairs, the wrap pair (last, first + 1) included, must have
     cross-product a'q - aq' >= 1, which proves the order and that no point
     repeats, and gap (a'q - aq')/(qq') >= ``guarantee``.  delta is the exact
     minimal gap rounded down.  Raises InvariantError when either fails.
+    Callers apply ``_check_int64`` first, so the products fit in int64.
     """
-    _check_int64(int(den.max()), guarantee)
     nxt_num = np.append(num[1:], num[0] + den[0])
     nxt_den = np.append(den[1:], den[0])
     cross = nxt_num * den - num * nxt_den
@@ -180,8 +181,8 @@ def build_point_set(tables, kind: str, parameter: int) -> SpacedPointSet:
     """Construct one of the Farey families with exact integer certification.
 
     ``parameter`` is Q for ``reduced_farey`` and P for the prime families;
-    it must be >= 2 (and for the prime families small enough that the tables
-    contain the primes).  Raises ValueError if the family comes out empty and
+    it must be >= 2 (and for the prime families at most ``tables.n_max``, so
+    the family holds 1/2).  Raises ValueError for a bad kind or parameter and
     CapacityError if its certification products could overflow int64.
     """
     if kind not in FAREY_KINDS:
@@ -198,10 +199,10 @@ def build_point_set(tables, kind: str, parameter: int) -> SpacedPointSet:
         num, den = num[keep], den[keep]
     else:
         if parameter > tables.n_max:
-            raise ValueError(f"tables cover n <= {tables.n_max} < parameter {parameter}")
+            raise ValueError(
+                f"tables cover n <= {tables.n_max} < parameter {parameter}"
+            )
         ps = tables.primes[tables.primes <= parameter].astype(np.int64)
-        if ps.size == 0:
-            raise ValueError(f"no primes <= {parameter}: degenerate point set")
         num, den = _residues(ps * ps if kind == "prime_square_farey" else ps, 1)
         g = np.gcd(num, den)
         num, den = num // g, den // g
@@ -256,7 +257,7 @@ def _fold_rows(coeffs: np.ndarray, row: np.ndarray, n: np.ndarray, q: int) -> np
 
 
 def _cross_check(seq, point_set, shift, idx, picked) -> None:
-    """Compare ``picked``, the per-denominator S of ``seq`` at points ``idx`` + shift, pointwise.
+    """Check ``picked``, the per-denominator S at points[idx] + shift, pointwise.
 
     Both routes are exact up to roundoff: a phase error of a few ulps in
     n*alpha for n <= N (float points, cumulative powers, the twist) and
@@ -330,8 +331,6 @@ def sieve_bound_for_kernel_gap(tables, N: int, P: int, kind: str) -> float:
         raise ValueError(f"N must be >= 1, got {N}")
     if not 2 <= P <= tables.n_max:
         raise ValueError(f"P={P} outside 2..{tables.n_max}")
-    pi_p = int(np.searchsorted(tables.primes, P, side="right"))
-    if pi_p < 1:
-        raise ValueError(f"no primes <= {P}")
+    pi_p = int(np.searchsorted(tables.primes, P, side="right"))  # >= 1 since P >= 2
     delta_inv = float(P) ** 4 if kind == "gstar" else float(P) ** 2
     return (N + delta_inv - 1.0) / pi_p
