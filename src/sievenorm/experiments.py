@@ -2,18 +2,18 @@
 
 Each experiment produces one or more :class:`ExperimentRow` records.  Rows
 carry plain-JSON dictionaries only, so they render identically to CSV and
-JSON.  Three failure classes are encoded per row:
+JSON.  A row function states its checks once, as ``(ok, note)`` pairs, and
+``_row`` derives the verdict from them:
 
 ``measured["invariant_ok"]``
-    False only when a mathematical identity or proven inequality failed
-    (large-sieve ratio above 1, evaluation routes disagreeing, certified
-    ceilings exceeded, negative values of a nonnegative kernel, ...).  These
-    map to CLI exit code 2.
+    Whether every *invariant* held: a proven identity or inequality (large-sieve
+    ratio at most 1, evaluation routes agreeing, certified ceilings kept, ...).
+    A failed invariant maps to CLI exit code 2.
 
-``passed``
-    The row's overall verdict, which additionally includes empirical
-    expectations (growth-ratio floors, asymptotic bands).  An empirical miss
-    leaves ``invariant_ok`` True and only produces a warning.
+``passed`` and ``detail``
+    Whether every check held, empirical *expectations* included (growth-ratio
+    floors, asymptotic bands, converged quadrature; a miss only warns), and the
+    row's notes followed by the note of each failed check, joined by "; ".
 
 ``measured["error"]``
     The exception class name, on a row whose job raised.  ``ValueError`` and
@@ -46,6 +46,7 @@ from .expsum import (
     grid_eval_kernel,
     grid_eval_sequence,
 )
+from . import largesieve
 from .largesieve import FAREY_KINDS, build_point_set, large_sieve_check, sieve_bound_for_kernel_gap
 from .quadrature import DEFAULT_REL_TOL, l1_norm, l2_norm_sq
 
@@ -111,6 +112,20 @@ class ExperimentRow:
             object.__setattr__(self, name, _plain(getattr(self, name)))
         object.__setattr__(self, "passed", bool(self.passed))
         object.__setattr__(self, "runtime_s", float(self.runtime_s))
+
+
+def _row(experiment, params, measured, reference, ratios, invariants=(), expectations=(), notes=()):
+    """A row judged by its ``(ok, note)`` checks; see the module docstring."""
+    checks = [*invariants, *expectations]
+    return ExperimentRow(
+        experiment=experiment,
+        params=params,
+        measured={**measured, "invariant_ok": all(ok for ok, _ in invariants)},
+        reference=reference,
+        ratios=ratios,
+        passed=all(ok for ok, _ in checks),
+        detail="; ".join([*notes, *(note for ok, note in checks if not ok)]),
+    )
 
 
 @dataclass(frozen=True)
@@ -310,8 +325,7 @@ def kernel_gap_scan(
         certified = sieve_bound_for_kernel_gap(tables, N, P, "h") + 3.0 * P
         scale = math.sqrt(N) * log_n + 3.0 * P
     nonneg_floor = -1e-8 * N
-    nonneg_ok = True if kind == "h_truncated" else min_value >= nonneg_floor
-    within_certified = max_gap <= certified * (1.0 + 1e-12)
+    invariants = [(max_gap <= certified * (1.0 + 1e-12), "gap exceeds certified ceiling")]
     measured = {
         "max_gap": max_gap,
         "min_kernel_value": min_value,
@@ -327,34 +341,20 @@ def kernel_gap_scan(
         "gap_over_certified": max_gap / certified,
         "gap_over_scale": max_gap / scale,
     }
-    trunc_ok = True
     if kind == "h_truncated":
         full = grid_eval_kernel(tables, KernelSpec("h", N, P=P), M).values
         trunc_gap = float(np.max(np.abs(full - kernel_grid)))
         # d_k >= 0 and sum_{|k| <= P} d_k = mean_p p*(2*floor(P/p) + 1) <= 3P
         trunc_tolerance = 3.0 * P * (1.0 + 1e-9)
-        trunc_ok = trunc_gap <= trunc_tolerance
+        invariants.append((trunc_gap <= trunc_tolerance, "truncation gap exceeds 3P"))
         measured["truncation_gap"] = trunc_gap
         reference["truncation_ceiling"] = 3.0 * P
         reference["truncation_tolerance"] = trunc_tolerance
         ratios["truncation_over_3p"] = trunc_gap / (3.0 * P)
-    invariant_ok = within_certified and nonneg_ok and trunc_ok
-    measured["invariant_ok"] = invariant_ok
-    if not within_certified:
-        notes.append("gap exceeds certified ceiling")
-    if not nonneg_ok:
-        notes.append("kernel dips below nonnegativity floor")
-    if not trunc_ok:
-        notes.append("truncation gap exceeds 3P")
-    return ExperimentRow(
-        experiment="kernel_gap",
-        params={"kind": kind, "n": N, "p": P, "m": M},
-        measured=measured,
-        reference=reference,
-        ratios=ratios,
-        passed=invariant_ok,
-        detail="; ".join(notes),
-    )
+    else:
+        invariants.append((min_value >= nonneg_floor, "kernel dips below nonnegativity floor"))
+    params = {"kind": kind, "n": N, "p": P, "m": M}
+    return _row("kernel_gap", params, measured, reference, ratios, invariants, notes=notes)
 
 
 def squarefree_theorem_ratio(
@@ -399,36 +399,24 @@ def squarefree_theorem_ratio(
         "floor_note": "empirical floor; implied constant not asserted",
     }
     ratios = {"ratio_mobius": ratio_m, "ratio_random": ratio_r}
-    invariant_ok = True
-    notes = []
+    invariants = []
     if N <= 512:
         sq = CoefficientSequence(
             N, np.abs(seq_r.coeffs) ** 2, support="squarefree", label="autocorrelation"
         )
         est_sq = l1_norm(sq, rel_tol=rel_tol)
         auto_bound = est_r.value**2 * (1.0 + 5.0 * rel_tol)
-        invariant_ok = est_sq.value <= auto_bound
+        invariants.append((est_sq.value <= auto_bound, "autocorrelation inequality failed"))
         measured["l1_autocorrelation"] = est_sq.value
         reference["autocorrelation_bound"] = auto_bound
-        if not invariant_ok:
-            notes.append("autocorrelation inequality failed")
-    measured["invariant_ok"] = invariant_ok
-    passed = (
-        invariant_ok
-        and measured["converged"]
-        and ratio_m >= floor
-        and ratio_r >= floor
-        and est_m.value >= mobius_floor_value * floor
-    )
-    return ExperimentRow(
-        experiment="squarefree_l1",
-        params={"n": N, "seed": seed, "rel_tol": rel_tol, "floor": floor},
-        measured=measured,
-        reference=reference,
-        ratios=ratios,
-        passed=passed,
-        detail="; ".join(notes),
-    )
+    expectations = [
+        (measured["converged"], "quadrature did not converge (warning)"),
+        (ratio_m >= floor, "mobius growth ratio below floor"),
+        (ratio_r >= floor, "random growth ratio below floor"),
+        (est_m.value >= mobius_floor_value * floor, "mobius l1 below its floor"),
+    ]
+    params = {"n": N, "seed": seed, "rel_tol": rel_tol, "floor": floor}
+    return _row("squarefree_l1", params, measured, reference, ratios, invariants, expectations)
 
 
 def _random_prime_sequence(
@@ -471,33 +459,25 @@ def prime_support_experiments(
     for variant, seq in variants:
         est = l1_norm(seq, rel_tol=rel_tol)
         ratio = GROWTH_RATIOS[variant](N, est.value, l2_norm_sq(seq))
-        measured = {
-            "l1": est.value,
-            "converged": bool(est.converged),
-            "invariant_ok": True,
-        }
+        measured = {"l1": est.value, "converged": bool(est.converged)}
         if variant == "chi3_on_primes":
             ps = tables.primes[tables.primes <= N]
             chi_sum = int(np.sum((ps % 3 == 1).astype(np.int64) - (ps % 3 == 2)))
             measured["chi3_prime_partial_sum"] = chi_sum
-        passed = bool(est.converged) and ratio >= floor
         rows.append(
-            ExperimentRow(
-                experiment="prime_l1",
-                params={
-                    "variant": variant,
-                    "n": N,
-                    "seed": seed,
-                    "rel_tol": rel_tol,
-                    "floor": floor,
-                },
-                measured=measured,
-                reference={
+            _row(
+                "prime_l1",
+                {"variant": variant, "n": N, "seed": seed, "rel_tol": rel_tol, "floor": floor},
+                measured,
+                {
                     "empirical_floor": floor,
                     "floor_note": "empirical floor; implied constant not asserted",
                 },
-                ratios={"growth_ratio": ratio},
-                passed=passed,
+                {"growth_ratio": ratio},
+                expectations=[
+                    (est.converged, "quadrature did not converge (warning)"),
+                    (ratio >= floor, "growth ratio below floor"),
+                ],
             )
         )
     return rows
@@ -515,32 +495,22 @@ def lambda_kernel_integral_row(
     """
     report = vaughan_V(tables, N, Q)
     band_lo, band_hi = 0.6, 1.4
-    band_applies = report.N >= 4096
-    band_ok = band_lo <= report.ratio <= band_hi
     gap = abs(report.v_spectral - report.v_quadrature)
     gap_over_bound = gap / report.route_bound if gap else 0.0  # bound is 0 at N = 1
-    notes = []
-    if not report.routes_agree:
-        notes.append("spectral and quadrature routes disagree")
-    if band_applies and not band_ok:
-        notes.append("ratio outside asymptotic band")
-    return ExperimentRow(
-        experiment="lambda_kernel_integral",
-        params={"n": report.N, "q": report.Q, "rel_tol": rel_tol},
-        measured={
+    return _row(
+        "lambda_kernel_integral",
+        {"n": report.N, "q": report.Q, "rel_tol": rel_tol},
+        {
             "v_spectral": report.v_spectral,
             "v_quadrature": report.v_quadrature,
             "routes_agree": report.routes_agree,
-            "invariant_ok": report.routes_agree,
         },
-        reference={
-            "target": report.target,
-            "band": [band_lo, band_hi],
-            "band_applies_from_n": 4096,
-        },
-        ratios={"v_over_target": report.ratio, "route_gap_over_bound": gap_over_bound},
-        passed=report.routes_agree and (band_ok or not band_applies),
-        detail="; ".join(notes),
+        {"target": report.target, "band": [band_lo, band_hi], "band_applies_from_n": 4096},
+        {"v_over_target": report.ratio, "route_gap_over_bound": gap_over_bound},
+        invariants=[(report.routes_agree, "spectral and quadrature routes disagree")],
+        expectations=[
+            (report.N < 4096 or band_lo <= report.ratio <= band_hi, "ratio outside asymptotic band")
+        ],
     )
 
 
@@ -563,24 +533,11 @@ def lambda_l1_bounds(
     est = l1_norm(seq, rel_tol=rel_tol)
     v_spectral = mobius_ramanujan_weighted_sum(tables, N, Q)
     analytic_lower = v_spectral / (N * (N + float(Q) ** 2))
-    lower_ok = est.value * (1.0 + 5.0 * rel_tol) >= analytic_lower
     log_n = math.log(N)
     const_sqrt_n = est.value / math.sqrt(N)
     const_sqrt_nlogn = est.value / math.sqrt(N * log_n)
-    bracket_applies = N >= 1024
-    bracket_ok = const_sqrt_n >= 0.15 and const_sqrt_nlogn <= math.sqrt(0.75)
     asymptotic_lower = (3.0 / math.pi**2 - 0.05) * Q * N / (N + float(Q) ** 2)
-    notes = []
-    if not lower_ok:
-        notes.append("quadrature value below its analytic lower bound")
-    if bracket_applies and not bracket_ok:
-        notes.append("bracket constants out of range")
-    measured = {
-        "l1": est.value,
-        "v_spectral": v_spectral,
-        "converged": bool(est.converged),
-        "invariant_ok": lower_ok,
-    }
+    measured = {"l1": est.value, "v_spectral": v_spectral, "converged": bool(est.converged)}
     reference = {
         "analytic_lower": analytic_lower,
         "asymptotic_lower_eps05": asymptotic_lower,
@@ -593,14 +550,25 @@ def lambda_l1_bounds(
         "l1_over_sqrt_nlogn": const_sqrt_nlogn,
         "l1_over_analytic_lower": est.value / analytic_lower if analytic_lower > 0 else math.inf,
     }
-    return ExperimentRow(
-        experiment="lambda_l1",
-        params={"n": N, "q": Q, "rel_tol": rel_tol},
-        measured=measured,
-        reference=reference,
-        ratios=ratios,
-        passed=lower_ok and bool(est.converged) and (bracket_ok or not bracket_applies),
-        detail="; ".join(notes),
+    return _row(
+        "lambda_l1",
+        {"n": N, "q": Q, "rel_tol": rel_tol},
+        measured,
+        reference,
+        ratios,
+        invariants=[
+            (
+                est.value * (1.0 + 5.0 * rel_tol) >= analytic_lower,
+                "quadrature value below its analytic lower bound",
+            )
+        ],
+        expectations=[
+            (est.converged, "quadrature did not converge (warning)"),
+            (
+                N < 1024 or (const_sqrt_n >= 0.15 and const_sqrt_nlogn <= math.sqrt(0.75)),
+                "bracket constants out of range",
+            ),
+        ],
     )
 
 
@@ -617,16 +585,13 @@ def mangoldt_weighted_sum_row(tables: ArithmeticTables, N: int) -> ExperimentRow
     value = float(np.dot(N - n_idx, lam[n_idx]))
     target = N * N / 2.0
     ratio = value / target
-    band_applies = N >= 16384
-    band_ok = 0.9 <= ratio <= 1.1
-    return ExperimentRow(
-        experiment="mangoldt_weighted_sum",
-        params={"n": N},
-        measured={"weighted_sum": value, "invariant_ok": True},
-        reference={"target": target, "band": [0.9, 1.1], "band_applies_from_n": 16384},
-        ratios={"sum_over_target": ratio},
-        passed=band_ok or not band_applies,
-        detail="" if band_ok or not band_applies else "ratio outside [0.9, 1.1]",
+    return _row(
+        "mangoldt_weighted_sum",
+        {"n": N},
+        {"weighted_sum": value},
+        {"target": target, "band": [0.9, 1.1], "band_applies_from_n": 16384},
+        {"sum_over_target": ratio},
+        expectations=[(N < 16384 or 0.9 <= ratio <= 1.1, "ratio outside [0.9, 1.1]")],
     )
 
 
@@ -643,15 +608,13 @@ def prime_count_floor_row(tables: ArithmeticTables, n_max: int | None = None) ->
     vals = pi_cum[n] * np.log(n) / n
     arg = int(np.argmin(vals))
     min_ratio = float(vals[arg])
-    ok = min_ratio > 1.0
-    return ExperimentRow(
-        experiment="prime_count_floor",
-        params={"n_max": n_max},
-        measured={"min_ratio": min_ratio, "argmin_n": int(n[arg]), "invariant_ok": ok},
-        reference={"floor": 1.0, "applies_from_n": 17},
-        ratios={"min_ratio": min_ratio},
-        passed=ok,
-        detail="" if ok else "pi(n) log n / n dipped to or below 1",
+    return _row(
+        "prime_count_floor",
+        {"n_max": n_max},
+        {"min_ratio": min_ratio, "argmin_n": int(n[arg])},
+        {"floor": 1.0, "applies_from_n": 17},
+        {"min_ratio": min_ratio},
+        invariants=[(min_ratio > 1.0, "pi(n) log n / n dipped to or below 1")],
     )
 
 
@@ -667,21 +630,19 @@ def norm_row(
     est = l1_norm(seq, rel_tol=rel_tol)
     l2 = l2_norm_sq(seq)
     ceiling = l2**0.5
-    return ExperimentRow(
-        experiment="norm",
-        params={"kind": kind, "n": N, "rel_tol": rel_tol, "seed": seed},
-        measured={
+    return _row(
+        "norm",
+        {"kind": kind, "n": N, "rel_tol": rel_tol, "seed": seed},
+        {
             "l1": est.value,
             "l2_sq": l2,
             "converged": est.converged,
             "last_delta": est.last_delta,
             "grids": [[m, v] for m, v in est.grids],
-            "invariant_ok": True,
         },
-        reference={"cauchy_ceiling": ceiling},
-        ratios={"l1_over_l2": est.value / ceiling if ceiling > 0 else 0.0},
-        passed=est.converged,
-        detail="" if est.converged else "quadrature did not converge (warning)",
+        {"cauchy_ceiling": ceiling},
+        {"l1_over_l2": est.value / ceiling if ceiling > 0 else 0.0},
+        expectations=[(est.converged, "quadrature did not converge (warning)")],
     )
 
 
@@ -698,28 +659,20 @@ def sieve_check_row(
     point_set = build_point_set(tables, set_kind, param)
     seq = coefficient_sequence(tables, kind, N, seed=seed)
     (result,) = large_sieve_check([seq], point_set, [shift])
-    ok = result.ratio <= 1.0 + 1e-9
-    return ExperimentRow(
-        experiment="sieve_check",
-        params={
-            "set_kind": set_kind,
-            "param": param,
-            "kind": kind,
-            "n": N,
-            "shift": shift,
-            "seed": seed,
-        },
-        measured={
+    bound = 1.0 + largesieve.RATIO_TOLERANCE
+    return _row(
+        "sieve_check",
+        {"set_kind": set_kind, "param": param, "kind": kind, "n": N, "shift": shift, "seed": seed},
+        {
             "lhs": result.lhs,
             "rhs": result.rhs,
             "points": len(point_set),
             "delta": point_set.delta,
             "margin": 1.0 - result.ratio,
-            "invariant_ok": ok,
         },
-        reference={"ratio_bound": 1.0 + 1e-9},
-        ratios={"lhs_over_rhs": result.ratio},
-        passed=ok,
+        {"ratio_bound": bound},
+        {"lhs_over_rhs": result.ratio},
+        invariants=[(result.ratio <= bound, "large-sieve ratio above 1")],
     )
 
 
@@ -781,19 +734,15 @@ def large_sieve_trials(
             ratio_sum += ratio
             if ratio > max_ratio:
                 max_ratio, worst = ratio, label
-    return ExperimentRow(
-        experiment="large_sieve",
-        params={"trials": trials, "seed": seed, "max_param": max_param},
-        measured={
-            "max_ratio": max_ratio,
-            "mean_ratio": ratio_sum / trials,
-            "margin": 1.0 - max_ratio,
-            "invariant_ok": max_ratio <= 1.0 + 1e-9,
-        },
-        reference={"ratio_bound": 1.0 + 1e-9},
-        ratios={"max_ratio": max_ratio},
-        passed=max_ratio <= 1.0 + 1e-9,
-        detail=f"worst: {worst}" if worst else "",
+    bound = 1.0 + largesieve.RATIO_TOLERANCE
+    return _row(
+        "large_sieve",
+        {"trials": trials, "seed": seed, "max_param": max_param},
+        {"max_ratio": max_ratio, "mean_ratio": ratio_sum / trials, "margin": 1.0 - max_ratio},
+        {"ratio_bound": bound},
+        {"max_ratio": max_ratio},
+        invariants=[(max_ratio <= bound, "large-sieve ratio above 1")],
+        notes=[f"worst: {worst}"] if worst else [],
     )
 
 
@@ -1002,15 +951,8 @@ def _ladder(rows: list, experiment: str, ratio: str) -> tuple[list, list]:
 
 
 def _trend_row(experiment, ns, measured, ok, requirement, failure) -> ExperimentRow:
-    return ExperimentRow(
-        experiment=f"{experiment}_trend",
-        params={"n": ns},
-        measured={**measured, "invariant_ok": True},
-        reference={"requirement": requirement},
-        ratios={},
-        passed=ok,
-        detail="" if ok else failure,
-    )
+    reference = {"requirement": requirement}
+    return _row(f"{experiment}_trend", {"n": ns}, measured, reference, {}, [], [(ok, failure)])
 
 
 def _summary_rows(rows: list) -> list:

@@ -23,8 +23,8 @@ Families (``kind`` strings):
 ``prime_farey(P)``
     a/p for primes p <= P, 1 <= a <= p - 1; delta >= 1/P^2.
 ``prime_square_farey(P)``
-    a/p^2 for primes p <= P, 1 <= a <= p^2 - 1, deduplicated (e.g. 2/4 and
-    1/2 coincide for P = 2); delta >= 1/P^4.
+    a/p^2 for primes p <= P, 1 <= a <= p^2 - 1, reduced (2/4 is stored as
+    1/2); delta >= 1/P^4.
 ``exact(R)``
     R given fractions a/q (reduced mod 1, distinct); delta >= 1/max(q)^2.
 
@@ -206,14 +206,11 @@ def build_point_set(tables, kind: str, parameter: int) -> SpacedPointSet:
         num, den = _residues(ps * ps if kind == "prime_square_farey" else ps, 1)
         g = np.gcd(num, den)
         num, den = num // g, den // g
-    # Sorting by float is safe: distinct fractions with the denominators
-    # accepted here differ by >= 1/parameter^4 >> float resolution, and equal
-    # reduced pairs (the duplicates dropped next) have equal floats.
+    # No family repeats a point (a reduced a/p^2 is b/p^2 or b/p, each from one
+    # a; _certified rejects a repeat).  Sorting by float is safe: distinct points
+    # here differ by >= 1/parameter^4, far above float resolution.
     order = np.argsort(num / den, kind="stable")
-    num, den = num[order], den[order]
-    fresh = np.ones(num.size, dtype=bool)
-    fresh[1:] = (num[1:] != num[:-1]) | (den[1:] != den[:-1])
-    return _certified(num[fresh], den[fresh], guarantee, f"{kind}({parameter})")
+    return _certified(num[order], den[order], guarantee, f"{kind}({parameter})")
 
 
 def exact_point_set(num, den) -> SpacedPointSet:

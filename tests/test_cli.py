@@ -139,6 +139,15 @@ class TestOtherCommands:
         ]
         assert any(c == f"# config={cfg}" for c in comments)
 
+    def test_empirical_miss_names_its_check(self, capsys, tmp_path):
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text("floor = 1e9\nexperiment = prime_l1\nn = 64\n")
+        code, _, err = run_cli(capsys, ["suite", "--config", str(cfg)])
+        assert code == 0
+        assert err.count("warning: prime_l1") == 3
+        assert err.count("did not pass: growth ratio below floor") == 3
+        assert "empirical check failed" not in err
+
     def test_suite_json_metadata_records_environment(self, capsys, tmp_path):
         cfg = tmp_path / "one.cfg"
         cfg.write_text("experiment = mangoldt_weighted_sum\nn = 64\n")

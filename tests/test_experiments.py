@@ -157,6 +157,15 @@ class TestSquarefreeRatio:
         assert row.measured["l1_autocorrelation"] <= row.reference["autocorrelation_bound"]
         assert row.ratios["ratio_mobius"] >= row.reference["empirical_floor"]
 
+    def test_floor_miss_names_itself(self, tables):
+        row = squarefree_theorem_ratio(tables, 1024, floor=1e9)
+        assert row.passed is False
+        assert row.measured["invariant_ok"] is True
+        assert row.detail == (
+            "mobius growth ratio below floor; random growth ratio below floor; "
+            "mobius l1 below its floor"
+        )
+
     def test_autocorrelation_gated_off_above_512(self, tables):
         row = squarefree_theorem_ratio(tables, 1024)
         assert "l1_autocorrelation" not in row.measured
@@ -180,6 +189,12 @@ class TestPrimeSupport:
             assert row.passed is True
         chi_row = rows[1]
         assert isinstance(chi_row.measured["chi3_prime_partial_sum"], int)
+
+    def test_floor_miss_names_itself(self, tables):
+        row = prime_support_experiments(tables, 1024, floor=1e9)[0]
+        assert row.passed is False
+        assert row.measured["invariant_ok"] is True
+        assert row.detail == "growth ratio below floor"
 
     def test_validation(self, tables):
         with pytest.raises(ValueError):
@@ -503,6 +518,79 @@ ROW_IDENTITY = [
     ("squarefree_l1_trend", {"n": [64, 128]}),
     ("lambda_kernel_integral_trend", {"n": [64, 128]}),
 ]
+_PRIME_L1_SHAPE = (
+    ["l1", "converged", "invariant_ok"],
+    ["empirical_floor", "floor_note"],
+    ["growth_ratio"],
+)
+#: The measured, reference and ratios keys, in order, of the rows above, by
+#: (experiment, variant); they are the rows' CSV layout.
+ROW_SHAPE = {
+    ("kernel_gap", None): (
+        ["max_gap", "min_kernel_value", "grid_m", "invariant_ok"],
+        ["certified_ceiling", "scale_ceiling", "nonneg_floor", "scale_note"],
+        ["gap_over_certified", "gap_over_scale"],
+    ),
+    ("squarefree_l1", None): (
+        ["l1_mobius", "l1_random", "converged", "l1_autocorrelation", "invariant_ok"],
+        ["empirical_floor", "mobius_l1_floor", "floor_note", "autocorrelation_bound"],
+        ["ratio_mobius", "ratio_random"],
+    ),
+    ("prime_l1", "prime_indicator"): _PRIME_L1_SHAPE,
+    ("prime_l1", "chi3_on_primes"): (
+        ["l1", "converged", "chi3_prime_partial_sum", "invariant_ok"],
+        ["empirical_floor", "floor_note"],
+        ["growth_ratio"],
+    ),
+    ("prime_l1", "random_primes"): _PRIME_L1_SHAPE,
+    ("lambda_kernel_integral", None): (
+        ["v_spectral", "v_quadrature", "routes_agree", "invariant_ok"],
+        ["target", "band", "band_applies_from_n"],
+        ["v_over_target", "route_gap_over_bound"],
+    ),
+    ("lambda_l1", None): (
+        ["l1", "v_spectral", "converged", "invariant_ok"],
+        [
+            "analytic_lower",
+            "asymptotic_lower_eps05",
+            "bracket_lower_const",
+            "bracket_upper_const",
+            "bracket_applies_from_n",
+        ],
+        ["l1_over_sqrt_n", "l1_over_sqrt_nlogn", "l1_over_analytic_lower"],
+    ),
+    ("mangoldt_weighted_sum", None): (
+        ["weighted_sum", "invariant_ok"],
+        ["target", "band", "band_applies_from_n"],
+        ["sum_over_target"],
+    ),
+    ("large_sieve", None): (
+        ["max_ratio", "mean_ratio", "margin", "invariant_ok"],
+        ["ratio_bound"],
+        ["max_ratio"],
+    ),
+    ("prime_count_floor", None): (
+        ["min_ratio", "argmin_n", "invariant_ok"],
+        ["floor", "applies_from_n"],
+        ["min_ratio"],
+    ),
+    ("norm", None): (
+        ["l1", "l2_sq", "converged", "last_delta", "grids", "invariant_ok"],
+        ["cauchy_ceiling"],
+        ["l1_over_l2"],
+    ),
+    ("sieve_check", None): (
+        ["lhs", "rhs", "points", "delta", "margin", "invariant_ok"],
+        ["ratio_bound"],
+        ["lhs_over_rhs"],
+    ),
+    ("squarefree_l1_trend", None): (["ratios", "invariant_ok"], ["requirement"], []),
+    ("lambda_kernel_integral_trend", None): (
+        ["abs_gap_first", "abs_gap_last", "invariant_ok"],
+        ["requirement"],
+        [],
+    ),
+}
 
 
 def test_row_identity_per_experiment(tables):
@@ -511,6 +599,8 @@ def test_row_identity_per_experiment(tables):
     assert [r.measured.get("error") for r in rows] == [None] * len(rows)
     got = [(r.experiment, list(r.params.items())) for r in rows]
     assert got == [(name, list(params.items())) for name, params in ROW_IDENTITY]
+    shapes = [(list(r.measured), list(r.reference), list(r.ratios)) for r in rows]
+    assert shapes == [ROW_SHAPE[r.experiment, r.params.get("variant")] for r in rows]
 
 
 class TestInvariantViolations:

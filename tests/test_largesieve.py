@@ -48,7 +48,7 @@ class TestBuildPointSet:
         assert ps.delta == pytest.approx(1 / 6)
 
     def test_frozen_prime_square_farey_2(self, tables):
-        # 2/4 collapses onto 1/2: deduplication leaves three points
+        # 1/4, 2/4, 3/4; 2/4 is stored reduced, as 1/2
         ps = sn.build_point_set(tables, "prime_square_farey", 2)
         np.testing.assert_allclose(ps.points, [0.25, 0.5, 0.75])
         assert ps.delta == pytest.approx(0.25)
