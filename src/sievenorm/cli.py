@@ -1,7 +1,8 @@
 """Command-line driver: run experiments, emit CSV (default) or JSON.
 
-Subcommands run registered experiments (``experiments.EXPERIMENTS``) with
-their flags as parameters, checked by the same schema as config blocks::
+Subcommands run registered experiments (``experiments.EXPERIMENTS``) as a
+suite of one block each, their flags checked by the same schema as config
+blocks, so a failed job renders an error row just as in ``suite``::
 
     sievenorm norm --kind mobius --n 1024 [--tol 1e-4]
     sievenorm kernel-gap --kind gstar --n 4096 [--p 8] [--m 32768]
@@ -45,18 +46,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arith import build_tables
-from .errors import CapacityError, InvariantError
+from .errors import CapacityError
 from .experiments import (
     EXPERIMENT_NAMES,
     EXPERIMENTS,
     ExperimentRow,
     SuiteConfig,
     default_suite_config,
-    expand,
     invariant_violations,
-    required_nmax,
-    run_job,
     run_suite,
 )
 
@@ -253,19 +250,23 @@ def _metadata(**extra) -> dict:
     }
 
 
-def _cmd_experiments(ns: argparse.Namespace) -> OutputRecord:
-    """Run the subcommand's experiments, its flags as their params (knobs go to metadata)."""
-    jobs = []
-    for name in ns.experiments:
-        keys = EXPERIMENTS[name].params
-        jobs += expand(name, {k: getattr(ns, k) for k in keys if getattr(ns, k, None) is not None})
-    tables = build_tables(required_nmax(jobs))
-    rows = tuple(row for name, params in jobs for row in run_job(tables, name, params))
-    knobs = {k: v for k, v in jobs[0][1].items() if k in _KNOBS}
-    return OutputRecord(SCHEMA_VERSION, _metadata(**knobs), rows)
+def _cmd_experiments(ns: argparse.Namespace) -> tuple[SuiteConfig, dict]:
+    """The subcommand's experiments as a suite of one block each, and its metadata knobs.
+
+    Knob flags (seed, rel_tol) become the config's globals and the other
+    flags the blocks' params; the metadata records the first experiment's knobs.
+    """
+    given = {k: v for k, v in vars(ns).items() if v is not None}
+    blocks = tuple(
+        (name, {k: given[k] for k in EXPERIMENTS[name].params if k in given and k not in _KNOBS})
+        for name in ns.experiments
+    )
+    cfg = SuiteConfig(**{k: given[k] for k in _KNOBS if k in given}, experiments=blocks)
+    return cfg, {k: getattr(cfg, k) for k in EXPERIMENTS[ns.experiments[0]].params if k in _KNOBS}
 
 
-def _cmd_suite(ns: argparse.Namespace) -> OutputRecord:
+def _cmd_suite(ns: argparse.Namespace) -> tuple[SuiteConfig, dict]:
+    """The config file (or the default suite) with the flags' overrides, and its metadata."""
     if ns.config is not None:
         path = Path(ns.config)
         try:
@@ -277,10 +278,8 @@ def _cmd_suite(ns: argparse.Namespace) -> OutputRecord:
         cfg = default_suite_config()
     overrides = {k: getattr(ns, k) for k in _KNOBS if getattr(ns, k, None) is not None}
     cfg = dataclasses.replace(cfg, **overrides)
-    rows = tuple(run_suite(cfg))
-    knobs = {k: getattr(cfg, k) for k in _KNOBS}
     config = "default" if ns.config is None else str(ns.config)
-    return OutputRecord(SCHEMA_VERSION, _metadata(**knobs, config=config), rows)
+    return cfg, {**{k: getattr(cfg, k) for k in _KNOBS}, "config": config}
 
 
 # ---------------------------------------------------------------------------
@@ -372,26 +371,21 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
+        if getattr(ns, "handler", None) is None:
+            parser.print_help(sys.stderr)
+            return 1
+        cfg, meta = ns.handler(ns)
+        rows = tuple(run_suite(cfg))
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    if getattr(ns, "handler", None) is None:
-        parser.print_help(sys.stderr)
-        return 1
-    try:
-        record = ns.handler(ns)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except (ValueError, CapacityError, OSError) as exc:
+    except (ValueError, CapacityError) as exc:
         print(f"sievenorm: error: {exc}", file=sys.stderr)
         return 1
-    except InvariantError as exc:
-        print(f"sievenorm: invariant violation: {exc}", file=sys.stderr)
-        return 2
     except Exception:
         traceback.print_exc()
         return 3
+    record = OutputRecord(SCHEMA_VERSION, _metadata(**meta), rows)
     text = render_json(record) if ns.json else render_csv(record)
     if ns.out:
         Path(ns.out).write_text(text)

@@ -422,12 +422,9 @@ def squarefree_theorem_ratio(
 def _random_prime_sequence(
     tables: ArithmeticTables, N: int, seed: int
 ) -> CoefficientSequence:
-    rng = np.random.default_rng(seed)
-    n = np.arange(1, N + 1)
-    mask = tables.spf[1 : N + 1] == n
-    mag = rng.uniform(0.5, 1.0, N)
-    phase = rng.uniform(0.0, 2.0 * math.pi, N)
-    coeffs = mag * np.exp(1j * phase) * mask
+    """The ``random_complex`` draw of ``seed`` masked to the primes."""
+    mask = tables.spf[1 : N + 1] == np.arange(1, N + 1)
+    coeffs = coefficient_sequence(tables, "random_complex", N, seed=seed).coeffs * mask
     return CoefficientSequence(
         N=N, coeffs=coeffs, support="primes", label=f"prime_random(seed={seed})"
     )

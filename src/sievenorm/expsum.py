@@ -30,6 +30,10 @@ Every kernel can be evaluated both from its translate definition
 against each other.  All coefficients have one form: sum_q w_q * R_q[k mod q],
 with R_q the length-q FFT of a residue mask (all residues for ``gstar``/``h``,
 the ones coprime to q, weighted by mu(q)*N, for ``k_part3``).
+
+Sums at the rationals j/M all come from ``_inverse_fold``: fold the
+coefficients into bins k mod M (exact aliasing) and take one inverse FFT.
+The uniform grids call it once, the large sieve once per denominator q.
 """
 
 from __future__ import annotations
@@ -202,30 +206,24 @@ def eval_F(N: int, alpha: float) -> complex:
     return val
 
 
-def eval_T(N: int, alpha: float) -> float:
-    """Fejer kernel T_N(alpha) = |F_N(alpha)|^2 / N."""
+def eval_T(N: int, alpha):
+    """Fejer kernel T_N(alpha) = |F_N(alpha)|^2 / N at a point or an array of points.
+
+    Within 1/(4N^2) of an integer the sine ratio loses relative accuracy, so
+    the value comes from ``eval_F`` there.  A scalar gives a float and an
+    array an array, as in ``distance_to_nearest_integer``.
+    """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    a = float(alpha)
-    if distance_to_nearest_integer(a) < 1.0 / (4.0 * N * N):
-        f = eval_F(N, a)
-        return (f.real * f.real + f.imag * f.imag) / N
-    s = math.sin(math.pi * N * a) / math.sin(math.pi * a)
-    return s * s / N
-
-
-def _fejer_values(N: int, t: np.ndarray) -> np.ndarray:
-    """T_N at an array of (arbitrary real) points, same fallback as eval_T."""
-    t = np.asarray(t, dtype=float)
+    a = np.asarray(alpha, dtype=float)
+    t = a.reshape(-1)
     near = distance_to_nearest_integer(t) < 1.0 / (4.0 * N * N)
-    den = np.where(near, 1.0, np.sin(np.pi * t))
-    ratio = np.sin(np.pi * N * t) / den
+    ratio = np.sin(np.pi * N * t) / np.where(near, 1.0, np.sin(np.pi * t))
     out = ratio * ratio / N
-    if near.any():
-        for i in np.flatnonzero(near):
-            f = eval_F(N, float(t[i]))
-            out[i] = (f.real * f.real + f.imag * f.imag) / N
-    return out
+    for i in np.flatnonzero(near):
+        f = eval_F(N, float(t[i]))
+        out[i] = (f.real * f.real + f.imag * f.imag) / N
+    return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
 
 
 def eval_sequence(seq: CoefficientSequence, alphas) -> np.ndarray:
@@ -277,8 +275,6 @@ def _cached_coefficients(tables: "ArithmeticTables", spec: KernelSpec) -> np.nda
     else:
         primes = tables.primes
         ps = primes[primes <= spec.P].tolist()
-        if not ps:
-            raise ValueError(f"no primes <= {spec.P}; need P >= 2 and tables that large")
         moduli = [p * p if spec.kind == "gstar" else p for p in ps]
         weights = [1.0] * len(moduli)
     coef = np.zeros(2 * N + 1)
@@ -339,8 +335,6 @@ def _translate_scheme(tables: "ArithmeticTables", spec: KernelSpec):
     if spec.kind in ("gstar", "h", "h_truncated"):
         primes = tables.primes
         ps = primes[primes <= spec.P]
-        if ps.size == 0:
-            raise ValueError(f"no primes <= {spec.P}")
         w = 1.0 / ps.size
         for p in ps.tolist():
             q = p * p if spec.kind == "gstar" else p
@@ -376,8 +370,7 @@ def eval_kernel(tables: "ArithmeticTables", spec: KernelSpec, alpha: float) -> f
     if spec.kind == "fejer":
         return eval_T(spec.N, a)
     shifts, weights = _translate_scheme(tables, spec)
-    vals = _fejer_values(spec.N, a - shifts)
-    total = float(np.dot(weights, vals))
+    total = float(np.dot(weights, eval_T(spec.N, a - shifts)))
     if spec.kind == "h_truncated":
         total -= _low_frequency_value(tables, spec, a)
     return total
@@ -385,14 +378,9 @@ def eval_kernel(tables: "ArithmeticTables", spec: KernelSpec, alpha: float) -> f
 
 def _low_frequency_value(tables: "ArithmeticTables", spec: KernelSpec, alpha: float) -> float:
     """sum_{|k| <= P} (1 - |k|/N)*d_k*e(k alpha) for the h-kernel coefficients d."""
-    full = KernelSpec("h", spec.N, P=spec.P)
-    d = kernel_coefficients(tables, full)
-    N, P = spec.N, spec.P
-    top = min(P, N)
-    k = np.arange(1, top + 1)
-    dk = d[N + 1 : N + top + 1]
-    total = d[N] + 2.0 * float(np.dot((1.0 - k / N) * dk, np.cos(TWO_PI * alpha * k)))
-    return total
+    w = spectral_weights(tables, KernelSpec("h", spec.N, P=spec.P))
+    k = np.arange(1, min(spec.P, spec.N) + 1)
+    return float(w[spec.N] + 2.0 * np.dot(w[spec.N + k], np.cos(TWO_PI * alpha * k)))
 
 
 def eval_kernel_spectral(tables: "ArithmeticTables", spec: KernelSpec, alpha: float) -> float:
@@ -415,27 +403,23 @@ def _check_grid(M: int, budget: int) -> None:
         raise CapacityError(f"grid size {M} exceeds budget {budget}")
 
 
-def _folded(coeffs: np.ndarray, first: int, M: int, shift: float) -> np.ndarray:
-    """Bins b_r = sum over k = r (mod M) of c_k * e(k*shift/M), c_k stored from k = first.
+def _inverse_fold(coeffs: np.ndarray, k: np.ndarray, M: int, row=None) -> np.ndarray:
+    """M * inverse FFT of the bins b[t, r] = sum of coeffs[i] over row[i] = t, k[i] = r (mod M).
 
-    Folding aliases exactly: sum_r b_r e(r*j/M) = sum_k c_k e(k*(j + shift)/M)
-    for every integer j, so one inverse FFT of length M gives the values at
-    the points (j + shift)/M whatever M is.
+    Folding aliases exactly: sum_r b[t, r] e(r*j/M) equals the sum of
+    coeffs[i] * e(k[i]*j/M) over row[i] = t for every integer j, so row t of
+    the result holds that sum at j/M, j = 0..M-1, whatever M is.  Without
+    ``row`` the result is 1-d; ``row`` (sorted) gives one row per value
+    0..row[-1].  The result is a fresh array that owns its memory.
     """
-    k = np.arange(first, first + coeffs.size)
-    if shift:
-        coeffs = coeffs * np.exp(TWO_PI_I * (shift / M) * k)
-    if first >= 0 and first + coeffs.size <= M:
-        bins = np.zeros(M, dtype=coeffs.dtype)
-        bins[first : first + coeffs.size] = coeffs
-        return bins
-    r = k % M
-    if not np.iscomplexobj(coeffs):
-        return np.bincount(r, weights=coeffs, minlength=M)
-    bins = np.empty(M, dtype=np.complex128)
-    bins.real = np.bincount(r, weights=coeffs.real, minlength=M)
-    bins.imag = np.bincount(r, weights=coeffs.imag, minlength=M)
-    return bins
+    shape = (M,) if row is None else (int(row[-1]) + 1, M)
+    bins = k % M if row is None else row * M + k % M
+    values = np.zeros(shape, dtype=np.complex128)
+    # np.add.at is ~10x slower when coeffs (real kernel weights) differ in dtype
+    np.add.at(values.reshape(-1), bins, coeffs.astype(np.complex128, copy=False))
+    np.fft.ifft(values, axis=-1, out=values)
+    values *= M
+    return values
 
 
 def grid_eval_sequence(
@@ -454,10 +438,9 @@ def grid_eval_sequence(
     ``eval_sequence`` shares no code with this one.
     """
     _check_grid(M, budget)
-    bins = _folded(seq.coeffs, 1, M, shift)  # a fresh complex array, transformed in place
-    values = np.fft.ifft(bins, out=bins)
-    values *= M
-    return GridEvaluation(M=M, values=values, spec=seq)
+    n = np.arange(1, seq.N + 1)
+    coeffs = seq.coeffs * np.exp(TWO_PI_I * (shift / M) * n) if shift else seq.coeffs
+    return GridEvaluation(M=M, values=_inverse_fold(coeffs, n, M), spec=seq)
 
 
 def grid_eval_kernel(
@@ -473,7 +456,7 @@ def grid_eval_kernel(
     all M values.
     """
     _check_grid(M, budget)
-    v = np.fft.ifft(_folded(spectral_weights(tables, spec), -spec.N, M, 0.0)) * M
+    v = _inverse_fold(spectral_weights(tables, spec), np.arange(-spec.N, spec.N + 1), M)
     scale = max(1.0, float(np.max(np.abs(v.real))))
     imag = float(np.max(np.abs(v.imag)))
     if imag > 1e-9 * scale:

@@ -29,7 +29,8 @@ Families (``kind`` strings):
     R given fractions a/q (reduced mod 1, distinct); delta >= 1/max(q)^2.
 
 ``large_sieve_check`` evaluates a batch of shifted sequences on one set:
-per denominator q, one 2-D fold mod q and one inverse FFT along the rows,
+per denominator q, one call of ``expsum._inverse_fold`` (the fold and
+inverse FFT behind the uniform grids) gives every sequence at every a/q,
 with lhs summed per q; an evenly strided subset of each row is
 cross-checked against the pointwise ``eval_sequence``.
 """
@@ -44,7 +45,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import CapacityError, InvariantError
-from .expsum import TWO_PI_I, CoefficientSequence, eval_sequence
+from .expsum import TWO_PI_I, CoefficientSequence, _inverse_fold, eval_sequence
 from .quadrature import l2_norm_sq
 
 FAREY_KINDS = ("reduced_farey", "prime_farey", "prime_square_farey")
@@ -242,17 +243,6 @@ def exact_point_set(num, den) -> SpacedPointSet:
     return _certified(num, den, guarantee, f"exact({num.size})")
 
 
-def _fold_rows(coeffs: np.ndarray, row: np.ndarray, n: np.ndarray, q: int) -> np.ndarray:
-    """Bins b[t, r] = sum of coeffs[k] over k with row[k] = t and n[k] = r (mod q).
-
-    Folding aliases exactly: an inverse FFT of row t gives sequence t at every a/q.
-    """
-    rows = int(row[-1]) + 1
-    bins = np.zeros(rows * q, dtype=np.complex128)
-    np.add.at(bins, row * q + n % q, coeffs)
-    return bins.reshape(rows, q)
-
-
 def _cross_check(seq, point_set, shift, idx, picked) -> None:
     """Check ``picked``, the per-denominator S at points[idx] + shift, pointwise.
 
@@ -280,8 +270,9 @@ def large_sieve_check(
 
     Judging ratio <= 1 is the caller's job, but a ratio above 1 + 1e-9
     raises InvariantError: the inequality is a theorem for any delta-spaced
-    set.  Per denominator q, one fold into a (len(seqs), q) array, the
-    largest held, and one inverse FFT along its rows; lhs is summed per q.
+    set.  Per denominator q, ``_inverse_fold`` makes one (len(seqs), q)
+    array, the largest held, with row t = seqs[t] at every a/q + shifts[t];
+    lhs is summed per q.
     ``eval_sequence`` re-checks CROSS_CHECK_POINTS strided points per row.
     """
     shifts = np.array(shifts, dtype=float)
@@ -296,8 +287,7 @@ def large_sieve_check(
     lhs = np.zeros(len(seqs))
     picked = np.empty((len(seqs), idx.size), dtype=np.complex128)
     for q, nums, pos in point_set._by_denominator:
-        bins = _fold_rows(coeffs, row, n, q)
-        values = np.fft.ifft(bins, axis=1, out=bins)[:, nums] * q
+        values = _inverse_fold(coeffs, n, q, row)[:, nums]
         lhs += np.sum(np.abs(values) ** 2, axis=1)
         hit = pos % stride == 0
         picked[:, pos[hit] // stride] = values[:, hit]

@@ -313,7 +313,9 @@ class TestExitCodes:
             ["sieve-check", "--set-kind", "prime_farey", "--param", "5", "--n", "32"],
         )
         assert code == 3
-        assert out == ""
+        # the failed job's row is still rendered
+        _, _, rows = parse_csv(out)
+        assert [field_map(r[2])["error"] for r in rows] == ["RuntimeError"]
         assert "RuntimeError: unexpected" in err
 
     def test_invariant_error_raised_exits_2(self, capsys, monkeypatch):
@@ -326,8 +328,10 @@ class TestExitCodes:
             ["sieve-check", "--set-kind", "prime_farey", "--param", "5", "--n", "32"],
         )
         assert code == 2
-        assert out == ""
         assert "invariant violation" in err
+        _, _, rows = parse_csv(out)
+        measured = field_map(rows[0][2])
+        assert (measured["error"], measured["invariant_ok"]) == ("InvariantError", "false")
 
 
 class TestParseConfig:

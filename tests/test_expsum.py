@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sievenorm as sn
+import sievenorm.expsum as expsum
 from sievenorm.errors import CapacityError
 from sievenorm.expsum import TWO_PI_I
 
@@ -65,6 +66,20 @@ class TestEvalT:
         t = sn.eval_T(N, alpha)
         assert t >= 0.0
         assert t == pytest.approx(abs(sn.eval_F(N, alpha)) ** 2 / N, rel=1e-9, abs=1e-9)
+
+    def test_array_matches_scalar(self):
+        # the array form keeps eval_F's fallback within 1/(4N^2) of an integer
+        N = 64
+        alphas = np.array(
+            [[0.0, 1e-12, 1.0 / (8.0 * N * N), 1.0 - 1e-9], [0.237, 0.5, 3.0 / 8.0, -2.0]]
+        )
+        got = sn.eval_T(N, alphas)
+        assert got.shape == alphas.shape
+        want = [[sn.eval_T(N, float(a)) for a in row] for row in alphas]
+        assert got.tolist() == want
+        from_f = [[abs(sn.eval_F(N, float(a))) ** 2 / N for a in row] for row in alphas]
+        np.testing.assert_allclose(got, from_f, rtol=1e-9, atol=1e-9)
+        assert isinstance(sn.eval_T(N, 0.25), float)
 
     def test_fejer_decay_bound(self, rng):
         # T_N <= 4 * min(N, 1/(N ||alpha||^2)) across a large random sample
@@ -293,6 +308,21 @@ class TestGridEvalSequence:
         want = sn.eval_sequence(seq, (np.arange(M) + shift) / M)
         np.testing.assert_allclose(grid.values, want, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("M", [16, 512])
+    def test_grid_is_handed_over(self, tables, M, monkeypatch):
+        # the transformed array becomes the grid itself: GridEvaluation would
+        # copy a view (16 MiB at M = 2^20), so the primitive must own its memory
+        made, inverse_fold = [], expsum._inverse_fold
+
+        def spy(*args):
+            made.append(inverse_fold(*args))
+            return made[-1]
+
+        monkeypatch.setattr(expsum, "_inverse_fold", spy)
+        seq = sn.coefficient_sequence(tables, "random_complex", 100, seed=9)
+        grid = sn.grid_eval_sequence(seq, M, shift=0.5)
+        assert grid.values.base is None and grid.values is made[0]
+
     def test_budget(self, tables):
         seq = sn.coefficient_sequence(tables, "ones", 4)
         with pytest.raises(CapacityError):
@@ -336,6 +366,18 @@ class TestGridEvalKernel:
         for j in (0, 17, 64, 100):
             want = sn.eval_kernel_spectral(tables, spec, j / M)
             assert grid.values[j] == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "spec, M",
+        [(sn.KernelSpec("gstar", 64, P=2), 100), (sn.KernelSpec("k_part3", 100, Q=10), 150)],
+        ids=["gstar", "k_part3"],
+    )
+    def test_aliased_grid_matches_translates(self, tables, spec, M):
+        # M < 2N + 1 folds the 2N + 1 weights mod M before the inverse FFT
+        grid = sn.grid_eval_kernel(tables, spec, M)
+        want = [sn.eval_kernel(tables, spec, j / M) for j in range(M)]
+        np.testing.assert_allclose(grid.values, want, rtol=1e-8, atol=1e-6)
+        assert grid.values.base is None
 
     def test_values_are_read_only(self, tables):
         grid = sn.grid_eval_kernel(tables, sn.KernelSpec("fejer", 8), 32)

@@ -297,14 +297,14 @@ class TestLargeSieveCheck:
         ps = sn.build_point_set(tables, "reduced_farey", 50)
         seqs = [sn.coefficient_sequence(tables, "random_complex", 60 + t, seed=t) for t in range(5)]
         check_one(seqs[3], ps, 0.3)  # sound before the corruption
-        fold = largesieve._fold_rows
+        fold = largesieve._inverse_fold
 
         def corrupt_row_3(*args):
-            bins = fold(*args)
-            bins[3] = np.roll(bins[3], 1)
-            return bins
+            values = fold(*args)
+            values[3] = np.roll(values[3], 1)
+            return values
 
-        monkeypatch.setattr(largesieve, "_fold_rows", corrupt_row_3)
+        monkeypatch.setattr(largesieve, "_inverse_fold", corrupt_row_3)
         with pytest.raises(InvariantError, match="pointwise") as err:
             sn.large_sieve_check(seqs, ps, [0.3] * 5)
         assert "N=63" in str(err.value)
@@ -314,9 +314,10 @@ class TestLargeSieveCheck:
         # written to fail on it
         ps = sn.build_point_set(tables, "reduced_farey", 22)
         seq = sn.coefficient_sequence(tables, "mobius", 512)
-        monkeypatch.setattr(
-            largesieve, "_fold_rows", lambda c, row, n, q: np.full((int(row[-1]) + 1, q), np.nan + 0j)
-        )
+        def nan_values(coeffs, k, M, row):
+            return np.full((int(row[-1]) + 1, M), np.nan + 0j)
+
+        monkeypatch.setattr(largesieve, "_inverse_fold", nan_values)
         with pytest.raises(InvariantError, match="pointwise"):
             check_one(seq, ps)
 

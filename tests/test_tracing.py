@@ -1,8 +1,10 @@
-"""The benchmark's tracer must find every function it wraps.
+"""The benchmark's tracer must find every function it wraps and count its results.
 
 ``perfbench/tracing.py`` skips a wrapped name that a module no longer holds,
 so a rename or deletion in the package would silently zero a layer metric.
-This checks its ``WRAPPED`` table against the package instead.
+This checks its ``WRAPPED`` table against the package instead, and runs its
+``_counts`` on a real result of every counted kind, so a change to what those
+functions return fails here rather than in a traced benchmark run.
 """
 
 import importlib
@@ -10,7 +12,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import sievenorm as sn
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -24,7 +29,8 @@ def load_tracing():
     return module
 
 
-WRAPPED = load_tracing().WRAPPED
+TRACING_MODULE = load_tracing()
+WRAPPED = TRACING_MODULE.WRAPPED
 
 
 @pytest.mark.parametrize("name", sorted(WRAPPED))
@@ -36,3 +42,21 @@ def test_wrapped_name_is_defined_and_looked_up(name):
     modules = [importlib.import_module(f"sievenorm.{m}") for m in lookups]
     held = [m.__name__ for m in modules if getattr(m, attr, None) is fn]
     assert held, f"no module in {lookups} holds {attr}"
+
+
+def test_counts_of_every_counted_kind(tables):
+    counts = TRACING_MODULE._counts
+    counted = {kind for _, kind in WRAPPED.values()} - {None}
+    assert counted == {"grid", "kernel_grid", "points", "l1", "point_set"}
+    seq = sn.coefficient_sequence(tables, "mobius", 64)
+    assert counts("grid", (seq, 256), sn.grid_eval_sequence(seq, 256)) == {"samples": 256}
+    spec = sn.KernelSpec("k_part3", 64, Q=8)
+    kernel = sn.grid_eval_kernel(tables, spec, 200)
+    assert counts("kernel_grid", (tables, spec, 200), kernel) == {"samples": 200, "kind": spec.kind}
+    pts = np.arange(5) / 7.0
+    assert counts("points", (seq, pts), sn.eval_sequence(seq, pts)) == {"point_terms": 5 * 64}
+    est = sn.l1_norm(seq)
+    assert counts("l1", (seq,), est) == {"grids": len(est.grids), "converged": True}
+    assert len(est.grids) >= 2
+    ps = sn.build_point_set(tables, "prime_farey", 7)
+    assert counts("point_set", (tables, "prime_farey", 7), ps) == {"points": 1 + 2 + 4 + 6}
