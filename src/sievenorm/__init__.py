@@ -46,7 +46,6 @@ from .experiments import (
 )
 from .expsum import (
     KERNEL_KINDS,
-    SUPPORT_TAGS,
     CoefficientSequence,
     GridEvaluation,
     KernelSpec,

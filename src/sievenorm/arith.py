@@ -9,7 +9,7 @@ around.
 Also here: Ramanujan sums c_q(n) in closed form and by direct summation
 (two independent routes, kept apart for cross-checking), and the factory
 turning a name like ``"mobius"`` or ``"chi3_on_primes"`` into a
-:class:`~sievenorm.expsum.CoefficientSequence` with the right support tag.
+:class:`~sievenorm.expsum.CoefficientSequence`.
 """
 
 from __future__ import annotations
@@ -184,40 +184,34 @@ def _squarefree_mask(tables: ArithmeticTables, N: int) -> np.ndarray:
 def coefficient_sequence(
     tables: ArithmeticTables, kind: str, N: int, seed: int = 0
 ) -> CoefficientSequence:
-    """Build the named coefficient sequence a_1..a_N with its support tag.
+    """Build the named coefficient sequence a_1..a_N.
 
     Deterministic kinds ignore ``seed``.  Random kinds (``random_complex``,
     ``squarefree_random``) draw magnitudes uniform in [1/2, 1] and phases
-    uniform in [0, 2*pi) from ``numpy.random.default_rng(seed)``, then mask
-    to the declared support.
+    uniform in [0, 2*pi) from ``numpy.random.default_rng(seed)``;
+    ``squarefree_random`` then masks them to the squarefree n.
     """
     if kind not in SEQUENCE_KINDS:
         raise ValueError(f"unknown sequence kind {kind!r}")
     if not 1 <= N <= tables.n_max:
         raise ValueError(f"N={N} outside 1..{tables.n_max}")
     n = np.arange(1, N + 1)
-    support = "all"
-    label = kind
     if kind == "mobius":
         coeffs = tables.mobius[1 : N + 1].astype(np.complex128)
-        support = "squarefree"
     elif kind == "mangoldt":
         coeffs = tables.mangoldt[1 : N + 1].astype(np.complex128)
     elif kind == "prime_indicator":
         coeffs = (tables.spf[1 : N + 1] == n).astype(np.complex128)
-        support = "primes"
     elif kind == "theta":
         mask = tables.spf[1 : N + 1] == n
         logs = np.zeros(N)
         logs[mask] = np.log(n[mask])
         coeffs = logs.astype(np.complex128)
-        support = "primes"
     elif kind == "chi3":
         coeffs = _CHI3[n % 3].astype(np.complex128)
     elif kind == "chi3_on_primes":
         mask = tables.spf[1 : N + 1] == n
         coeffs = (_CHI3[n % 3] * mask).astype(np.complex128)
-        support = "primes"
     elif kind == "ones":
         coeffs = np.ones(N, dtype=np.complex128)
     else:
@@ -227,6 +221,4 @@ def coefficient_sequence(
         coeffs = mag * np.exp(1j * phase)
         if kind == "squarefree_random":
             coeffs = coeffs * _squarefree_mask(tables, N)
-            support = "squarefree"
-        label = f"{kind}(seed={seed})"
-    return CoefficientSequence(N=N, coeffs=coeffs, support=support, label=label)
+    return CoefficientSequence(N=N, coeffs=coeffs)

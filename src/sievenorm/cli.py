@@ -388,7 +388,11 @@ def main(argv=None) -> int:
     record = OutputRecord(SCHEMA_VERSION, _metadata(**meta), rows)
     text = render_json(record) if ns.json else render_csv(record)
     if ns.out:
-        Path(ns.out).write_text(text)
+        try:
+            Path(ns.out).write_text(text)
+        except OSError as exc:
+            print(f"sievenorm: error: cannot write {ns.out}: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     violations = invariant_violations(record.rows)

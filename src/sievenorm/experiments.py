@@ -401,9 +401,7 @@ def squarefree_theorem_ratio(
     ratios = {"ratio_mobius": ratio_m, "ratio_random": ratio_r}
     invariants = []
     if N <= 512:
-        sq = CoefficientSequence(
-            N, np.abs(seq_r.coeffs) ** 2, support="squarefree", label="autocorrelation"
-        )
+        sq = CoefficientSequence(N, np.abs(seq_r.coeffs) ** 2)
         est_sq = l1_norm(sq, rel_tol=rel_tol)
         auto_bound = est_r.value**2 * (1.0 + 5.0 * rel_tol)
         invariants.append((est_sq.value <= auto_bound, "autocorrelation inequality failed"))
@@ -425,9 +423,7 @@ def _random_prime_sequence(
     """The ``random_complex`` draw of ``seed`` masked to the primes."""
     mask = tables.spf[1 : N + 1] == np.arange(1, N + 1)
     coeffs = coefficient_sequence(tables, "random_complex", N, seed=seed).coeffs * mask
-    return CoefficientSequence(
-        N=N, coeffs=coeffs, support="primes", label=f"prime_random(seed={seed})"
-    )
+    return CoefficientSequence(N=N, coeffs=coeffs)
 
 
 def prime_support_experiments(
@@ -685,7 +681,6 @@ def large_sieve_trials(
     trials: int = 1000,
     seed: int = 0,
     max_param: int = 1000,
-    work_budget: int = TRIAL_WORK_BUDGET,
 ) -> ExperimentRow:
     """Randomized (sequence, point set, shift) trials of the sieve inequality.
 
@@ -716,7 +711,7 @@ def large_sieve_trials(
             key = (kind, pools[kind][int(rng.integers(0, len(pools[kind])))])
             if key not in sets:
                 sets[key] = build_point_set(tables, *key)
-            n_hi = max(16, min(512, work_budget // len(sets[key])))
+            n_hi = max(16, min(512, TRIAL_WORK_BUDGET // len(sets[key])))
             N = int(rng.integers(8, n_hi + 1))
             seq_kind = _TRIAL_SEQ_KINDS[int(rng.integers(0, len(_TRIAL_SEQ_KINDS)))]
             seq_seed, shift = int(rng.integers(0, 2**31)), float(rng.uniform())

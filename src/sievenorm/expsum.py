@@ -28,8 +28,12 @@ Every kernel can be evaluated both from its translate definition
 (``eval_kernel``) and from its coefficients (``eval_kernel_spectral``,
 ``grid_eval_kernel``); the two routes share no code so tests can play them
 against each other.  All coefficients have one form: sum_q w_q * R_q[k mod q],
-with R_q the length-q FFT of a residue mask (all residues for ``gstar``/``h``,
-the ones coprime to q, weighted by mu(q)*N, for ``k_part3``).
+with R_q the spectrum of a residue mask mod q.  For all residues it is the
+spike train q*[q | k], written in closed form by strided slices (``fejer``
+is the single modulus q = 1, ``gstar`` takes q = p^2 and ``h`` q = p, each
+mean over p <= P).  For the residues coprime to q, weighted by mu(q)*N in
+``k_part3``, it is the Ramanujan sum c_q(k), taken by a length-q FFT of the
+mask so it stays independent of the closed form used in ``experiments``.
 
 Sums at the rationals j/M all come from ``_inverse_fold``: fold the
 coefficients into bins k mod M (exact aliasing) and take one inverse FFT.
@@ -55,10 +59,9 @@ TWO_PI = 2.0 * math.pi
 TWO_PI_I = 2.0j * math.pi
 
 KERNEL_KINDS = ("fejer", "gstar", "h", "h_truncated", "k_part3")
-SUPPORT_TAGS = ("all", "squarefree", "primes")
 
 #: Hard ceiling on grid sizes / dense coefficient arrays (number of samples).
-DEFAULT_GRID_BUDGET = 1 << 24
+GRID_BUDGET = 1 << 24
 
 # Evaluating sum a_n e(n alpha) at a batch of points materializes a
 # points-by-N table of powers; cap its element count so memory stays bounded.
@@ -71,24 +74,17 @@ _POINT_CHUNK_ELEMS = 1 << 22
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSequence:
-    """Finite sequence a_1..a_N with a declared support class.
+    """Finite sequence a_1..a_N.
 
-    ``support`` is one of ``"all"``, ``"squarefree"``, ``"primes"`` and is a
-    promise about where coefficients may be nonzero (zeros inside the support
-    are fine).  ``coeffs[j]`` stores a_{j+1}; the array is frozen on
-    construction.
+    ``coeffs[j]`` stores a_{j+1}; the array is frozen on construction.
     """
 
     N: int
     coeffs: np.ndarray
-    support: str = "all"
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
-        if self.support not in SUPPORT_TAGS:
-            raise ValueError(f"unknown support tag {self.support!r}")
         c = np.array(self.coeffs, dtype=np.complex128, copy=True).reshape(-1)
         if c.shape != (self.N,):
             raise ValueError(f"expected {self.N} coefficients, got {c.shape}")
@@ -251,9 +247,12 @@ def eval_sequence(seq: CoefficientSequence, alphas) -> np.ndarray:
 
 
 def _residue_spectrum(mask: np.ndarray) -> np.ndarray:
-    """Length-q FFT of a 0/1 residue mask, checked integral and rounded.
+    """Length-q FFT of the coprime residue mask mod q, checked integral and rounded.
 
-    The full mask gives q*[q | k], the coprime mask the Ramanujan sum c_q(k).
+    The result is the Ramanujan sum c_q(k), k = 0..q-1, of ``k_part3``.  It
+    is taken by FFT, not from the closed form that
+    ``experiments.mobius_ramanujan_weighted_sum`` uses, so the two stay
+    independent routes to the same sums.
     """
     r = np.fft.fft(mask)
     exact = np.rint(r.real)
@@ -265,29 +264,35 @@ def _residue_spectrum(mask: np.ndarray) -> np.ndarray:
     return exact
 
 
-@lru_cache(maxsize=16)
+# One default suite pass asks for 20 specs (five kinds per ladder N); they all
+# fit, so a repeated pass does not redo the k_part3 FFTs.
+@lru_cache(maxsize=32)
 def _cached_coefficients(tables: "ArithmeticTables", spec: KernelSpec) -> np.ndarray:
     N = spec.N
-    if spec.kind == "k_part3":
-        mob = tables.mobius
-        moduli = [q for q in range(1, spec.Q + 1) if mob[q] != 0]
-        weights = [int(mob[q]) * float(N) for q in moduli]
-    else:
-        primes = tables.primes
-        ps = primes[primes <= spec.P].tolist()
-        moduli = [p * p if spec.kind == "gstar" else p for p in ps]
-        weights = [1.0] * len(moduli)
-    coef = np.zeros(2 * N + 1)
-    for q, w in zip(moduli, weights):
-        a = np.arange(q)
-        mask = np.gcd(a, q) == 1 if spec.kind == "k_part3" else np.ones(q, dtype=bool)
-        spectrum = _residue_spectrum(mask.astype(float))
-        # R_q[k mod q] for k = -N..N: rotate k = -N to the front, then repeat.
-        coef += w * np.resize(np.roll(spectrum, N % q), 2 * N + 1)
-    if spec.kind != "k_part3":
-        coef /= len(moduli)
     if spec.kind == "h_truncated":
+        coef = np.array(_cached_coefficients(tables, KernelSpec("h", N, P=spec.P)))
         coef[max(0, N - spec.P) : N + spec.P + 1] = 0.0
+    elif spec.kind == "k_part3":
+        coef = np.zeros(2 * N + 1)
+        mob = tables.mobius
+        for q in range(1, spec.Q + 1):
+            if mob[q] == 0:
+                continue
+            a = np.arange(q)
+            spectrum = _residue_spectrum((np.gcd(a, q) == 1).astype(float))
+            # c_q(k mod q) for k = -N..N: rotate k = -N to the front, then repeat.
+            coef += int(mob[q]) * float(N) * np.resize(np.roll(spectrum, N % q), 2 * N + 1)
+    else:
+        if spec.kind == "fejer":
+            moduli = [1]
+        else:
+            ps = tables.primes[tables.primes <= spec.P].tolist()
+            moduli = [p * p if spec.kind == "gstar" else p for p in ps]
+        coef = np.zeros(2 * N + 1)
+        for q in moduli:
+            # the spike train q*[q | k]: index i holds k = i - N, so q | k at i = N mod q
+            coef[N % q :: q] += q
+        coef /= len(moduli)
     coef.setflags(write=False)
     return coef
 
@@ -295,16 +300,14 @@ def _cached_coefficients(tables: "ArithmeticTables", spec: KernelSpec) -> np.nda
 def kernel_coefficients(tables: "ArithmeticTables", spec: KernelSpec) -> np.ndarray:
     """Fourier coefficients c_k, k = -N..N, as a read-only length-2N+1 array.
 
-    Index k + N stores c_k.  Defined for ``gstar`` (mean of the q-periodic
-    spike trains q*[q | k] over q = p^2, p <= P), ``h`` (same over q = p),
-    ``h_truncated`` (``h`` with |k| <= P zeroed) and ``k_part3``
-    (N * sum_{q <= Q} mu(q) * c_q(k)).  ``fejer`` has no stored coefficient
-    array here and raises ValueError.
+    Index k + N stores c_k.  The all-residue kinds are means of q-periodic
+    spike trains q*[q | k]: ``fejer`` over the single modulus q = 1 (all
+    ones), ``gstar`` over q = p^2 and ``h`` over q = p, p <= P prime.
+    ``h_truncated`` is ``h`` with |k| <= P zeroed, and ``k_part3`` is
+    N * sum_{q <= Q} mu(q) * c_q(k), with c_q from ``_residue_spectrum``.
     """
-    if spec.kind == "fejer":
-        raise ValueError("kernel kind 'fejer' has no coefficient array")
     side, name = (spec.Q, "Q") if spec.kind == "k_part3" else (spec.P, "P")
-    if side > tables.n_max:
+    if side is not None and side > tables.n_max:
         raise ValueError(f"tables cover n <= {tables.n_max} < {name} = {side}")
     return _cached_coefficients(tables, spec)
 
@@ -312,10 +315,7 @@ def kernel_coefficients(tables: "ArithmeticTables", spec: KernelSpec) -> np.ndar
 def spectral_weights(tables: "ArithmeticTables", spec: KernelSpec) -> np.ndarray:
     """Weights (1 - |k|/N) * c_k, k = -N..N, of the kernel's expansion."""
     N = spec.N
-    triangle = 1.0 - np.abs(np.arange(-N, N + 1)) / N
-    if spec.kind == "fejer":
-        return triangle
-    return triangle * kernel_coefficients(tables, spec)
+    return (1.0 - np.abs(np.arange(-N, N + 1)) / N) * kernel_coefficients(tables, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +396,11 @@ def eval_kernel_spectral(tables: "ArithmeticTables", spec: KernelSpec, alpha: fl
 # uniform-grid evaluation
 
 
-def _check_grid(M: int, budget: int) -> None:
+def _check_grid(M: int) -> None:
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    if M > budget:
-        raise CapacityError(f"grid size {M} exceeds budget {budget}")
+    if M > GRID_BUDGET:
+        raise CapacityError(f"grid size {M} exceeds budget {GRID_BUDGET}")
 
 
 def _inverse_fold(coeffs: np.ndarray, k: np.ndarray, M: int, row=None) -> np.ndarray:
@@ -422,40 +422,30 @@ def _inverse_fold(coeffs: np.ndarray, k: np.ndarray, M: int, row=None) -> np.nda
     return values
 
 
-def grid_eval_sequence(
-    seq: CoefficientSequence,
-    M: int,
-    budget: int = DEFAULT_GRID_BUDGET,
-    shift: float = 0.0,
-) -> GridEvaluation:
+def grid_eval_sequence(seq: CoefficientSequence, M: int, shift: float = 0.0) -> GridEvaluation:
     """S((j + shift)/M) for j = 0..M-1, from one inverse FFT of length M.
 
     The coefficients are twisted by e(n*shift/M) and folded into frequency
     bins n mod M (exact aliasing, so M may be below N + 1).  The L1
-    quadrature asks for power-of-two M, where the FFT is fastest; ``budget``
-    caps M, the length of every array allocated here.  At shift = 0 and
-    M >= N + 1 each a_n sits alone in bin n.  The pointwise route
-    ``eval_sequence`` shares no code with this one.
+    quadrature asks for power-of-two M, where the FFT is fastest;
+    ``GRID_BUDGET`` caps M, the length of every array allocated here.  At
+    shift = 0 and M >= N + 1 each a_n sits alone in bin n.  The pointwise
+    route ``eval_sequence`` shares no code with this one.
     """
-    _check_grid(M, budget)
+    _check_grid(M)
     n = np.arange(1, seq.N + 1)
     coeffs = seq.coeffs * np.exp(TWO_PI_I * (shift / M) * n) if shift else seq.coeffs
     return GridEvaluation(M=M, values=_inverse_fold(coeffs, n, M), spec=seq)
 
 
-def grid_eval_kernel(
-    tables: "ArithmeticTables",
-    spec: KernelSpec,
-    M: int,
-    budget: int = DEFAULT_GRID_BUDGET,
-) -> GridEvaluation:
+def grid_eval_kernel(tables: "ArithmeticTables", spec: KernelSpec, M: int) -> GridEvaluation:
     """Kernel values at j/M, j = 0..M-1, as a real array.
 
     One transform over the 2N+1 spectral weights: they are folded into
     frequency bins modulo M (exact aliasing) and one inverse FFT produces
-    all M values.
+    all M values.  ``GRID_BUDGET`` caps M.
     """
-    _check_grid(M, budget)
+    _check_grid(M)
     v = _inverse_fold(spectral_weights(tables, spec), np.arange(-spec.N, spec.N + 1), M)
     scale = max(1.0, float(np.max(np.abs(v.real))))
     imag = float(np.max(np.abs(v.imag)))

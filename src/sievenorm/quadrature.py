@@ -9,8 +9,9 @@ to a relative tolerance.  |S| has kinks at its zeros, so the rule converges
 only algebraically; each doubling therefore keeps the running sum of |S|
 and evaluates only the new odd samples, one grid of the previous size
 shifted by half a step.  A grid above ``_CHUNK`` points is evaluated as
-cosets of ``_CHUNK`` points each, so memory does not grow with N; ``budget``
-bounds the finest grid's sample count, that is the time an estimate may take.
+cosets of ``_CHUNK`` points each, so memory does not grow with N;
+``SAMPLE_BUDGET`` bounds the finest grid's sample count, that is the time an
+estimate may take.
 
 Every estimate is cross-checked against two analytic envelopes before being
 returned: l1 <= sqrt(l2) (Cauchy-Schwarz) and l1 >= max_n |a_n| (projection
@@ -33,10 +34,11 @@ from .errors import CapacityError, InvariantError
 from .expsum import CoefficientSequence, grid_eval_sequence
 
 DEFAULT_REL_TOL = 1e-4
-DEFAULT_OVERSAMPLE_START = 16
-DEFAULT_OVERSAMPLE_CAP = 1024
-#: Default cap on the finest L1 grid: 2^25 samples reach N = 2^20 at oversample 32.
-DEFAULT_SAMPLE_BUDGET = 1 << 26
+#: The L1 grids run over M = oversample * 2^ceil(log2 N), oversample from START to CAP.
+OVERSAMPLE_START = 16
+OVERSAMPLE_CAP = 1024
+#: Cap on the finest L1 grid: 2^25 samples reach N = 2^20 at oversample 32.
+SAMPLE_BUDGET = 1 << 26
 
 # Largest grid evaluated in one call; finer grids are split into cosets.
 _CHUNK = 1 << 20
@@ -88,13 +90,7 @@ def _abs_sum(seq: CoefficientSequence, M: int, shift: float) -> float:
     )
 
 
-def _refine(
-    seq: CoefficientSequence,
-    rel_tol: float,
-    oversample_start: int,
-    oversample_cap: int,
-    budget: int,
-) -> L1Estimate:
+def _refine(seq: CoefficientSequence, rel_tol: float) -> L1Estimate:
     """Mean of |S| on the grids M = oversample * 2^ceil(log2 N), doubling until settled.
 
     Each doubling adds the odd samples of the finer grid, the current grid
@@ -103,15 +99,13 @@ def _refine(
     """
     if rel_tol <= 0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
-    if oversample_start < 2:
-        raise ValueError(f"oversample_start must be >= 2, got {oversample_start}")
     scale = 1 << (seq.N - 1).bit_length()
     grids: list[tuple[int, float]] = []
     total = 0.0
     last_delta = math.inf
     converged = False
-    M = oversample_start * scale
-    while M <= oversample_cap * scale and M <= budget:
+    M = OVERSAMPLE_START * scale
+    while M <= OVERSAMPLE_CAP * scale and M <= SAMPLE_BUDGET:
         total += _abs_sum(seq, M // 2, 0.5) if grids else _abs_sum(seq, M, 0.0)
         value = total / M
         if grids:
@@ -123,7 +117,7 @@ def _refine(
         M *= 2
     if not grids:
         raise CapacityError(
-            f"coarsest grid {oversample_start * scale} already exceeds budget {budget}"
+            f"coarsest grid {OVERSAMPLE_START * scale} already exceeds budget {SAMPLE_BUDGET}"
         )
     return L1Estimate(
         value=grids[-1][1],
@@ -145,22 +139,16 @@ def _check_envelopes(value: float, ceiling: float, floor: float, rel_tol: float)
         )
 
 
-def l1_norm(
-    seq: CoefficientSequence,
-    rel_tol: float = DEFAULT_REL_TOL,
-    oversample_start: int = DEFAULT_OVERSAMPLE_START,
-    oversample_cap: int = DEFAULT_OVERSAMPLE_CAP,
-    budget: int = DEFAULT_SAMPLE_BUDGET,
-) -> L1Estimate:
+def l1_norm(seq: CoefficientSequence, rel_tol: float = DEFAULT_REL_TOL) -> L1Estimate:
     """Estimate integral of |S(alpha)| d alpha by refining rectangle rules.
 
-    ``budget`` caps the finest grid's sample count (CapacityError if even
-    the coarsest grid exceeds it).  Non-convergence within the oversample
+    ``SAMPLE_BUDGET`` caps the finest grid's sample count (CapacityError if
+    even the coarsest grid exceeds it).  Non-convergence within the oversample
     cap or the budget is reported via ``converged=False``, never as an
     exception; the analytic envelope checks still run on whatever value the
     finest grid produced.
     """
-    est = _refine(seq, rel_tol, oversample_start, oversample_cap, budget)
+    est = _refine(seq, rel_tol)
     ceiling = math.sqrt(l2_norm_sq(seq))
     floor = float(np.max(np.abs(seq.coeffs)))
     _check_envelopes(est.value, ceiling, floor, rel_tol)

@@ -159,21 +159,6 @@ class TestCoefficientSequence:
         mob = sn.coefficient_sequence(tables, "mobius", 4)
         assert mob.coeffs.real.tolist() == [1, -1, -1, 0]
 
-    def test_support_tags(self, tables):
-        expected = {
-            "mobius": "squarefree",
-            "squarefree_random": "squarefree",
-            "prime_indicator": "primes",
-            "theta": "primes",
-            "chi3_on_primes": "primes",
-            "mangoldt": "all",
-            "chi3": "all",
-            "ones": "all",
-            "random_complex": "all",
-        }
-        for kind, support in expected.items():
-            assert sn.coefficient_sequence(tables, kind, 32).support == support
-
     def test_theta_values(self, tables):
         th = sn.coefficient_sequence(tables, "theta", 12)
         assert th.coeff(7) == pytest.approx(math.log(7))

@@ -94,6 +94,16 @@ class TestNormCommand:
         assert out == ""
         assert target.read_text().startswith("# schema_version=1")
 
+    def test_unwritable_out_file(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "norm.csv"
+        code, out, err = run_cli(
+            capsys, ["norm", "--kind", "ones", "--n", "16", "--out", str(target)]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"sievenorm: error: cannot write {target}: ")
+        assert "Traceback" not in err
+
 
 class TestOtherCommands:
     def test_kernel_gap(self, capsys):

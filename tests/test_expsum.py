@@ -177,10 +177,22 @@ class TestKernelCoefficients:
         np.testing.assert_array_equal(d_trunc[: N - P], d_full[: N - P])
         np.testing.assert_array_equal(d_trunc[N + P + 1 :], d_full[N + P + 1 :])
 
-    def test_no_coefficients_for_other_kinds(self, tables):
-        with pytest.raises(ValueError):
-            sn.kernel_coefficients(tables, sn.KernelSpec("fejer", 8))
-        sn.kernel_coefficients(tables, sn.KernelSpec("k_part3", 8))
+    def test_fejer_is_the_single_modulus_one(self, tables):
+        for N in (1, 2, 17):
+            c = sn.kernel_coefficients(tables, sn.KernelSpec("fejer", N))
+            assert c.tolist() == [1.0] * (2 * N + 1)
+        assert sn.kernel_coefficients(tables, sn.KernelSpec("k_part3", 8)).shape == (17,)
+
+    @pytest.mark.parametrize("kind", ["gstar", "h"])
+    def test_spike_trains_at_large_p(self, tables_mid, kind):
+        # the mean of q*[q | k] over q = p^2 (gstar) or q = p (h), p <= P, exactly
+        N, P = 64, 30_000
+        k = np.arange(-N, N + 1)
+        ps = tables_mid.primes[tables_mid.primes <= P]
+        moduli = ps * ps if kind == "gstar" else ps
+        want = np.mean([np.where(k % q == 0, q, 0) for q in moduli.tolist()], axis=0)
+        got = sn.kernel_coefficients(tables_mid, sn.KernelSpec(kind, N, P=P))
+        np.testing.assert_array_equal(got, want)
 
     def test_k_part3_is_mobius_weighted_ramanujan_sum(self, tables):
         # N * sum_{q <= Q} mu(q) c_q(k), exactly, against the closed-form c_q
@@ -402,8 +414,6 @@ class TestCoefficientSequenceType:
             sn.CoefficientSequence(0, [])
         with pytest.raises(ValueError):
             sn.CoefficientSequence(3, [1.0, 2.0])
-        with pytest.raises(ValueError):
-            sn.CoefficientSequence(2, [1.0, 2.0], support="weird")
 
     def test_coeffs_read_only(self):
         seq = sn.CoefficientSequence(3, [1.0, 2.0, 3.0])
