@@ -1,10 +1,12 @@
 """Sieve-backed arithmetic tables and coefficient-sequence factories.
 
-One linear sieve computes the smallest prime factor of every n <= n_max;
-everything else (Mobius mu, Euler phi, von Mangoldt Lambda, the prime list)
-is derived from that single array in one further pass.  Build once, share
-across all experiments -- the tables object is immutable and cheap to pass
-around.
+One loop over the primes p <= sqrt(n_max) builds every table by strided
+slices over the multiples of p: the smallest prime factor, Mobius mu, Euler
+phi and von Mangoldt Lambda at the powers of p.  Each n keeps a cofactor with
+those primes divided out, which is 1 or the single prime factor of n above
+sqrt(n_max); one vectorised pass over it completes the tables and the prime
+list.  Build once, share across all experiments -- the tables object is
+immutable and cheap to pass around.
 
 Also here: Ramanujan sums c_q(n) in closed form and by direct summation
 (two independent routes, kept apart for cross-checking), and the factory
@@ -36,6 +38,7 @@ SEQUENCE_KINDS = (
     "ones",
     "random_complex",
     "squarefree_random",
+    "random_primes",
 )
 
 # chi3 is the nontrivial character mod 3: 1, -1, 0 on residues 1, 2, 0.
@@ -65,51 +68,45 @@ class ArithmeticTables:
 
 
 def build_tables(n_max: int) -> ArithmeticTables:
-    """Sieve up to n_max (inclusive) and derive all tables.
+    """Sieve up to n_max (inclusive) and derive all tables (see the module docstring).
 
-    n_max must be at least 2; sizes beyond the module budget (2^26) raise
+    Lambda is ``math.log(p)`` at every power of each prime p.  n_max must be
+    at least 2; sizes beyond the module budget (2^26) raise
     :class:`CapacityError` rather than silently thrashing memory.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     if n_max > TABLE_BUDGET:
         raise CapacityError(f"n_max {n_max} exceeds table budget {TABLE_BUDGET}")
+    n = np.arange(n_max + 1, dtype=np.int64)
     spf = np.zeros(n_max + 1, dtype=np.int64)
-    for i in range(2, math.isqrt(n_max) + 1):
-        if spf[i] == 0:
-            sl = spf[i * i :: i]
-            sl[sl == 0] = i
-    unmarked = spf[2:] == 0
-    spf[2:][unmarked] = np.arange(2, n_max + 1)[unmarked]
-    primes = np.flatnonzero(spf == np.arange(n_max + 1))
-    primes = primes[primes >= 2]
-
-    mobius = np.zeros(n_max + 1, dtype=np.int64)
-    phi = np.zeros(n_max + 1, dtype=np.int64)
-    mobius[1] = 1
-    phi[1] = 1
-    spf_list = spf.tolist()  # plain ints make the derivation loop ~3x faster
-    mob_list = mobius.tolist()
-    phi_list = phi.tolist()
-    for n in range(2, n_max + 1):
-        p = spf_list[n]
-        m = n // p
-        if m % p == 0:
-            mob_list[n] = 0
-            phi_list[n] = phi_list[m] * p
-        else:
-            mob_list[n] = -mob_list[m]
-            phi_list[n] = phi_list[m] * (p - 1)
-    mobius = np.array(mob_list, dtype=np.int64)
-    phi = np.array(phi_list, dtype=np.int64)
-
+    mobius = np.ones(n_max + 1, dtype=np.int64)
+    mobius[0] = 0
+    phi = n.copy()
     mangoldt = np.zeros(n_max + 1)
-    for p in primes.tolist():
+    rest = n.copy()  # n with its primes <= sqrt(n_max) divided out
+    for p in range(2, math.isqrt(n_max) + 1):
+        if spf[p]:
+            continue
+        sl = spf[p::p]
+        sl[sl == 0] = p
+        mobius[p::p] *= -1
+        mobius[p * p :: p * p] = 0
+        phi[p::p] -= phi[p::p] // p
         logp = math.log(p)
         pk = p
         while pk <= n_max:
             mangoldt[pk] = logp
+            rest[pk::pk] //= p
             pk *= p
+    # what is left is 1 or the single prime factor above sqrt(n_max)
+    big = rest > 1
+    mobius[big] *= -1
+    phi[big] -= phi[big] // rest[big]
+    large = np.flatnonzero(rest == n)[2:]  # past 0 and 1: the primes above sqrt(n_max)
+    spf[large] = large
+    mangoldt[large] = [math.log(q) for q in large.tolist()]
+    primes = np.flatnonzero(spf == n)[1:]  # past spf[0] = 0
 
     for arr in (spf, mobius, phi, mangoldt, primes):
         arr.setflags(write=False)
@@ -177,41 +174,37 @@ def ramanujan_sum_direct(q: int, n: int) -> int:
     return int(nearest)
 
 
-def _squarefree_mask(tables: ArithmeticTables, N: int) -> np.ndarray:
-    return tables.mobius[1 : N + 1] != 0
-
-
 def coefficient_sequence(
     tables: ArithmeticTables, kind: str, N: int, seed: int = 0
 ) -> CoefficientSequence:
     """Build the named coefficient sequence a_1..a_N.
 
     Deterministic kinds ignore ``seed``.  Random kinds (``random_complex``,
-    ``squarefree_random``) draw magnitudes uniform in [1/2, 1] and phases
-    uniform in [0, 2*pi) from ``numpy.random.default_rng(seed)``;
-    ``squarefree_random`` then masks them to the squarefree n.
+    ``squarefree_random``, ``random_primes``) draw magnitudes uniform in
+    [1/2, 1] and phases uniform in [0, 2*pi) from
+    ``numpy.random.default_rng(seed)``; ``squarefree_random`` then masks them
+    to the squarefree n and ``random_primes`` to the primes.
     """
     if kind not in SEQUENCE_KINDS:
         raise ValueError(f"unknown sequence kind {kind!r}")
     if not 1 <= N <= tables.n_max:
         raise ValueError(f"N={N} outside 1..{tables.n_max}")
     n = np.arange(1, N + 1)
+    prime = tables.spf[1 : N + 1] == n
     if kind == "mobius":
         coeffs = tables.mobius[1 : N + 1].astype(np.complex128)
     elif kind == "mangoldt":
         coeffs = tables.mangoldt[1 : N + 1].astype(np.complex128)
     elif kind == "prime_indicator":
-        coeffs = (tables.spf[1 : N + 1] == n).astype(np.complex128)
+        coeffs = prime.astype(np.complex128)
     elif kind == "theta":
-        mask = tables.spf[1 : N + 1] == n
         logs = np.zeros(N)
-        logs[mask] = np.log(n[mask])
+        logs[prime] = np.log(n[prime])
         coeffs = logs.astype(np.complex128)
     elif kind == "chi3":
         coeffs = _CHI3[n % 3].astype(np.complex128)
     elif kind == "chi3_on_primes":
-        mask = tables.spf[1 : N + 1] == n
-        coeffs = (_CHI3[n % 3] * mask).astype(np.complex128)
+        coeffs = (_CHI3[n % 3] * prime).astype(np.complex128)
     elif kind == "ones":
         coeffs = np.ones(N, dtype=np.complex128)
     else:
@@ -220,5 +213,7 @@ def coefficient_sequence(
         phase = rng.uniform(0.0, 2.0 * math.pi, N)
         coeffs = mag * np.exp(1j * phase)
         if kind == "squarefree_random":
-            coeffs = coeffs * _squarefree_mask(tables, N)
+            coeffs = coeffs * (tables.mobius[1 : N + 1] != 0)
+        elif kind == "random_primes":
+            coeffs = coeffs * prime
     return CoefficientSequence(N=N, coeffs=coeffs)

@@ -25,8 +25,9 @@ evaluation routes disagreeing, ...), 3 a crash (any other exception); 2 > 3 > 1.
 Config files for ``suite`` are flat ``key = value`` lines; ``#`` starts a
 comment.  Keys before the first ``experiment = <name>`` line are globals
 (the ``SuiteConfig`` knobs seed, rel_tol, floor, workers); each ``experiment``
-line opens a block whose keys are that experiment's parameters.  Values may
-be comma- or space-separated lists (ladder keys only), e.g. ``n = 1024, 4096``.
+line opens a block whose keys are that experiment's parameters.  A key may
+appear once among the globals and once per block.  Values may be comma- or
+space-separated lists (ladder keys only), e.g. ``n = 1024, 4096``.
 """
 
 from __future__ import annotations
@@ -218,15 +219,15 @@ def parse_config(text: str) -> SuiteConfig:
             parsed = _parse_value(value)
         except ValueError as exc:
             raise UsageError(f"config line {lineno}: {exc}") from None
-        if current is None:
-            if key not in _KNOBS:
-                raise UsageError(
-                    f"config line {lineno}: unknown global key {key!r} "
-                    f"(known: {', '.join(_KNOBS)})"
-                )
-            globals_[key] = parsed
-        else:
-            current[key] = parsed
+        if current is None and key not in _KNOBS:
+            raise UsageError(
+                f"config line {lineno}: unknown global key {key!r} "
+                f"(known: {', '.join(_KNOBS)})"
+            )
+        scope = globals_ if current is None else current
+        if key in scope:
+            raise UsageError(f"config line {lineno}: repeated key {key!r}")
+        scope[key] = parsed
     try:
         return SuiteConfig(**globals_, experiments=tuple(blocks))
     except ValueError as exc:

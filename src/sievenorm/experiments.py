@@ -417,15 +417,6 @@ def squarefree_theorem_ratio(
     return _row("squarefree_l1", params, measured, reference, ratios, invariants, expectations)
 
 
-def _random_prime_sequence(
-    tables: ArithmeticTables, N: int, seed: int
-) -> CoefficientSequence:
-    """The ``random_complex`` draw of ``seed`` masked to the primes."""
-    mask = tables.spf[1 : N + 1] == np.arange(1, N + 1)
-    coeffs = coefficient_sequence(tables, "random_complex", N, seed=seed).coeffs * mask
-    return CoefficientSequence(N=N, coeffs=coeffs)
-
-
 def prime_support_experiments(
     tables: ArithmeticTables,
     N: int,
@@ -444,12 +435,8 @@ def prime_support_experiments(
     if N < 3:
         raise ValueError(f"N must be >= 3, got {N}")
     rows = []
-    variants = (
-        ("prime_indicator", coefficient_sequence(tables, "prime_indicator", N)),
-        ("chi3_on_primes", coefficient_sequence(tables, "chi3_on_primes", N)),
-        ("random_primes", _random_prime_sequence(tables, N, seed)),
-    )
-    for variant, seq in variants:
+    for variant in ("prime_indicator", "chi3_on_primes", "random_primes"):
+        seq = coefficient_sequence(tables, variant, N, seed=seed)
         est = l1_norm(seq, rel_tol=rel_tol)
         ratio = GROWTH_RATIOS[variant](N, est.value, l2_norm_sq(seq))
         measured = {"l1": est.value, "converged": bool(est.converged)}

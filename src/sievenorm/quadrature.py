@@ -6,10 +6,10 @@ exactly once M >= 2N + 1 samples are used).  The L1 norm has no closed form;
 it is estimated by rectangle-rule quadrature on nested power-of-two grids
 M = oversample * 2^ceil(log2 N), doubling M until successive values agree
 to a relative tolerance.  |S| has kinks at its zeros, so the rule converges
-only algebraically; each doubling therefore keeps the running sum of |S|
-and evaluates only the new odd samples, one grid of the previous size
-shifted by half a step.  A grid above ``_CHUNK`` points is evaluated as
-cosets of ``_CHUNK`` points each, so memory does not grow with N;
+only algebraically.  Every grid is evaluated as cosets of one base grid of
+at most ``_CHUNK`` points, so memory does not grow with N: the first grid
+takes all its cosets, and each doubling keeps the running sum of |S| and
+adds only the odd cosets of the finer grid, its new samples.
 ``SAMPLE_BUDGET`` bounds the finest grid's sample count, that is the time an
 estimate may take.
 
@@ -19,8 +19,8 @@ onto a single frequency).  A violation beyond tolerance raises
 :class:`InvariantError` -- the quadrature itself cannot produce either side
 wrongly unless there is a bug.
 
-Grid values are reduced by one ``np.sum`` per grid or coset, in a fixed
-order, so a given input always gives the same bits.
+Grid values are reduced by one ``np.sum`` per coset, in a fixed order, so a
+given input always gives the same bits.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ OVERSAMPLE_CAP = 1024
 #: Cap on the finest L1 grid: 2^25 samples reach N = 2^20 at oversample 32.
 SAMPLE_BUDGET = 1 << 26
 
-# Largest grid evaluated in one call; finer grids are split into cosets.
+# Largest base grid: one call evaluates at most this many points.
 _CHUNK = 1 << 20
 
 
@@ -74,28 +74,14 @@ def l2_norm_sq_quadrature(seq: CoefficientSequence, M: int | None = None) -> flo
     return float(np.mean(np.abs(g.values) ** 2))
 
 
-def _abs_sum(seq: CoefficientSequence, M: int, shift: float) -> float:
-    """Sum of |S((j + shift)/M)| over j = 0..M-1, in cosets of at most ``_CHUNK`` points.
-
-    With M = R*L, the points j = R*i + r (i < L) of coset r are
-    (i + (r + shift)/R)/L: a grid of L points shifted by (r + shift)/R.
-    """
-    cosets = 1
-    while M > cosets * _CHUNK and M % (2 * cosets) == 0:
-        cosets *= 2
-    L = M // cosets
-    return sum(
-        float(np.sum(np.abs(grid_eval_sequence(seq, L, shift=(r + shift) / cosets).values)))
-        for r in range(cosets)
-    )
-
-
 def _refine(seq: CoefficientSequence, rel_tol: float) -> L1Estimate:
     """Mean of |S| on the grids M = oversample * 2^ceil(log2 N), doubling until settled.
 
-    Each doubling adds the odd samples of the finer grid, the current grid
-    shifted by 1/2, to the running sum, so the finest grid is sampled once
-    in total.
+    Grid M is the R = M/B cosets of one base grid of B = min(first M,
+    ``_CHUNK``) points: coset r holds the points (R*i + r)/M = (i + r/R)/B,
+    i < B.  The first grid sums every coset; each doubling adds only its odd
+    cosets, the new samples, to the running sum, so the finest grid is
+    sampled once in total.
     """
     if rel_tol <= 0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
@@ -105,8 +91,13 @@ def _refine(seq: CoefficientSequence, rel_tol: float) -> L1Estimate:
     last_delta = math.inf
     converged = False
     M = OVERSAMPLE_START * scale
+    B = min(M, _CHUNK)
     while M <= OVERSAMPLE_CAP * scale and M <= SAMPLE_BUDGET:
-        total += _abs_sum(seq, M // 2, 0.5) if grids else _abs_sum(seq, M, 0.0)
+        R = M // B
+        cosets = range(1, R, 2) if grids else range(R)
+        total += sum(
+            float(np.sum(np.abs(grid_eval_sequence(seq, B, shift=r / R).values))) for r in cosets
+        )
         value = total / M
         if grids:
             last_delta = abs(value - grids[-1][1]) / max(abs(value), 1e-300)

@@ -9,7 +9,42 @@ import sievenorm as sn
 from sievenorm.errors import CapacityError
 
 
+def trial_division_tables(n_max):
+    """spf, mu, phi, Lambda and the primes up to n_max, factoring each n by trial division."""
+    spf, mobius, phi, mangoldt, primes = [0, 0], [0, 1], [0, 1], [0.0, 0.0], []
+    for n in range(2, n_max + 1):
+        factors, m, d = [], n, 2
+        while d * d <= m:
+            k = 0
+            while m % d == 0:
+                m //= d
+                k += 1
+            if k:
+                factors.append((d, k))
+            d += 1
+        if m > 1:
+            factors.append((m, 1))
+        spf.append(factors[0][0])
+        squarefree = all(k == 1 for _, k in factors)
+        mobius.append((-1) ** len(factors) if squarefree else 0)
+        phi.append(math.prod(p ** (k - 1) * (p - 1) for p, k in factors))
+        mangoldt.append(math.log(factors[0][0]) if len(factors) == 1 else 0.0)
+        if factors == [(n, 1)]:
+            primes.append(n)
+    return spf, mobius, phi, mangoldt, primes
+
+
 class TestBuildTables:
+    @pytest.mark.parametrize("n_max", [2, 3, 4, 5, 17, 100, 10_000])
+    def test_matches_trial_division(self, n_max):
+        t = sn.build_tables(n_max)
+        spf, mobius, phi, mangoldt, primes = trial_division_tables(n_max)
+        assert t.spf.tolist() == spf
+        assert t.mobius.tolist() == mobius
+        assert t.phi.tolist() == phi
+        assert t.mangoldt.tolist() == mangoldt  # math.log(p) at each prime power, bit for bit
+        assert t.primes.tolist() == primes
+
     def test_mobius_first_ten(self, tables):
         assert tables.mobius[1:11].tolist() == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
@@ -191,6 +226,15 @@ class TestCoefficientSequence:
         assert np.all(seq.coeffs[mu == 0] == 0)
         on = np.abs(seq.coeffs[mu != 0])
         assert on.min() >= 0.5 - 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_random_primes_is_the_random_draw_on_the_primes(self, tables, seed):
+        N = 1024
+        draw = sn.coefficient_sequence(tables, "random_complex", N, seed=seed).coeffs
+        seq = sn.coefficient_sequence(tables, "random_primes", N, seed=seed)
+        prime = np.isin(np.arange(1, N + 1), tables.primes)
+        np.testing.assert_array_equal(seq.coeffs[prime], draw[prime])
+        assert np.all(seq.coeffs[~prime] == 0)
 
     def test_mangoldt_sequence_matches_table(self, tables):
         seq = sn.coefficient_sequence(tables, "mangoldt", 50)

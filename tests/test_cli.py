@@ -328,6 +328,40 @@ class TestExitCodes:
         assert [field_map(r[2])["error"] for r in rows] == ["RuntimeError"]
         assert "RuntimeError: unexpected" in err
 
+    def test_config_knob_out_of_range_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("workers = 0\nexperiment = mangoldt_weighted_sum\nn = 64\n")
+        code, out, err = run_cli(capsys, ["suite", "--config", str(cfg)])
+        assert (code, out) == (1, "")
+        assert "config: workers must be >= 1, got 0" in err
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ("experiment = norm\nn = 64\n", "norm: kind is required"),
+            ("experiment = norm\nkind = ones\nn = 64\nseed = 1, 2\n", "norm: seed takes one value"),
+        ],
+        ids=["required", "one_value"],
+    )
+    def test_block_rejected_by_expand_exits_1(self, capsys, tmp_path, block, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(block)
+        code, out, err = run_cli(capsys, ["suite", "--config", str(cfg)])
+        assert code == 1
+        _, _, rows = parse_csv(out)
+        assert [field_map(r[2])["error"] for r in rows] == ["ValueError"]
+        assert rows[0][7].startswith(f"ValueError: {message}")
+        assert message in err
+
+    def test_crash_outside_any_job_exits_3(self, capsys, monkeypatch):
+        def crash(cfg):
+            raise RuntimeError("suite set-up failed")
+
+        monkeypatch.setattr(cli, "run_suite", crash)
+        code, out, err = run_cli(capsys, ["norm", "--kind", "ones", "--n", "16"])
+        assert (code, out) == (3, "")
+        assert "RuntimeError: suite set-up failed" in err
+
     def test_invariant_error_raised_exits_2(self, capsys, monkeypatch):
         def raising_check(seqs, point_set, shifts):
             raise InvariantError("ratio exceeded 1")
@@ -380,6 +414,31 @@ class TestParseConfig:
     def test_empty_value(self):
         with pytest.raises(cli.UsageError, match="empty key or value"):
             cli.parse_config("n =\n")
+
+    def test_empty_list_value(self):
+        with pytest.raises(cli.UsageError, match="config line 2: empty value"):
+            cli.parse_config("experiment = norm\nn = ,\n")
+
+    @pytest.mark.parametrize(
+        "text, lineno, key",
+        [
+            ("seed = 1\nseed = 2\n", 2, "seed"),
+            ("experiment = mangoldt_weighted_sum\nn = 16\nn = 32\n", 3, "n"),
+        ],
+        ids=["global", "block"],
+    )
+    def test_repeated_key(self, text, lineno, key):
+        with pytest.raises(cli.UsageError, match=f"config line {lineno}: repeated key '{key}'"):
+            cli.parse_config(text)
+
+    def test_key_once_per_scope(self):
+        cfg = cli.parse_config(
+            "seed = 1\n"
+            "experiment = norm\nseed = 2\n"
+            "experiment = norm\nseed = 3\n"
+        )
+        assert cfg.seed == 1
+        assert cfg.experiments == (("norm", {"seed": 2}), ("norm", {"seed": 3}))
 
     def test_missing_equals(self):
         with pytest.raises(cli.UsageError, match="expected 'key = value'"):

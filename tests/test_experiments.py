@@ -225,12 +225,10 @@ class TestKernelAnnihilation:
             assert abs(mean) <= 1e-6 * scale
 
     def test_h_truncated_annihilates_prime_support(self, tables, rng):
-        from sievenorm.experiments import _random_prime_sequence
-
         N = 64
         M = 2 * N + 2
         spec = sn.KernelSpec("h_truncated", N, P=8)
-        seq = _random_prime_sequence(tables, N, seed=11)
+        seq = sn.coefficient_sequence(tables, "random_primes", N, seed=11)
         s_grid = sn.grid_eval_sequence(seq, M).values
         scale = N * float(np.sum(np.abs(seq.coeffs)))
         for alpha in rng.uniform(0, 1, 10):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import sievenorm as sn
 import sievenorm.quadrature as quadrature
+from sievenorm.errors import CapacityError, InvariantError
 from sievenorm.expsum import grid_eval_sequence
 
 
@@ -165,3 +166,19 @@ class TestL1Norm:
         with pytest.raises(ValueError):
             sn.l1_norm(seq, rel_tol=0.0)
 
+    def test_first_grid_over_budget(self, monkeypatch):
+        # N = 64 starts at M = 16 * 64 = 1024 samples
+        monkeypatch.setattr(quadrature, "SAMPLE_BUDGET", 512)
+        with pytest.raises(CapacityError, match="coarsest grid 1024 already exceeds budget 512"):
+            sn.l1_norm(random_sequence(64, 0))
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(3.0, "exceeds Cauchy-Schwarz ceiling"), (0.5, "below single-frequency floor")],
+    )
+    def test_envelope_violations(self, monkeypatch, value, message):
+        # |e(alpha) + e(2 alpha)| has l1 = 4/pi, between the floor 1 and the ceiling sqrt(2)
+        est = quadrature.L1Estimate(value, ((16, value),), True, 0.0)
+        monkeypatch.setattr(quadrature, "_refine", lambda seq, rel_tol: est)
+        with pytest.raises(InvariantError, match=message):
+            sn.l1_norm(sn.CoefficientSequence(2, [1.0, 1.0]))

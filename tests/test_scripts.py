@@ -20,26 +20,31 @@ def load_script(name):
     return module
 
 
-def check_growth_table(capsys, lo, hi):
+def check_growth_table(capsys, lo, hi, kind="mobius"):
     script = load_script("l1_growth_table")
-    assert script.main(["--kind", "mobius", "--powers", str(lo), str(hi)]) == 0
+    assert script.main(["--kind", kind, "--powers", str(lo), str(hi)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "kind=mobius seed=0 rel_tol=0.0001"
+    assert lines[0] == f"kind={kind} seed=0 rel_tol=0.0001"
     body = [line.split() for line in lines[3:]]
     assert [int(cells[0]) for cells in body] == [1 << k for k in range(lo, hi + 1)]
     tables = sn.build_tables(max(4096, 1 << hi))
     for cells in body:
         n, l1 = int(cells[0]), float(cells[1])
-        seq = sn.coefficient_sequence(tables, "mobius", n)
+        seq = sn.coefficient_sequence(tables, kind, n)
         assert l1 == pytest.approx(sn.l1_norm(seq).value, rel=1e-4)
-        # the growth column is the suite's mobius ratio, printed to 4 digits
-        expected = GROWTH_RATIOS["mobius"](n, l1, sn.l2_norm_sq(seq))
+        # the growth column is the suite's ratio for the kind, printed to 4 digits
+        expected = GROWTH_RATIOS[kind](n, l1, sn.l2_norm_sq(seq))
         assert float(cells[4]) == pytest.approx(expected, rel=1e-3)
         assert float(cells[2]) == pytest.approx(l1 / math.sqrt(n), rel=1e-4)
 
 
 def test_l1_growth_table_smoke(capsys):
     check_growth_table(capsys, 6, 7)
+
+
+def test_l1_growth_table_random_primes(capsys):
+    # the prime_l1 row's random variant, a sequence kind of its own
+    check_growth_table(capsys, 6, 7, kind="random_primes")
 
 
 def test_l1_growth_table_above_2_16(capsys):
