@@ -35,14 +35,16 @@ mean over p <= P).  For the residues coprime to q, weighted by mu(q)*N in
 ``k_part3``, it is the Ramanujan sum c_q(k), taken by a length-q FFT of the
 mask so it stays independent of the closed form used in ``experiments``.
 
-Sums at the rationals j/M all come from ``_inverse_fold``: fold the
+Sums on the uniform grids j/M both come from ``_inverse_fold``: fold the
 coefficients into bins k mod M (exact aliasing) and take one inverse FFT.
-The uniform grids call it once, the large sieve once per denominator q.
+The large sieve takes no transform (``largesieve`` sums residue-class
+energies instead).
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -228,8 +230,8 @@ def eval_sequence(seq: CoefficientSequence, alphas) -> np.ndarray:
     Powers of e(alpha) are built by cumulative products in chunks; relative
     drift is of order N * machine-eps, comfortably below the tolerances used
     anywhere in this package.  This pointwise route shares no code with the
-    fold-and-FFT evaluations (``grid_eval_sequence``, the per-denominator
-    large-sieve sum), which it cross-checks.
+    fold-and-FFT grids (``grid_eval_sequence``) or the residue-class energies
+    of the large sieve, which it cross-checks.
     """
     pts = np.atleast_1d(np.asarray(alphas, dtype=float)).reshape(-1)
     out = np.empty(pts.shape[0], dtype=np.complex128)
@@ -264,10 +266,21 @@ def _residue_spectrum(mask: np.ndarray) -> np.ndarray:
     return exact
 
 
-# One default suite pass asks for 20 specs (five kinds per ladder N); they all
-# fit, so a repeated pass does not redo the k_part3 FFTs.
-@lru_cache(maxsize=32)
+# Coefficients live as long as the tables they were built from, one dict of
+# specs per tables object: every spec a suite asks for stays cached across its
+# passes, however many ladder N it has, and goes when the tables go.
+_COEFFICIENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _cached_coefficients(tables: "ArithmeticTables", spec: KernelSpec) -> np.ndarray:
+    cache = _COEFFICIENTS.setdefault(tables, {})
+    coef = cache.get(spec)
+    if coef is None:
+        coef = cache[spec] = _build_coefficients(tables, spec)
+    return coef
+
+
+def _build_coefficients(tables: "ArithmeticTables", spec: KernelSpec) -> np.ndarray:
     N = spec.N
     if spec.kind == "h_truncated":
         coef = np.array(_cached_coefficients(tables, KernelSpec("h", N, P=spec.P)))
@@ -403,21 +416,18 @@ def _check_grid(M: int) -> None:
         raise CapacityError(f"grid size {M} exceeds budget {GRID_BUDGET}")
 
 
-def _inverse_fold(coeffs: np.ndarray, k: np.ndarray, M: int, row=None) -> np.ndarray:
-    """M * inverse FFT of the bins b[t, r] = sum of coeffs[i] over row[i] = t, k[i] = r (mod M).
+def _inverse_fold(coeffs: np.ndarray, k: np.ndarray, M: int) -> np.ndarray:
+    """M * inverse FFT of the bins b[r] = sum of coeffs[i] over k[i] = r (mod M).
 
-    Folding aliases exactly: sum_r b[t, r] e(r*j/M) equals the sum of
-    coeffs[i] * e(k[i]*j/M) over row[i] = t for every integer j, so row t of
-    the result holds that sum at j/M, j = 0..M-1, whatever M is.  Without
-    ``row`` the result is 1-d; ``row`` (sorted) gives one row per value
-    0..row[-1].  The result is a fresh array that owns its memory.
+    Folding aliases exactly: sum_r b[r] e(r*j/M) equals the sum of
+    coeffs[i] * e(k[i]*j/M) for every integer j, so the result holds that
+    sum at j/M, j = 0..M-1, whatever M is.  The result is a fresh array that
+    owns its memory.
     """
-    shape = (M,) if row is None else (int(row[-1]) + 1, M)
-    bins = k % M if row is None else row * M + k % M
-    values = np.zeros(shape, dtype=np.complex128)
+    values = np.zeros(M, dtype=np.complex128)
     # np.add.at is ~10x slower when coeffs (real kernel weights) differ in dtype
-    np.add.at(values.reshape(-1), bins, coeffs.astype(np.complex128, copy=False))
-    np.fft.ifft(values, axis=-1, out=values)
+    np.add.at(values, k % M, coeffs.astype(np.complex128, copy=False))
+    np.fft.ifft(values, out=values)
     values *= M
     return values
 

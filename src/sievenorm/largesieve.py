@@ -26,13 +26,23 @@ Families (``kind`` strings):
     a/p^2 for primes p <= P, 1 <= a <= p^2 - 1, reduced (2/4 is stored as
     1/2); delta >= 1/P^4.
 ``exact(R)``
-    R given fractions a/q (reduced mod 1, distinct); delta >= 1/max(q)^2.
+    R given fractions a/q (taken mod 1, stored reduced, distinct);
+    delta >= 1/max(q)^2.
 
-``large_sieve_check`` evaluates a batch of shifted sequences on one set:
-per denominator q, one call of ``expsum._inverse_fold`` (the fold and
-inverse FFT behind the uniform grids) gives every sequence at every a/q,
-with lhs summed per q; an evenly strided subset of each row is
-cross-checked against the pointwise ``eval_sequence``.
+``large_sieve_check`` evaluates a batch of shifted sequences on one set with
+no transform.  Parseval on Z/q and Mobius inversion over d | q give, for the
+twisted batch b_n = a_n * e(n * shift),
+
+    sum_{(a,q)=1} |S(a/q)|^2  =  sum_{d | q} mu(q/d) * A_d,
+    A_d = d * sum_{r mod d} |sum_{n = r (mod d)} b_n|^2 ,
+
+the Ramanujan-sum expansion c_q(k) = sum_{d | (q,k)} mu(q/d) * d read
+backwards.  So every group of a set that is the full coprime class mod q
+becomes integer weights w_d on the residue-class energies A_d, built once
+per set; lhs is sum_d w_d * A_d, with A_d = d * sum |a_n|^2 once d >= N.
+Any other group (only small hand-built or ``exact`` sets have one) is summed
+pointwise with ``eval_sequence``, which also re-derives R(q) for an evenly
+strided subset of the full classes as the cross-check.
 """
 
 from __future__ import annotations
@@ -44,8 +54,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .arith import build_tables
 from .errors import CapacityError, InvariantError
-from .expsum import TWO_PI_I, CoefficientSequence, _inverse_fold, eval_sequence
+from .expsum import TWO_PI_I, CoefficientSequence, eval_sequence
 from .quadrature import l2_norm_sq
 
 FAREY_KINDS = ("reduced_farey", "prime_farey", "prime_square_farey")
@@ -53,10 +64,23 @@ FAREY_KINDS = ("reduced_farey", "prime_farey", "prime_square_farey")
 #: Ratio slack for the large-sieve inequality check (pure roundoff headroom).
 RATIO_TOLERANCE = 1e-9
 
-#: Points of an exact set re-evaluated by the pointwise route on every check.
-CROSS_CHECK_POINTS = 64
+#: Most points of full classes re-evaluated by the pointwise route on every check.
+CROSS_CHECK_POINTS = 256
 
 _INT64_MAX = np.iinfo(np.int64).max
+
+
+class _Sample(NamedTuple):
+    """The cross-check's full classes: the positions ``pos`` of their points,
+    the class index ``cls`` of each, their denominators ``q``, and the terms
+    ``pair_mu * A_{pair_d}`` of each R(q), by class index ``pair_cls``."""
+
+    pos: np.ndarray
+    cls: np.ndarray
+    q: np.ndarray
+    pair_cls: np.ndarray
+    pair_d: np.ndarray
+    pair_mu: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +88,9 @@ class SpacedPointSet:
     """Sorted points in [0, 1) with a certified minimal circular gap.
 
     ``fractions`` is the exact form ``(num, den)``: int64 arrays, stored
-    read-only, and ``points`` is derived from it as ``num / den``.
+    read-only, and ``points`` is derived from it as ``num / den``.  The pairs
+    are reduced with 0 <= num < den, as both constructors make them, so a
+    denominator that holds phi(q) points holds the full coprime class mod q.
     ``delta`` is a *valid* spacing (every circular gap is >= delta), not
     necessarily the exact minimum after float rounding; the constructors
     set it to the exact minimal gap rounded toward zero.  A single point
@@ -75,8 +101,12 @@ class SpacedPointSet:
     delta: float
     kind: str
     points: np.ndarray = field(init=False)
-    # (q, numerators, positions in ``points``) per distinct denominator q
-    _by_denominator: tuple = field(default=(), init=False, repr=False)
+    # (d, w_d) with w_d != 0: the full classes' sum_{d | q} mu(q/d) * A_d
+    _weights: tuple = field(default=(), init=False, repr=False)
+    # positions of the points outside every full class, summed pointwise
+    _partial: np.ndarray = field(default=None, init=False, repr=False)
+    # the full classes that ``_cross_check`` re-derives pointwise
+    _sample: _Sample = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         num, den = (np.array(a, dtype=np.int64) for a in self.fractions)
@@ -84,20 +114,53 @@ class SpacedPointSet:
             raise ValueError("fractions must be two nonempty 1-d arrays of one length")
         if den.min() < 1:
             raise ValueError("denominators must be >= 1")
+        if num.min() < 0 or np.any(num >= den):
+            raise ValueError("numerators must lie in [0, den)")
         if not (0.0 < self.delta <= 1.0):
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-        max_den = int(den.max())  # bounded here, so the bincount below stays small
+        max_den = int(den.max())  # bounded here, so the tables below stay small
         _check_int64(max_den, Fraction(1, max_den * max_den))
         pts = num / den
         for arr in (num, den, pts):
             arr.setflags(write=False)
         object.__setattr__(self, "fractions", (num, den))
         object.__setattr__(self, "points", pts)
-        counts = np.bincount(den)
-        qs = np.flatnonzero(counts)
-        groups = np.split(np.argsort(den), np.cumsum(counts[qs])[:-1])
-        by_den = tuple((q, num[pos], pos) for q, pos in zip(qs.tolist(), groups))
-        object.__setattr__(self, "_by_denominator", by_den)
+        self._class_weights(den, max_den)
+
+    def _class_weights(self, den: np.ndarray, max_den: int) -> None:
+        """Set ``_weights``, ``_partial`` and ``_sample`` from one pass over the pairs (m, d)."""
+        tables = build_tables(max(2, max_den))
+        mobius, phi = tables.mobius[: max_den + 1], tables.phi[: max_den + 1]
+        full = np.bincount(den, minlength=max_den + 1) == phi
+        full[0] = False
+        # every pair (m, d) with m * d <= max_den and mu(m) != 0; q = m * d
+        m = np.flatnonzero(mobius)
+        counts = max_den // m
+        m = np.repeat(m, counts)
+        d = np.arange(m.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+        q = m * d
+        hit = full[q]
+        w = np.bincount(d[hit], mobius[m[hit]], max_den + 1).astype(np.int64)
+        partial = np.flatnonzero(~full[den])
+        # a sequence a_1 = 1 has A_d = d, so sum_d w_d * d counts the full classes
+        if int(w @ np.arange(max_den + 1)) != den.size - partial.size:
+            raise InvariantError(f"{self.kind}: class weights do not count the full classes")
+        ds = np.flatnonzero(w)
+        object.__setattr__(self, "_weights", (ds, w[ds]))
+        object.__setattr__(self, "_partial", partial)
+        # the full classes that fit in CROSS_CHECK_POINTS, at the least stride
+        # that keeps their points under it
+        eligible = np.flatnonzero(full & (phi <= CROSS_CHECK_POINTS))
+        stride = 1
+        while phi[eligible[::stride]].sum() > CROSS_CHECK_POINTS:
+            stride += 1
+        qs = eligible[::stride]
+        index = np.full(max_den + 1, -1)
+        index[qs] = np.arange(qs.size)
+        pos = np.flatnonzero(index[den] >= 0)
+        pair = hit & (index[q] >= 0)
+        sample = _Sample(pos, index[den[pos]], qs, index[q[pair]], d[pair], mobius[m[pair]])
+        object.__setattr__(self, "_sample", sample)
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -210,7 +273,7 @@ def build_point_set(tables, kind: str, parameter: int) -> SpacedPointSet:
     # No family repeats a point (a reduced a/p^2 is b/p^2 or b/p, each from one
     # a; _certified rejects a repeat).  Sorting by float is safe: distinct points
     # here differ by >= 1/parameter^4, far above float resolution.
-    order = np.argsort(num / den, kind="stable")
+    order = np.argsort(num / den)
     return _certified(num[order], den[order], guarantee, f"{kind}({parameter})")
 
 
@@ -218,10 +281,11 @@ def exact_point_set(num, den) -> SpacedPointSet:
     """The points num/den mod 1 as an exact set, certified against 1/max(den)^2.
 
     ``num`` and ``den`` are integers that broadcast to one 1-d shape, e.g.
-    ``exact_point_set(np.arange(M), M)``; each num is reduced mod its den and
-    the pairs are sorted.  Distinct fractions with denominators <= D are at
-    least 1/D^2 apart, so only a repeated point (1/2 and 2/4 included) can
-    fail: ValueError.  CapacityError if certification could overflow int64.
+    ``exact_point_set(np.arange(M), M)``; each num is taken mod its den, each
+    pair is divided by its gcd and the pairs are sorted.  Distinct fractions
+    with denominators <= D are at least 1/D^2 apart, so only a repeated point
+    (1/2 and 2/4 included) can fail: ValueError.  CapacityError if
+    certification could overflow int64.
     """
     num, den = np.asarray(num), np.asarray(den)
     if not (np.issubdtype(num.dtype, np.integer) and np.issubdtype(den.dtype, np.integer)):
@@ -235,31 +299,59 @@ def exact_point_set(num, den) -> SpacedPointSet:
     guarantee = Fraction(1, max_den * max_den)
     _check_int64(max_den, guarantee)
     num = num % den
+    g = np.gcd(num, den)
+    num, den = num // g, den // g
     # Within the int64 guard 1/max_den^2 is far above float resolution.
-    order = np.argsort(num / den, kind="stable")
+    order = np.argsort(num / den)
     num, den = num[order], den[order]
     if np.any(num[1:] * den[:-1] == num[:-1] * den[1:]):
         raise ValueError("points are not distinct modulo 1")
     return _certified(num, den, guarantee, f"exact({num.size})")
 
 
-def _cross_check(seq, point_set, shift, idx, picked) -> None:
-    """Check ``picked``, the per-denominator S at points[idx] + shift, pointwise.
+def _class_energies(coeffs: np.ndarray, n: np.ndarray, row: np.ndarray, moduli) -> np.ndarray:
+    """A_d at [t, j], d = moduli[j]: d * sum_r |sum coeffs[i] over row[i] = t, n[i] = r (d)|^2.
 
-    Both routes are exact up to roundoff: a phase error of a few ulps in
-    n*alpha for n <= N (float points, cumulative powers, the twist) and
-    O(log q) ulps of FFT roundoff on sums bounded by sum |a_n|.  The bound
-    64 * eps * (N + max q) * sum |a_n| covers both with room to spare; any
-    misplaced coefficient moves a value by |a_n|, far above it.
+    ``row`` is sorted; each A_d is one pair of bincounts (real and imaginary
+    parts) on the bins row * d + n % d.
     """
-    pointwise = eval_sequence(seq, point_set.points[idx] + shift)
-    max_den = int(point_set.fractions[1].max())
-    bound = 64.0 * np.finfo(float).eps * (seq.N + max_den) * float(np.abs(seq.coeffs).sum())
-    err = float(np.max(np.abs(pointwise - picked)))
-    if not err <= bound:  # NaN fails too
+    rows = int(row[-1]) + 1
+    re, im = np.ascontiguousarray(coeffs.real), np.ascontiguousarray(coeffs.imag)
+    out = np.empty((rows, len(moduli)))
+    for j, d in enumerate(moduli):
+        bins = row * d + n % d
+        sums_re = np.bincount(bins, re, rows * d)
+        sums_im = np.bincount(bins, im, rows * d)
+        out[:, j] = d * (sums_re * sums_re + sums_im * sums_im).reshape(rows, d).sum(axis=1)
+    return out
+
+
+def _cross_check(seq, point_set, shift, values, energy) -> None:
+    """Check R(q) from ``values`` (S at the sample's points) against ``energy`` (its A_d).
+
+    With s = sum |a_n| and k(q) <= 2 phi(q) terms mu(q/d) * A_d in R(q): each
+    pointwise |S|^2 is within 22 * N * eps * s^2 (phase drift of the float
+    point and the cumulative powers); the twist's phase error, below
+    13 * N * eps, moves R(q) by 26 * N * phi(q) * eps * s^2; each A_d's class
+    sums and squares lose (2N + 5d) * eps * s^2, and the d sum to at most
+    k(q) * q.  That is under 52 * N * phi(q) + 6 * k(q) * q, so the bound
+    128 * eps * (N * phi(q) + k(q) * q) * s^2 holds with 2x to spare, while a
+    misplaced coefficient moves some A_d by about |a_n| * s.
+    """
+    sample = point_set._sample
+    qs = sample.q
+    pointwise = np.bincount(sample.cls, np.abs(values) ** 2, qs.size)
+    energies = np.bincount(sample.pair_cls, sample.pair_mu * energy, qs.size)
+    phi = np.bincount(sample.cls, minlength=qs.size)
+    terms = np.bincount(sample.pair_cls, minlength=qs.size)
+    s = float(np.abs(seq.coeffs).sum())
+    bound = 128.0 * np.finfo(float).eps * (seq.N * phi + terms * qs) * s * s
+    err = np.abs(pointwise - energies)
+    if not np.all(err <= bound):  # NaN fails too
+        i = int(np.argmax(~(err <= bound)))
         raise InvariantError(
-            f"per-denominator and pointwise S differ by {err:.3e} > {bound:.3e} "
-            f"on {point_set.kind} (N={seq.N}, shift={shift!r})"
+            f"residue-class energies and pointwise R(q) differ by {err[i]:.3e} > "
+            f"{bound[i]:.3e} at q={qs[i]} on {point_set.kind} (N={seq.N}, shift={shift!r})"
         )
 
 
@@ -270,10 +362,12 @@ def large_sieve_check(
 
     Judging ratio <= 1 is the caller's job, but a ratio above 1 + 1e-9
     raises InvariantError: the inequality is a theorem for any delta-spaced
-    set.  Per denominator q, ``_inverse_fold`` makes one (len(seqs), q)
-    array, the largest held, with row t = seqs[t] at every a/q + shifts[t];
-    lhs is summed per q.
-    ``eval_sequence`` re-checks CROSS_CHECK_POINTS strided points per row.
+    set.  lhs is sum_d w_d * A_d over the set's weights (module docstring)
+    plus the pointwise sum over points outside the full classes; one
+    ``_class_energies`` call gives every A_d with d below the batch's
+    largest N, and A_d = d * sum |a_n|^2 above it, where each residue class
+    holds at most one term.  ``eval_sequence`` re-derives R(q) on at most
+    CROSS_CHECK_POINTS points of full classes per sequence (``_cross_check``).
     """
     shifts = np.array(shifts, dtype=float)
     if not seqs or shifts.shape != (len(seqs),):
@@ -282,19 +376,26 @@ def large_sieve_check(
     n = np.concatenate([np.arange(1, seq.N + 1) for seq in seqs])
     coeffs = np.concatenate([seq.coeffs for seq in seqs])
     coeffs = coeffs * np.exp(TWO_PI_I * shifts[row] * n)
-    stride = -(-len(point_set) // CROSS_CHECK_POINTS)
-    idx = np.arange(0, len(point_set), stride)
-    lhs = np.zeros(len(seqs))
-    picked = np.empty((len(seqs), idx.size), dtype=np.complex128)
-    for q, nums, pos in point_set._by_denominator:
-        values = _inverse_fold(coeffs, n, q, row)[:, nums]
-        lhs += np.sum(np.abs(values) ** 2, axis=1)
-        hit = pos % stride == 0
-        picked[:, pos[hit] // stride] = values[:, hit]
+    n_max = max(seq.N for seq in seqs)
+    ds, ws = point_set._weights
+    pair_d = point_set._sample.pair_d
+    moduli = np.union1d(ds[ds < n_max], pair_d[pair_d < n_max])
+    small = _class_energies(coeffs, n, row, moduli.tolist())
+    l2 = np.array([l2_norm_sq(seq) for seq in seqs])
+    lo = ds < n_max
+    # the d >= n_max part is l2 times an exact integer
+    lhs = small[:, np.searchsorted(moduli, ds[lo])] @ ws[lo] + l2 * float(ws[~lo] @ ds[~lo])
+    lo = pair_d < n_max
+    pair_energy = np.outer(l2, pair_d.astype(float))
+    pair_energy[:, lo] = small[:, np.searchsorted(moduli, pair_d[lo])]
+    picked = point_set.points[np.concatenate([point_set._partial, point_set._sample.pos])]
+    partial = point_set._partial.size
     results = []
-    for seq, shift, seq_lhs, seq_picked in zip(seqs, shifts.tolist(), lhs.tolist(), picked):
-        _cross_check(seq, point_set, shift, idx, seq_picked)
-        rhs = (seq.N + 1.0 / point_set.delta - 1.0) * l2_norm_sq(seq)
+    for seq, shift, seq_lhs, seq_l2, energy in zip(seqs, shifts.tolist(), lhs, l2, pair_energy):
+        values = eval_sequence(seq, picked + shift)
+        _cross_check(seq, point_set, shift, values[partial:], energy)
+        seq_lhs = float(seq_lhs + np.sum(np.abs(values[:partial]) ** 2))
+        rhs = (seq.N + 1.0 / point_set.delta - 1.0) * float(seq_l2)
         ratio = seq_lhs / rhs if rhs > 0 else 0.0
         if not ratio <= 1.0 + RATIO_TOLERANCE:  # NaN fails too
             raise InvariantError(

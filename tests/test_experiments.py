@@ -6,6 +6,7 @@ import pytest
 
 import sievenorm as sn
 import sievenorm.experiments as experiments
+import sievenorm.expsum as expsum
 from sievenorm.experiments import (
     EXPERIMENTS,
     ExperimentRow,
@@ -314,7 +315,8 @@ class TestLargeSieveTrials:
     )
     def test_batching_keeps_per_trial_values(self, tables, seed, max_ratio, mean_ratio, detail):
         # recorded with one check per trial, in trial order (the same with
-        # 2^12 and 2^20 tables); batching moves lhs only by summation order
+        # 2^12 and 2^20 tables); batching and the residue-class energies
+        # move lhs only by roundoff
         row = large_sieve_trials(tables, trials=200, seed=seed)
         assert row.measured["max_ratio"] == pytest.approx(max_ratio, rel=1e-12)
         assert row.measured["mean_ratio"] == pytest.approx(mean_ratio, rel=1e-12)
@@ -455,6 +457,27 @@ class TestRunSuite:
         serial = run_suite(SuiteConfig(experiments=base, workers=1), tables=tables)
         threaded = run_suite(SuiteConfig(experiments=base, workers=2), tables=tables)
         assert _strip_runtime(serial) == _strip_runtime(threaded)
+
+    def test_second_pass_builds_no_coefficients(self, monkeypatch):
+        # 8 ladder N ask for 40 kernel specs, more than a 32-spec LRU holds
+        built, build = [], expsum._build_coefficients
+
+        def spy(tables, spec):
+            built.append(spec)
+            return build(tables, spec)
+
+        monkeypatch.setattr(expsum, "_build_coefficients", spy)
+        ns = [16, 24, 32, 40, 48, 56, 64, 72]
+        cfg = SuiteConfig(
+            experiments=(("kernel_gap", {"n": ns}), ("lambda_kernel_integral", {"n": ns}))
+        )
+        tables = sn.build_tables(4096)  # fresh, so nothing is cached for it yet
+        run_suite(cfg, tables=tables)
+        assert len(set(built)) == 40
+        built.clear()
+        rows = run_suite(cfg, tables=tables)
+        assert built == []
+        assert all(row.passed for row in rows)
 
     def test_trend_summary_rows(self, tables):
         cfg = SuiteConfig(

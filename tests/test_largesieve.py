@@ -167,6 +167,9 @@ class TestExactPointSet:
         assert ps.fractions[0].tolist() == [1, 3]
         assert ps.fractions[1].tolist() == [4, 4]
         np.testing.assert_array_equal(ps.points, [0.25, 0.75])
+        reduced = sn.exact_point_set([0, 2, 6, 3], [4, 4, 8, 9])  # stored reduced
+        assert reduced.fractions[0].tolist() == [0, 1, 1, 3]
+        assert reduced.fractions[1].tolist() == [1, 3, 2, 4]
         for num, den in (([1, 5], 4), ([1, 2], [2, 4]), ([0, 3], [1, 3])):
             with pytest.raises(ValueError, match="not distinct"):
                 sn.exact_point_set(num, den)
@@ -285,6 +288,38 @@ class TestLargeSieveCheck:
             assert res.lhs == pytest.approx(alone.lhs, rel=1e-12)
             assert res.rhs == alone.rhs
 
+    @staticmethod
+    def assert_matches_pointwise(tables, ps):
+        # N = 1 needs no energies, N = 5 sits below and N = 40 above most d
+        seqs, shifts = [], []
+        for N, shift in ((1, 0.25), (5, 0.0), (5, 0.6), (40, 0.0), (40, 0.3)):
+            for seq_kind in ("random_complex", "ones"):
+                seqs.append(sn.coefficient_sequence(tables, seq_kind, N, seed=N))
+                shifts.append(shift)
+        for seq, shift, res in zip(seqs, shifts, sn.large_sieve_check(seqs, ps, shifts)):
+            want = float(np.sum(np.abs(sn.eval_sequence(seq, ps.points + shift)) ** 2))
+            assert res.lhs == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("M", [12, 30, 64])
+    def test_divisor_classes_match_pointwise(self, tables, M):
+        # a/M, a < M, reduces to the full coprime class mod d for every d | M
+        ps = sn.exact_point_set(np.arange(M), M)
+        assert ps._partial.size == 0
+        self.assert_matches_pointwise(tables, ps)
+
+    @pytest.mark.parametrize("num, den", [([1, 2, 9], 10), ([123], 1000)])
+    def test_partial_groups_match_pointwise(self, tables, num, den):
+        ps = sn.exact_point_set(num, den)
+        assert ps._partial.size == len(ps)
+        self.assert_matches_pointwise(tables, ps)
+
+    @pytest.mark.parametrize("kind", sn.FAREY_KINDS)
+    @pytest.mark.parametrize("param", [2, 3, 7])
+    def test_small_families_match_pointwise(self, tables, kind, param):
+        ps = sn.build_point_set(tables, kind, param)
+        assert ps._partial.size == 0
+        self.assert_matches_pointwise(tables, ps)
+
     def test_batch_validation(self, tables):
         ps = sn.build_point_set(tables, "reduced_farey", 5)
         seq = sn.coefficient_sequence(tables, "ones", 8)
@@ -293,33 +328,54 @@ class TestLargeSieveCheck:
         with pytest.raises(ValueError, match="one shift per sequence"):
             sn.large_sieve_check([], ps, [])
 
-    def test_corrupted_fold_is_caught(self, tables, monkeypatch):
+    def test_corrupted_energies_are_caught(self, tables, monkeypatch):
+        # a roll of one sequence's class sums inside one modulus only
+        # translates it, which leaves every energy unchanged; rolling its
+        # energies across the moduli files each A_d under another d
         ps = sn.build_point_set(tables, "reduced_farey", 50)
         seqs = [sn.coefficient_sequence(tables, "random_complex", 60 + t, seed=t) for t in range(5)]
         check_one(seqs[3], ps, 0.3)  # sound before the corruption
-        fold = largesieve._inverse_fold
+        energies = largesieve._class_energies
 
         def corrupt_row_3(*args):
-            values = fold(*args)
+            values = energies(*args)
             values[3] = np.roll(values[3], 1)
             return values
 
-        monkeypatch.setattr(largesieve, "_inverse_fold", corrupt_row_3)
+        monkeypatch.setattr(largesieve, "_class_energies", corrupt_row_3)
         with pytest.raises(InvariantError, match="pointwise") as err:
             sn.large_sieve_check(seqs, ps, [0.3] * 5)
         assert "N=63" in str(err.value)
 
-    def test_nan_fold_is_caught(self, tables, monkeypatch):
+    def test_nan_energies_are_caught(self, tables, monkeypatch):
         # a NaN compares false against every bound, so each check must be
         # written to fail on it
         ps = sn.build_point_set(tables, "reduced_farey", 22)
         seq = sn.coefficient_sequence(tables, "mobius", 512)
-        def nan_values(coeffs, k, M, row):
-            return np.full((int(row[-1]) + 1, M), np.nan + 0j)
 
-        monkeypatch.setattr(largesieve, "_inverse_fold", nan_values)
-        with pytest.raises(InvariantError, match="pointwise"):
+        def nan_values(coeffs, n, row, moduli):
+            return np.full((int(row[-1]) + 1, len(moduli)), np.nan)
+
+        monkeypatch.setattr(largesieve, "_class_energies", nan_values)
+        with pytest.raises(InvariantError, match="pointwise") as err:
             check_one(seq, ps)
+        assert "N=512" in str(err.value)
+
+    def test_misplaced_coefficient_is_caught(self, tables, monkeypatch):
+        # sequence 2's a_1 binned as if it were a_2: no longer a translate
+        ps = sn.build_point_set(tables, "prime_farey", 100)
+        seqs = [sn.coefficient_sequence(tables, "random_complex", 40 + t, seed=t) for t in range(4)]
+        energies = largesieve._class_energies
+
+        def misplaced(coeffs, n, row, moduli):
+            n = n.copy()
+            n[np.flatnonzero(row == 2)[0]] += 1
+            return energies(coeffs, n, row, moduli)
+
+        monkeypatch.setattr(largesieve, "_class_energies", misplaced)
+        with pytest.raises(InvariantError, match="pointwise") as err:
+            sn.large_sieve_check(seqs, ps, [0.7] * 4)
+        assert "N=42" in str(err.value)
 
     def test_lying_delta_is_caught(self):
         # hand-built point set with a wildly overstated delta must trip the
