@@ -35,10 +35,12 @@ mean over p <= P).  For the residues coprime to q, weighted by mu(q)*N in
 ``k_part3``, it is the Ramanujan sum c_q(k), taken by a length-q FFT of the
 mask so it stays independent of the closed form used in ``experiments``.
 
-Sums on the uniform grids j/M both come from ``_inverse_fold``: fold the
-coefficients into bins k mod M (exact aliasing) and take one inverse FFT.
-The large sieve takes no transform (``largesieve`` sums residue-class
-energies instead).
+Sums on the uniform grids fold the coefficients into bins k mod M (exact
+aliasing) and take one inverse FFT.  A sequence, complex in general, takes a
+complex one (``_inverse_fold``).  Kernel weights are real and even, so their
+bins are too, and half of them give all M real values by one ``irfft``.  The
+large sieve takes no transform (``largesieve`` sums residue-class energies
+instead).
 """
 
 from __future__ import annotations
@@ -422,11 +424,11 @@ def _inverse_fold(coeffs: np.ndarray, k: np.ndarray, M: int) -> np.ndarray:
     Folding aliases exactly: sum_r b[r] e(r*j/M) equals the sum of
     coeffs[i] * e(k[i]*j/M) for every integer j, so the result holds that
     sum at j/M, j = 0..M-1, whatever M is.  The result is a fresh array that
-    owns its memory.
+    owns its memory.  ``coeffs`` are complex (a sequence's); real even kernel
+    weights take the ``irfft`` of ``grid_eval_kernel`` instead.
     """
     values = np.zeros(M, dtype=np.complex128)
-    # np.add.at is ~10x slower when coeffs (real kernel weights) differ in dtype
-    np.add.at(values, k % M, coeffs.astype(np.complex128, copy=False))
+    np.add.at(values, k % M, coeffs)
     np.fft.ifft(values, out=values)
     values *= M
     return values
@@ -451,19 +453,20 @@ def grid_eval_sequence(seq: CoefficientSequence, M: int, shift: float = 0.0) -> 
 def grid_eval_kernel(tables: "ArithmeticTables", spec: KernelSpec, M: int) -> GridEvaluation:
     """Kernel values at j/M, j = 0..M-1, as a real array.
 
-    One transform over the 2N+1 spectral weights: they are folded into
-    frequency bins modulo M (exact aliasing) and one inverse FFT produces
-    all M values.  ``GRID_BUDGET`` caps M.
+    The 2N+1 spectral weights are real and even bit for bit: k and -k get
+    the same additions in the same order, which is checked exactly
+    (``InvariantError`` otherwise).  Folded into bins modulo M (exact
+    aliasing) by one real ``np.bincount``, they give bins b[r] = b[M - r] up
+    to roundoff, so one ``irfft`` of b[0..M//2] yields all M values.
+    ``GRID_BUDGET`` caps M.
     """
     _check_grid(M)
-    v = _inverse_fold(spectral_weights(tables, spec), np.arange(-spec.N, spec.N + 1), M)
-    scale = max(1.0, float(np.max(np.abs(v.real))))
-    imag = float(np.max(np.abs(v.imag)))
-    if imag > 1e-9 * scale:
-        raise InvariantError(
-            f"real kernel produced imaginary residue {imag:.3e} on grid M={M}"
-        )
-    return GridEvaluation(M=M, values=np.ascontiguousarray(v.real), spec=spec)
+    w = spectral_weights(tables, spec)
+    if not np.array_equal(w, w[::-1]):
+        raise InvariantError(f"spectral weights of {spec} are not even in k")
+    b = np.bincount(np.arange(-spec.N, spec.N + 1) % M, weights=w, minlength=M)
+    v = np.fft.irfft(b[: M // 2 + 1], n=M, norm="forward")
+    return GridEvaluation(M=M, values=v, spec=spec)
 
 
 def duality_gap(tables: "ArithmeticTables", spec: KernelSpec, alphas) -> float:

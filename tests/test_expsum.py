@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sievenorm as sn
 import sievenorm.expsum as expsum
-from sievenorm.errors import CapacityError
+from sievenorm.errors import CapacityError, InvariantError
 from sievenorm.expsum import TWO_PI_I
 
 ALPHAS = st.floats(
@@ -390,6 +390,32 @@ class TestGridEvalKernel:
         want = [sn.eval_kernel(tables, spec, j / M) for j in range(M)]
         np.testing.assert_allclose(grid.values, want, rtol=1e-8, atol=1e-6)
         assert grid.values.base is None
+
+    @pytest.mark.parametrize(
+        "spec, M",
+        [
+            (sn.KernelSpec("fejer", 16), 33),
+            (sn.KernelSpec("gstar", 64, P=3), 129),
+            (sn.KernelSpec("h", 64, P=8), 127),
+            (sn.KernelSpec("h_truncated", 64, P=8), 45),
+            (sn.KernelSpec("k_part3", 100, Q=10), 151),
+            (sn.KernelSpec("k_part3", 100, Q=10), 7),
+        ],
+        ids=["fejer-33", "gstar-129", "h-127", "h_truncated-45", "k_part3-151", "k_part3-7"],
+    )
+    def test_odd_and_aliased_irfft_grids_match_translates(self, tables, spec, M):
+        # irfft of the bins b[0..M//2] gives all M values at odd M and under aliasing
+        grid = sn.grid_eval_kernel(tables, spec, M)
+        want = [sn.eval_kernel(tables, spec, j / M) for j in range(M)]
+        np.testing.assert_allclose(grid.values, want, rtol=1e-8, atol=1e-6)
+
+    def test_asymmetric_weights_raise(self, tables, monkeypatch):
+        spec = sn.KernelSpec("gstar", 64, P=2)
+        w = np.array(sn.spectral_weights(tables, spec))
+        w[0] += 1e-12
+        monkeypatch.setattr(expsum, "spectral_weights", lambda tables, spec: w)
+        with pytest.raises(InvariantError, match="not even"):
+            sn.grid_eval_kernel(tables, spec, 256)
 
     def test_values_are_read_only(self, tables):
         grid = sn.grid_eval_kernel(tables, sn.KernelSpec("fejer", 8), 32)

@@ -83,7 +83,8 @@ class TestL1Norm:
             assert value == pytest.approx(one_shot, rel=1e-12)
 
     def test_cosets_match_unchunked_grids(self, tables, monkeypatch):
-        seq = sn.coefficient_sequence(tables, "mobius", 1000)
+        # a complex sequence runs every grid as cosets of exactly _CHUNK points
+        seq = sn.coefficient_sequence(tables, "random_complex", 1000, seed=4)
         whole = sn.l1_norm(seq, rel_tol=1e-9)
         sizes = []
 
@@ -98,6 +99,41 @@ class TestL1Norm:
         assert [m for m, _ in whole.grids] == [m for m, _ in chunked.grids]
         for (_, va), (_, vb) in zip(whole.grids, chunked.grids):
             assert vb == pytest.approx(va, rel=1e-12)
+
+    def test_real_transforms_stay_within_chunk(self, tables, monkeypatch):
+        # a real sequence takes rfft grids and half-size mirrored ones, so its
+        # transforms may be shorter than _CHUNK but never longer
+        seq = sn.coefficient_sequence(tables, "mobius", 1000)
+        whole = sn.l1_norm(seq, rel_tol=1e-9)
+        sizes, rfft = [], np.fft.rfft
+
+        def recorded(seq, M, shift=0.0):
+            sizes.append(M)
+            return grid_eval_sequence(seq, M, shift=shift)
+
+        def recorded_rfft(x, *args, **kwargs):
+            sizes.append(len(x))
+            return rfft(x, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_CHUNK", 256)
+        monkeypatch.setattr(quadrature, "grid_eval_sequence", recorded)
+        monkeypatch.setattr(np.fft, "rfft", recorded_rfft)
+        chunked = sn.l1_norm(seq, rel_tol=1e-9)
+        assert sizes and max(sizes) <= 256
+        assert [m for m, _ in whole.grids] == [m for m, _ in chunked.grids]
+        for (_, va), (_, vb) in zip(whole.grids, chunked.grids):
+            assert vb == pytest.approx(va, rel=1e-12)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 97, 1000])
+    def test_real_grid_sums_match_one_shot_means(self, tables, monkeypatch, N):
+        # the mirror identities and the peel above _CHUNK against one plain grid
+        seq = sn.coefficient_sequence(tables, "mobius", N)
+        assert not np.any(seq.coeffs.imag)
+        M = quadrature.OVERSAMPLE_START << (N - 1).bit_length()
+        monkeypatch.setattr(quadrature, "_CHUNK", 8)
+        for G, shift in [(M, 0.0), (M, 0.5), (2 * M, 0.0), (M // 2, 0.5)]:
+            one_shot = float(np.mean(np.abs(grid_eval_sequence(seq, G, shift=shift).values)))
+            assert quadrature._grid_sum(seq, G, shift) / G == pytest.approx(one_shot, rel=1e-12)
 
     def test_large_n_converges_in_bounded_memory(self):
         # N = 2^18 samples 2^22..2^23 points; evaluated in cosets of 2^20 its
