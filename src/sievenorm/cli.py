@@ -13,7 +13,8 @@ blocks, so a failed job renders an error row just as in ``suite``::
 Output contract: CSV to stdout by default (or ``--out PATH``); ``--json``
 switches to a JSON document ``{schema_version, metadata, rows}``.  CSV and
 JSON carry identical row values; floats are rendered with 12 significant
-digits.  Metadata records tool version, tolerances, seeds and worker count;
+digits.  Metadata records tool version, the git commit of the source tree
+(``git_sha``, null outside a checkout), tolerances, seeds and worker count;
 the JSON form adds a timestamp (deliberately kept out of the CSV so that CSV
 output is byte-reproducible up to the ``runtime_s`` column).
 
@@ -238,10 +239,31 @@ def parse_config(text: str) -> SuiteConfig:
 # subcommand handlers
 
 
+def _git_sha(root: Path) -> str | None:
+    """The commit checked out at ``root``, read from ``.git/HEAD`` and the ref it names.
+
+    A ``ref:`` line is followed to the loose ref file or to ``packed-refs``.
+    No git process runs; anything unreadable gives None.
+    """
+    git = root / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head or None
+        ref = head[len("ref: ") :]
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip() or None
+        lines = (git / "packed-refs").read_text().splitlines()
+        return next((line.split()[0] for line in lines if line.split()[1:] == [ref]), None)
+    except OSError:
+        return None
+
+
 def _metadata(**extra) -> dict:
     return {
         "tool": "sievenorm",
         "tool_version": __version__,
+        "git_sha": _git_sha(Path(__file__).resolve().parents[2]),
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
         "cpu_count": os.cpu_count(),

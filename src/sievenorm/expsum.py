@@ -438,11 +438,11 @@ def grid_eval_sequence(seq: CoefficientSequence, M: int, shift: float = 0.0) -> 
     """S((j + shift)/M) for j = 0..M-1, from one inverse FFT of length M.
 
     The coefficients are twisted by e(n*shift/M) and folded into frequency
-    bins n mod M (exact aliasing, so M may be below N + 1).  The L1
-    quadrature asks for power-of-two M, where the FFT is fastest;
-    ``GRID_BUDGET`` caps M, the length of every array allocated here.  At
-    shift = 0 and M >= N + 1 each a_n sits alone in bin n.  The pointwise
-    route ``eval_sequence`` shares no code with this one.
+    bins n mod M (exact aliasing, so M may be below N + 1).  ``GRID_BUDGET``
+    caps M, the length of every array allocated here.  At shift = 0 and
+    M >= N + 1 each a_n sits alone in bin n.  The pointwise route
+    ``eval_sequence`` shares no code with this one; the L1 quadrature's row
+    transforms (``quadrature._row_sum``) are checked against this grid.
     """
     _check_grid(M)
     n = np.arange(1, seq.N + 1)

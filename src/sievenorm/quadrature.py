@@ -7,22 +7,20 @@ it is estimated by rectangle-rule quadrature on nested power-of-two grids
 M = oversample * 2^ceil(log2 N), doubling M until successive values agree
 to a relative tolerance.  |S| has kinks at its zeros, so the rule converges
 only algebraically.  Each doubling keeps the running sum of |S| and adds only
-the new samples of the finer grid, which form one grid of half its size at
-shift 1/2.  Every grid sum runs in transforms of at most ``_CHUNK`` points,
-so memory does not grow with N.  A real sequence has |S(-alpha)| =
-|S(alpha)|: its grids at shift 0 take one real FFT (half the work of a
-complex one), and at shift 1/2 the mirror halves the samples.
-``SAMPLE_BUDGET`` bounds the finest grid's sample count, that is the time an
-estimate may take.
+the new samples of the finer grid, its odd multiples of 1/M.  Every sample
+is S((i + t)/L), L = 2^ceil(log2 N), i < L, offset t in [0, 1): a grid is
+rows of L points, each one inverse FFT of twisted coefficients, in cache up to
+L = 2^16 (Bailey's four-step FFT, input stage pruned), in batches of at most
+``_CHUNK`` samples, so memory does not grow with N.  A real sequence has
+|S(-alpha)| = |S(alpha)|, so only offsets t <= 1/2 run.  ``SAMPLE_BUDGET``
+bounds the finest grid's sample count, that is the time an estimate may take.
 
 Every estimate is cross-checked against two analytic envelopes before being
 returned: l1 <= sqrt(l2) (Cauchy-Schwarz) and l1 >= max_n |a_n| (projection
 onto a single frequency).  A violation beyond tolerance raises
 :class:`InvariantError` -- the quadrature itself cannot produce either side
-wrongly unless there is a bug.
-
-Grid values are reduced by one ``np.sum`` per transform, in a fixed order, so
-a given input always gives the same bits.
+wrongly unless there is a bug.  Row sums are reduced in a fixed order, so a
+given input always gives the same bits.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InvariantError
-from .expsum import CoefficientSequence, grid_eval_sequence
+from .expsum import TWO_PI_I, CoefficientSequence, grid_eval_sequence
 
 DEFAULT_REL_TOL = 1e-4
 #: The L1 grids run over M = oversample * 2^ceil(log2 N), oversample from START to CAP.
@@ -42,13 +40,8 @@ OVERSAMPLE_CAP = 1024
 #: Cap on the finest L1 grid: 2^25 samples reach N = 2^20 at oversample 32.
 SAMPLE_BUDGET = 1 << 26
 
-# Longest transform: one call evaluates at most this many points.
+# Largest transform batch: one ``ifft`` call evaluates at most this many points.
 _CHUNK = 1 << 19
-# Cosets have this many points, or the first grid's if more, which keeps
-# re-twisting the N coefficients a small share of each call.  Longer complex
-# transforms cost more per sample: one call per grid (up to 2^19 points) took
-# random_complex at N = 1000 and rel_tol 1e-9 from 30 ms to 42-46 ms.
-_CACHED = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -81,45 +74,49 @@ def l2_norm_sq_quadrature(seq: CoefficientSequence, M: int | None = None) -> flo
     return float(np.mean(np.abs(g.values) ** 2))
 
 
-def _grid_sum(seq: CoefficientSequence, G: int, shift: float) -> float:
-    """Sum of |S((j + shift)/G)| over j < G, in transforms of at most ``_CHUNK`` points.
+def _row_sum(seq: CoefficientSequence, M: int, odd: bool) -> float:
+    """Sum of |S(j/M)| over j < M, or over odd j only, by batched row transforms.
 
-    The grid is the R = G/B cosets of B points: coset r holds
-    (R*i + r + shift)/G = (i + (r + shift)/R)/B, i < B.  B is G capped at
-    ``_CHUNK`` and at the larger of ``_CACHED`` and the first grid.
-
-    A real sequence (every imaginary part exactly 0) and an even G take two
-    mirror identities instead.  At shift 1/2 the points (4k + 3)/(2G) mirror
-    (4k + 1)/(2G), so the sum is twice that over G/2 points at shift 1/4.  At
-    shift 0 one ``rfft`` of the real bins holds S at j/G for j <= G/2, and the
-    mirror gives the rest, weighted 1, 2, ..., 2, 1; above ``_CHUNK`` points
-    the grid splits into its even samples (G/2 at shift 0) and odd ones (G/2
-    at shift 1/2).
+    |S(alpha)| = |sum_{m<N} a_{m+1} e(m*alpha)|.  With B = L = 2^ceil(log2 N)
+    capped at ``_CHUNK`` and D = M/B, sample j = D*i + s sits at (i + s/D)/B:
+    row s is one inverse FFT of the B bins sum_{m = k (mod B)} a_{m+1}
+    e(m*s/M) (exact aliasing; above ``_CHUNK`` the coefficients fold).  The
+    twist multiplies tables of e(h*K*s/M) and e(l*s/M) over k = h*K + l,
+    K ~ sqrt(B) (and e(q*B*s/M) for the fold), each argument reduced mod M in
+    integers before ``np.exp``.  For a real sequence row D - s mirrors row s:
+    only s <= D/2 run, weighted 2 unless s = 0 or 2s = D.
     """
-    if G % 2 == 0 and not np.any(seq.coeffs.imag):
-        if shift == 0.5:
-            return 2.0 * _grid_sum(seq, G // 2, 0.25)
-        if shift == 0 and G > _CHUNK:
-            return _grid_sum(seq, G // 2, 0.0) + _grid_sum(seq, G // 2, 0.5)
-        if shift == 0:
-            n = np.arange(1, seq.N + 1)
-            a = np.abs(np.fft.rfft(np.bincount(n % G, weights=seq.coeffs.real, minlength=G)))
-            return float(a[0] + a[-1] + 2.0 * np.sum(a[1:-1]))
-    B = min(G, _CHUNK, max(_CACHED, OVERSAMPLE_START << (seq.N - 1).bit_length()))
-    R = G // B
-    return sum(
-        float(np.sum(np.abs(grid_eval_sequence(seq, B, shift=(r + shift) / R).values)))
-        for r in range(R)
-    )
+    L = 1 << (seq.N - 1).bit_length()
+    B = min(L, _CHUNK)
+    D, K = M // B, 1 << (B.bit_length() - 1) // 2
+    s = np.arange(1 if odd else 0, D, 2 if odd else 1)
+    w = np.ones(len(s))
+    if not np.any(seq.coeffs.imag):
+        s = s[2 * s <= D]
+        w = np.where((s == 0) | (2 * s == D), 1.0, 2.0)
+    bins = np.concatenate((seq.coeffs, np.zeros(L - seq.N))).reshape(L // B, B)
+
+    def e(n, t: np.ndarray) -> np.ndarray:  # e(t*n/M) for every pair
+        return np.exp((TWO_PI_I / M) * (np.multiply.outer(t, n) % M))
+
+    total, rows = 0.0, max(1, _CHUNK // B)
+    for lo in range(0, len(s), rows):
+        t = s[lo : lo + rows]
+        x = (bins if L == B else e(np.arange(0, L, B), t) @ bins).reshape(-1, B // K, K)
+        x = x * e(np.arange(0, B, K), t)[:, :, None]
+        x *= e(np.arange(K), t)[:, None, :]
+        x = x.reshape(len(t), B)
+        np.fft.ifft(x, axis=1, norm="forward", out=x)
+        total += float(np.abs(x).sum(axis=1) @ w[lo : lo + rows])
+    return total
 
 
 def _refine(seq: CoefficientSequence, rel_tol: float) -> L1Estimate:
     """Mean of |S| on the grids M = oversample * 2^ceil(log2 N), doubling until settled.
 
-    The first grid is ``_grid_sum(M, 0)``.  The new samples of a doubling to
-    M, the odd multiples of 1/M, are the grid of M/2 points at shift 1/2, so
-    each doubling adds ``_grid_sum(M/2, 1/2)`` to the running sum and the
-    finest grid is sampled once in total.
+    The first grid is ``_row_sum(M, odd=False)``; a doubling to M adds the
+    odd multiples of 1/M, ``_row_sum(M, odd=True)``, to the running sum, so
+    the finest grid is sampled once in total.
     """
     if rel_tol <= 0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
@@ -130,7 +127,7 @@ def _refine(seq: CoefficientSequence, rel_tol: float) -> L1Estimate:
     converged = False
     M = OVERSAMPLE_START * scale
     while M <= OVERSAMPLE_CAP * scale and M <= SAMPLE_BUDGET:
-        total += _grid_sum(seq, M // 2, 0.5) if grids else _grid_sum(seq, M, 0.0)
+        total += _row_sum(seq, M, odd=bool(grids))
         value = total / M
         if grids:
             last_delta = abs(value - grids[-1][1]) / max(abs(value), 1e-300)

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +168,35 @@ class TestOtherCommands:
         assert meta["python_version"] == platform.python_version()
         assert meta["numpy_version"] == np.__version__
         assert meta["cpu_count"] == os.cpu_count()
+        assert meta["git_sha"] == cli._git_sha(Path(cli.__file__).resolve().parents[2])
+
+
+SHA = "0123456789abcdef0123456789abcdef01234567"
+
+
+@pytest.mark.parametrize(
+    "files, expected",
+    [
+        ({"HEAD": SHA + "\n"}, SHA),
+        ({"HEAD": "ref: refs/heads/main\n", "refs/heads/main": SHA + "\n"}, SHA),
+        (
+            {
+                "HEAD": "ref: refs/heads/main\n",
+                "packed-refs": f"# pack-refs with: peeled\n{'f' * 40} refs/heads/old\n"
+                f"{SHA} refs/heads/main\n^{'e' * 40}\n",
+            },
+            SHA,
+        ),
+        ({"HEAD": "ref: refs/heads/gone\n"}, None),
+        ({}, None),
+    ],
+    ids=["detached", "loose-ref", "packed-ref", "missing-ref", "no-git"],
+)
+def test_git_sha_reads_head(tmp_path, files, expected):
+    for name, text in files.items():
+        (tmp_path / ".git" / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / ".git" / name).write_text(text)
+    assert cli._git_sha(tmp_path) == expected
 
 
 def strip_runtime(text):

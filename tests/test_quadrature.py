@@ -19,6 +19,67 @@ def random_sequence(N, seed):
     return sn.CoefficientSequence(N, mag * np.exp(1j * phase))
 
 
+def check_row_sums(seq, monkeypatch):
+    # _row_sum against one-shot means on the first grid M, the odd samples of
+    # its doubling (M points at shift 1/2) and 2M; then again with _CHUNK
+    # below L, where the coefficients fold into _CHUNK bins
+    L = 1 << (seq.N - 1).bit_length()
+    M = quadrature.OVERSAMPLE_START * L
+    for chunk in sorted({quadrature._CHUNK, max(1, L // 4)}, reverse=True):
+        monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+        for G, shift, odd in [(M, 0.0, False), (M, 0.5, True), (2 * M, 0.0, False)]:
+            one_shot = float(np.mean(np.abs(grid_eval_sequence(seq, G, shift=shift).values)))
+            row_sum = quadrature._row_sum(seq, 2 * G if odd else G, odd)
+            assert row_sum / G == pytest.approx(one_shot, rel=1e-12)
+
+
+def check_chunked_transforms(seq, monkeypatch):
+    # with _CHUNK = 256 < L = 1024 every ifft batch is one folded row of 256
+    # points, and the refinement visits the same grids with the same values
+    whole = sn.l1_norm(seq, rel_tol=1e-9)
+    sizes, ifft = [], np.fft.ifft
+
+    def recorded(x, *args, **kwargs):
+        sizes.append(x.size)
+        return ifft(x, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_CHUNK", 256)
+    monkeypatch.setattr(np.fft, "ifft", recorded)
+    chunked = sn.l1_norm(seq, rel_tol=1e-9)
+    assert sizes and max(sizes) <= 256
+    assert [m for m, _ in whole.grids] == [m for m, _ in chunked.grids]
+    for (_, va), (_, vb) in zip(whole.grids, chunked.grids):
+        assert vb == pytest.approx(va, rel=1e-12)
+
+
+# L1 grids of the six ladder sequences (seed 7, default rel_tol), as the
+# earlier one-transform-per-grid quadrature gave them; rows move them by
+# roundoff only.
+LADDER_GRIDS = {
+    ("mobius", 1024): ((16384, 21.872477397237915), (32768, 21.87249515443661)),
+    ("mobius", 4096): ((65536, 44.17096284990068), (131072, 44.17089320605266)),
+    ("squarefree_random", 1024): ((16384, 17.025147675955825), (32768, 17.025091838855182)),
+    ("squarefree_random", 4096): ((65536, 33.8706905778899), (131072, 33.870692037801135)),
+    ("prime_indicator", 1024): ((16384, 8.975574361342728), (32768, 8.975576652633148)),
+    ("prime_indicator", 4096): ((65536, 15.879864219450049), (131072, 15.879890469955878)),
+    ("chi3_on_primes", 1024): ((16384, 8.759818291982128), (32768, 8.759790664239244)),
+    ("chi3_on_primes", 4096): ((65536, 15.558418765503749), (131072, 15.55844490493919)),
+    ("random_primes", 1024): ((16384, 8.92466156632386), (32768, 8.924646957885194)),
+    ("random_primes", 4096): ((65536, 16.119470465894707), (131072, 16.11948234007341)),
+    ("mangoldt", 1024): ((16384, 51.985792755776316), (32768, 51.98749602163606)),
+    ("mangoldt", 4096): ((65536, 114.290017514078), (131072, 114.29116937138286)),
+}
+# M lists and ``converged`` of refinements that run many doublings (seed 7).
+_DEEP_1000 = [16384, 32768, 65536, 131072, 262144, 524288, 1048576]
+_DEEP_64 = [1024, 2048, 4096, 8192, 16384, 32768, 65536]
+DEEP_GRIDS = {
+    ("random_complex", 1000, 1e-9): (_DEEP_1000, True),
+    ("mobius", 1000, 1e-9): (_DEEP_1000, True),
+    ("random_complex", 64, 1e-13): (_DEEP_64, True),
+    ("mobius", 64, 1e-13): (_DEEP_64, True),
+}
+
+
 class TestL2:
     @settings(deadline=None, max_examples=60)
     @given(N=st.integers(1, 512), seed=st.integers(0, 10_000))
@@ -82,62 +143,41 @@ class TestL1Norm:
             one_shot = float(np.mean(np.abs(grid_eval_sequence(seq, M).values)))
             assert value == pytest.approx(one_shot, rel=1e-12)
 
-    def test_cosets_match_unchunked_grids(self, tables, monkeypatch):
-        # a complex sequence runs every grid as cosets of exactly _CHUNK points
-        seq = sn.coefficient_sequence(tables, "random_complex", 1000, seed=4)
-        whole = sn.l1_norm(seq, rel_tol=1e-9)
-        sizes = []
-
-        def recorded(seq, M, shift=0.0):
-            sizes.append(M)
-            return grid_eval_sequence(seq, M, shift=shift)
-
-        monkeypatch.setattr(quadrature, "_CHUNK", 256)
-        monkeypatch.setattr(quadrature, "grid_eval_sequence", recorded)
-        chunked = sn.l1_norm(seq, rel_tol=1e-9)
-        assert set(sizes) == {256}
-        assert [m for m, _ in whole.grids] == [m for m, _ in chunked.grids]
-        for (_, va), (_, vb) in zip(whole.grids, chunked.grids):
-            assert vb == pytest.approx(va, rel=1e-12)
-
-    def test_real_transforms_stay_within_chunk(self, tables, monkeypatch):
-        # a real sequence takes rfft grids and half-size mirrored ones, so its
-        # transforms may be shorter than _CHUNK but never longer
-        seq = sn.coefficient_sequence(tables, "mobius", 1000)
-        whole = sn.l1_norm(seq, rel_tol=1e-9)
-        sizes, rfft = [], np.fft.rfft
-
-        def recorded(seq, M, shift=0.0):
-            sizes.append(M)
-            return grid_eval_sequence(seq, M, shift=shift)
-
-        def recorded_rfft(x, *args, **kwargs):
-            sizes.append(len(x))
-            return rfft(x, *args, **kwargs)
-
-        monkeypatch.setattr(quadrature, "_CHUNK", 256)
-        monkeypatch.setattr(quadrature, "grid_eval_sequence", recorded)
-        monkeypatch.setattr(np.fft, "rfft", recorded_rfft)
-        chunked = sn.l1_norm(seq, rel_tol=1e-9)
-        assert sizes and max(sizes) <= 256
-        assert [m for m, _ in whole.grids] == [m for m, _ in chunked.grids]
-        for (_, va), (_, vb) in zip(whole.grids, chunked.grids):
-            assert vb == pytest.approx(va, rel=1e-12)
-
-    @pytest.mark.parametrize("N", [1, 2, 3, 97, 1000])
+    @pytest.mark.parametrize("N", [1, 2, 3, 97, 1000, 1024, 1025])
     def test_real_grid_sums_match_one_shot_means(self, tables, monkeypatch, N):
-        # the mirror identities and the peel above _CHUNK against one plain grid
+        # mirrored rows (offsets t <= 1/2 only) against one plain grid each
         seq = sn.coefficient_sequence(tables, "mobius", N)
         assert not np.any(seq.coeffs.imag)
-        M = quadrature.OVERSAMPLE_START << (N - 1).bit_length()
-        monkeypatch.setattr(quadrature, "_CHUNK", 8)
-        for G, shift in [(M, 0.0), (M, 0.5), (2 * M, 0.0), (M // 2, 0.5)]:
-            one_shot = float(np.mean(np.abs(grid_eval_sequence(seq, G, shift=shift).values)))
-            assert quadrature._grid_sum(seq, G, shift) / G == pytest.approx(one_shot, rel=1e-12)
+        check_row_sums(seq, monkeypatch)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 97, 1000, 1024, 1025])
+    def test_complex_grid_sums_match_one_shot_means(self, tables, monkeypatch, N):
+        check_row_sums(sn.coefficient_sequence(tables, "random_complex", N, seed=4), monkeypatch)
+
+    def test_real_transforms_stay_within_chunk(self, tables, monkeypatch):
+        check_chunked_transforms(sn.coefficient_sequence(tables, "mobius", 1000), monkeypatch)
+
+    def test_complex_transforms_stay_within_chunk(self, tables, monkeypatch):
+        seq = sn.coefficient_sequence(tables, "random_complex", 1000, seed=4)
+        check_chunked_transforms(seq, monkeypatch)
+
+    @pytest.mark.parametrize("kind, N", sorted(LADDER_GRIDS))
+    def test_ladder_grids_pinned(self, tables, kind, N):
+        est = sn.l1_norm(sn.coefficient_sequence(tables, kind, N, seed=7))
+        expected = LADDER_GRIDS[kind, N]
+        assert est.converged
+        assert [m for m, _ in est.grids] == [m for m, _ in expected]
+        for (_, got), (_, want) in zip(est.grids, expected):
+            assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("kind, N, rel_tol", sorted(DEEP_GRIDS))
+    def test_deep_tolerance_grids_pinned(self, tables, kind, N, rel_tol):
+        est = sn.l1_norm(sn.coefficient_sequence(tables, kind, N, seed=7), rel_tol=rel_tol)
+        assert ([m for m, _ in est.grids], est.converged) == DEEP_GRIDS[kind, N, rel_tol]
 
     def test_large_n_converges_in_bounded_memory(self):
-        # N = 2^18 samples 2^22..2^23 points; evaluated in cosets of 2^20 its
-        # traced peak stays within three complex arrays of one coset
+        # N = 2^18 samples 2^22..2^23 points; evaluated in row batches of
+        # _CHUNK samples its traced peak stays within three complex batches
         seq = random_sequence(1 << 18, 5)
         tracemalloc.start()
         try:

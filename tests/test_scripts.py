@@ -48,7 +48,7 @@ def test_l1_growth_table_random_primes(capsys):
 
 
 def test_l1_growth_table_above_2_16(capsys):
-    # one rung past the suite's ladder, in cosets of the quadrature's chunk
+    # one rung past the suite's ladder: rows of 2^17 points, four to an ifft batch
     check_growth_table(capsys, 17, 17)
 
 
