@@ -66,7 +66,6 @@ from .largesieve import (
     LargeSieveResult,
     SpacedPointSet,
     build_point_set,
-    exact_point_set,
     large_sieve_check,
     sieve_bound_for_kernel_gap,
 )

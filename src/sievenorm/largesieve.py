@@ -7,14 +7,14 @@ satisfies
     sum_r |S(alpha_r)|^2  <=  (N + 1/delta - 1) * sum_n |a_n|^2 .
 
 Every point set here is exact: int64 pairs (numerator, denominator), the
-points a/q in [0, 1).  ``build_point_set`` constructs the three Farey-type
-families used throughout this package and ``exact_point_set`` takes any
-fractions; both *certify* delta at runtime: the pairs are reduced and
+points a/q in [0, 1).  ``SpacedPointSet((num, den))`` is the one constructor
+and *certifies* delta at runtime: the pairs are taken mod 1, reduced and
 sorted, and every consecutive gap a'/q' - a/q = (a'q - aq')/(qq') is checked
 by integer cross-multiplication: each cross-product must be >= 1 (order and
-distinctness) and each gap at least the set's analytic guarantee.  The exact
-minimal gap is only then rounded (downward) to a float.  Nothing about the
-spacing is taken on faith from the parameter.
+distinctness) and each gap at least 1/max(q)^2.  The exact minimal gap is
+only then rounded (downward) to a float.  ``build_point_set`` generates the
+three Farey-type families used throughout this package and hands their
+pairs to it; nothing about the spacing is taken on faith from the parameter.
 
 Families (``kind`` strings):
 
@@ -26,8 +26,8 @@ Families (``kind`` strings):
     a/p^2 for primes p <= P, 1 <= a <= p^2 - 1, reduced (2/4 is stored as
     1/2); delta >= 1/P^4.
 ``exact(R)``
-    R given fractions a/q (taken mod 1, stored reduced, distinct);
-    delta >= 1/max(q)^2.
+    R given fractions a/q (taken mod 1, stored reduced, distinct), the
+    default kind of ``SpacedPointSet``; delta >= 1/max(q)^2.
 
 ``large_sieve_check`` evaluates a batch of shifted sequences on one set with
 no transform.  Parseval on Z/q and Mobius inversion over d | q give, for the
@@ -40,7 +40,7 @@ the Ramanujan-sum expansion c_q(k) = sum_{d | (q,k)} mu(q/d) * d read
 backwards.  So every group of a set that is the full coprime class mod q
 becomes integer weights w_d on the residue-class energies A_d, built once
 per set; lhs is sum_d w_d * A_d, with A_d = d * sum |a_n|^2 once d >= N.
-Any other group (only small hand-built or ``exact`` sets have one) is summed
+Any other group (only sets outside the Farey families have one) is summed
 pointwise with ``eval_sequence``, which also re-derives R(q) for an evenly
 strided subset of the full classes as the cross-check.
 """
@@ -87,19 +87,22 @@ class _Sample(NamedTuple):
 class SpacedPointSet:
     """Sorted points in [0, 1) with a certified minimal circular gap.
 
-    ``fractions`` is the exact form ``(num, den)``: int64 arrays, stored
-    read-only, and ``points`` is derived from it as ``num / den``.  The pairs
-    are reduced with 0 <= num < den, as both constructors make them, so a
-    denominator that holds phi(q) points holds the full coprime class mod q.
-    ``delta`` is a *valid* spacing (every circular gap is >= delta), not
-    necessarily the exact minimum after float rounding; the constructors
-    set it to the exact minimal gap rounded toward zero.  A single point
-    is 1-spaced by convention.
+    ``fractions = (num, den)`` are integers that broadcast to one nonempty
+    1-d shape, e.g. ``SpacedPointSet((np.arange(M), M))``.  Each num is taken
+    mod its den, each pair is divided by its gcd and the pairs are sorted;
+    they are stored as read-only int64 arrays and ``points`` is ``num / den``.
+    So a denominator that holds phi(q) points holds the full coprime class
+    mod q.  ``delta`` is derived, never given: the exact minimal circular gap
+    rounded toward zero (``_min_gap``), so every gap is >= delta; a single
+    point is 1-spaced by convention.  ``kind`` names the set in messages and
+    defaults to ``exact(R)`` for R points.  Raises ValueError for bad arrays,
+    a denominator below 1 or a repeated point (1/2 and 2/4 included), and
+    CapacityError if the certification products could overflow int64.
     """
 
     fractions: tuple[np.ndarray, np.ndarray]
-    delta: float
-    kind: str
+    kind: str = ""
+    delta: float = field(init=False)
     points: np.ndarray = field(init=False)
     # (d, w_d) with w_d != 0: the full classes' sum_{d | q} mu(q/d) * A_d
     _weights: tuple = field(default=(), init=False, repr=False)
@@ -109,21 +112,30 @@ class SpacedPointSet:
     _sample: _Sample = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        num, den = (np.array(a, dtype=np.int64) for a in self.fractions)
-        if num.ndim != 1 or num.size == 0 or den.shape != num.shape:
-            raise ValueError("fractions must be two nonempty 1-d arrays of one length")
+        num, den = (np.asarray(a) for a in self.fractions)
+        if not (np.issubdtype(num.dtype, np.integer) and np.issubdtype(den.dtype, np.integer)):
+            raise ValueError("numerators and denominators must be integers")
+        num, den = (a.astype(np.int64) for a in np.broadcast_arrays(num, den))
+        if num.ndim != 1 or num.size == 0:
+            raise ValueError("fractions must broadcast to a nonempty 1-d array")
         if den.min() < 1:
             raise ValueError("denominators must be >= 1")
-        if num.min() < 0 or np.any(num >= den):
-            raise ValueError("numerators must lie in [0, den)")
-        if not (0.0 < self.delta <= 1.0):
-            raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-        max_den = int(den.max())  # bounded here, so the tables below stay small
-        _check_int64(max_den, Fraction(1, max_den * max_den))
+        num = num % den
+        g = np.gcd(num, den)
+        num, den = num // g, den // g
+        max_den = int(den.max())
+        _check_int64(max_den)  # which also keeps the tables below small
+        # Within the int64 guard distinct points differ by >= 1/max_den^2 > 2^-32,
+        # far above float resolution, so the float order is the exact order.
+        order = np.argsort(num / den)
+        num, den = num[order], den[order]
+        kind = self.kind or f"exact({num.size})"
         pts = num / den
         for arr in (num, den, pts):
             arr.setflags(write=False)
         object.__setattr__(self, "fractions", (num, den))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "delta", _min_gap(num, den, max_den, kind))
         object.__setattr__(self, "points", pts)
         self._class_weights(den, max_den)
 
@@ -172,55 +184,44 @@ class LargeSieveResult(NamedTuple):
     ratio: float
 
 
-def _round_down(x: Fraction) -> float:
-    f = float(x)
-    # float() rounds to nearest; step back one ulp if that overshot.
-    if Fraction(f) > x:
-        f = math.nextafter(f, 0.0)
-    return f
-
-
-def _check_int64(max_den: int, guarantee: Fraction) -> None:
+def _check_int64(max_den: int) -> None:
     """Raise CapacityError unless the certification products fit in int64.
 
-    Once the order is checked every cross-product a'q - aq' is at most
-    max_den^2 and is multiplied by the guarantee's denominator; the wrap
-    pair's (a + q)q' stays below 2*max_den^2.
+    Every cross-product a'q - aq' of pairs with 0 <= a < q <= max_den, the
+    wrap pair's (a + q)q' included, is below 2*max_den^2, and the gap check
+    multiplies it by max_den^2.
     """
-    if 2 * max_den * max_den * guarantee.denominator > _INT64_MAX:
+    if 2 * max_den**4 > _INT64_MAX:
         raise CapacityError(
-            f"denominators up to {max_den} with spacing guarantee {guarantee} "
-            "overflow int64 certification products"
+            f"denominators up to {max_den} overflow int64 certification products"
         )
 
 
-def _certified(
-    num: np.ndarray, den: np.ndarray, guarantee: Fraction, kind: str
-) -> SpacedPointSet:
-    """Certify sorted fractions num/den in [0, 1) exactly and wrap them as a set.
+def _min_gap(num: np.ndarray, den: np.ndarray, max_den: int, kind: str) -> float:
+    """The exact minimal circular gap of the sorted reduced num/den, rounded down.
 
     Consecutive pairs, the wrap pair (last, first + 1) included, must have
-    cross-product a'q - aq' >= 1, which proves the order and that no point
-    repeats, and gap (a'q - aq')/(qq') >= ``guarantee``.  delta is the exact
-    minimal gap rounded down.  Raises InvariantError when either fails.
-    Callers apply ``_check_int64`` first, so the products fit in int64.
+    cross-product a'q - aq' >= 1: 0 is a repeated point (ValueError), below
+    0 the points are out of order (InvariantError).  Each gap
+    (a'q - aq')/(qq') must then be >= 1/max_den^2 (InvariantError).
+    ``_check_int64(max_den)`` must hold, so the products fit in int64.
     """
     nxt_num = np.append(num[1:], num[0] + den[0])
     nxt_den = np.append(den[1:], den[0])
     cross = nxt_num * den - num * nxt_den
     span = den * nxt_den
-    if cross.min() < 1:
-        i = int(np.argmin(cross))
-        raise InvariantError(
-            f"{kind}: points {num[i]}/{den[i]} and {nxt_num[i]}/{nxt_den[i]} "
-            "are out of order or repeated"
-        )
-    short = cross * guarantee.denominator < guarantee.numerator * span
+    i = int(np.argmin(cross))
+    pair = f"{num[i]}/{den[i]} and {nxt_num[i]}/{nxt_den[i]}"
+    if cross[i] == 0:
+        raise ValueError(f"{kind}: points {pair} are not distinct modulo 1")
+    if cross[i] < 0:
+        raise InvariantError(f"{kind}: points {pair} are out of order")
+    short = cross * (max_den * max_den) < span
     if short.any():
         i = int(np.argmax(short))
         raise InvariantError(
             f"{kind}: certified gap {Fraction(int(cross[i]), int(span[i]))} "
-            f"below analytic bound {guarantee}"
+            f"below 1/{max_den}^2"
         )
     # Float division is monotone, so the exact minimum has the smallest float;
     # the slack only widens the exact comparison to near-ties.
@@ -228,7 +229,8 @@ def _certified(
     near = gaps <= gaps.min() * (1.0 + 1e-9)
     pairs = np.unique(np.stack([cross[near], span[near]], axis=1), axis=0)
     gap = min(Fraction(int(c), int(s)) for c, s in pairs)
-    return SpacedPointSet(fractions=(num, den), delta=_round_down(gap), kind=kind)
+    delta = float(gap)  # rounded to nearest; step back one ulp if that overshot
+    return math.nextafter(delta, 0.0) if Fraction(delta) > gap else delta
 
 
 def _residues(moduli: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
@@ -242,21 +244,22 @@ def _residues(moduli: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_point_set(tables, kind: str, parameter: int) -> SpacedPointSet:
-    """Construct one of the Farey families with exact integer certification.
+    """Construct one of the Farey families as a certified ``SpacedPointSet``.
 
     ``parameter`` is Q for ``reduced_farey`` and P for the prime families;
     it must be >= 2 (and for the prime families at most ``tables.n_max``, so
     the family holds 1/2).  Raises ValueError for a bad kind or parameter and
-    CapacityError if its certification products could overflow int64.
+    CapacityError, before any array is built, if its certification products
+    could overflow int64.  No family repeats a point (a reduced a/p^2 is
+    b/p^2 or b/p, each from one a), and the set's gap check 1/max(den)^2 is
+    at least as strict as the family's 1/Q^2, 1/P^2 or 1/P^4.
     """
     if kind not in FAREY_KINDS:
         raise ValueError(f"unknown point-set kind {kind!r}")
     parameter = int(parameter)
     if parameter < 2:
         raise ValueError(f"parameter must be >= 2, got {parameter}")
-    power = 4 if kind == "prime_square_farey" else 2
-    guarantee = Fraction(1, parameter**power)
-    _check_int64(parameter ** (power // 2), guarantee)
+    _check_int64(parameter**2 if kind == "prime_square_farey" else parameter)
     if kind == "reduced_farey":
         num, den = _residues(np.arange(1, parameter + 1), 0)
         keep = np.gcd(num, den) == 1
@@ -268,45 +271,7 @@ def build_point_set(tables, kind: str, parameter: int) -> SpacedPointSet:
             )
         ps = tables.primes[tables.primes <= parameter].astype(np.int64)
         num, den = _residues(ps * ps if kind == "prime_square_farey" else ps, 1)
-        g = np.gcd(num, den)
-        num, den = num // g, den // g
-    # No family repeats a point (a reduced a/p^2 is b/p^2 or b/p, each from one
-    # a; _certified rejects a repeat).  Sorting by float is safe: distinct points
-    # here differ by >= 1/parameter^4, far above float resolution.
-    order = np.argsort(num / den)
-    return _certified(num[order], den[order], guarantee, f"{kind}({parameter})")
-
-
-def exact_point_set(num, den) -> SpacedPointSet:
-    """The points num/den mod 1 as an exact set, certified against 1/max(den)^2.
-
-    ``num`` and ``den`` are integers that broadcast to one 1-d shape, e.g.
-    ``exact_point_set(np.arange(M), M)``; each num is taken mod its den, each
-    pair is divided by its gcd and the pairs are sorted.  Distinct fractions
-    with denominators <= D are at least 1/D^2 apart, so only a repeated point
-    (1/2 and 2/4 included) can fail: ValueError.  CapacityError if
-    certification could overflow int64.
-    """
-    num, den = np.asarray(num), np.asarray(den)
-    if not (np.issubdtype(num.dtype, np.integer) and np.issubdtype(den.dtype, np.integer)):
-        raise ValueError("numerators and denominators must be integers")
-    num, den = (a.astype(np.int64) for a in np.broadcast_arrays(num, den))
-    if num.ndim != 1 or num.size == 0:
-        raise ValueError("fractions must broadcast to a nonempty 1-d array")
-    if den.min() < 1:
-        raise ValueError("denominators must be >= 1")
-    max_den = int(den.max())
-    guarantee = Fraction(1, max_den * max_den)
-    _check_int64(max_den, guarantee)
-    num = num % den
-    g = np.gcd(num, den)
-    num, den = num // g, den // g
-    # Within the int64 guard 1/max_den^2 is far above float resolution.
-    order = np.argsort(num / den)
-    num, den = num[order], den[order]
-    if np.any(num[1:] * den[:-1] == num[:-1] * den[1:]):
-        raise ValueError("points are not distinct modulo 1")
-    return _certified(num, den, guarantee, f"exact({num.size})")
+    return SpacedPointSet((num, den), f"{kind}({parameter})")
 
 
 def _class_energies(coeffs: np.ndarray, n: np.ndarray, row: np.ndarray, moduli) -> np.ndarray:

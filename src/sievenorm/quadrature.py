@@ -94,20 +94,28 @@ def _row_sum(seq: CoefficientSequence, M: int, odd: bool) -> float:
     if not np.any(seq.coeffs.imag):
         s = s[2 * s <= D]
         w = np.where((s == 0) | (2 * s == D), 1.0, 2.0)
-    bins = np.concatenate((seq.coeffs, np.zeros(L - seq.N))).reshape(L // B, B)
 
     def e(n, t: np.ndarray) -> np.ndarray:  # e(t*n/M) for every pair
         return np.exp((TWO_PI_I / M) * (np.multiply.outer(t, n) % M))
 
+    def folded(t: np.ndarray) -> np.ndarray:  # one row: whole chunks by a product, then the rest
+        whole = seq.N - seq.N % B
+        x = e(np.arange(0, whole, B), t) @ seq.coeffs[:whole].reshape(-1, B)
+        x[:, : seq.N - whole] += e(whole, t)[:, None] * seq.coeffs[whole:]
+        return x.reshape(-1, B // K, K)
+
+    if L == B:
+        bins = np.concatenate((seq.coeffs, np.zeros(L - seq.N))).reshape(B // K, K)
     total, rows = 0.0, max(1, _CHUNK // B)
     for lo in range(0, len(s), rows):
-        t = s[lo : lo + rows]
-        x = (bins if L == B else e(np.arange(0, L, B), t) @ bins).reshape(-1, B // K, K)
+        t = s[lo : lo + rows]  # a single row once the coefficients fold
+        x = bins if L == B else folded(t)
         x = x * e(np.arange(0, B, K), t)[:, :, None]
         x *= e(np.arange(K), t)[:, None, :]
         x = x.reshape(len(t), B)
         np.fft.ifft(x, axis=1, norm="forward", out=x)
         total += float(np.abs(x).sum(axis=1) @ w[lo : lo + rows])
+        del x  # before the next fold, so that two batches at most are alive
     return total
 
 

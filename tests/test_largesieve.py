@@ -25,14 +25,17 @@ def fraction_point_set(tables, kind, parameter):
             q = p * p if kind == "prime_square_farey" else p
             fracs.update(Fraction(a, q) for a in range(1, q))
     ordered = sorted(fracs, key=float)
-    gap = Fraction(1)
-    if len(ordered) > 1:
-        gaps = [b - a for a, b in zip(ordered, ordered[1:])]
-        gap = min(gaps + [1 - ordered[-1] + ordered[0]])
+    return np.array([float(f) for f in ordered]), fraction_delta(ordered)
+
+
+def fraction_delta(ordered):
+    """The minimal circular gap of sorted Fractions in [0, 1), rounded down to a float."""
+    gaps = [b - a for a, b in zip(ordered, ordered[1:])]
+    gap = min(gaps + [1 - ordered[-1] + ordered[0]])
     delta = float(gap)
     if Fraction(delta) > gap:
         delta = math.nextafter(delta, 0.0)
-    return np.array([float(f) for f in ordered]), delta
+    return delta
 
 
 class TestBuildPointSet:
@@ -119,17 +122,21 @@ class TestBuildPointSet:
         with pytest.raises(ValueError):
             num[0] = 2
         with pytest.raises(ValueError):
-            sn.SpacedPointSet(fractions=([0, 1], [1]), delta=0.5, kind="x")
+            sn.SpacedPointSet(([0, 1], [1, 2, 3]))
 
     def test_certification_rejects_duplicates_and_short_gaps(self):
-        num, den = np.array([0, 1, 1, 2]), np.array([1, 3, 3, 3])
-        with pytest.raises(InvariantError, match="out of order or repeated"):
-            largesieve._certified(num, den, Fraction(1, 9), "hand(dup)")
+        with pytest.raises(ValueError, match="hand\\(dup\\): points 1/3 and 1/3 are not distinct"):
+            sn.SpacedPointSet(([0, 1, 1, 2], [1, 3, 3, 3]), "hand(dup)")
+        # the sorted order and the gap bound can fail only on the helper's
+        # own input: 1/2 before 1/3, and a bound 1/2^2 the gap 1/6 misses
+        num, den = np.array([0, 1, 1]), np.array([1, 2, 3])
+        with pytest.raises(InvariantError, match="out of order"):
+            largesieve._min_gap(num, den, 3, "hand(order)")
         num, den = np.array([0, 1, 1]), np.array([1, 3, 2])
-        with pytest.raises(InvariantError, match="below analytic bound"):
-            largesieve._certified(num, den, Fraction(1, 5), "hand(short)")
-        ok = largesieve._certified(num, den, Fraction(1, 6), "hand(ok)")
-        assert ok.delta == pytest.approx(1 / 6)
+        with pytest.raises(InvariantError, match="below 1/2\\^2"):
+            largesieve._min_gap(num, den, 2, "hand(short)")
+        ok = largesieve._min_gap(num, den, 3, "hand(ok)")
+        assert ok == fraction_delta([Fraction(0), Fraction(1, 3), Fraction(1, 2)])
 
     def test_int64_guard_precedes_allocation(self, tables):
         tracemalloc.start()
@@ -156,32 +163,32 @@ class TestBuildPointSet:
 
 class TestExactPointSet:
     def test_measures_gap(self):
-        ps = sn.exact_point_set([1, 2, 9], 10)
+        ps = sn.SpacedPointSet(([1, 2, 9], 10))
         assert ps.delta == pytest.approx(0.1)
         assert ps.kind == "exact(3)"
         # mixed denominators: the exact minimal gap 1/3 - 1/4 = 1/12
-        assert sn.exact_point_set([1, 1, 3], [3, 4, 4]).delta == pytest.approx(1 / 12)
+        assert sn.SpacedPointSet(([1, 1, 3], [3, 4, 4])).delta == pytest.approx(1 / 12)
 
     def test_mod_one_and_duplicates(self):
-        ps = sn.exact_point_set([-1, 5], 4)
+        ps = sn.SpacedPointSet(([-1, 5], 4))
         assert ps.fractions[0].tolist() == [1, 3]
         assert ps.fractions[1].tolist() == [4, 4]
         np.testing.assert_array_equal(ps.points, [0.25, 0.75])
-        reduced = sn.exact_point_set([0, 2, 6, 3], [4, 4, 8, 9])  # stored reduced
+        reduced = sn.SpacedPointSet(([0, 2, 6, 3], [4, 4, 8, 9]))  # stored reduced
         assert reduced.fractions[0].tolist() == [0, 1, 1, 3]
         assert reduced.fractions[1].tolist() == [1, 3, 2, 4]
         for num, den in (([1, 5], 4), ([1, 2], [2, 4]), ([0, 3], [1, 3])):
             with pytest.raises(ValueError, match="not distinct"):
-                sn.exact_point_set(num, den)
+                sn.SpacedPointSet((num, den))
 
     def test_singleton(self):
-        ps = sn.exact_point_set([37], 100)
+        ps = sn.SpacedPointSet(([37], 100))
         assert ps.delta == 1.0
         assert ps.points.tolist() == [0.37]
 
     def test_matches_farey_family(self, tables):
         ref = sn.build_point_set(tables, "reduced_farey", 22)
-        ps = sn.exact_point_set(*ref.fractions)
+        ps = sn.SpacedPointSet(ref.fractions)
         assert np.array_equal(ps.points, ref.points)
         assert ps.delta == ref.delta
 
@@ -203,11 +210,39 @@ class TestExactPointSet:
     )
     def test_rejects_bad_shapes_and_denominators(self, num, den):
         with pytest.raises(ValueError):
-            sn.exact_point_set(num, den)
+            sn.SpacedPointSet((num, den))
 
     def test_int64_guard(self):
         with pytest.raises(CapacityError):
-            sn.exact_point_set([1, 2], 100_000)
+            sn.SpacedPointSet(([1, 2], 100_000))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(-1000, 1000), st.integers(1, 60)), min_size=1, max_size=40
+        ),
+        k=st.integers(2, 50),
+        pick=st.integers(0, 10**6),
+    )
+    def test_constructor_properties(self, pairs, k, pick):
+        # one pair per distinct point mod 1, as drawn (unreduced, any sign)
+        distinct = list({Fraction(a % q, q): (a, q) for a, q in pairs}.values())
+        num, den = (np.array(column) for column in zip(*distinct))
+        ps = sn.SpacedPointSet((num, den))
+        n, d = ps.fractions
+        assert np.all(np.gcd(n, d) == 1) and np.all((0 <= n) & (n < d))
+        assert np.all(np.diff(ps.points) > 0)
+        ordered = sorted(Fraction(a % q, q) for a, q in distinct)
+        assert [Fraction(int(a), int(q)) for a, q in zip(n, d)] == ordered
+        assert ps.delta == fraction_delta(ordered)
+        scaled = sn.SpacedPointSet((num * k, den * k))
+        assert np.array_equal(scaled.fractions, ps.fractions)
+        assert scaled.delta == ps.delta
+        assert all(np.array_equal(a, b) for a, b in zip(scaled._weights, ps._weights))
+        # any stored point again, here as an unreduced pair one turn lower
+        i = pick % len(ps)
+        with pytest.raises(ValueError, match="not distinct"):
+            sn.SpacedPointSet((np.append(num, (n[i] - d[i]) * k), np.append(den, d[i] * k)))
 
 
 def check_one(seq, ps, shift=0.0):
@@ -221,7 +256,7 @@ class TestLargeSieveCheck:
         N, M = 8, 16
         coeffs = rng.normal(size=N) + 1j * rng.normal(size=N)
         seq = sn.CoefficientSequence(N, coeffs)
-        ps = sn.exact_point_set(np.arange(M), M)
+        ps = sn.SpacedPointSet((np.arange(M), M))
         assert ps.delta == 1 / M
         res = check_one(seq, ps)
         assert res.lhs == pytest.approx(M * sn.l2_norm_sq(seq), rel=1e-12)
@@ -231,16 +266,16 @@ class TestLargeSieveCheck:
         # M = N + 1 sits at ratio (N+1)/2N; M >> N pushes the ratio toward 1
         N = 16
         seq = sn.CoefficientSequence(N, rng.normal(size=N) + 0j)
-        tight = check_one(seq, sn.exact_point_set(np.arange(N + 1), N + 1))
+        tight = check_one(seq, sn.SpacedPointSet((np.arange(N + 1), N + 1)))
         assert tight.ratio == pytest.approx((N + 1) / (2 * N), rel=1e-12)
         M = 4096
-        wide = check_one(seq, sn.exact_point_set(np.arange(M), M))
+        wide = check_one(seq, sn.SpacedPointSet((np.arange(M), M)))
         assert wide.ratio == pytest.approx(M / (N + M - 1), rel=1e-12)
         assert wide.ratio > 0.99
 
     def test_single_point_is_cauchy_schwarz(self, rng):
         seq = sn.CoefficientSequence(32, rng.normal(size=32) + 0j)
-        ps = sn.exact_point_set([123], 1000)
+        ps = sn.SpacedPointSet(([123], 1000))
         res = check_one(seq, ps)
         assert res.rhs == pytest.approx(32 * sn.l2_norm_sq(seq))
         assert res.ratio <= 1.0
@@ -303,13 +338,13 @@ class TestLargeSieveCheck:
     @pytest.mark.parametrize("M", [12, 30, 64])
     def test_divisor_classes_match_pointwise(self, tables, M):
         # a/M, a < M, reduces to the full coprime class mod d for every d | M
-        ps = sn.exact_point_set(np.arange(M), M)
+        ps = sn.SpacedPointSet((np.arange(M), M))
         assert ps._partial.size == 0
         self.assert_matches_pointwise(tables, ps)
 
     @pytest.mark.parametrize("num, den", [([1, 2, 9], 10), ([123], 1000)])
     def test_partial_groups_match_pointwise(self, tables, num, den):
-        ps = sn.exact_point_set(num, den)
+        ps = sn.SpacedPointSet((num, den))
         assert ps._partial.size == len(ps)
         self.assert_matches_pointwise(tables, ps)
 
@@ -378,11 +413,11 @@ class TestLargeSieveCheck:
         assert "N=42" in str(err.value)
 
     def test_lying_delta_is_caught(self):
-        # hand-built point set with a wildly overstated delta must trip the
-        # internal invariant: three near-coincident points behave like one
-        num = np.array([0, 1, 2])
-        den = np.array([1, 1000, 1000])
-        fake = sn.SpacedPointSet(fractions=(num, den), delta=1.0, kind="hand(lying)")
+        # a certified set whose delta is overwritten with a wild overstatement
+        # must trip the internal invariant: three near-coincident points
+        # behave like one
+        fake = sn.SpacedPointSet(([0, 1, 2], [1, 1000, 1000]), "hand(lying)")
+        object.__setattr__(fake, "delta", 1.0)
         seq = sn.CoefficientSequence(64, np.ones(64))
         with pytest.raises(InvariantError):
             check_one(seq, fake)
@@ -391,7 +426,7 @@ class TestLargeSieveCheck:
         # a denominator past the int64 guard is refused when the set is
         # built, before any length-q array could be asked for
         with pytest.raises(CapacityError):
-            sn.SpacedPointSet(fractions=([1, 2], [10**12, 10**12]), delta=1e-12, kind="hand(huge)")
+            sn.SpacedPointSet(([1, 2], 10**12))
 
     def test_peak_memory_is_bounded(self, tables):
         # a (sequences x points) complex array would be 26 * 304,193 * 16 B = 127 MB
@@ -424,13 +459,11 @@ class TestKernelGapBound:
 class TestSpacedPointSetType:
     def test_validation(self):
         with pytest.raises(ValueError):
-            sn.SpacedPointSet(fractions=([], []), delta=0.5, kind="x")
+            sn.SpacedPointSet(([], []), "x")
         with pytest.raises(ValueError):
-            sn.SpacedPointSet(fractions=([1], [10]), delta=0.0, kind="x")
-        with pytest.raises(ValueError):
-            sn.SpacedPointSet(fractions=([1], [10]), delta=1.5, kind="x")
-        with pytest.raises(ValueError):
-            sn.SpacedPointSet(fractions=([1], [0]), delta=0.5, kind="x")
+            sn.SpacedPointSet(([1], [0]), "x")
+        with pytest.raises(TypeError):  # delta is derived, never an input
+            sn.SpacedPointSet(([1], [10]), "x", delta=0.5)
 
     def test_points_read_only(self, tables):
         ps = sn.build_point_set(tables, "reduced_farey", 4)

@@ -175,19 +175,30 @@ class TestL1Norm:
         est = sn.l1_norm(sn.coefficient_sequence(tables, kind, N, seed=7), rel_tol=rel_tol)
         assert ([m for m, _ in est.grids], est.converged) == DEEP_GRIDS[kind, N, rel_tol]
 
-    def test_large_n_converges_in_bounded_memory(self):
+    def test_large_n_converges_in_bounded_memory(self, monkeypatch):
         # N = 2^18 samples 2^22..2^23 points; evaluated in row batches of
         # _CHUNK samples its traced peak stays within three complex batches
-        seq = random_sequence(1 << 18, 5)
-        tracemalloc.start()
-        try:
-            est = sn.l1_norm(seq)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert est.converged
+        def traced_peak(seq):
+            tracemalloc.start()
+            try:
+                est = sn.l1_norm(seq)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert est.converged
+            return est, peak
+
+        est, peak = traced_peak(random_sequence(1 << 18, 5))
         assert est.grids[0][0] == 1 << 22
         assert peak < 3 * 16 * quadrature._CHUNK
+        # with L = 4 * _CHUNK the coefficients fold into rows of _CHUNK bins,
+        # and a padded length-L copy alone would exceed the bound
+        monkeypatch.setattr(quadrature, "_CHUNK", 1 << 14)
+        N = 3 * quadrature._CHUNK + 5
+        for seq in (random_sequence(N, 6), sn.CoefficientSequence(N, np.ones(N))):
+            est, peak = traced_peak(seq)
+            assert est.grids[0][0] == 1 << 20
+            assert peak < 3 * 16 * quadrature._CHUNK
 
     def test_refinement_settles(self, tables, monkeypatch):
         # after the first refinement step the value barely moves: every later
