@@ -134,12 +134,14 @@ class VReport:
 
     ``v_spectral`` sums mu(q) * sum_n (N - n) * Lambda(n) * c_q(-n) directly
     (c_q in closed form at prime powers, summed per prime); ``v_quadrature``
-    integrates S_Lambda against the signed kernel (FFT-of-residue-mask
-    coefficients, no code shared) on a 4N grid, where the rectangle rule is
-    exact, so the two routes agree to roundoff:
+    integrates S_Lambda against the signed kernel on a 4N grid, where the
+    rectangle rule is exact.  Its coefficients come from the divisor form of
+    c_q (products of mu over d*m, see ``expsum``), which shares no code with
+    the prime-power closed form, so the two routes agree to roundoff:
     ``route_bound`` = 16*eps*log2(M)*||s||*||k||/M (two length-M inverse
     FFTs, then Cauchy-Schwarz on the dot product), and ``routes_agree`` holds
-    when they do.  ``target`` is the asymptotic
+    when they do.  The exact integral is real, so an imaginary part above
+    ``route_bound`` raises InvariantError.  ``target`` is the asymptotic
     prediction 3*Q*N^2/pi^2 and ``ratio`` is v_spectral / target.
     """
 
@@ -259,13 +261,14 @@ def vaughan_V(tables: ArithmeticTables, N: int, Q: int | None = None) -> VReport
     s_grid = grid_eval_sequence(seq, M).values
     k_grid = grid_eval_kernel(tables, KernelSpec("k_part3", N, Q=Q), M).values
     mean = complex(np.dot(s_grid, k_grid)) / M
-    if abs(mean.imag) > 1e-9 * max(1.0, float(N) * N * Q):
-        raise InvariantError(
-            f"signed-kernel integral has imaginary residue {mean.imag:.3e} at N={N}, Q={Q}"
-        )
-    v_quadrature = float(mean.real)
     norms = float(np.linalg.norm(s_grid) * np.linalg.norm(k_grid))
     route_bound = 16.0 * float(np.finfo(float).eps) * math.log2(M) * norms / M
+    if abs(mean.imag) > route_bound:
+        raise InvariantError(
+            f"signed-kernel integral has imaginary residue {mean.imag:.3e} above the "
+            f"roundoff bound {route_bound:.3e} at N={N}, Q={Q}"
+        )
+    v_quadrature = float(mean.real)
     target = 3.0 * Q * N * N / math.pi**2
     agree = abs(v_spectral - v_quadrature) <= route_bound
     return VReport(

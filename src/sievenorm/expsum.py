@@ -27,13 +27,17 @@ sets of rationals:
 Every kernel can be evaluated both from its translate definition
 (``eval_kernel``) and from its coefficients (``eval_kernel_spectral``,
 ``grid_eval_kernel``); the two routes share no code so tests can play them
-against each other.  All coefficients have one form: sum_q w_q * R_q[k mod q],
-with R_q the spectrum of a residue mask mod q.  For all residues it is the
-spike train q*[q | k], written in closed form by strided slices (``fejer``
-is the single modulus q = 1, ``gstar`` takes q = p^2 and ``h`` q = p, each
-mean over p <= P).  For the residues coprime to q, weighted by mu(q)*N in
-``k_part3``, it is the Ramanujan sum c_q(k), taken by a length-q FFT of the
-mask so it stays independent of the closed form used in ``experiments``.
+against each other.  All coefficients have one form, a sum of spike trains
+w*[q | k] over (modulus q, weight w) pairs, each written by a strided slice;
+sum_{a=1}^{q} T_N(alpha - a/q) has the train q*[q | k].  ``fejer`` is the
+single pair (1, 1); ``gstar`` takes (p^2, p^2) and ``h`` (p, p), each a mean
+over p <= P.  ``k_part3`` sums Ramanujan sums c_q(k) over the residues
+coprime to q, and the divisor identity c_q(k) = sum_{d | (q,k)} mu(q/d) * d
+(Hardy-Wright 16.6) turns N * sum_{q <= Q} mu(q) * c_q(k) into the pairs
+(d, N*d*W_d), d <= Q, with W_d = sum_{m <= Q/d} mu(dm) * mu(m): products of
+mu over d*m, which share no code with the prime-power closed form of
+``experiments.mobius_ramanujan_weighted_sum``, so the two routes to that sum
+stay independent.
 
 Sums on the uniform grids fold the coefficients into bins k mod M (exact
 aliasing) and take one inverse FFT.  A sequence, complex in general, takes a
@@ -250,64 +254,36 @@ def eval_sequence(seq: CoefficientSequence, alphas) -> np.ndarray:
 # kernel coefficients (spectral route)
 
 
-def _residue_spectrum(mask: np.ndarray) -> np.ndarray:
-    """Length-q FFT of the coprime residue mask mod q, checked integral and rounded.
-
-    The result is the Ramanujan sum c_q(k), k = 0..q-1, of ``k_part3``.  It
-    is taken by FFT, not from the closed form that
-    ``experiments.mobius_ramanujan_weighted_sum`` uses, so the two stay
-    independent routes to the same sums.
-    """
-    r = np.fft.fft(mask)
-    exact = np.rint(r.real)
-    err = float(np.max(np.abs(r - exact)))
-    if err > 1e-6:
-        raise InvariantError(
-            f"residue-mask spectrum for q={mask.size} is off the integers by {err:.3e}"
-        )
-    return exact
-
-
 # Coefficients live as long as the tables they were built from, one dict of
 # specs per tables object: every spec a suite asks for stays cached across its
 # passes, however many ladder N it has, and goes when the tables go.
 _COEFFICIENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _cached_coefficients(tables: "ArithmeticTables", spec: KernelSpec) -> np.ndarray:
-    cache = _COEFFICIENTS.setdefault(tables, {})
-    coef = cache.get(spec)
-    if coef is None:
-        coef = cache[spec] = _build_coefficients(tables, spec)
-    return coef
-
-
 def _build_coefficients(tables: "ArithmeticTables", spec: KernelSpec) -> np.ndarray:
     N = spec.N
-    if spec.kind == "h_truncated":
-        coef = np.array(_cached_coefficients(tables, KernelSpec("h", N, P=spec.P)))
-        coef[max(0, N - spec.P) : N + spec.P + 1] = 0.0
+    if spec.kind == "fejer":
+        trains, count = [(1, 1)], 1
     elif spec.kind == "k_part3":
-        coef = np.zeros(2 * N + 1)
+        # the divisor form: N * sum_{d <= Q, d | k} d * W_d, W_d = sum_{m <= Q/d} mu(dm) mu(m)
         mob = tables.mobius
-        for q in range(1, spec.Q + 1):
-            if mob[q] == 0:
-                continue
-            a = np.arange(q)
-            spectrum = _residue_spectrum((np.gcd(a, q) == 1).astype(float))
-            # c_q(k mod q) for k = -N..N: rotate k = -N to the front, then repeat.
-            coef += int(mob[q]) * float(N) * np.resize(np.roll(spectrum, N % q), 2 * N + 1)
+        trains, count = [], 1
+        for d in np.flatnonzero(mob[: spec.Q + 1]).tolist():
+            m = np.arange(1, spec.Q // d + 1)
+            w_d = int(np.dot(mob[d * m], mob[m]))
+            if w_d:
+                trains.append((d, float(N) * d * w_d))
     else:
-        if spec.kind == "fejer":
-            moduli = [1]
-        else:
-            ps = tables.primes[tables.primes <= spec.P].tolist()
-            moduli = [p * p if spec.kind == "gstar" else p for p in ps]
-        coef = np.zeros(2 * N + 1)
-        for q in moduli:
-            # the spike train q*[q | k]: index i holds k = i - N, so q | k at i = N mod q
-            coef[N % q :: q] += q
-        coef /= len(moduli)
+        ps = tables.primes[tables.primes <= spec.P].tolist()
+        moduli = [p * p if spec.kind == "gstar" else p for p in ps]
+        trains, count = [(q, q) for q in moduli], len(moduli)
+    coef = np.zeros(2 * N + 1)
+    for q, weight in trains:
+        # the spike train weight*[q | k]: index i holds k = i - N, so q | k at i = N mod q
+        coef[N % q :: q] += weight
+    coef /= count
+    if spec.kind == "h_truncated":
+        coef[max(0, N - spec.P) : N + spec.P + 1] = 0.0
     coef.setflags(write=False)
     return coef
 
@@ -315,16 +291,26 @@ def _build_coefficients(tables: "ArithmeticTables", spec: KernelSpec) -> np.ndar
 def kernel_coefficients(tables: "ArithmeticTables", spec: KernelSpec) -> np.ndarray:
     """Fourier coefficients c_k, k = -N..N, as a read-only length-2N+1 array.
 
-    Index k + N stores c_k.  The all-residue kinds are means of q-periodic
-    spike trains q*[q | k]: ``fejer`` over the single modulus q = 1 (all
-    ones), ``gstar`` over q = p^2 and ``h`` over q = p, p <= P prime.
-    ``h_truncated`` is ``h`` with |k| <= P zeroed, and ``k_part3`` is
-    N * sum_{q <= Q} mu(q) * c_q(k), with c_q from ``_residue_spectrum``.
+    Index k + N stores c_k, a sum of spike trains w*[q | k] over (modulus q,
+    weight w) pairs: (1, 1) for ``fejer``; the mean of (q, q) over q = p^2
+    (``gstar``) or q = p (``h``), p <= P prime; and (d, N*d*W_d), d <= Q, for
+    ``k_part3`` = N * sum_{q <= Q} mu(q) * c_q(k) (see the module docstring).
+    ``h_truncated`` is ``h`` with |k| <= P zeroed.  Every term is an integer
+    below 2^53, so the sums are exact.  ValueError if the tables do not reach
+    P or Q.
     """
+    _check_coverage(tables, spec)
+    cache = _COEFFICIENTS.setdefault(tables, {})
+    coef = cache.get(spec)
+    if coef is None:
+        coef = cache[spec] = _build_coefficients(tables, spec)
+    return coef
+
+
+def _check_coverage(tables: "ArithmeticTables", spec: KernelSpec) -> None:
     side, name = (spec.Q, "Q") if spec.kind == "k_part3" else (spec.P, "P")
     if side is not None and side > tables.n_max:
         raise ValueError(f"tables cover n <= {tables.n_max} < {name} = {side}")
-    return _cached_coefficients(tables, spec)
 
 
 def spectral_weights(tables: "ArithmeticTables", spec: KernelSpec) -> np.ndarray:
@@ -343,8 +329,10 @@ def _translate_scheme(tables: "ArithmeticTables", spec: KernelSpec):
 
     Ordering is deterministic: ascending prime (or modulus q), then ascending
     residue a.  Weights are in T_N units; for ``k_part3`` they carry the
-    factor N so that weight * T_N = mu(q) * |F_N|^2.
+    factor N so that weight * T_N = mu(q) * |F_N|^2.  ValueError if the
+    tables do not reach P or Q.
     """
+    _check_coverage(tables, spec)
     shifts: list[float] = []
     weights: list[float] = []
     if spec.kind in ("gstar", "h", "h_truncated"):
@@ -357,8 +345,6 @@ def _translate_scheme(tables: "ArithmeticTables", spec: KernelSpec):
                 shifts.append(a / q)
                 weights.append(w)
     else:  # k_part3
-        if spec.Q > tables.n_max:
-            raise ValueError(f"tables cover n <= {tables.n_max} < Q = {spec.Q}")
         mob = tables.mobius
         for q in range(1, spec.Q + 1):
             m = int(mob[q])

@@ -90,6 +90,19 @@ class TestVaughanV:
         assert rep.v_quadrature == pytest.approx(rep.v_spectral, rel=2e-9)
         assert not rep.routes_agree
 
+    def test_imaginary_residue_judged_against_route_bound(self, tables, monkeypatch):
+        # a phase of 1e-10 on S leaves |imag| ~ 9e-4 at N = 1024, Q = 32: far
+        # above route_bound (1.3e-6), though within the slack 1e-9*N^2*Q (3.4e-2)
+        original = experiments.grid_eval_sequence
+
+        def rotated(seq, M, **kwargs):
+            grid = original(seq, M, **kwargs)
+            return dataclasses.replace(grid, values=grid.values * np.exp(1e-10j))
+
+        monkeypatch.setattr(experiments, "grid_eval_sequence", rotated)
+        with pytest.raises(sn.InvariantError, match="imaginary residue"):
+            vaughan_V(tables, 1024, 32)
+
     def test_default_q(self, tables):
         rep = vaughan_V(tables, 256)
         assert rep.Q == 16

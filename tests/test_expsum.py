@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,27 @@ ALPHAS = st.floats(
 
 def naive_F(N, alpha):
     return complex(np.sum(np.exp(TWO_PI_I * alpha * np.arange(1, N + 1))))
+
+
+# sha256 of kernel_coefficients(k_part3, N) bytes at the default Q, recorded
+# from a build that took each c_q by a length-q FFT of its residue mask
+K_PART3_LADDER = {
+    1 << 10: "c25567499d86693272ce853f67b0a6a8d241efda9481dcf66a79d8b7799c070a",
+    1 << 12: "2eaac9eb44b944475830a493f5eb7b4d9d22dbcc82075c86ed40a99d3dcee593",
+    1 << 14: "356f394c1def0f014665fcb70c772c2f3b2c10d5ef2ec553c401f639f67fb980",
+    1 << 16: "9078a41bd817f5c7b5bbaf35770291be003b43dae73596fef8db77328b7872cb",
+}
+
+
+def direct_k_part3(tables, N, Q):
+    """N * sum_{q <= Q} mu(q) c_q(k), k = -N..N, with c_q(k mod q) summed directly."""
+    k = np.arange(-N, N + 1)
+    total = np.zeros(2 * N + 1, dtype=np.int64)
+    for q in range(1, Q + 1):
+        if tables.mobius[q]:
+            c_q = np.array([sn.ramanujan_sum_direct(q, r) for r in range(q)])
+            total += int(tables.mobius[q]) * c_q[k % q]
+    return N * total.astype(float)
 
 
 class TestEvalF:
@@ -195,15 +217,23 @@ class TestKernelCoefficients:
         np.testing.assert_array_equal(got, want)
 
     def test_k_part3_is_mobius_weighted_ramanujan_sum(self, tables):
-        # N * sum_{q <= Q} mu(q) c_q(k), exactly, against the closed-form c_q
-        N, Q = 48, 6
+        # N * sum_{q <= Q} mu(q) c_q(k), exactly, at Q = 1, 2, 6, a prime and N
+        N = 48
+        for Q in (1, 2, 6, 47, 48):
+            c = sn.kernel_coefficients(tables, sn.KernelSpec("k_part3", N, Q=Q))
+            np.testing.assert_array_equal(c, direct_k_part3(tables, N, Q))
+
+    @settings(deadline=None, max_examples=40)
+    @given(N=st.integers(1, 40), data=st.data())
+    def test_k_part3_matches_direct_sums(self, tables, N, data):
+        Q = data.draw(st.integers(1, N), label="Q")
         c = sn.kernel_coefficients(tables, sn.KernelSpec("k_part3", N, Q=Q))
-        mu = tables.mobius
-        want = [
-            N * sum(int(mu[q]) * sn.ramanujan_sum(tables, q, k) for q in range(1, Q + 1))
-            for k in range(-N, N + 1)
-        ]
-        np.testing.assert_array_equal(c, np.array(want, dtype=float))
+        np.testing.assert_array_equal(c, direct_k_part3(tables, N, Q))
+
+    @pytest.mark.parametrize("N", sorted(K_PART3_LADDER))
+    def test_k_part3_ladder_pinned(self, tables_mid, N):
+        c = sn.kernel_coefficients(tables_mid, sn.KernelSpec("k_part3", N))
+        assert hashlib.sha256(c.tobytes()).hexdigest() == K_PART3_LADDER[N]
 
 
 class TestSpikeTrainOrthogonality:
@@ -248,6 +278,23 @@ class TestDuality:
     def test_frozen_point(self, tables):
         spec = sn.KernelSpec("gstar", 256, P=4)
         assert sn.duality_gap(tables, spec, [0.41]) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            sn.KernelSpec("gstar", 64, P=100),
+            sn.KernelSpec("h", 64, P=100),
+            sn.KernelSpec("h_truncated", 64, P=100),
+            sn.KernelSpec("k_part3", 64, Q=100),
+        ],
+        ids=lambda s: s.kind,
+    )
+    def test_both_routes_need_tables_up_to_the_side_parameter(self, spec):
+        # tables to 64 hold the primes <= 61 only, so P = 100 must not pass as P = 61
+        small = sn.build_tables(64)
+        for route in (sn.eval_kernel, sn.eval_kernel_spectral):
+            with pytest.raises(ValueError, match="tables cover n <= 64"):
+                route(small, spec, 0.1)
 
     def test_k_part3_duality(self, tables_mid, rng):
         for N in (1 << 8, 1 << 14):
