@@ -2,9 +2,11 @@
 
 Subcommands run registered experiments (``experiments.EXPERIMENTS``) as a
 suite of one block each, their flags checked by the same schema as config
-blocks, so a failed job renders an error row just as in ``suite``::
+blocks, so a failed job renders an error row just as in ``suite``.  A flag
+for a ladder key takes several values, one job each, as the config key
+takes a list::
 
-    sievenorm norm --kind mobius --n 1024 [--tol 1e-4]
+    sievenorm norm --kind mobius --n 256 512 1024 [--tol 1e-4]
     sievenorm kernel-gap --kind gstar --n 4096 [--p 8] [--m 32768]
     sievenorm sieve-check --set-kind reduced_farey --param 22 --kind mobius --n 512
     sievenorm vaughan --n 4096 [--q 64]
@@ -332,8 +334,11 @@ def _build_parser() -> _Parser:
         return p
 
     def param(p, flag, key, **kw):
-        """A flag for schema key ``key`` of the command's first experiment."""
-        schema = EXPERIMENTS[p.get_default("experiments")[0]].params[key]
+        """A flag for schema key ``key`` of the command's first experiment (a list if a ladder key)."""
+        experiment = EXPERIMENTS[p.get_default("experiments")[0]]
+        schema = experiment.params[key]
+        if key in experiment.ladder:
+            kw["nargs"] = "+"
         if schema.choices:
             kw["choices"] = schema.choices
         else:

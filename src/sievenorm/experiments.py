@@ -33,7 +33,6 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from math import isqrt
 from typing import Callable
 
 import numpy as np
@@ -253,8 +252,7 @@ def vaughan_V(tables: ArithmeticTables, N: int, Q: int | None = None) -> VReport
     kernel; it shares no code with the spectral route (see :class:`VReport`).
     The routes agree when they differ by at most ``route_bound``.
     """
-    if Q is None:
-        Q = max(1, isqrt(N))
+    Q = KernelSpec("k_part3", N, Q=Q).Q
     v_spectral = mobius_ramanujan_weighted_sum(tables, N, Q)
     M = 4 * N
     seq = coefficient_sequence(tables, "mangoldt", N)
@@ -510,8 +508,7 @@ def lambda_l1_bounds(
     l1 <= sqrt(0.75 * N * log N) -- gate rows with N >= 1024, where the
     asymptotics have set in.
     """
-    if Q is None:
-        Q = max(1, isqrt(N))
+    Q = KernelSpec("k_part3", N, Q=Q).Q
     seq = coefficient_sequence(tables, "mangoldt", N)
     est = l1_norm(seq, rel_tol=rel_tol)
     v_spectral = mobius_ramanujan_weighted_sum(tables, N, Q)
@@ -608,11 +605,21 @@ def norm_row(
     rel_tol: float = DEFAULT_REL_TOL,
     seed: int = 0,
 ) -> ExperimentRow:
-    """L1 and L2 norms of one coefficient sequence; passes when the L1 quadrature converged."""
+    """L1 and L2 norms of one coefficient sequence; passes when the L1 quadrature converged.
+
+    Ratios l1/sqrt(l2), l1/sqrt(N), l1/sqrt(N log N) and the kind's ``GROWTH_RATIOS``
+    value are reported where defined: the first and last need l2 > 0, the last two N >= 2.
+    """
     seq = coefficient_sequence(tables, kind, N, seed=seed)
     est = l1_norm(seq, rel_tol=rel_tol)
     l2 = l2_norm_sq(seq)
     ceiling = l2**0.5
+    ratios = {"l1_over_l2": est.value / ceiling} if l2 > 0 else {}
+    ratios["l1_over_sqrt_n"] = est.value / math.sqrt(N)
+    if N >= 2:
+        ratios["l1_over_sqrt_nlogn"] = est.value / math.sqrt(N * math.log(N))
+        if kind in GROWTH_RATIOS and l2 > 0:
+            ratios["growth_ratio"] = GROWTH_RATIOS[kind](N, est.value, l2)
     return _row(
         "norm",
         {"kind": kind, "n": N, "rel_tol": rel_tol, "seed": seed},
@@ -624,7 +631,7 @@ def norm_row(
             "grids": [[m, v] for m, v in est.grids],
         },
         {"cauchy_ceiling": ceiling},
-        {"l1_over_l2": est.value / ceiling if ceiling > 0 else 0.0},
+        ratios,
         expectations=[(est.converged, "quadrature did not converge (warning)")],
     )
 

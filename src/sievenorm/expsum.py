@@ -52,7 +52,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 from typing import TYPE_CHECKING
 
@@ -323,7 +322,10 @@ def spectral_weights(tables: "ArithmeticTables", spec: KernelSpec) -> np.ndarray
 # kernel evaluation from translates (primary route)
 
 
-@lru_cache(maxsize=16)
+# Cached per tables object as the coefficients are, but apart: the routes share nothing.
+_SCHEMES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _translate_scheme(tables: "ArithmeticTables", spec: KernelSpec):
     """(shifts, weights) so that the kernel is sum_i weights[i]*T_N(x - shifts[i]).
 
@@ -333,6 +335,9 @@ def _translate_scheme(tables: "ArithmeticTables", spec: KernelSpec):
     tables do not reach P or Q.
     """
     _check_coverage(tables, spec)
+    cache = _SCHEMES.setdefault(tables, {})
+    if spec in cache:
+        return cache[spec]
     shifts: list[float] = []
     weights: list[float] = []
     if spec.kind in ("gstar", "h", "h_truncated"):
@@ -358,6 +363,7 @@ def _translate_scheme(tables: "ArithmeticTables", spec: KernelSpec):
     wt = np.array(weights)
     sh.setflags(write=False)
     wt.setflags(write=False)
+    cache[spec] = sh, wt
     return sh, wt
 
 

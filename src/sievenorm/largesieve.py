@@ -97,7 +97,7 @@ class SpacedPointSet:
     point is 1-spaced by convention.  ``kind`` names the set in messages and
     defaults to ``exact(R)`` for R points.  Raises ValueError for bad arrays,
     a denominator below 1 or a repeated point (1/2 and 2/4 included), and
-    CapacityError if the certification products could overflow int64.
+    CapacityError for a denominator above the limit of ``_check_int64``.
     """
 
     fractions: tuple[np.ndarray, np.ndarray]
@@ -124,8 +124,8 @@ class SpacedPointSet:
         g = np.gcd(num, den)
         num, den = num // g, den // g
         max_den = int(den.max())
-        _check_int64(max_den)  # which also keeps the tables below small
-        # Within the int64 guard distinct points differ by >= 1/max_den^2 > 2^-32,
+        _check_int64(max_den)
+        # Within that limit distinct points differ by >= 1/max_den^2 > 2^-32,
         # far above float resolution, so the float order is the exact order.
         order = np.argsort(num / den)
         num, den = num[order], den[order]
@@ -135,7 +135,7 @@ class SpacedPointSet:
             arr.setflags(write=False)
         object.__setattr__(self, "fractions", (num, den))
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "delta", _min_gap(num, den, max_den, kind))
+        object.__setattr__(self, "delta", _min_gap(num, den, kind))
         object.__setattr__(self, "points", pts)
         self._class_weights(den, max_den)
 
@@ -185,26 +185,29 @@ class LargeSieveResult(NamedTuple):
 
 
 def _check_int64(max_den: int) -> None:
-    """Raise CapacityError unless the certification products fit in int64.
+    """Raise CapacityError unless 2*max_den^4 fits in int64 (max_den < 2^15.5).
 
-    Every cross-product a'q - aq' of pairs with 0 <= a < q <= max_den, the
-    wrap pair's (a + q)q' included, is below 2*max_den^2, and the gap check
-    multiplies it by max_den^2.
+    The certification products need far less: every cross-product a'q - aq'
+    of pairs with 0 <= a < q <= max_den, the wrap pair's (a + q)q' included,
+    is below 2*max_den^2.  The limit is what keeps distinct reduced points
+    more than 2^-32 apart, so the float ``argsort`` is exact, and keeps
+    ``_class_weights``' tables and (m, d) pair arrays small; a wider one
+    would let a few points with a huge denominator allocate GiBs.
     """
     if 2 * max_den**4 > _INT64_MAX:
         raise CapacityError(
-            f"denominators up to {max_den} overflow int64 certification products"
+            f"denominators up to {max_den} exceed the certification limit 2*q^4 < 2^63"
         )
 
 
-def _min_gap(num: np.ndarray, den: np.ndarray, max_den: int, kind: str) -> float:
+def _min_gap(num: np.ndarray, den: np.ndarray, kind: str) -> float:
     """The exact minimal circular gap of the sorted reduced num/den, rounded down.
 
     Consecutive pairs, the wrap pair (last, first + 1) included, must have
     cross-product a'q - aq' >= 1: 0 is a repeated point (ValueError), below
-    0 the points are out of order (InvariantError).  Each gap
-    (a'q - aq')/(qq') must then be >= 1/max_den^2 (InvariantError).
-    ``_check_int64(max_den)`` must hold, so the products fit in int64.
+    0 the points are out of order (InvariantError).  So each gap
+    (a'q - aq')/(qq') is >= 1/max(den)^2.  ``_check_int64(max(den))`` must
+    hold, so the products fit in int64.
     """
     nxt_num = np.append(num[1:], num[0] + den[0])
     nxt_den = np.append(den[1:], den[0])
@@ -216,13 +219,6 @@ def _min_gap(num: np.ndarray, den: np.ndarray, max_den: int, kind: str) -> float
         raise ValueError(f"{kind}: points {pair} are not distinct modulo 1")
     if cross[i] < 0:
         raise InvariantError(f"{kind}: points {pair} are out of order")
-    short = cross * (max_den * max_den) < span
-    if short.any():
-        i = int(np.argmax(short))
-        raise InvariantError(
-            f"{kind}: certified gap {Fraction(int(cross[i]), int(span[i]))} "
-            f"below 1/{max_den}^2"
-        )
     # Float division is monotone, so the exact minimum has the smallest float;
     # the slack only widens the exact comparison to near-ties.
     gaps = cross / span
@@ -249,10 +245,10 @@ def build_point_set(tables, kind: str, parameter: int) -> SpacedPointSet:
     ``parameter`` is Q for ``reduced_farey`` and P for the prime families;
     it must be >= 2 (and for the prime families at most ``tables.n_max``, so
     the family holds 1/2).  Raises ValueError for a bad kind or parameter and
-    CapacityError, before any array is built, if its certification products
-    could overflow int64.  No family repeats a point (a reduced a/p^2 is
-    b/p^2 or b/p, each from one a), and the set's gap check 1/max(den)^2 is
-    at least as strict as the family's 1/Q^2, 1/P^2 or 1/P^4.
+    CapacityError, before any array is built, if its denominators exceed
+    the limit of ``_check_int64``.  No family repeats a point (a reduced
+    a/p^2 is b/p^2 or b/p, each from one a), and every gap of the set is
+    >= 1/max(den)^2, the family's 1/Q^2, 1/P^2 or 1/P^4.
     """
     if kind not in FAREY_KINDS:
         raise ValueError(f"unknown point-set kind {kind!r}")

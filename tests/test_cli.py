@@ -1,13 +1,17 @@
 import csv
 import io
 import json
+import math
 import os
 import platform
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sievenorm as sn
 import sievenorm.cli as cli
 import sievenorm.experiments as experiments
 from sievenorm import LargeSieveResult
@@ -76,6 +80,44 @@ class TestNormCommand:
         assert float(measured_csv["l1"]) == pytest.approx(measured_json["l1"], rel=1e-10)
         assert measured_csv["converged"] == "true"
 
+    @staticmethod
+    def check_growth_ladder(capsys, lo, hi, kind="mobius"):
+        ns = [1 << k for k in range(lo, hi + 1)]
+        code, out, _ = run_cli(capsys, ["norm", "--kind", kind, "--n", *map(str, ns), "--json"])
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row["params"]["n"] for row in rows] == ns
+        tables = sn.build_tables(max(4096, ns[-1]))
+        for row in rows:
+            n, l1, ratios = row["params"]["n"], row["measured"]["l1"], row["ratios"]
+            seq = sn.coefficient_sequence(tables, kind, n)
+            assert l1 == pytest.approx(sn.l1_norm(seq).value, rel=1e-4)
+            expected = experiments.GROWTH_RATIOS[kind](n, l1, sn.l2_norm_sq(seq))
+            assert ratios["growth_ratio"] == pytest.approx(expected, rel=1e-12)
+            assert ratios["l1_over_sqrt_n"] == pytest.approx(l1 / math.sqrt(n), rel=1e-12)
+
+    def test_growth_ladder_smoke(self, capsys):
+        self.check_growth_ladder(capsys, 6, 7)
+
+    def test_growth_ladder_random_primes(self, capsys):
+        # the prime_l1 row's random variant, a sequence kind of its own
+        self.check_growth_ladder(capsys, 6, 7, kind="random_primes")
+
+    def test_growth_ladder_above_2_16(self, capsys):
+        # one rung past the suite's ladder: rows of 2^17 points, four to an ifft batch
+        self.check_growth_ladder(capsys, 17, 17)
+
+    @pytest.mark.parametrize(
+        "kind, defined",
+        [("ones", {"l1_over_l2", "l1_over_sqrt_n"}), ("prime_indicator", {"l1_over_sqrt_n"})],
+    )
+    def test_undefined_ratios_are_absent_at_n1(self, capsys, kind, defined):
+        # log 1 = 0, and the prime indicator has l2 = 0 at N = 1
+        code, out, _ = run_cli(capsys, ["norm", "--kind", kind, "--n", "1", "--json"])
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert set(row["ratios"]) == defined
+
     def test_non_convergence_is_warning_not_error(self, capsys):
         code, out, err = run_cli(
             capsys, ["norm", "--kind", "ones", "--n", "16", "--tol", "1e-15"]
@@ -113,6 +155,16 @@ class TestOtherCommands:
         _, _, rows = parse_csv(out)
         assert rows[0][0] == "kernel_gap"
         assert field_map(rows[0][1])["kind"] == "gstar"
+
+    def test_ladder_flags_take_lists(self, capsys):
+        code, out, _ = run_cli(capsys, ["kernel-gap", "--kind", "h", "gstar", "--n", "64", "128"])
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        got = [(field_map(r[1])["kind"], field_map(r[1])["n"]) for r in rows]
+        assert got == [("h", "64"), ("h", "128"), ("gstar", "64"), ("gstar", "128")]
+        code, out, err = run_cli(capsys, ["norm", "--kind", "ones", "--n", "16", "0"])
+        assert (code, out) == (1, "")
+        assert "argument --n: must be >= 1" in err
 
     def test_sieve_check(self, capsys):
         code, out, _ = run_cli(
@@ -483,3 +535,19 @@ class TestRendering:
 
     def test_float_precision(self):
         assert cli._fmt_float(1 / 3) == "0.333333333333"
+
+
+def test_readme_commands_parse():
+    # every documented command line is one the parser accepts; none is run
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [
+        line
+        for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+        for line in block.splitlines()
+        if line.startswith("sievenorm ")
+    ]
+    assert len(lines) >= 8
+    parser = cli._build_parser()
+    for line in lines:
+        ns = parser.parse_args(shlex.split(line, comments=True)[1:])
+        assert ns.handler is not None

@@ -611,7 +611,7 @@ ROW_SHAPE = {
     ("norm", None): (
         ["l1", "l2_sq", "converged", "last_delta", "grids", "invariant_ok"],
         ["cauchy_ceiling"],
-        ["l1_over_l2"],
+        ["l1_over_l2", "l1_over_sqrt_n", "l1_over_sqrt_nlogn", "growth_ratio"],
     ),
     ("sieve_check", None): (
         ["lhs", "rhs", "points", "delta", "margin", "invariant_ok"],

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -295,6 +297,17 @@ class TestDuality:
         for route in (sn.eval_kernel, sn.eval_kernel_spectral):
             with pytest.raises(ValueError, match="tables cover n <= 64"):
                 route(small, spec, 0.1)
+
+    @pytest.mark.parametrize("route", [sn.eval_kernel, sn.eval_kernel_spectral])
+    def test_route_caches_let_the_tables_go(self, route):
+        tables = sn.build_tables(256)
+        assert route(tables, sn.KernelSpec("h", 256), 0.1) == route(
+            tables, sn.KernelSpec("h", 256), 0.1
+        )
+        ref = weakref.ref(tables)
+        del tables
+        gc.collect()
+        assert ref() is None
 
     def test_k_part3_duality(self, tables_mid, rng):
         for N in (1 << 8, 1 << 14):

@@ -127,15 +127,12 @@ class TestBuildPointSet:
     def test_certification_rejects_duplicates_and_short_gaps(self):
         with pytest.raises(ValueError, match="hand\\(dup\\): points 1/3 and 1/3 are not distinct"):
             sn.SpacedPointSet(([0, 1, 1, 2], [1, 3, 3, 3]), "hand(dup)")
-        # the sorted order and the gap bound can fail only on the helper's
-        # own input: 1/2 before 1/3, and a bound 1/2^2 the gap 1/6 misses
+        # the sorted order can fail only on the helper's own input: 1/2 before 1/3
         num, den = np.array([0, 1, 1]), np.array([1, 2, 3])
         with pytest.raises(InvariantError, match="out of order"):
-            largesieve._min_gap(num, den, 3, "hand(order)")
+            largesieve._min_gap(num, den, "hand(order)")
         num, den = np.array([0, 1, 1]), np.array([1, 3, 2])
-        with pytest.raises(InvariantError, match="below 1/2\\^2"):
-            largesieve._min_gap(num, den, 2, "hand(short)")
-        ok = largesieve._min_gap(num, den, 3, "hand(ok)")
+        ok = largesieve._min_gap(num, den, "hand(ok)")
         assert ok == fraction_delta([Fraction(0), Fraction(1, 3), Fraction(1, 2)])
 
     def test_int64_guard_precedes_allocation(self, tables):
