@@ -1,22 +1,25 @@
 """Command-line driver: run experiments, emit CSV (default) or JSON.
 
 Subcommands run registered experiments (``experiments.EXPERIMENTS``) as a
-suite of one block each, their flags checked by the same schema as config
-blocks, so a failed job renders an error row just as in ``suite``.  A flag
-for a ladder key takes several values, one job each, as the config key
-takes a list::
+suite of one block each, so a failed job renders an error row just as in
+``suite``.  ``COMMANDS`` names each command's experiments, and the parser
+is generated from the registry: one flag per schema key of the first
+experiment (per ``SuiteConfig`` knob for ``suite``), with the key's
+default, range and choices, and ``--help`` showing them.  A flag for a
+ladder key takes several values, one job each, as the config key takes a
+list; an omitted flag takes the registry default, as an omitted config key::
 
     sievenorm norm --kind mobius --n 256 512 1024 [--tol 1e-4]
-    sievenorm kernel-gap --kind gstar --n 4096 [--p 8] [--m 32768]
+    sievenorm kernel-gap [--kind gstar] [--n 4096] [--p 8] [--m 32768]
     sievenorm sieve-check --set-kind reduced_farey --param 22 --kind mobius --n 512
-    sievenorm vaughan --n 4096 [--q 64]
+    sievenorm vaughan [--n 4096] [--q 64]
     sievenorm suite [--config PATH] [--workers K]
 
 Output contract: CSV to stdout by default (or ``--out PATH``); ``--json``
 switches to a JSON document ``{schema_version, metadata, rows}``.  CSV and
 JSON carry identical row values; floats are rendered with 12 significant
 digits.  Metadata records tool version, the git commit of the source tree
-(``git_sha``, null outside a checkout), tolerances, seeds and worker count;
+(``git_sha``, null outside a checkout) and every ``SuiteConfig`` knob run;
 the JSON form adds a timestamp (deliberately kept out of the CSV so that CSV
 output is byte-reproducible up to the ``runtime_s`` column).
 
@@ -186,8 +189,8 @@ def _parse_value(raw: str):
     return vals if len(vals) > 1 else vals[0]
 
 
-#: Global config keys: every SuiteConfig field but the blocks.
-_KNOBS = tuple(f.name for f in dataclasses.fields(SuiteConfig) if f.name != "experiments")
+#: Global config keys, every SuiteConfig field but the blocks, and their Params.
+_KNOBS = {f.name: f.metadata["param"] for f in dataclasses.fields(SuiteConfig) if f.metadata}
 
 
 def parse_config(text: str) -> SuiteConfig:
@@ -269,46 +272,53 @@ def _metadata(**extra) -> dict:
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
         "cpu_count": os.cpu_count(),
-        "workers": 1,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         **extra,
     }
 
 
-def _cmd_experiments(ns: argparse.Namespace) -> tuple[SuiteConfig, dict]:
-    """The subcommand's experiments as a suite of one block each, and its metadata knobs.
+def _config(ns: argparse.Namespace) -> tuple[SuiteConfig, dict]:
+    """The suite a command runs, and its metadata: every knob, plus ``config`` for ``suite``.
 
-    Knob flags (seed, rel_tol) become the config's globals and the other
-    flags the blocks' params; the metadata records the first experiment's knobs.
+    ``suite`` runs its config file (or the default suite); any other command
+    runs its experiments as one block each, the flags of their keys as params.
+    Knob flags (seed, rel_tol, ...) override the config's globals.
     """
     given = {k: v for k, v in vars(ns).items() if v is not None}
-    blocks = tuple(
-        (name, {k: given[k] for k in EXPERIMENTS[name].params if k in given and k not in _KNOBS})
-        for name in ns.experiments
-    )
-    cfg = SuiteConfig(**{k: given[k] for k in _KNOBS if k in given}, experiments=blocks)
-    return cfg, {k: getattr(cfg, k) for k in EXPERIMENTS[ns.experiments[0]].params if k in _KNOBS}
-
-
-def _cmd_suite(ns: argparse.Namespace) -> tuple[SuiteConfig, dict]:
-    """The config file (or the default suite) with the flags' overrides, and its metadata."""
-    if ns.config is not None:
-        path = Path(ns.config)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise UsageError(f"cannot read config {path}: {exc}") from None
-        cfg = parse_config(text)
+    extra = {}
+    if ns.command != "suite":
+        blocks = tuple(
+            (name, {k: given[k] for k in EXPERIMENTS[name].params if k in given and k not in _KNOBS})
+            for name in COMMANDS[ns.command][1]
+        )
+        cfg = SuiteConfig(experiments=blocks)
+    elif ns.config is None:
+        cfg, extra = default_suite_config(), {"config": "default"}
     else:
-        cfg = default_suite_config()
-    overrides = {k: getattr(ns, k) for k in _KNOBS if getattr(ns, k, None) is not None}
-    cfg = dataclasses.replace(cfg, **overrides)
-    config = "default" if ns.config is None else str(ns.config)
-    return cfg, {**{k: getattr(cfg, k) for k in _KNOBS}, "config": config}
+        try:
+            text = Path(ns.config).read_text()
+        except OSError as exc:
+            raise UsageError(f"cannot read config {ns.config}: {exc}") from None
+        cfg, extra = parse_config(text), {"config": ns.config}
+    cfg = dataclasses.replace(cfg, **{k: given[k] for k in _KNOBS if k in given})
+    return cfg, {**{k: getattr(cfg, k) for k in _KNOBS}, **extra}
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+#: Subcommand -> (summary, the experiments it runs).  Its flags are the first
+#: experiment's schema keys, or for ``suite`` the SuiteConfig knobs.
+COMMANDS = {
+    "norm": ("L1/L2 norms of a coefficient sequence", ("norm",)),
+    "kernel-gap": ("scan |kernel - T_N| against its ceilings", ("kernel_gap",)),
+    "sieve-check": ("one large-sieve inequality evaluation", ("sieve_check",)),
+    "vaughan": (
+        "signed-kernel identity and L1 bracket for Lambda",
+        ("lambda_kernel_integral", "lambda_l1"),
+    ),
+    "suite": ("run an experiment suite", ()),
+}
 
 
 def _checked(schema):
@@ -327,71 +337,21 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="sievenorm", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"sievenorm {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def command(name, summary, *experiments):
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=_cmd_experiments, experiments=experiments)
-        return p
-
-    def param(p, flag, key, **kw):
-        """A flag for schema key ``key`` of the command's first experiment (a list if a ladder key)."""
-        experiment = EXPERIMENTS[p.get_default("experiments")[0]]
-        schema = experiment.params[key]
-        if key in experiment.ladder:
-            kw["nargs"] = "+"
-        if schema.choices:
-            kw["choices"] = schema.choices
+    for command, (summary, experiments) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        if experiments:
+            params, ladder = EXPERIMENTS[experiments[0]].params, EXPERIMENTS[experiments[0]].ladder
         else:
-            kw["type"] = _checked(schema)
-        p.add_argument(flag, dest=key, **kw)
-
-    def output(p: _Parser) -> None:
+            params, ladder = _KNOBS, ()
+            p.add_argument("--config", metavar="PATH", help="default: the default suite")
+        for key, param in params.items():
+            kw = {"choices": param.choices} if param.choices else {"type": _checked(param)}
+            if key in ladder:
+                kw["nargs"] = "+"
+            flag = "--tol" if key == "rel_tol" else "--" + key.replace("_", "-")
+            p.add_argument(flag, dest=key, required=param.required, help=param.help(), **kw)
         p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
         p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-
-    p = command("norm", "L1/L2 norms of a coefficient sequence", "norm")
-    param(p, "--kind", "kind", required=True)
-    param(p, "--n", "n", required=True, help="sequence length")
-    param(p, "--tol", "rel_tol", help="relative tolerance (default 1e-4)")
-    param(p, "--seed", "seed", help="seed for random kinds (default 0)")
-    output(p)
-
-    p = command("kernel-gap", "scan |kernel - T_N| against its ceilings", "kernel_gap")
-    param(p, "--kind", "kind", default="gstar")
-    param(p, "--n", "n", required=True)
-    param(p, "--p", "p", help="prime cutoff (defaults from N)")
-    param(p, "--m", "m", help="scan grid size (default 8N)")
-    output(p)
-
-    p = command("sieve-check", "one large-sieve inequality evaluation", "sieve_check")
-    param(p, "--set-kind", "set_kind", required=True)
-    param(p, "--param", "param", required=True, help="Farey parameter (Q or P)")
-    param(p, "--kind", "kind", help="sequence kind (default random_complex)")
-    param(p, "--n", "n", required=True)
-    param(p, "--shift", "shift", help="shift of the point set (default 0)")
-    param(p, "--seed", "seed", help="seed for random kinds (default 0)")
-    output(p)
-
-    p = command(
-        "vaughan",
-        "signed-kernel identity and L1 bracket for Lambda",
-        "lambda_kernel_integral",
-        "lambda_l1",
-    )
-    param(p, "--n", "n", required=True)
-    param(p, "--q", "q", help="modulus cutoff (default isqrt(N))")
-    param(p, "--tol", "rel_tol", help="relative tolerance (default 1e-4)")
-    output(p)
-
-    p = sub.add_parser("suite", help="run an experiment suite")
-    p.add_argument("--config", metavar="PATH", default=None, help="suite config file")
-    p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--tol", type=float, dest="rel_tol", help="override config rel_tol")
-    p.add_argument("--floor", type=float, help="override config floor")
-    p.add_argument("--workers", type=int, help="override config worker threads")
-    output(p)
-    p.set_defaults(handler=_cmd_suite)
-
     return parser
 
 
@@ -399,10 +359,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        if getattr(ns, "handler", None) is None:
+        if ns.command is None:
             parser.print_help(sys.stderr)
             return 1
-        cfg, meta = ns.handler(ns)
+        cfg, meta = _config(ns)
         rows = tuple(run_suite(cfg))
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

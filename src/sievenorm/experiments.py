@@ -164,7 +164,8 @@ class Param:
 
     ``default``: a value, a tuple (a ladder key's list), ``None`` (the row
     function picks) or omitted (required); ``inherit`` names the SuiteConfig
-    knob to default to instead.  ``low`` is a lower bound, exclusive if ``strict``.
+    knob to default to instead (a knob's own Param names itself).  ``low`` is
+    a lower bound, exclusive if ``strict``.
     """
 
     type: type
@@ -189,6 +190,23 @@ class Param:
             raise ValueError(f"must be {'>' if self.strict else '>='} {self.low}, got {value}")
         return value
 
+    @property
+    def required(self) -> bool:
+        return self.default is _REQUIRED and not self.inherit
+
+    def help(self) -> str:
+        """The default and the lower bound, as a flag's ``--help`` shows them."""
+        default = getattr(SuiteConfig, self.inherit) if self.inherit else self.default
+        if default is _REQUIRED:
+            text = "required"
+        elif default is None:
+            text = "default: from the other parameters"
+        elif isinstance(default, tuple):
+            text = "default: " + " ".join(map(str, default))
+        else:
+            text = f"default: {default}"
+        return text if self.low is None else f"{text}; {'>' if self.strict else '>='} {self.low}"
+
 
 _SEED = Param(int, low=0, inherit="seed")
 _REL_TOL = Param(float, low=0.0, strict=True, inherit="rel_tol")
@@ -205,7 +223,7 @@ class SuiteConfig:
     seed: int = field(default=0, metadata={"param": _SEED})
     rel_tol: float = field(default=DEFAULT_REL_TOL, metadata={"param": _REL_TOL})
     floor: float = field(default=DEFAULT_FLOOR, metadata={"param": _FLOOR})
-    workers: int = field(default=1, metadata={"param": Param(int, low=1)})
+    workers: int = field(default=1, metadata={"param": Param(int, low=1, inherit="workers")})
     experiments: tuple = ()
 
     def __post_init__(self) -> None:
@@ -864,6 +882,8 @@ def expand(name: str, block: dict, cfg: SuiteConfig = SuiteConfig()) -> list[tup
         if raw is _REQUIRED:
             raise ValueError(f"{name}: {key} is required")
         items = raw if isinstance(raw, (list, tuple)) else [raw]
+        if key in spec.ladder and not items:
+            raise ValueError(f"{name}: {key} takes at least one value")
         if len(items) != 1 and key not in spec.ladder:
             raise ValueError(f"{name}: {key} takes one value, got {raw!r}")
         try:

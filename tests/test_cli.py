@@ -537,9 +537,12 @@ class TestRendering:
         assert cli._fmt_float(1 / 3) == "0.333333333333"
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_commands_parse():
     # every documented command line is one the parser accepts; none is run
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     lines = [
         line
         for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
@@ -550,4 +553,83 @@ def test_readme_commands_parse():
     parser = cli._build_parser()
     for line in lines:
         ns = parser.parse_args(shlex.split(line, comments=True)[1:])
-        assert ns.handler is not None
+        assert ns.command in cli.COMMANDS
+
+
+def readme_parameter_table():
+    """[(experiment, [(key, marked list, marked required), ...])] from README's table."""
+    section = README.read_text().split("Experiments and their parameters", 1)[1]
+    table = []
+    for name, cell in re.findall(r"^\| `(\w+)` \| (.*) \|$", section, re.M):
+        entries, depth, current = [], 0, ""
+        for ch in cell + ";":  # split on the semicolons outside parentheses
+            depth += (ch == "(") - (ch == ")")
+            if ch == ";" and depth == 0:
+                entries.append(current.strip())
+                current = ""
+            else:
+                current += ch
+        keys = [(re.match(r"`(\w+)`", e)[1], "*list*" in e, "(required" in e) for e in entries]
+        table.append((name, keys))
+    return table
+
+
+def test_readme_parameter_table_matches_registry():
+    table = readme_parameter_table()
+    assert sorted(name for name, _ in table) == list(experiments.EXPERIMENT_NAMES)
+    for name, keys in table:
+        spec = experiments.EXPERIMENTS[name]
+        assert [key for key, _, _ in keys] == list(spec.params), name
+        assert [key for key, is_list, _ in keys if is_list] == [
+            key for key in spec.params if key in spec.ladder
+        ], name
+        assert [key for key, _, required in keys if required] == [
+            key for key, param in spec.params.items() if param.required
+        ], name
+
+
+EQUIVALENT_RUNS = [
+    (
+        ["norm", "--kind", "mobius", "--n", "64", "128", "--tol", "1e-3", "--seed", "2"],
+        "experiment = norm\nkind = mobius\nn = 64, 128\nrel_tol = 1e-3\nseed = 2\n",
+    ),
+    (
+        ["kernel-gap", "--kind", "h", "--n", "64", "--p", "5", "--m", "512"],
+        "experiment = kernel_gap\nkind = h\nn = 64\np = 5\nm = 512\n",
+    ),
+    (
+        ["sieve-check", "--set-kind", "prime_farey", "--param", "7", "--n", "32",
+         "--kind", "mobius", "--shift", "0.25", "--seed", "1"],
+        "experiment = sieve_check\nset_kind = prime_farey\nparam = 7\nn = 32\n"
+        "kind = mobius\nshift = 0.25\nseed = 1\n",
+    ),
+    (
+        ["vaughan", "--n", "64", "--q", "5", "--tol", "1e-3"],
+        "experiment = lambda_kernel_integral\nn = 64\nq = 5\nrel_tol = 1e-3\n"
+        "experiment = lambda_l1\nn = 64\nq = 5\nrel_tol = 1e-3\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, config", EQUIVALENT_RUNS, ids=[a[0] for a, _ in EQUIVALENT_RUNS])
+def test_command_gives_the_rows_of_its_config_block(capsys, tmp_path, argv, config):
+    path = tmp_path / "same.cfg"
+    path.write_text(config)
+    code, by_flags, _ = run_cli(capsys, argv)
+    assert code == 0
+    code, by_config, _ = run_cli(capsys, ["suite", "--config", str(path)])
+    assert code == 0
+    _, header, rows = strip_runtime(by_flags)
+    assert rows and (header, rows) == strip_runtime(by_config)[1:]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_help_names_one_flag_per_key(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    names = cli.COMMANDS[command][1]
+    keys = experiments.EXPERIMENTS[names[0]].params if names else cli._KNOBS
+    flags = {"--tol" if key == "rel_tol" else "--" + key.replace("_", "-") for key in keys}
+    flags |= {"--help", "--json", "--out"} | ({"--config"} if command == "suite" else set())
+    assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == flags

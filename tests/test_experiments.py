@@ -1,10 +1,12 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 import sievenorm as sn
+import sievenorm.cli as cli
 import sievenorm.experiments as experiments
 import sievenorm.expsum as expsum
 from sievenorm.experiments import (
@@ -409,6 +411,17 @@ class TestRunSuite:
         assert rows[0].passed is False
         assert "zeta" in rows[0].detail
 
+    @pytest.mark.parametrize(
+        "name, block, key",
+        [("norm", {"kind": "ones", "n": []}, "n"), ("kernel_gap", {"kind": []}, "kind")],
+        ids=["norm_n", "kernel_gap_kind"],
+    )
+    def test_empty_ladder_list_is_error_row(self, tables, name, block, key):
+        rows = run_suite(SuiteConfig(experiments=((name, block),)), tables=tables)
+        assert len(rows) == 1
+        assert rows[0].measured["error"] == "ValueError"
+        assert f"{name}: {key} takes at least one value" in rows[0].detail
+
     @pytest.mark.parametrize("name", ["kernel_gap", "lambda_l1", "lambda_kernel_integral"])
     def test_n_below_two_is_error_row(self, tables, name):
         rows = run_suite(SuiteConfig(experiments=((name, {"n": 1}),)), tables=tables)
@@ -635,6 +648,16 @@ def test_row_identity_per_experiment(tables):
     assert got == [(name, list(params.items())) for name, params in ROW_IDENTITY]
     shapes = [(list(r.measured), list(r.reference), list(r.ratios)) for r in rows]
     assert shapes == [ROW_SHAPE[r.experiment, r.params.get("variant")] for r in rows]
+
+
+def test_schema_order_is_row_function_order():
+    # run_job calls row(tables, *params.values()), so the schema order is the call order
+    for name, spec in EXPERIMENTS.items():
+        signature = list(inspect.signature(getattr(experiments, spec.row)).parameters)
+        assert list(spec.params) == [arg.lower() for arg in signature[1:]], name
+    # a command's flags are its first experiment's keys, so the others must take the same
+    for command, (_, names) in cli.COMMANDS.items():
+        assert all(EXPERIMENTS[n].params == EXPERIMENTS[names[0]].params for n in names), command
 
 
 class TestInvariantViolations:
