@@ -4,7 +4,8 @@
     python3 scripts/bench.py --label 753137f
 
 Runs perfbench/run.py on both workloads, with --trace 0 and --trace 1, and
-keeps each run's command, ``# meta`` line and final JSON line.
+keeps each run's command, ``# meta`` line and final JSON line.  ``tree_dirty``
+says if src/ or scripts/ differ from the HEAD that ``git_sha`` names.
 """
 
 import argparse
@@ -26,13 +27,21 @@ def run(*args: str) -> dict:
     return {"command": cmd[1:], "meta": json.loads(meta[7:]), "result": json.loads(lines[-1])}
 
 
+def tree_dirty() -> bool | None:
+    cmd = ["git", "status", "--porcelain", "--", "src", "scripts"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="file name suffix, e.g. a commit sha")
     label = ap.parse_args(argv).label
+    dirty = tree_dirty()
     opts = ["--seed", str(SEED), "--seconds", str(SECONDS), "--trace"]
     runs = [run("--workload", w, *opts, t) for w in ("suite_default", "l1_ladder") for t in "01"]
-    (ROOT / f"BENCH_{label}.json").write_text(json.dumps({"label": label, "runs": runs}, indent=1))
+    doc = {"label": label, "tree_dirty": dirty, "runs": runs}
+    (ROOT / f"BENCH_{label}.json").write_text(json.dumps(doc, indent=1))
     return 0
 
 

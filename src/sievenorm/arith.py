@@ -1,12 +1,14 @@
 """Sieve-backed arithmetic tables and coefficient-sequence factories.
 
-One loop over the primes p <= sqrt(n_max) builds every table by strided
-slices over the multiples of p: the smallest prime factor, Mobius mu, Euler
-phi and von Mangoldt Lambda at the powers of p.  Each n keeps a cofactor with
-those primes divided out, which is 1 or the single prime factor of n above
-sqrt(n_max); one vectorised pass over it completes the tables and the prime
-list.  Build once, share across all experiments -- the tables object is
-immutable and cheap to pass around.
+Two passes build every table.  The first writes the smallest prime factor
+spf by strided slices over the multiples of each prime p <= sqrt(n_max),
+largest p first, so the smallest writes last; an n >= 2 left at 0 is prime.
+The second reads each n as p * m with p = spf(n): mu(n) = 0 or -mu(m),
+phi(n) = phi(m) * p or phi(m) * (p - 1), and Lambda(n) = Lambda(m) or 0, as
+p does or does not divide m.  Since m <= n / 2, every n in [2^k, 2^(k+1))
+reads only below 2^k, so each dyadic block is a few vectorised gathers from
+the blocks before it.  Build once, share across all experiments -- the
+tables object is immutable and cheap to pass around.
 
 Also here: Ramanujan sums c_q(n) in closed form and by direct summation
 (two independent routes, kept apart for cross-checking), and the factory
@@ -68,45 +70,45 @@ class ArithmeticTables:
 
 
 def build_tables(n_max: int) -> ArithmeticTables:
-    """Sieve up to n_max (inclusive) and derive all tables (see the module docstring).
+    """Sieve up to n_max (inclusive) in the two passes of the module docstring.
 
-    Lambda is ``math.log(p)`` at every power of each prime p.  n_max must be
-    at least 2; sizes beyond the module budget (2^26) raise
-    :class:`CapacityError` rather than silently thrashing memory.
+    The primes <= sqrt(n_max) that pass 1 strides over come from a small
+    boolean sieve.  Lambda is ``math.log(p)`` at each prime p, and pass 2
+    copies it to the higher powers of p.  n_max must be at least 2; sizes
+    beyond the module budget (2^26) raise :class:`CapacityError` rather than
+    silently thrashing memory.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     if n_max > TABLE_BUDGET:
         raise CapacityError(f"n_max {n_max} exceeds table budget {TABLE_BUDGET}")
-    n = np.arange(n_max + 1, dtype=np.int64)
+    root = math.isqrt(n_max)
+    sieve = np.ones(root + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    small = np.flatnonzero(sieve)  # the primes <= sqrt(n_max)
     spf = np.zeros(n_max + 1, dtype=np.int64)
-    mobius = np.ones(n_max + 1, dtype=np.int64)
-    mobius[0] = 0
-    phi = n.copy()
-    mangoldt = np.zeros(n_max + 1)
-    rest = n.copy()  # n with its primes <= sqrt(n_max) divided out
-    for p in range(2, math.isqrt(n_max) + 1):
-        if spf[p]:
-            continue
-        sl = spf[p::p]
-        sl[sl == 0] = p
-        mobius[p::p] *= -1
-        mobius[p * p :: p * p] = 0
-        phi[p::p] -= phi[p::p] // p
-        logp = math.log(p)
-        pk = p
-        while pk <= n_max:
-            mangoldt[pk] = logp
-            rest[pk::pk] //= p
-            pk *= p
-    # what is left is 1 or the single prime factor above sqrt(n_max)
-    big = rest > 1
-    mobius[big] *= -1
-    phi[big] -= phi[big] // rest[big]
-    large = np.flatnonzero(rest == n)[2:]  # past 0 and 1: the primes above sqrt(n_max)
+    for p in small[::-1].tolist():
+        spf[p::p] = p
+    large = np.flatnonzero(spf[2:] == 0) + 2  # the primes above sqrt(n_max)
     spf[large] = large
-    mangoldt[large] = [math.log(q) for q in large.tolist()]
-    primes = np.flatnonzero(spf == n)[1:]  # past spf[0] = 0
+    primes = np.concatenate([small, large])
+    mangoldt = np.zeros(n_max + 1)
+    mangoldt[primes] = list(map(math.log, primes.tolist()))
+    mobius = np.empty(n_max + 1, dtype=np.int64)
+    phi = np.empty(n_max + 1, dtype=np.int64)
+    mobius[:2] = phi[:2] = (0, 1)
+    for k in range(1, n_max.bit_length()):
+        lo, hi = 1 << k, min(2 << k, n_max + 1)
+        p = spf[lo:hi]
+        m = np.arange(lo, hi)
+        m //= p
+        same = spf[m] == p  # p^2 divides n
+        np.negative(mobius[m], out=mobius[lo:hi])[same] = 0
+        np.multiply(phi[m], p - 1 + same, out=phi[lo:hi])
+        mangoldt[lo:hi][same] = mangoldt[m[same]]  # 0 unless m is a power of p
 
     for arr in (spf, mobius, phi, mangoldt, primes):
         arr.setflags(write=False)

@@ -243,10 +243,12 @@ def build_point_set(tables, kind: str, parameter: int) -> SpacedPointSet:
     """Construct one of the Farey families as a certified ``SpacedPointSet``.
 
     ``parameter`` is Q for ``reduced_farey`` and P for the prime families;
-    it must be >= 2 (and for the prime families at most ``tables.n_max``, so
-    the family holds 1/2).  Raises ValueError for a bad kind or parameter and
-    CapacityError, before any array is built, if its denominators exceed
-    the limit of ``_check_int64``.  No family repeats a point (a reduced
+    it must be >= 2 and at most ``tables.n_max``, since the family comes
+    from ``tables.primes`` (``reduced_farey`` keeps a/q unless a prime p | q
+    divides a, so no gcd is taken before the constructor's reduction).
+    Raises ValueError for a bad kind or parameter and CapacityError, before
+    any array is built, if its denominators exceed the limit of
+    ``_check_int64``.  No family repeats a point (a reduced
     a/p^2 is b/p^2 or b/p, each from one a), and every gap of the set is
     >= 1/max(den)^2, the family's 1/Q^2, 1/P^2 or 1/P^4.
     """
@@ -256,16 +258,17 @@ def build_point_set(tables, kind: str, parameter: int) -> SpacedPointSet:
     if parameter < 2:
         raise ValueError(f"parameter must be >= 2, got {parameter}")
     _check_int64(parameter**2 if kind == "prime_square_farey" else parameter)
+    if parameter > tables.n_max:
+        raise ValueError(f"tables cover n <= {tables.n_max} < parameter {parameter}")
+    ps = tables.primes[tables.primes <= parameter].astype(np.int64)
     if kind == "reduced_farey":
         num, den = _residues(np.arange(1, parameter + 1), 0)
-        keep = np.gcd(num, den) == 1
+        keep = np.ones(num.size, dtype=bool)
+        for p in ps.tolist():  # block q holds a = 0..q-1; drop each a = 0 (mod p) for p | q
+            for q in range(p, parameter + 1, p):
+                keep[q * (q - 1) // 2 : q * (q + 1) // 2 : p] = False
         num, den = num[keep], den[keep]
     else:
-        if parameter > tables.n_max:
-            raise ValueError(
-                f"tables cover n <= {tables.n_max} < parameter {parameter}"
-            )
-        ps = tables.primes[tables.primes <= parameter].astype(np.int64)
         num, den = _residues(ps * ps if kind == "prime_square_farey" else ps, 1)
     return SpacedPointSet((num, den), f"{kind}({parameter})")
 

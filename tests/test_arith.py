@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,8 +36,24 @@ def trial_division_tables(n_max):
     return spf, mobius, phi, mangoldt, primes
 
 
+# sha256 of each table's bytes at n_max = 2^20, recorded from the prime-slice
+# sieve that updated mu, phi and Lambda on the multiples of each prime
+TABLES_2_20 = {
+    "spf": "210f92d85832b9ac0f8125901d36884525bded65cc26d29afb083c20cdb8ee10",
+    "mobius": "c5dd2938518cc813ff04a2296858fd893760fc937eb51567bea9445a3cf75856",
+    "phi": "73d3b68fda66b02b985d9af6c17b7f5311570e88d8a182aa6cd9b138d3d18ceb",
+    "mangoldt": "a83bd6ea9c0054e7d4eeee9fa469a427de4f91454471aeffbee1a0635d096395",
+    "primes": "7f38ca3bca3d3b8448b19b977e1b4f7985d5446991c6bcf4648ed85eb9723f3b",
+}
+
+
 class TestBuildTables:
-    @pytest.mark.parametrize("n_max", [2, 3, 4, 5, 17, 100, 10_000])
+    # the dyadic block edges 2^k - 1, 2^k, 2^k + 1 and the sqrt(n_max) edges 31^2 - 1, 31^2
+    @pytest.mark.parametrize(
+        "n_max",
+        [2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 960, 961, 1023, 1024,
+         1025, 10_000],
+    )
     def test_matches_trial_division(self, n_max):
         t = sn.build_tables(n_max)
         spf, mobius, phi, mangoldt, primes = trial_division_tables(n_max)
@@ -44,6 +62,21 @@ class TestBuildTables:
         assert t.phi.tolist() == phi
         assert t.mangoldt.tolist() == mangoldt  # math.log(p) at each prime power, bit for bit
         assert t.primes.tolist() == primes
+
+    def test_pinned_at_2_20(self, tables_big):
+        for name, digest in TABLES_2_20.items():
+            assert hashlib.sha256(getattr(tables_big, name).tobytes()).hexdigest() == digest, name
+
+    def test_build_peak_stays_near_what_it_keeps(self):
+        # four full-length tables are kept; the block temporaries stay within half as much more
+        tracemalloc.start()
+        try:
+            t = sn.build_tables(1 << 20)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept >= sum(getattr(t, k).nbytes for k in TABLES_2_20)
+        assert peak <= 1.5 * kept
 
     def test_mobius_first_ten(self, tables):
         assert tables.mobius[1:11].tolist() == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]

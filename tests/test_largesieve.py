@@ -92,6 +92,13 @@ class TestBuildPointSet:
             expected = int(np.sum(tables.phi[1 : Q + 1]))
             assert len(ps) == expected
 
+    def test_reduced_farey_is_every_coprime_pair(self, tables):
+        # the prime sieve over each block q against math.gcd, block edges included
+        for Q in range(2, 41):
+            num, den = sn.build_point_set(tables, "reduced_farey", Q).fractions
+            got = sorted(zip(den.tolist(), num.tolist()))
+            assert got == [(q, a) for q in range(1, Q + 1) for a in range(q) if math.gcd(a, q) == 1]
+
     def test_exact_delta_value(self, tables):
         # neighboring Farey fractions a/q, a'/q' satisfy |a/q - a'/q'| = 1/(qq'),
         # so the minimal gap for Q=5 is 1/20
@@ -154,8 +161,9 @@ class TestBuildPointSet:
             sn.build_point_set(tables, "nope", 5)
         with pytest.raises(ValueError):
             sn.build_point_set(tables, "reduced_farey", 1)
-        with pytest.raises(ValueError):
-            sn.build_point_set(tables, "prime_farey", tables.n_max + 1)
+        for kind in ("reduced_farey", "prime_farey"):
+            with pytest.raises(ValueError, match="tables cover"):
+                sn.build_point_set(tables, kind, tables.n_max + 1)
 
 
 class TestExactPointSet:

@@ -21,6 +21,10 @@ def test_bench_records_every_run(tmp_path, monkeypatch):
 
     def fake_run(cmd, **kwargs):
         calls.append(cmd)
+        if cmd[0] == "git":
+            assert cmd == ["git", "status", "--porcelain", "--", "src", "scripts"]
+            assert kwargs["cwd"] == tmp_path
+            return subprocess.CompletedProcess(cmd, 0, stdout=" M src/sievenorm/arith.py\n")
         meta = {"workload": cmd[cmd.index("--workload") + 1], "traced": cmd[-1] == "1"}
         out = f"# meta {json.dumps(meta)}\n# run_s = 1 s\n" + json.dumps({"correct": True})
         return subprocess.CompletedProcess(cmd, 0, stdout=out + "\n", stderr="")
@@ -30,6 +34,7 @@ def test_bench_records_every_run(tmp_path, monkeypatch):
     assert script.main(["--label", "abc"]) == 0
     doc = json.loads((tmp_path / "BENCH_abc.json").read_text())
     assert doc["label"] == "abc"
+    assert doc["tree_dirty"] is True
     got = [(r["meta"]["workload"], r["meta"]["traced"], r["result"]) for r in doc["runs"]]
     assert got == [
         (w, traced, {"correct": True})
@@ -40,4 +45,4 @@ def test_bench_records_every_run(tmp_path, monkeypatch):
         "perfbench/run.py", "--workload", "suite_default", "--seed", "7", "--seconds", "45.0",
         "--trace", "0",
     ]
-    assert all(cmd[0] == sys.executable for cmd in calls)
+    assert [cmd[0] for cmd in calls] == ["git"] + [sys.executable] * 4
