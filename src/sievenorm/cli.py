@@ -6,7 +6,7 @@ suite of one block each, so a failed job renders an error row just as in
 is generated from the registry: one flag per schema key of the first
 experiment (per ``SuiteConfig`` knob for ``suite``), with the key's
 default, range and choices, and ``--help`` showing them.  A flag for a
-ladder key takes several values, one job each, as the config key takes a
+ladder key takes several values, one row each, as the config key takes a
 list; an omitted flag takes the registry default, as an omitted config key::
 
     sievenorm norm --kind mobius --n 256 512 1024 [--tol 1e-4]

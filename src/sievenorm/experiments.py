@@ -33,7 +33,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -303,35 +303,35 @@ def vaughan_V(tables: ArithmeticTables, N: int, Q: int | None = None) -> VReport
 # experiment rows
 
 
-def kernel_gap_scan(
-    tables: ArithmeticTables,
-    N: int,
-    P: int | None = None,
-    kind: str = "gstar",
-    M: int | None = None,
-) -> ExperimentRow:
-    """Scan |kernel - T_N| on a uniform grid and compare against its ceilings.
-
-    Grid default is M = 8N; anything below 4N may under-resolve the peaks and
-    triggers a warning note in the row.  The certified ceiling comes from the
-    large-sieve bound (for ``h_truncated``: the ``h`` ceiling plus the 3P
-    truncation cost); the scale ceiling N^(3/4) log N (``gstar``) or
-    sqrt(N) log N (``h``-family) is informational and reported as a ratio.
-    """
+def _gap_specs(kind: str, N: int, P: int | None) -> list[KernelSpec]:
+    """The grids a gap row reads: the kernel's, T_N's and, for ``h_truncated``, h's (same P)."""
     if kind not in GAP_KINDS:
         raise ValueError(f"kernel gap scan needs one of {', '.join(GAP_KINDS)}, got {kind!r}")
     spec = KernelSpec(kind, N, P=P)
-    P = spec.P
-    M = 8 * N if M is None else int(M)
+    specs = [spec, KernelSpec("fejer", N)]
+    if kind == "h_truncated":
+        specs.append(KernelSpec("h", N, P=spec.P))
+    return specs
+
+
+def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b|, through one temporary array."""
+    diff = a - b
+    return float(np.max(np.abs(diff, out=diff)))
+
+
+def _gap_row(tables: ArithmeticTables, specs: list, M: int, grid) -> ExperimentRow:
+    """The gap row of ``specs`` (from ``_gap_specs``) on the M-point grids ``grid(spec)`` gives."""
+    spec = specs[0]
+    kind, N, P = spec.kind, spec.N, spec.P
     notes = []
     if M < 4 * N:
         note = f"grid M={M} below 4N={4 * N}: scan may under-resolve peaks"
-        warnings.warn(note, stacklevel=2)
+        warnings.warn(note, stacklevel=3)
         notes.append(note)
-    kernel_grid = grid_eval_kernel(tables, spec, M).values
-    fejer_grid = grid_eval_kernel(tables, KernelSpec("fejer", N), M).values
-    diff = kernel_grid - fejer_grid
-    max_gap = float(np.max(np.abs(diff)))
+    kernel_grid = grid(spec)
+    fejer_grid = grid(specs[1])
+    max_gap = _max_abs_diff(kernel_grid, fejer_grid)
     min_value = float(np.min(kernel_grid))
     log_n = math.log(N)
     if kind == "gstar":
@@ -361,8 +361,7 @@ def kernel_gap_scan(
         "gap_over_scale": max_gap / scale,
     }
     if kind == "h_truncated":
-        full = grid_eval_kernel(tables, KernelSpec("h", N, P=P), M).values
-        trunc_gap = float(np.max(np.abs(full - kernel_grid)))
+        trunc_gap = _max_abs_diff(grid(specs[2]), kernel_grid)
         # d_k >= 0 and sum_{|k| <= P} d_k = mean_p p*(2*floor(P/p) + 1) <= 3P
         trunc_tolerance = 3.0 * P * (1.0 + 1e-9)
         invariants.append((trunc_gap <= trunc_tolerance, "truncation gap exceeds 3P"))
@@ -374,6 +373,69 @@ def kernel_gap_scan(
         invariants.append((min_value >= nonneg_floor, "kernel dips below nonnegativity floor"))
     params = {"kind": kind, "n": N, "p": P, "m": M}
     return _row("kernel_gap", params, measured, reference, ratios, invariants, notes=notes)
+
+
+def kernel_gap_scan(
+    tables: ArithmeticTables,
+    N: int,
+    P: int | None = None,
+    kind: str = "gstar",
+    M: int | None = None,
+) -> ExperimentRow:
+    """Scan |kernel - T_N| on a uniform grid and compare against its ceilings.
+
+    Grid default is M = 8N; anything below 4N may under-resolve the peaks and
+    triggers a warning note in the row.  The certified ceiling comes from the
+    large-sieve bound (for ``h_truncated``: the ``h`` ceiling plus the 3P
+    truncation cost); the scale ceiling N^(3/4) log N (``gstar``) or
+    sqrt(N) log N (``h``-family) is informational and reported as a ratio.
+    One (kind, N) builds its own grids; :func:`kernel_gap_rows`, which the
+    suite runs, shares them along a ladder and gives the same rows.
+    """
+    M = 8 * N if M is None else int(M)
+    specs = _gap_specs(kind, N, P)
+    return _gap_row(tables, specs, M, lambda spec: grid_eval_kernel(tables, spec, M).values)
+
+
+def kernel_gap_rows(
+    tables: ArithmeticTables,
+    n: Sequence[int],
+    p: int | None = None,
+    kind: Sequence[str] = GAP_KINDS,
+    m: int | None = None,
+) -> list[ExperimentRow]:
+    """:func:`kernel_gap_scan` for every (kind, N) of a ladder, one grid per spec and N.
+
+    N runs outermost.  At each N every grid is built once, on first use --
+    T_N once for all kinds, and h once for both ``h`` and ``h_truncated``,
+    which share P -- and dropped after the last row that reads it, so at
+    most one N's grids are alive.  Rows come back kind-major, the order of
+    one job per (kind, N).  A (kind, N) that raises gives an error row with
+    that job's params (p and m as given); the other rows still run.
+    """
+    rows = {}
+    for N in n:
+        M = 8 * N if m is None else m
+        specs = {k: _gap_specs(k, N, p) for k in kind}
+        last_reader = {spec: k for k in kind for spec in specs[k]}
+        grids = {}
+
+        def grid(spec):
+            if spec not in grids:
+                grids[spec] = grid_eval_kernel(tables, spec, M).values
+            return grids[spec]
+
+        for k in kind:
+            t0 = time.perf_counter()
+            try:
+                rows[k, N] = _gap_row(tables, specs[k], M, grid)
+            except Exception as exc:
+                params = {"n": N, "p": p, "kind": k, "m": m}
+                rows[k, N] = _error_row("kernel_gap", params, exc, t0)
+            for spec in specs[k]:
+                if last_reader[spec] == k:
+                    grids.pop(spec, None)
+    return [rows[k, N] for k in kind for N in n]
 
 
 def squarefree_theorem_ratio(
@@ -776,7 +838,8 @@ class Experiment:
     """A row function (by name, looked up per call), its parameter schema and its ladder.
 
     A job calls ``row(tables, *params.values())``, params in schema order.
-    ``ladder`` keys take lists, one job per combination (first key outermost);
+    ``ladder`` keys take lists, one job per combination (first key outermost),
+    or with ``one_job`` a single job that gets the lists themselves;
     ``table`` keys are sizes the sieve tables must reach.  ``check``, if set,
     is called on each job's params and raises ValueError for a combination of
     keys the row function would reject.
@@ -787,11 +850,12 @@ class Experiment:
     ladder: tuple = ("n",)
     table: tuple = ("n",)
     check: Callable[[dict], None] | None = None
+    one_job: bool = False
 
 
 EXPERIMENTS = {
     "kernel_gap": Experiment(
-        "kernel_gap_scan",
+        "kernel_gap_rows",
         {
             "n": _N,
             "p": Param(int, None, low=2),
@@ -800,6 +864,7 @@ EXPERIMENTS = {
         },
         ladder=("kind", "n"),
         table=("n", "p"),
+        one_job=True,
     ),
     "squarefree_l1": Experiment(
         "squarefree_theorem_ratio",
@@ -863,6 +928,8 @@ EXPERIMENT_NAMES = tuple(sorted(EXPERIMENTS))
 def expand(name: str, block: dict, cfg: SuiteConfig = SuiteConfig()) -> list[tuple[str, dict]]:
     """One ``(name, params)`` job per combination of the block's ladder values.
 
+    An experiment with ``one_job`` gets a single job holding the ladder lists.
+
     Every schema key is resolved (block value, else inherited ``cfg`` knob,
     else default) and checked, then every job by the experiment's ``check``;
     ValueError names the experiment (and the key, for a one-key check).
@@ -891,10 +958,11 @@ def expand(name: str, block: dict, cfg: SuiteConfig = SuiteConfig()) -> list[tup
         except ValueError as exc:
             raise ValueError(f"{name}: {key} {exc}") from None
         values[key] = checked if key in spec.ladder else checked[0]
+    split = () if spec.one_job else spec.ladder
     jobs = []
-    for combo in itertools.product(*(values[key] for key in spec.ladder)):
+    for combo in itertools.product(*(values[key] for key in split)):
         params = dict(values)
-        params.update(zip(spec.ladder, combo))
+        params.update(zip(split, combo))
         if spec.check is not None:
             try:
                 spec.check(params)
@@ -914,9 +982,13 @@ def run_job(tables: ArithmeticTables, name: str, params: dict) -> list[Experimen
 
 
 def required_nmax(jobs) -> int:
-    """Sieve-table size covering every job's ``table`` keys (at least 4096)."""
-    sizes = (params[key] for name, params in jobs for key in EXPERIMENTS[name].table)
-    return max([4096, *(size for size in sizes if size is not None)])
+    """Sieve-table size covering every job's ``table`` keys (at least 4096); a key may hold a list."""
+    sizes = [4096]
+    for name, params in jobs:
+        for key in EXPERIMENTS[name].table:
+            value = params[key]
+            sizes += value if isinstance(value, list) else [value]
+    return max(size for size in sizes if size is not None)
 
 
 def default_suite_config() -> SuiteConfig:

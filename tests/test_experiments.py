@@ -11,6 +11,7 @@ import sievenorm.experiments as experiments
 import sievenorm.expsum as expsum
 from sievenorm.experiments import (
     EXPERIMENTS,
+    GAP_KINDS,
     ExperimentRow,
     SuiteConfig,
     kernel_gap_scan,
@@ -161,6 +162,61 @@ class TestKernelGapScan:
             kernel_gap_scan(tables, 256, kind="fejer")
         with pytest.raises(ValueError):
             kernel_gap_scan(tables, 256, kind="k_part3")
+
+
+class TestKernelGapRows:
+    """The suite's kernel_gap job: the whole ladder, its grids shared per N."""
+
+    def spy(self, monkeypatch):
+        calls, original = [], experiments.grid_eval_kernel
+
+        def counted(tables, spec, M):
+            calls.append((spec.kind, spec.N, M))
+            return original(tables, spec, M)
+
+        monkeypatch.setattr(experiments, "grid_eval_kernel", counted)
+        return calls
+
+    def test_default_ladder_builds_each_grid_once_per_pass(self, tables_mid, monkeypatch):
+        calls = self.spy(monkeypatch)
+        cfg = SuiteConfig(experiments=(("kernel_gap", {}),))
+        first = run_suite(cfg, tables=tables_mid)
+        kinds = ("fejer", *GAP_KINDS)
+        each_once = sorted((k, n, 8 * n) for n in experiments.DEFAULT_LADDER for k in kinds)
+        assert sorted(calls) == each_once
+        calls.clear()
+        # no grid outlives a pass: the second builds all 16 again
+        second = run_suite(cfg, tables=tables_mid)
+        assert sorted(calls) == each_once
+        calls.clear()
+        scans = [
+            kernel_gap_scan(tables_mid, n, kind=kind)
+            for kind in GAP_KINDS
+            for n in experiments.DEFAULT_LADDER
+        ]
+        assert len(calls) == 28  # one row at a time: T_N per kind, h again for h_truncated
+        assert _strip_runtime(first) == scans
+        assert _strip_runtime(second) == scans
+
+    def test_failing_grid_fails_only_the_rows_that_read_it(self, tables, monkeypatch):
+        original = experiments.grid_eval_kernel
+
+        def no_h(tables, spec, M):
+            if spec.kind == "h" and spec.N == 128:
+                raise MemoryError("no room for h")
+            return original(tables, spec, M)
+
+        monkeypatch.setattr(experiments, "grid_eval_kernel", no_h)
+        rows = experiments.kernel_gap_rows(tables, [64, 128])
+        assert [(r.params["kind"], r.params["n"]) for r in rows] == [
+            (kind, n) for kind in GAP_KINDS for n in (64, 128)
+        ]
+        failed = [r for r in rows if "error" in r.measured]
+        assert [r.params for r in failed] == [
+            {"n": 128, "p": None, "kind": kind, "m": None} for kind in ("h", "h_truncated")
+        ]
+        assert all(r.detail == "MemoryError: no room for h" for r in failed)
+        assert all(r.passed for r in rows if r not in failed)
 
 
 class TestSquarefreeRatio:
@@ -485,7 +541,8 @@ class TestRunSuite:
         assert _strip_runtime(serial) == _strip_runtime(threaded)
 
     def test_second_pass_builds_no_coefficients(self, monkeypatch):
-        # 8 ladder N ask for 40 kernel specs, more than a 32-spec LRU holds
+        # 8 ladder N ask for 40 kernel specs: the first pass builds each once,
+        # and the second finds every one in the per-tables store
         built, build = [], expsum._build_coefficients
 
         def spy(tables, spec):
@@ -504,6 +561,12 @@ class TestRunSuite:
         rows = run_suite(cfg, tables=tables)
         assert built == []
         assert all(row.passed for row in rows)
+
+    def test_required_nmax_reads_ladder_lists(self):
+        (job,) = experiments.expand("kernel_gap", {"n": [64, 8192], "p": 9000})
+        assert job[1]["n"] == [64, 8192] and job[1]["kind"] == list(GAP_KINDS)
+        assert experiments.required_nmax([job]) == 9000
+        assert experiments.required_nmax(experiments.expand("kernel_gap", {"n": 64})) == 4096
 
     def test_trend_summary_rows(self, tables):
         cfg = SuiteConfig(
