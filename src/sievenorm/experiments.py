@@ -1,9 +1,10 @@
 """Experiment battery: kernel gaps, L1 growth ratios, and the signed-kernel identity.
 
 Each experiment produces one or more :class:`ExperimentRow` records.  Rows
-carry plain-JSON dictionaries only, so they render identically to CSV and
-JSON.  A row function states its checks once, as ``(ok, note)`` pairs, and
-``_row`` derives the verdict from them:
+carry plain-JSON dictionaries of finite values only (an undefined ratio or
+field is absent), so they render identically to CSV and strict JSON.  A row
+function states its checks once, as ``(ok, note)`` pairs, and ``_row``
+derives the verdict from them:
 
 ``measured["invariant_ok"]``
     Whether every *invariant* held: a proven identity or inequality (large-sieve
@@ -59,6 +60,9 @@ GAP_KINDS = ("gstar", "h", "h_truncated")
 TRIAL_WORK_BUDGET = 4_000_000
 
 _SQUAREFREE_MONOTONE_SLACK = 0.999
+
+_CONVERGENCE_NOTE = "quadrature did not converge (warning)"
+_FLOOR_NOTE = "empirical floor; implied constant not asserted"
 
 
 def _squarefree_growth(n, l1, l2):
@@ -438,6 +442,25 @@ def kernel_gap_rows(
     return [rows[k, N] for k in kind for N in n]
 
 
+def _l1(tables: ArithmeticTables, kind: str, N: int, rel_tol: float, seed: int = 0):
+    """The ``kind`` sequence of length N, its L1 estimate, l2 = sum |b_n|^2 and its L1 ratios.
+
+    The ratios l1/sqrt(l2), l1/sqrt(N), l1/sqrt(N log N) and ``growth_ratio``
+    (the kind's ``GROWTH_RATIOS`` value) are present only where defined: the
+    first and last need l2 > 0, the last two N >= 2.
+    """
+    seq = coefficient_sequence(tables, kind, N, seed=seed)
+    est = l1_norm(seq, rel_tol=rel_tol)
+    l2 = l2_norm_sq(seq)
+    ratios = {"l1_over_l2": est.value / l2**0.5} if l2 > 0 else {}
+    ratios["l1_over_sqrt_n"] = est.value / math.sqrt(N)
+    if N >= 2:
+        ratios["l1_over_sqrt_nlogn"] = est.value / math.sqrt(N * math.log(N))
+        if kind in GROWTH_RATIOS and l2 > 0:
+            ratios["growth_ratio"] = GROWTH_RATIOS[kind](N, est.value, l2)
+    return seq, est, l2, ratios
+
+
 def squarefree_theorem_ratio(
     tables: ArithmeticTables,
     N: int,
@@ -460,15 +483,10 @@ def squarefree_theorem_ratio(
     """
     if N < 2 or N % 2:
         raise ValueError(f"N must be even and >= 2, got {N}")
-    seq_m = coefficient_sequence(tables, "mobius", N)
-    est_m = l1_norm(seq_m, rel_tol=rel_tol)
-    ratio_m = GROWTH_RATIOS["mobius"](N, est_m.value, l2_norm_sq(seq_m))
-    mobius_floor_value = N**0.125 / math.sqrt(math.log(N))
-
-    seq_r = coefficient_sequence(tables, "squarefree_random", N, seed=seed)
-    est_r = l1_norm(seq_r, rel_tol=rel_tol)
-    ratio_r = GROWTH_RATIOS["squarefree_random"](N, est_r.value, l2_norm_sq(seq_r))
-
+    _, est_m, _, ratios_m = _l1(tables, "mobius", N, rel_tol)
+    seq_r, est_r, _, ratios_r = _l1(tables, "squarefree_random", N, rel_tol, seed)
+    ratio_m, ratio_r = ratios_m["growth_ratio"], ratios_r["growth_ratio"]
+    mobius_l1_floor = N**0.125 / math.sqrt(math.log(N)) * floor
     measured = {
         "l1_mobius": est_m.value,
         "l1_random": est_r.value,
@@ -476,8 +494,8 @@ def squarefree_theorem_ratio(
     }
     reference = {
         "empirical_floor": floor,
-        "mobius_l1_floor": mobius_floor_value * floor,
-        "floor_note": "empirical floor; implied constant not asserted",
+        "mobius_l1_floor": mobius_l1_floor,
+        "floor_note": _FLOOR_NOTE,
     }
     ratios = {"ratio_mobius": ratio_m, "ratio_random": ratio_r}
     invariants = []
@@ -489,10 +507,10 @@ def squarefree_theorem_ratio(
         measured["l1_autocorrelation"] = est_sq.value
         reference["autocorrelation_bound"] = auto_bound
     expectations = [
-        (measured["converged"], "quadrature did not converge (warning)"),
+        (measured["converged"], _CONVERGENCE_NOTE),
         (ratio_m >= floor, "mobius growth ratio below floor"),
         (ratio_r >= floor, "random growth ratio below floor"),
-        (est_m.value >= mobius_floor_value * floor, "mobius l1 below its floor"),
+        (est_m.value >= mobius_l1_floor, "mobius l1 below its floor"),
     ]
     params = {"n": N, "seed": seed, "rel_tol": rel_tol, "floor": floor}
     return _row("squarefree_l1", params, measured, reference, ratios, invariants, expectations)
@@ -517,9 +535,8 @@ def prime_support_experiments(
         raise ValueError(f"N must be >= 3, got {N}")
     rows = []
     for variant in ("prime_indicator", "chi3_on_primes", "random_primes"):
-        seq = coefficient_sequence(tables, variant, N, seed=seed)
-        est = l1_norm(seq, rel_tol=rel_tol)
-        ratio = GROWTH_RATIOS[variant](N, est.value, l2_norm_sq(seq))
+        _, est, _, ratios = _l1(tables, variant, N, rel_tol, seed)
+        ratio = ratios["growth_ratio"]
         measured = {"l1": est.value, "converged": bool(est.converged)}
         if variant == "chi3_on_primes":
             ps = tables.primes[tables.primes <= N]
@@ -530,13 +547,10 @@ def prime_support_experiments(
                 "prime_l1",
                 {"variant": variant, "n": N, "seed": seed, "rel_tol": rel_tol, "floor": floor},
                 measured,
-                {
-                    "empirical_floor": floor,
-                    "floor_note": "empirical floor; implied constant not asserted",
-                },
+                {"empirical_floor": floor, "floor_note": _FLOOR_NOTE},
                 {"growth_ratio": ratio},
                 expectations=[
-                    (est.converged, "quadrature did not converge (warning)"),
+                    (est.converged, _CONVERGENCE_NOTE),
                     (ratio >= floor, "growth ratio below floor"),
                 ],
             )
@@ -589,26 +603,23 @@ def lambda_l1_bounds(
     asymptotics have set in.
     """
     Q = KernelSpec("k_part3", N, Q=Q).Q
-    seq = coefficient_sequence(tables, "mangoldt", N)
-    est = l1_norm(seq, rel_tol=rel_tol)
+    _, est, _, l1_ratios = _l1(tables, "mangoldt", N, rel_tol)
+    ratios = {k: l1_ratios[k] for k in ("l1_over_sqrt_n", "l1_over_sqrt_nlogn")}
     v_spectral = mobius_ramanujan_weighted_sum(tables, N, Q)
     analytic_lower = v_spectral / (N * (N + float(Q) ** 2))
-    log_n = math.log(N)
-    const_sqrt_n = est.value / math.sqrt(N)
-    const_sqrt_nlogn = est.value / math.sqrt(N * log_n)
+    if analytic_lower > 0:  # v_spectral = 0 at N = 2
+        ratios["l1_over_analytic_lower"] = est.value / analytic_lower
+    above_lower = est.value * (1.0 + 5.0 * rel_tol) >= analytic_lower
+    upper = math.sqrt(0.75)
+    in_bracket = ratios["l1_over_sqrt_n"] >= 0.15 and ratios["l1_over_sqrt_nlogn"] <= upper
     asymptotic_lower = (3.0 / math.pi**2 - 0.05) * Q * N / (N + float(Q) ** 2)
     measured = {"l1": est.value, "v_spectral": v_spectral, "converged": bool(est.converged)}
     reference = {
         "analytic_lower": analytic_lower,
         "asymptotic_lower_eps05": asymptotic_lower,
         "bracket_lower_const": 0.15,
-        "bracket_upper_const": math.sqrt(0.75),
+        "bracket_upper_const": upper,
         "bracket_applies_from_n": 1024,
-    }
-    ratios = {
-        "l1_over_sqrt_n": const_sqrt_n,
-        "l1_over_sqrt_nlogn": const_sqrt_nlogn,
-        "l1_over_analytic_lower": est.value / analytic_lower if analytic_lower > 0 else math.inf,
     }
     return _row(
         "lambda_l1",
@@ -616,18 +627,10 @@ def lambda_l1_bounds(
         measured,
         reference,
         ratios,
-        invariants=[
-            (
-                est.value * (1.0 + 5.0 * rel_tol) >= analytic_lower,
-                "quadrature value below its analytic lower bound",
-            )
-        ],
+        invariants=[(above_lower, "quadrature value below its analytic lower bound")],
         expectations=[
-            (est.converged, "quadrature did not converge (warning)"),
-            (
-                N < 1024 or (const_sqrt_n >= 0.15 and const_sqrt_nlogn <= math.sqrt(0.75)),
-                "bracket constants out of range",
-            ),
+            (est.converged, _CONVERGENCE_NOTE),
+            (N < 1024 or in_bracket, "bracket constants out of range"),
         ],
     )
 
@@ -685,34 +688,23 @@ def norm_row(
     rel_tol: float = DEFAULT_REL_TOL,
     seed: int = 0,
 ) -> ExperimentRow:
-    """L1 and L2 norms of one coefficient sequence; passes when the L1 quadrature converged.
+    """L1 and L2 norms of one coefficient sequence and every ratio ``_l1`` defines.
 
-    Ratios l1/sqrt(l2), l1/sqrt(N), l1/sqrt(N log N) and the kind's ``GROWTH_RATIOS``
-    value are reported where defined: the first and last need l2 > 0, the last two N >= 2.
+    Passes when the L1 quadrature converged.  ``last_delta`` is absent when
+    only one grid fit the sample budget.
     """
-    seq = coefficient_sequence(tables, kind, N, seed=seed)
-    est = l1_norm(seq, rel_tol=rel_tol)
-    l2 = l2_norm_sq(seq)
-    ceiling = l2**0.5
-    ratios = {"l1_over_l2": est.value / ceiling} if l2 > 0 else {}
-    ratios["l1_over_sqrt_n"] = est.value / math.sqrt(N)
-    if N >= 2:
-        ratios["l1_over_sqrt_nlogn"] = est.value / math.sqrt(N * math.log(N))
-        if kind in GROWTH_RATIOS and l2 > 0:
-            ratios["growth_ratio"] = GROWTH_RATIOS[kind](N, est.value, l2)
+    _, est, l2, ratios = _l1(tables, kind, N, rel_tol, seed)
+    measured = {"l1": est.value, "l2_sq": l2, "converged": est.converged}
+    if len(est.grids) > 1:
+        measured["last_delta"] = est.last_delta
+    measured["grids"] = [[m, v] for m, v in est.grids]
     return _row(
         "norm",
         {"kind": kind, "n": N, "rel_tol": rel_tol, "seed": seed},
-        {
-            "l1": est.value,
-            "l2_sq": l2,
-            "converged": est.converged,
-            "last_delta": est.last_delta,
-            "grids": [[m, v] for m, v in est.grids],
-        },
-        {"cauchy_ceiling": ceiling},
+        measured,
+        {"cauchy_ceiling": l2**0.5},
         ratios,
-        expectations=[(est.converged, "quadrature did not converge (warning)")],
+        expectations=[(est.converged, _CONVERGENCE_NOTE)],
     )
 
 

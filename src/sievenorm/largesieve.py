@@ -54,7 +54,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import build_tables
+from .arith import build_tables, prime_count
 from .errors import CapacityError, InvariantError
 from .expsum import TWO_PI_I, CoefficientSequence, eval_sequence
 from .quadrature import l2_norm_sq
@@ -381,8 +381,6 @@ def sieve_bound_for_kernel_gap(tables, N: int, P: int, kind: str) -> float:
         raise ValueError(f"kernel gap bound defined for gstar/h, got {kind!r}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if not 2 <= P <= tables.n_max:
-        raise ValueError(f"P={P} outside 2..{tables.n_max}")
-    pi_p = int(np.searchsorted(tables.primes, P, side="right"))  # >= 1 since P >= 2
+    pi_p = prime_count(tables, P)  # ValueError outside 2..n_max, so pi_p >= 1
     delta_inv = float(P) ** 4 if kind == "gstar" else float(P) ** 2
     return (N + delta_inv - 1.0) / pi_p

@@ -14,6 +14,7 @@ import pytest
 import sievenorm as sn
 import sievenorm.cli as cli
 import sievenorm.experiments as experiments
+import sievenorm.quadrature as quadrature
 from sievenorm import LargeSieveResult
 from sievenorm.errors import InvariantError
 
@@ -255,6 +256,38 @@ def strip_runtime(text):
     comments, header, rows = parse_csv(text)
     idx = header.index("runtime_s")
     return comments, header, [r[:idx] + r[idx + 1 :] for r in rows]
+
+
+def strict_json(text):
+    """``json.loads`` that refuses ``Infinity``, ``-Infinity`` and ``NaN``, as strict parsers do."""
+
+    def refuse(name):
+        raise ValueError(f"non-finite float {name} in JSON output")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestFiniteJson:
+    """Every float in a row is finite: an undefined ratio or field is absent."""
+
+    def test_vaughan_at_n2_omits_the_analytic_ratio(self, capsys):
+        # v_spectral = 0 at N = 2, so the analytic lower bound is 0
+        code, out, _ = run_cli(capsys, ["vaughan", "--n", "2", "--json"])
+        assert code == 0
+        rows = strict_json(out)["rows"]
+        assert [r["experiment"] for r in rows] == ["lambda_kernel_integral", "lambda_l1"]
+        assert rows[1]["reference"]["analytic_lower"] == 0.0
+        assert list(rows[1]["ratios"]) == ["l1_over_sqrt_n", "l1_over_sqrt_nlogn"]
+
+    def test_norm_with_one_grid_omits_last_delta(self, capsys, monkeypatch):
+        # the coarsest grid for N = 64 has 16 * 64 samples; no second grid fits
+        monkeypatch.setattr(quadrature, "SAMPLE_BUDGET", 16 * 64)
+        code, out, _ = run_cli(capsys, ["norm", "--kind", "ones", "--n", "64", "--json"])
+        assert code == 0
+        (row,) = strict_json(out)["rows"]
+        assert row["measured"]["grids"] == [[1024, row["measured"]["l1"]]]
+        assert "last_delta" not in row["measured"]
+        assert row["measured"]["converged"] is False and row["passed"] is False
 
 
 class TestDeterminism:

@@ -723,6 +723,109 @@ def test_schema_order_is_row_function_order():
         assert all(EXPERIMENTS[n].params == EXPERIMENTS[names[0]].params for n in names), command
 
 
+#: Blocks that reach every L1 row's branches: squarefree_l1 with and without
+#: the autocorrelation check (N <= 512), prime_l1 failing its floor, lambda_l1
+#: below and at its bracket's N, and norm at N = 1 and unconverged.
+L1_LAYOUT_BLOCKS = (
+    ("squarefree_l1", {"n": [64, 1024]}),
+    ("prime_l1", {"n": 64, "floor": 1e9}),
+    ("lambda_l1", {"n": [64, 1024]}),
+    ("norm", {"kind": "mobius", "n": [1, 64]}),
+    ("norm", {"kind": "ones", "n": 16, "rel_tol": 1e-15}),
+)
+_SQUAREFREE_KEYS = (["n", "seed", "rel_tol", "floor"], ["l1_mobius", "l1_random", "converged"])
+_PRIME_KEYS = ["variant", "n", "seed", "rel_tol", "floor"]
+_PRIME_REFERENCE = ["empirical_floor", "floor_note"]
+_PRIME_DETAIL = "growth ratio below floor"
+_LAMBDA_LAYOUT = (
+    "lambda_l1",
+    ["n", "q", "rel_tol"],
+    ["l1", "v_spectral", "converged", "invariant_ok"],
+    [
+        "analytic_lower",
+        "asymptotic_lower_eps05",
+        "bracket_lower_const",
+        "bracket_upper_const",
+        "bracket_applies_from_n",
+    ],
+    ["l1_over_sqrt_n", "l1_over_sqrt_nlogn", "l1_over_analytic_lower"],
+    "",
+)
+_NORM_KEYS = (
+    ["kind", "n", "rel_tol", "seed"],
+    ["l1", "l2_sq", "converged", "last_delta", "grids", "invariant_ok"],
+)
+_NORM_RATIOS = ["l1_over_l2", "l1_over_sqrt_n", "l1_over_sqrt_nlogn"]
+_UNCONVERGED = "quadrature did not converge (warning)"
+#: Per row of the blocks above: experiment, then the keys of params, measured,
+#: reference and ratios in order, then the detail -- the row's CSV layout.
+L1_LAYOUT = [
+    (
+        "squarefree_l1",
+        _SQUAREFREE_KEYS[0],
+        [*_SQUAREFREE_KEYS[1], "l1_autocorrelation", "invariant_ok"],
+        ["empirical_floor", "mobius_l1_floor", "floor_note", "autocorrelation_bound"],
+        ["ratio_mobius", "ratio_random"],
+        "",
+    ),
+    (
+        "squarefree_l1",
+        _SQUAREFREE_KEYS[0],
+        [*_SQUAREFREE_KEYS[1], "invariant_ok"],
+        ["empirical_floor", "mobius_l1_floor", "floor_note"],
+        ["ratio_mobius", "ratio_random"],
+        "",
+    ),
+    *(
+        ("prime_l1", _PRIME_KEYS, measured, _PRIME_REFERENCE, ["growth_ratio"], _PRIME_DETAIL)
+        for measured in (
+            ["l1", "converged", "invariant_ok"],
+            ["l1", "converged", "chi3_prime_partial_sum", "invariant_ok"],
+            ["l1", "converged", "invariant_ok"],
+        )
+    ),
+    _LAMBDA_LAYOUT,
+    _LAMBDA_LAYOUT,
+    ("norm", *_NORM_KEYS, ["cauchy_ceiling"], _NORM_RATIOS[:2], ""),
+    ("norm", *_NORM_KEYS, ["cauchy_ceiling"], [*_NORM_RATIOS, "growth_ratio"], ""),
+    ("norm", *_NORM_KEYS, ["cauchy_ceiling"], _NORM_RATIOS, _UNCONVERGED),
+    ("squarefree_l1_trend", ["n"], ["ratios", "invariant_ok"], ["requirement"], [], ""),
+]
+
+
+def test_l1_row_layout(tables):
+    rows = run_suite(SuiteConfig(seed=3, experiments=L1_LAYOUT_BLOCKS), tables=tables)
+    keys = [[list(r.params), list(r.measured), list(r.reference), list(r.ratios)] for r in rows]
+    got = [(r.experiment, *k, r.detail) for r, k in zip(rows, keys)]
+    assert got == L1_LAYOUT
+
+
+@pytest.mark.parametrize(
+    "name, block, sequences, transforms",
+    [
+        ("squarefree_l1", {"n": 512}, 2, 3),  # the autocorrelation check's own l1_norm
+        ("squarefree_l1", {"n": 1024}, 2, 2),
+        ("prime_l1", {"n": 64}, 3, 3),
+        ("lambda_l1", {"n": 64}, 1, 1),
+        ("norm", {"kind": "mobius", "n": 64}, 1, 1),
+    ],
+)
+def test_l1_row_call_counts(tables, monkeypatch, name, block, sequences, transforms):
+    # perfbench wraps these two names where the rows look them up, in experiments
+    calls = []
+    for attr in ("coefficient_sequence", "l1_norm"):
+
+        def counted(*args, _attr=attr, _original=getattr(experiments, attr), **kwargs):
+            calls.append(_attr)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, attr, counted)
+    rows = run_suite(SuiteConfig(experiments=((name, block),)), tables=tables)
+    assert all(row.passed for row in rows)
+    assert calls.count("coefficient_sequence") == sequences
+    assert calls.count("l1_norm") == transforms
+
+
 class TestInvariantViolations:
     def test_reporting(self):
         ok = ExperimentRow("a", {}, {"invariant_ok": True}, {}, {}, True, 0.0)
