@@ -30,10 +30,10 @@ from .experiments import (
     EXPERIMENT_NAMES,
     ExperimentRow,
     SuiteConfig,
-    VReport,
     default_suite_config,
     invariant_violations,
-    kernel_gap_scan,
+    kernel_gap_rows,
+    lambda_kernel_integral_row,
     lambda_l1_bounds,
     large_sieve_trials,
     mangoldt_weighted_sum_row,
@@ -42,7 +42,6 @@ from .experiments import (
     prime_support_experiments,
     run_suite,
     squarefree_theorem_ratio,
-    vaughan_V,
 )
 from .expsum import (
     KERNEL_KINDS,

@@ -48,12 +48,12 @@ from .expsum import (
 )
 from . import largesieve
 from .largesieve import FAREY_KINDS, build_point_set, large_sieve_check, sieve_bound_for_kernel_gap
-from .quadrature import DEFAULT_REL_TOL, l1_norm, l2_norm_sq
+from .quadrature import DEFAULT_REL_TOL, l1_norm
 
 DEFAULT_FLOOR = 0.1
 DEFAULT_LADDER = (1 << 10, 1 << 12, 1 << 14, 1 << 16)
 
-#: Kernel kinds whose gap to the Fejer kernel ``kernel_gap_scan`` measures.
+#: Kernel kinds whose gap to the Fejer kernel ``kernel_gap_rows`` measures.
 GAP_KINDS = ("gstar", "h", "h_truncated")
 
 #: Work cap for one large-sieve trial: points * sequence length.
@@ -129,33 +129,6 @@ def _row(experiment, params, measured, reference, ratios, invariants=(), expecta
         passed=all(ok for ok, _ in checks),
         detail="; ".join([*notes, *(note for ok, note in checks if not ok)]),
     )
-
-
-@dataclass(frozen=True)
-class VReport:
-    """Both routes to the weighted Mobius/Ramanujan sum and their target.
-
-    ``v_spectral`` sums mu(q) * sum_n (N - n) * Lambda(n) * c_q(-n) directly
-    (c_q in closed form at prime powers, summed per prime); ``v_quadrature``
-    integrates S_Lambda against the signed kernel on a 4N grid, where the
-    rectangle rule is exact.  Its coefficients come from the divisor form of
-    c_q (products of mu over d*m, see ``expsum``), which shares no code with
-    the prime-power closed form, so the two routes agree to roundoff:
-    ``route_bound`` = 16*eps*log2(M)*||s||*||k||/M (two length-M inverse
-    FFTs, then Cauchy-Schwarz on the dot product), and ``routes_agree`` holds
-    when they do.  The exact integral is real, so an imaginary part above
-    ``route_bound`` raises InvariantError.  ``target`` is the asymptotic
-    prediction 3*Q*N^2/pi^2 and ``ratio`` is v_spectral / target.
-    """
-
-    N: int
-    Q: int
-    v_spectral: float
-    v_quadrature: float
-    target: float
-    ratio: float
-    routes_agree: bool
-    route_bound: float
 
 
 _REQUIRED = object()
@@ -266,51 +239,12 @@ def mobius_ramanujan_weighted_sum(tables: ArithmeticTables, N: int, Q: int) -> f
     return total
 
 
-def vaughan_V(tables: ArithmeticTables, N: int, Q: int | None = None) -> VReport:
-    """Compute the weighted sum by both routes and compare against 3QN^2/pi^2.
-
-    The quadrature route uses M = 4N samples, comfortably above the exactness
-    threshold 2(N + N) for the product of a degree-N sum and a degree-N
-    kernel; it shares no code with the spectral route (see :class:`VReport`).
-    The routes agree when they differ by at most ``route_bound``.
-    """
-    Q = KernelSpec("k_part3", N, Q=Q).Q
-    v_spectral = mobius_ramanujan_weighted_sum(tables, N, Q)
-    M = 4 * N
-    seq = coefficient_sequence(tables, "mangoldt", N)
-    s_grid = grid_eval_sequence(seq, M).values
-    k_grid = grid_eval_kernel(tables, KernelSpec("k_part3", N, Q=Q), M).values
-    mean = complex(np.dot(s_grid, k_grid)) / M
-    norms = float(np.linalg.norm(s_grid) * np.linalg.norm(k_grid))
-    route_bound = 16.0 * float(np.finfo(float).eps) * math.log2(M) * norms / M
-    if abs(mean.imag) > route_bound:
-        raise InvariantError(
-            f"signed-kernel integral has imaginary residue {mean.imag:.3e} above the "
-            f"roundoff bound {route_bound:.3e} at N={N}, Q={Q}"
-        )
-    v_quadrature = float(mean.real)
-    target = 3.0 * Q * N * N / math.pi**2
-    agree = abs(v_spectral - v_quadrature) <= route_bound
-    return VReport(
-        N=N,
-        Q=Q,
-        v_spectral=v_spectral,
-        v_quadrature=v_quadrature,
-        target=target,
-        ratio=v_spectral / target,
-        routes_agree=agree,
-        route_bound=route_bound,
-    )
-
-
 # ---------------------------------------------------------------------------
 # experiment rows
 
 
 def _gap_specs(kind: str, N: int, P: int | None) -> list[KernelSpec]:
     """The grids a gap row reads: the kernel's, T_N's and, for ``h_truncated``, h's (same P)."""
-    if kind not in GAP_KINDS:
-        raise ValueError(f"kernel gap scan needs one of {', '.join(GAP_KINDS)}, got {kind!r}")
     spec = KernelSpec(kind, N, P=P)
     specs = [spec, KernelSpec("fejer", N)]
     if kind == "h_truncated":
@@ -379,28 +313,6 @@ def _gap_row(tables: ArithmeticTables, specs: list, M: int, grid) -> ExperimentR
     return _row("kernel_gap", params, measured, reference, ratios, invariants, notes=notes)
 
 
-def kernel_gap_scan(
-    tables: ArithmeticTables,
-    N: int,
-    P: int | None = None,
-    kind: str = "gstar",
-    M: int | None = None,
-) -> ExperimentRow:
-    """Scan |kernel - T_N| on a uniform grid and compare against its ceilings.
-
-    Grid default is M = 8N; anything below 4N may under-resolve the peaks and
-    triggers a warning note in the row.  The certified ceiling comes from the
-    large-sieve bound (for ``h_truncated``: the ``h`` ceiling plus the 3P
-    truncation cost); the scale ceiling N^(3/4) log N (``gstar``) or
-    sqrt(N) log N (``h``-family) is informational and reported as a ratio.
-    One (kind, N) builds its own grids; :func:`kernel_gap_rows`, which the
-    suite runs, shares them along a ladder and gives the same rows.
-    """
-    M = 8 * N if M is None else int(M)
-    specs = _gap_specs(kind, N, P)
-    return _gap_row(tables, specs, M, lambda spec: grid_eval_kernel(tables, spec, M).values)
-
-
 def kernel_gap_rows(
     tables: ArithmeticTables,
     n: Sequence[int],
@@ -408,20 +320,27 @@ def kernel_gap_rows(
     kind: Sequence[str] = GAP_KINDS,
     m: int | None = None,
 ) -> list[ExperimentRow]:
-    """:func:`kernel_gap_scan` for every (kind, N) of a ladder, one grid per spec and N.
+    """Scan |kernel - T_N| on a uniform grid per (kind, N); compare against its ceilings.
+
+    Grid default is M = 8N; anything below 4N may under-resolve the peaks and
+    triggers a warning note in the row.  The certified ceiling comes from the
+    large-sieve bound (for ``h_truncated``: the ``h`` ceiling plus the 3P
+    truncation cost); the scale ceiling N^(3/4) log N (``gstar``) or
+    sqrt(N) log N (``h``-family) is informational and reported as a ratio.
 
     N runs outermost.  At each N every grid is built once, on first use --
     T_N once for all kinds, and h once for both ``h`` and ``h_truncated``,
     which share P -- and dropped after the last row that reads it, so at
     most one N's grids are alive.  Rows come back kind-major, the order of
-    one job per (kind, N).  A (kind, N) that raises gives an error row with
-    that job's params (p and m as given); the other rows still run.
+    one job per (kind, N).  A (kind, N) that raises, a kind outside
+    ``GAP_KINDS`` included, gives an error row with that job's params (p and
+    m as given); the other rows still run.
     """
     rows = {}
     for N in n:
         M = 8 * N if m is None else m
-        specs = {k: _gap_specs(k, N, p) for k in kind}
-        last_reader = {spec: k for k in kind for spec in specs[k]}
+        specs = {k: _gap_specs(k, N, p) for k in kind if k in GAP_KINDS}
+        last_reader = {spec: k for k in specs for spec in specs[k]}
         grids = {}
 
         def grid(spec):
@@ -432,33 +351,39 @@ def kernel_gap_rows(
         for k in kind:
             t0 = time.perf_counter()
             try:
+                if k not in specs:
+                    choices = ", ".join(GAP_KINDS)
+                    raise ValueError(f"kernel gap scan needs one of {choices}, got {k!r}")
                 rows[k, N] = _gap_row(tables, specs[k], M, grid)
             except Exception as exc:
                 params = {"n": N, "p": p, "kind": k, "m": m}
                 rows[k, N] = _error_row("kernel_gap", params, exc, t0)
-            for spec in specs[k]:
+            for spec in specs.get(k, ()):
                 if last_reader[spec] == k:
                     grids.pop(spec, None)
     return [rows[k, N] for k in kind for N in n]
 
 
 def _l1(tables: ArithmeticTables, kind: str, N: int, rel_tol: float, seed: int = 0):
-    """The ``kind`` sequence of length N, its L1 estimate, l2 = sum |b_n|^2 and its L1 ratios.
+    """The ``kind`` sequence of length N, its L1 estimate and its L1 ratios.
 
-    The ratios l1/sqrt(l2), l1/sqrt(N), l1/sqrt(N log N) and ``growth_ratio``
-    (the kind's ``GROWTH_RATIOS`` value) are present only where defined: the
-    first and last need l2 > 0, the last two N >= 2.
+    With l2 = sum |b_n|^2 (the estimate's ``l2``), the ratios l1/sqrt(l2),
+    l1/sqrt(N), l1/sqrt(N log N) and ``growth_ratio`` (the kind's
+    ``GROWTH_RATIOS`` value) are present only where defined: the first and
+    last need l2 > 0, the last two N >= 2.  A caller that does not read the
+    sequence takes ``[1:]``, so the sequence is freed before its next one is
+    built.
     """
     seq = coefficient_sequence(tables, kind, N, seed=seed)
     est = l1_norm(seq, rel_tol=rel_tol)
-    l2 = l2_norm_sq(seq)
+    l2 = est.l2
     ratios = {"l1_over_l2": est.value / l2**0.5} if l2 > 0 else {}
     ratios["l1_over_sqrt_n"] = est.value / math.sqrt(N)
     if N >= 2:
         ratios["l1_over_sqrt_nlogn"] = est.value / math.sqrt(N * math.log(N))
         if kind in GROWTH_RATIOS and l2 > 0:
             ratios["growth_ratio"] = GROWTH_RATIOS[kind](N, est.value, l2)
-    return seq, est, l2, ratios
+    return seq, est, ratios
 
 
 def squarefree_theorem_ratio(
@@ -483,8 +408,8 @@ def squarefree_theorem_ratio(
     """
     if N < 2 or N % 2:
         raise ValueError(f"N must be even and >= 2, got {N}")
-    _, est_m, _, ratios_m = _l1(tables, "mobius", N, rel_tol)
-    seq_r, est_r, _, ratios_r = _l1(tables, "squarefree_random", N, rel_tol, seed)
+    est_m, ratios_m = _l1(tables, "mobius", N, rel_tol)[1:]
+    seq_r, est_r, ratios_r = _l1(tables, "squarefree_random", N, rel_tol, seed)
     ratio_m, ratio_r = ratios_m["growth_ratio"], ratios_r["growth_ratio"]
     mobius_l1_floor = N**0.125 / math.sqrt(math.log(N)) * floor
     measured = {
@@ -535,7 +460,7 @@ def prime_support_experiments(
         raise ValueError(f"N must be >= 3, got {N}")
     rows = []
     for variant in ("prime_indicator", "chi3_on_primes", "random_primes"):
-        _, est, _, ratios = _l1(tables, variant, N, rel_tol, seed)
+        est, ratios = _l1(tables, variant, N, rel_tol, seed)[1:]
         ratio = ratios["growth_ratio"]
         measured = {"l1": est.value, "converged": bool(est.converged)}
         if variant == "chi3_on_primes":
@@ -564,28 +489,57 @@ def lambda_kernel_integral_row(
     Q: int | None = None,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> ExperimentRow:
-    """:func:`vaughan_V` as a row; the ratio band gates only N >= 4096.
+    """The weighted Mobius/Ramanujan sum by both routes, against 3QN^2/pi^2.
+
+    ``v_spectral`` sums mu(q) * sum_n (N - n) * Lambda(n) * c_q(-n) directly
+    (c_q in closed form at prime powers, summed per prime); ``v_quadrature``
+    integrates S_Lambda against the signed kernel on M = 4N samples, above the
+    exactness threshold 2(N + N) for the product of a degree-N sum and a
+    degree-N kernel, so the rectangle rule is exact.  Its coefficients come
+    from the divisor form of c_q (products of mu over d*m, see ``expsum``),
+    which shares no code with the prime-power closed form, so the two routes
+    agree to roundoff: route_bound = 16*eps*log2(M)*||s||*||k||/M (two
+    length-M inverse FFTs, then Cauchy-Schwarz on the dot product), and
+    ``routes_agree`` holds when they differ by at most that.  The exact
+    integral is real, so an imaginary part above route_bound raises
+    InvariantError.  ``v_over_target`` is v_spectral over the asymptotic
+    prediction 3*Q*N^2/pi^2; its ratio band gates only N >= 4096.
 
     ``rel_tol`` decides nothing; it labels the row like the ``lambda_l1`` one.
     """
-    report = vaughan_V(tables, N, Q)
+    spec = KernelSpec("k_part3", N, Q=Q)
+    Q = spec.Q
+    v_spectral = mobius_ramanujan_weighted_sum(tables, N, Q)
+    M = 4 * N
+    seq = coefficient_sequence(tables, "mangoldt", N)
+    s_grid = grid_eval_sequence(seq, M).values
+    k_grid = grid_eval_kernel(tables, spec, M).values
+    mean = complex(np.dot(s_grid, k_grid)) / M
+    norms = float(np.linalg.norm(s_grid) * np.linalg.norm(k_grid))
+    route_bound = 16.0 * float(np.finfo(float).eps) * math.log2(M) * norms / M
+    # Freed before the row is built: grids still alive then leave glibc's heap
+    # holding a few MiB more over repeated suite passes.
+    del s_grid, k_grid
+    if abs(mean.imag) > route_bound:
+        raise InvariantError(
+            f"signed-kernel integral has imaginary residue {mean.imag:.3e} above the "
+            f"roundoff bound {route_bound:.3e} at N={N}, Q={Q}"
+        )
+    v_quadrature = float(mean.real)
+    target = 3.0 * Q * N * N / math.pi**2
+    ratio = v_spectral / target
     band_lo, band_hi = 0.6, 1.4
-    gap = abs(report.v_spectral - report.v_quadrature)
-    gap_over_bound = gap / report.route_bound if gap else 0.0  # bound is 0 at N = 1
+    gap = abs(v_spectral - v_quadrature)
+    agree = gap <= route_bound
+    gap_over_bound = gap / route_bound if gap else 0.0  # bound is 0 at N = 1
     return _row(
         "lambda_kernel_integral",
-        {"n": report.N, "q": report.Q, "rel_tol": rel_tol},
-        {
-            "v_spectral": report.v_spectral,
-            "v_quadrature": report.v_quadrature,
-            "routes_agree": report.routes_agree,
-        },
-        {"target": report.target, "band": [band_lo, band_hi], "band_applies_from_n": 4096},
-        {"v_over_target": report.ratio, "route_gap_over_bound": gap_over_bound},
-        invariants=[(report.routes_agree, "spectral and quadrature routes disagree")],
-        expectations=[
-            (report.N < 4096 or band_lo <= report.ratio <= band_hi, "ratio outside asymptotic band")
-        ],
+        {"n": N, "q": Q, "rel_tol": rel_tol},
+        {"v_spectral": v_spectral, "v_quadrature": v_quadrature, "routes_agree": agree},
+        {"target": target, "band": [band_lo, band_hi], "band_applies_from_n": 4096},
+        {"v_over_target": ratio, "route_gap_over_bound": gap_over_bound},
+        invariants=[(agree, "spectral and quadrature routes disagree")],
+        expectations=[(N < 4096 or band_lo <= ratio <= band_hi, "ratio outside asymptotic band")],
     )
 
 
@@ -603,7 +557,7 @@ def lambda_l1_bounds(
     asymptotics have set in.
     """
     Q = KernelSpec("k_part3", N, Q=Q).Q
-    _, est, _, l1_ratios = _l1(tables, "mangoldt", N, rel_tol)
+    est, l1_ratios = _l1(tables, "mangoldt", N, rel_tol)[1:]
     ratios = {k: l1_ratios[k] for k in ("l1_over_sqrt_n", "l1_over_sqrt_nlogn")}
     v_spectral = mobius_ramanujan_weighted_sum(tables, N, Q)
     analytic_lower = v_spectral / (N * (N + float(Q) ** 2))
@@ -693,8 +647,8 @@ def norm_row(
     Passes when the L1 quadrature converged.  ``last_delta`` is absent when
     only one grid fit the sample budget.
     """
-    _, est, l2, ratios = _l1(tables, kind, N, rel_tol, seed)
-    measured = {"l1": est.value, "l2_sq": l2, "converged": est.converged}
+    est, ratios = _l1(tables, kind, N, rel_tol, seed)[1:]
+    measured = {"l1": est.value, "l2_sq": est.l2, "converged": est.converged}
     if len(est.grids) > 1:
         measured["last_delta"] = est.last_delta
     measured["grids"] = [[m, v] for m, v in est.grids]
@@ -702,7 +656,7 @@ def norm_row(
         "norm",
         {"kind": kind, "n": N, "rel_tol": rel_tol, "seed": seed},
         measured,
-        {"cauchy_ceiling": l2**0.5},
+        {"cauchy_ceiling": est.l2**0.5},
         ratios,
         expectations=[(est.converged, _CONVERGENCE_NOTE)],
     )

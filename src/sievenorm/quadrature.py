@@ -52,13 +52,15 @@ class L1Estimate:
     increasing); ``value`` is the last and finest.  ``converged`` is a flag,
     not a guarantee -- callers decide whether a non-converged estimate is
     usable.  ``last_delta`` is the final relative change (inf if only one
-    grid fit the budget).
+    grid fit the budget).  ``l2`` is sum |a_n|^2, whose root is the
+    Cauchy-Schwarz ceiling on ``value``.
     """
 
     value: float
     grids: tuple[tuple[int, float], ...]
     converged: bool
     last_delta: float
+    l2: float
 
 
 def l2_norm_sq(seq: CoefficientSequence) -> float:
@@ -153,6 +155,7 @@ def _refine(seq: CoefficientSequence, rel_tol: float) -> L1Estimate:
         grids=tuple(grids),
         converged=converged,
         last_delta=float(last_delta),
+        l2=l2_norm_sq(seq),
     )
 
 
@@ -178,7 +181,7 @@ def l1_norm(seq: CoefficientSequence, rel_tol: float = DEFAULT_REL_TOL) -> L1Est
     finest grid produced.
     """
     est = _refine(seq, rel_tol)
-    ceiling = math.sqrt(l2_norm_sq(seq))
+    ceiling = math.sqrt(est.l2)
     floor = float(np.max(np.abs(seq.coeffs)))
     _check_envelopes(est.value, ceiling, floor, rel_tol)
     return est

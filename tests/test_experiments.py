@@ -14,7 +14,7 @@ from sievenorm.experiments import (
     GAP_KINDS,
     ExperimentRow,
     SuiteConfig,
-    kernel_gap_scan,
+    kernel_gap_rows,
     lambda_kernel_integral_row,
     lambda_l1_bounds,
     large_sieve_trials,
@@ -25,7 +25,6 @@ from sievenorm.experiments import (
     run_suite,
     sieve_check_row,
     squarefree_theorem_ratio,
-    vaughan_V,
 )
 
 
@@ -66,18 +65,20 @@ class TestWeightedSum:
 
 
 class TestVaughanV:
+    """The weighted sum's two routes, through the lambda_kernel_integral row."""
+
     @pytest.mark.parametrize("N,Q", [(64, 4), (256, 16)])
     def test_routes_agree_tightly(self, tables, N, Q):
-        rep = vaughan_V(tables, N, Q)
-        assert rep.routes_agree
-        assert rep.v_quadrature == pytest.approx(rep.v_spectral, rel=1e-9, abs=1e-6 * N * N)
-        assert rep.target == pytest.approx(3.0 * Q * N * N / math.pi**2)
+        row = lambda_kernel_integral_row(tables, N, Q)
+        v_spectral, v_quadrature = row.measured["v_spectral"], row.measured["v_quadrature"]
+        assert row.measured["routes_agree"]
+        assert v_quadrature == pytest.approx(v_spectral, rel=1e-9, abs=1e-6 * N * N)
+        assert row.reference["target"] == pytest.approx(3.0 * Q * N * N / math.pi**2)
 
     @pytest.mark.parametrize("N,Q", [(256, 16), (1024, 32), (4096, 64)])
     def test_route_gap_within_roundoff_bound(self, tables, N, Q):
-        rep = vaughan_V(tables, N, Q)
         row = lambda_kernel_integral_row(tables, N, Q)
-        assert 0.0 < rep.route_bound
+        assert row.passed
         assert row.ratios["route_gap_over_bound"] <= 1.0
 
     def test_routes_disagree_on_a_1e9_perturbation(self, tables, monkeypatch):
@@ -89,9 +90,9 @@ class TestVaughanV:
             return dataclasses.replace(grid, values=grid.values * (1.0 + 1e-9))
 
         monkeypatch.setattr(experiments, "grid_eval_kernel", perturbed)
-        rep = vaughan_V(tables, 1024, 32)
-        assert rep.v_quadrature == pytest.approx(rep.v_spectral, rel=2e-9)
-        assert not rep.routes_agree
+        row = lambda_kernel_integral_row(tables, 1024, 32)
+        assert row.measured["v_quadrature"] == pytest.approx(row.measured["v_spectral"], rel=2e-9)
+        assert not row.measured["routes_agree"]
 
     def test_imaginary_residue_judged_against_route_bound(self, tables, monkeypatch):
         # a phase of 1e-10 on S leaves |imag| ~ 9e-4 at N = 1024, Q = 32: far
@@ -104,32 +105,39 @@ class TestVaughanV:
 
         monkeypatch.setattr(experiments, "grid_eval_sequence", rotated)
         with pytest.raises(sn.InvariantError, match="imaginary residue"):
-            vaughan_V(tables, 1024, 32)
+            lambda_kernel_integral_row(tables, 1024, 32)
 
     def test_default_q(self, tables):
-        rep = vaughan_V(tables, 256)
-        assert rep.Q == 16
+        assert lambda_kernel_integral_row(tables, 256).params["q"] == 16
 
     def test_ratio_tightens_with_n(self, tables_mid):
-        small = vaughan_V(tables_mid, 10**3)
-        large = vaughan_V(tables_mid, 10**4)
-        assert 0.7 <= large.ratio <= 1.3
-        assert abs(large.ratio - 1.0) < abs(small.ratio - 1.0)
+        small = lambda_kernel_integral_row(tables_mid, 10**3).ratios["v_over_target"]
+        large = lambda_kernel_integral_row(tables_mid, 10**4).ratios["v_over_target"]
+        assert 0.7 <= large <= 1.3
+        assert abs(large - 1.0) < abs(small - 1.0)
 
     def test_crude_magnitude_bound(self, tables):
         # |c_q| <= phi(q) termwise, so |V| <= sum_{q<=Q} phi(q) * sum (N-n) Lambda(n)
         N, Q = 128, 11
-        rep = vaughan_V(tables, N, Q)
+        row = lambda_kernel_integral_row(tables, N, Q)
         lam = tables.mangoldt[: N + 1]
         cheb = float(np.dot(N - np.arange(N + 1), lam))
         crude = float(np.sum(tables.phi[1 : Q + 1])) * cheb
-        assert abs(rep.v_spectral) <= crude
+        assert abs(row.measured["v_spectral"]) <= crude
+
+
+def gap_row(tables, N, kind, M=None):
+    """The kernel_gap row of one (kind, N), by a one-element ``kernel_gap_rows`` call."""
+    (row,) = kernel_gap_rows(tables, [N], None, [kind], M)
+    return row
 
 
 class TestKernelGapScan:
+    """One (kind, N) at a time."""
+
     @pytest.mark.parametrize("kind", ["gstar", "h", "h_truncated"])
     def test_invariants_hold_at_1024(self, tables, kind):
-        row = kernel_gap_scan(tables, 1024, kind=kind)
+        row = gap_row(tables, 1024, kind)
         assert row.experiment == "kernel_gap"
         assert row.params["kind"] == kind and row.params["n"] == 1024
         assert row.params["m"] == 8192
@@ -141,11 +149,11 @@ class TestKernelGapScan:
             assert row.measured["min_kernel_value"] >= row.reference["nonneg_floor"]
 
     def test_default_p(self, tables):
-        assert kernel_gap_scan(tables, 1024, kind="gstar").params["p"] == 5
-        assert kernel_gap_scan(tables, 1024, kind="h").params["p"] == 32
+        assert gap_row(tables, 1024, "gstar").params["p"] == 5
+        assert gap_row(tables, 1024, "h").params["p"] == 32
 
     def test_truncation_fields(self, tables):
-        row = kernel_gap_scan(tables, 256, kind="h_truncated")
+        row = gap_row(tables, 256, "h_truncated")
         P = row.params["p"]
         assert row.measured["truncation_gap"] <= 3.0 * P * (1.0 + 1e-9)
         assert row.reference["truncation_ceiling"] == 3.0 * P
@@ -154,14 +162,16 @@ class TestKernelGapScan:
 
     def test_low_resolution_warning(self, tables):
         with pytest.warns(UserWarning, match="under-resolve"):
-            row = kernel_gap_scan(tables, 256, kind="h", M=512)
+            row = gap_row(tables, 256, "h", M=512)
         assert "under-resolve" in row.detail
 
     def test_validation(self, tables):
-        with pytest.raises(ValueError):
-            kernel_gap_scan(tables, 256, kind="fejer")
-        with pytest.raises(ValueError):
-            kernel_gap_scan(tables, 256, kind="k_part3")
+        for kind in ("fejer", "k_part3"):
+            row = gap_row(tables, 256, kind)
+            assert row.measured == {"invariant_ok": True, "error": "ValueError"}
+            assert row.params == {"n": 256, "p": None, "kind": kind, "m": None}
+            assert not row.passed
+            assert row.detail.startswith("ValueError: kernel gap scan needs one of")
 
 
 class TestKernelGapRows:
@@ -190,9 +200,7 @@ class TestKernelGapRows:
         assert sorted(calls) == each_once
         calls.clear()
         scans = [
-            kernel_gap_scan(tables_mid, n, kind=kind)
-            for kind in GAP_KINDS
-            for n in experiments.DEFAULT_LADDER
+            gap_row(tables_mid, n, kind) for kind in GAP_KINDS for n in experiments.DEFAULT_LADDER
         ]
         assert len(calls) == 28  # one row at a time: T_N per kind, h again for h_truncated
         assert _strip_runtime(first) == scans
@@ -217,6 +225,173 @@ class TestKernelGapRows:
         ]
         assert all(r.detail == "MemoryError: no room for h" for r in failed)
         assert all(r.passed for r in rows if r not in failed)
+
+
+# Rows recorded at commit 3db415c, before the weighted-sum report and the
+# one-row gap scan were folded into the row functions: (measured, ratios) per
+# (N, Q), and per (m, kind, N) for kernel_gap.  The fold keeps them bit for bit.
+LAMBDA_KERNEL_PINS = {
+    (64, 8): (
+        {
+            "v_spectral": 8097.4754214632885,
+            "v_quadrature": 8097.4754214632885,
+            "routes_agree": True,
+            "invariant_ok": True,
+        },
+        {"v_over_target": 0.8129768784320778, "route_gap_over_bound": 0.0},
+    ),
+    (256, 16): (
+        {
+            "v_spectral": 289097.16534376994,
+            "v_quadrature": 289097.1653437699,
+            "routes_agree": True,
+            "invariant_ok": True,
+        },
+        {"v_over_target": 0.9070315855087693, "route_gap_over_bound": 0.001991716418032502},
+    ),
+    (1024, 32): (
+        {
+            "v_spectral": 9323479.675567752,
+            "v_quadrature": 9323479.675567752,
+            "routes_agree": True,
+            "invariant_ok": True,
+        },
+        {"v_over_target": 0.9141271912997033, "route_gap_over_bound": 0.0},
+    ),
+}
+GAP_PINS = {
+    (None, "gstar", 64): (
+        {"max_gap": 64.0, "min_kernel_value": 0.0, "grid_m": 512, "invariant_ok": True},
+        {"gap_over_certified": 0.810126582278481, "gap_over_scale": 0.6800929643978596},
+    ),
+    (None, "gstar", 128): (
+        {
+            "max_gap": 64.5625,
+            "min_kernel_value": 0.05515209459025171,
+            "grid_m": 1024,
+            "invariant_ok": True,
+        },
+        {"gap_over_certified": 0.6207932692307693, "gap_over_scale": 0.3496627433309262},
+    ),
+    (None, "h", 64): (
+        {
+            "max_gap": 16.27206386791208,
+            "min_kernel_value": 0.04740919075065464,
+            "grid_m": 512,
+            "invariant_ok": True,
+        },
+        {"gap_over_certified": 0.5125059485956561, "gap_over_scale": 0.4890755384846926},
+    ),
+    (None, "h", 128): (
+        {
+            "max_gap": 26.202875236889767,
+            "min_kernel_value": 0.0727540613357048,
+            "grid_m": 1024,
+            "invariant_ok": True,
+        },
+        {"gap_over_certified": 0.5282837749372937, "gap_over_scale": 0.47733190434652584},
+    ),
+    (None, "h_truncated", 64): (
+        {
+            "max_gap": 16.1015625,
+            "min_kernel_value": -14.331677458042137,
+            "grid_m": 512,
+            "truncation_gap": 16.1484375,
+            "invariant_ok": True,
+        },
+        {
+            "gap_over_certified": 0.28881726457399104,
+            "gap_over_scale": 0.2811465544364555,
+            "truncation_over_3p": 0.6728515625,
+        },
+    ),
+    (None, "h_truncated", 128): (
+        {
+            "max_gap": 24.28705429800536,
+            "min_kernel_value": -21.83840872456857,
+            "grid_m": 1024,
+            "truncation_gap": 23.278125000000003,
+            "invariant_ok": True,
+        },
+        {
+            "gap_over_certified": 0.2940321343584184,
+            "gap_over_scale": 0.2763206622331733,
+            "truncation_over_3p": 0.7053977272727273,
+        },
+    ),
+    (1024, "gstar", 64): (
+        {"max_gap": 64.0, "min_kernel_value": 0.0, "grid_m": 1024, "invariant_ok": True},
+        {"gap_over_certified": 0.810126582278481, "gap_over_scale": 0.6800929643978596},
+    ),
+    (1024, "gstar", 128): (
+        {
+            "max_gap": 64.5625,
+            "min_kernel_value": 0.05515209459025171,
+            "grid_m": 1024,
+            "invariant_ok": True,
+        },
+        {"gap_over_certified": 0.6207932692307693, "gap_over_scale": 0.3496627433309262},
+    ),
+    (1024, "h", 64): (
+        {
+            "max_gap": 16.272063867912085,
+            "min_kernel_value": 0.047409190750655084,
+            "grid_m": 1024,
+            "invariant_ok": True,
+        },
+        {"gap_over_certified": 0.5125059485956562, "gap_over_scale": 0.4890755384846927},
+    ),
+    (1024, "h", 128): (
+        {
+            "max_gap": 26.202875236889767,
+            "min_kernel_value": 0.0727540613357048,
+            "grid_m": 1024,
+            "invariant_ok": True,
+        },
+        {"gap_over_certified": 0.5282837749372937, "gap_over_scale": 0.47733190434652584},
+    ),
+    (1024, "h_truncated", 64): (
+        {
+            "max_gap": 16.1015625,
+            "min_kernel_value": -14.331677458042137,
+            "grid_m": 1024,
+            "truncation_gap": 16.1484375,
+            "invariant_ok": True,
+        },
+        {
+            "gap_over_certified": 0.28881726457399104,
+            "gap_over_scale": 0.2811465544364555,
+            "truncation_over_3p": 0.6728515625,
+        },
+    ),
+    (1024, "h_truncated", 128): (
+        {
+            "max_gap": 24.28705429800536,
+            "min_kernel_value": -21.83840872456857,
+            "grid_m": 1024,
+            "truncation_gap": 23.278125000000003,
+            "invariant_ok": True,
+        },
+        {
+            "gap_over_certified": 0.2940321343584184,
+            "gap_over_scale": 0.2763206622331733,
+            "truncation_over_3p": 0.7053977272727273,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("N,Q", sorted(LAMBDA_KERNEL_PINS))
+def test_lambda_kernel_integral_row_is_pinned(tables, N, Q):
+    row = lambda_kernel_integral_row(tables, N, Q)
+    assert (row.measured, row.ratios) == LAMBDA_KERNEL_PINS[N, Q]
+
+
+@pytest.mark.parametrize("m", [None, 1024])
+def test_kernel_gap_rows_are_pinned(tables, m):
+    rows = kernel_gap_rows(tables, [64, 128], None, GAP_KINDS, m)
+    pinned = [GAP_PINS[m, kind, n] for kind in GAP_KINDS for n in (64, 128)]
+    assert [(r.measured, r.ratios) for r in rows] == pinned
 
 
 class TestSquarefreeRatio:

@@ -265,7 +265,7 @@ class TestL1Norm:
     )
     def test_envelope_violations(self, monkeypatch, value, message):
         # |e(alpha) + e(2 alpha)| has l1 = 4/pi, between the floor 1 and the ceiling sqrt(2)
-        est = quadrature.L1Estimate(value, ((16, value),), True, 0.0)
+        est = quadrature.L1Estimate(value, ((16, value),), True, 0.0, 2.0)
         monkeypatch.setattr(quadrature, "_refine", lambda seq, rel_tol: est)
         with pytest.raises(InvariantError, match=message):
             sn.l1_norm(sn.CoefficientSequence(2, [1.0, 1.0]))

@@ -60,3 +60,34 @@ def test_counts_of_every_counted_kind(tables):
     assert len(est.grids) >= 2
     ps = sn.build_point_set(tables, "prime_farey", 7)
     assert counts("point_set", (tables, "prime_farey", 7), ps) == {"points": 1 + 2 + 4 + 6}
+
+
+def test_every_traced_call_reaches_its_span(tables, monkeypatch):
+    # A module that stops looking a name up (calling it through another module,
+    # say) leaves the name defined but its span count at 0; the counts below
+    # were recorded at commit 3db415c with perfbench's own wrapping.
+    tracer = TRACING_MODULE.Tracer()
+    for name, (lookups, count_kind) in WRAPPED.items():
+        attr = name.rsplit(".", 1)[1]
+        for module in lookups:
+            mod = importlib.import_module(f"sievenorm.{module}")
+            if hasattr(mod, attr):  # Tracer.install skips a module without it too
+                monkeypatch.setattr(mod, attr, tracer.span(name, getattr(mod, attr), count_kind))
+    blocks = (
+        ("kernel_gap", {"n": [64, 128]}),
+        ("lambda_kernel_integral", {"n": [64, 128]}),
+        ("lambda_l1", {"n": 64}),
+    )
+    rows = sn.run_suite(sn.SuiteConfig(experiments=blocks), tables=tables)
+    assert len(rows) == 10 and all(row.passed for row in rows)
+    spans = {name: sum(s.name == name for s in tracer.spans) for name in WRAPPED}
+    assert spans == {
+        "arith.coefficient_sequence": 3,
+        "expsum.grid_eval_kernel": 10,
+        "expsum.grid_eval_sequence": 2,
+        "expsum.eval_sequence": 0,
+        "quadrature.l1_norm": 1,
+        "largesieve.build_point_set": 0,
+        "largesieve.large_sieve_check": 0,
+        "experiments.mobius_ramanujan_weighted_sum": 3,
+    }
