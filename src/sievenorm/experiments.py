@@ -333,14 +333,12 @@ def kernel_gap_rows(
     which share P -- and dropped after the last row that reads it, so at
     most one N's grids are alive.  Rows come back kind-major, the order of
     one job per (kind, N).  A (kind, N) that raises, a kind outside
-    ``GAP_KINDS`` included, gives an error row with that job's params (p and
-    m as given); the other rows still run.
+    ``GAP_KINDS`` or a p that ``KernelSpec`` rejects included, gives an error
+    row with that job's params (p and m as given); the other rows still run.
     """
     rows = {}
     for N in n:
         M = 8 * N if m is None else m
-        specs = {k: _gap_specs(k, N, p) for k in kind if k in GAP_KINDS}
-        last_reader = {spec: k for k in specs for spec in specs[k]}
         grids = {}
 
         def grid(spec):
@@ -348,19 +346,20 @@ def kernel_gap_rows(
                 grids[spec] = grid_eval_kernel(tables, spec, M).values
             return grids[spec]
 
-        for k in kind:
+        for i, k in enumerate(kind):
             t0 = time.perf_counter()
             try:
-                if k not in specs:
+                if k not in GAP_KINDS:
                     choices = ", ".join(GAP_KINDS)
                     raise ValueError(f"kernel gap scan needs one of {choices}, got {k!r}")
-                rows[k, N] = _gap_row(tables, specs[k], M, grid)
+                rows[k, N] = _gap_row(tables, _gap_specs(k, N, p), M, grid)
             except Exception as exc:
                 params = {"n": N, "p": p, "kind": k, "m": m}
                 rows[k, N] = _error_row("kernel_gap", params, exc, t0)
-            for spec in specs.get(k, ()):
-                if last_reader[spec] == k:
-                    grids.pop(spec, None)
+            # one N and P fix the spec of each kernel kind: keep the kinds a later row reads
+            later = {r for j in kind[i + 1 :] for r in (j, "fejer", "h" if j == "h_truncated" else j)}
+            for spec in [s for s in grids if s.kind not in later]:
+                del grids[spec]
     return [rows[k, N] for k in kind for N in n]
 
 
@@ -613,16 +612,18 @@ def mangoldt_weighted_sum_row(tables: ArithmeticTables, N: int) -> ExperimentRow
 
 
 def prime_count_floor_row(tables: ArithmeticTables, n_max: int | None = None) -> ExperimentRow:
-    """Check pi(n) * log(n) / n > 1 for every 17 <= n <= n_max (theorem class)."""
+    """Check pi(n) * log(n) / n > 1 for every 17 <= n <= n_max (theorem class).
+
+    pi is constant between primes and log(n)/n falls, so only n_max and each
+    n = p - 1 (p >= 19 prime) can hold the minimum, and only they are read.
+    """
     if n_max is None:
         n_max = tables.n_max
     if not 17 <= n_max <= tables.n_max:
         raise ValueError(f"n_max={n_max} outside 17..{tables.n_max}")
-    is_prime = np.zeros(n_max + 1, dtype=np.int64)
-    is_prime[tables.primes[tables.primes <= n_max]] = 1
-    pi_cum = np.cumsum(is_prime)
-    n = np.arange(17, n_max + 1)
-    vals = pi_cum[n] * np.log(n) / n
+    primes = tables.primes
+    n = np.append(primes[(primes >= 19) & (primes <= n_max)] - 1, n_max)
+    vals = np.searchsorted(primes, n, side="right") * np.log(n) / n
     arg = int(np.argmin(vals))
     min_ratio = float(vals[arg])
     return _row(

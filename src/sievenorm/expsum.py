@@ -243,8 +243,7 @@ def eval_sequence(seq: CoefficientSequence, alphas) -> np.ndarray:
     step = max(1, _POINT_CHUNK_ELEMS // max(1, seq.N))
     for i in range(0, pts.shape[0], step):
         z = np.exp(TWO_PI_I * pts[i : i + step])
-        powers = np.broadcast_to(z[:, None], (z.shape[0], seq.N)).copy()
-        np.multiply.accumulate(powers, axis=1, out=powers)
+        powers = np.multiply.accumulate(np.broadcast_to(z[:, None], (z.shape[0], seq.N)), axis=1)
         out[i : i + step] = powers @ seq.coeffs
     return out
 

@@ -8,12 +8,14 @@ satisfies
 
 Every point set here is exact: int64 pairs (numerator, denominator), the
 points a/q in [0, 1).  ``SpacedPointSet((num, den))`` is the one constructor
-and *certifies* delta at runtime: the pairs are taken mod 1, reduced and
-sorted, and every consecutive gap a'/q' - a/q = (a'q - aq')/(qq') is checked
-by integer cross-multiplication: each cross-product must be >= 1 (order and
+and *certifies* delta at runtime: the pairs are taken mod 1 and sorted, and
+every consecutive gap a'/q' - a/q = (a'q - aq')/(qq') is checked by integer
+cross-multiplication: each cross-product must be >= 1 (order and
 distinctness) and each gap at least 1/max(q)^2.  The exact minimal gap is
-only then rounded (downward) to a float.  ``build_point_set`` generates the
-three Farey-type families used throughout this package and hands their
+only then rounded (downward) to a float.  gcd(a, q) divides a'q - aq', so
+only pairs with no unit cross-product take a gcd; Farey neighbours have
+a'q - aq' = 1 (Hardy and Wright, Thm. 28).  ``build_point_set`` generates
+the three Farey-type families used throughout this package and hands their
 pairs to it; nothing about the spacing is taken on faith from the parameter.
 
 Families (``kind`` strings):
@@ -89,14 +91,16 @@ class SpacedPointSet:
 
     ``fractions = (num, den)`` are integers that broadcast to one nonempty
     1-d shape, e.g. ``SpacedPointSet((np.arange(M), M))``.  Each num is taken
-    mod its den, each pair is divided by its gcd and the pairs are sorted;
-    they are stored as read-only int64 arrays and ``points`` is ``num / den``.
-    So a denominator that holds phi(q) points holds the full coprime class
-    mod q.  ``delta`` is derived, never given: the exact minimal circular gap
-    rounded toward zero (``_min_gap``), so every gap is >= delta; a single
-    point is 1-spaced by convention.  ``kind`` names the set in messages and
-    defaults to ``exact(R)`` for R points.  Raises ValueError for bad arrays,
-    a denominator below 1 or a repeated point (1/2 and 2/4 included), and
+    mod its den, the pairs are sorted as given (a/q and ga/gq are one float)
+    and ``_min_gap`` certifies them; then each pair that no unit cross-product
+    proves reduced is divided by its gcd (every pair first, if the max den as
+    given fails ``_check_int64``).  They are stored as read-only int64 arrays
+    and ``points`` is ``num / den``, so a denominator that holds phi(q)
+    points holds the full coprime class mod q.  ``delta`` is the exact
+    minimal circular gap rounded toward zero; a single point is 1-spaced by
+    convention.  ``kind`` names the set in messages and defaults to
+    ``exact(R)`` for R points.  Raises ValueError for bad arrays, a
+    denominator below 1 or a repeated point (1/2 and 2/4 included), and
     CapacityError for a denominator above the limit of ``_check_int64``.
     """
 
@@ -115,29 +119,36 @@ class SpacedPointSet:
         num, den = (np.asarray(a) for a in self.fractions)
         if not (np.issubdtype(num.dtype, np.integer) and np.issubdtype(den.dtype, np.integer)):
             raise ValueError("numerators and denominators must be integers")
-        num, den = (a.astype(np.int64) for a in np.broadcast_arrays(num, den))
+        num, den = (a.astype(np.int64, copy=False) for a in np.broadcast_arrays(num, den))
         if num.ndim != 1 or num.size == 0:
             raise ValueError("fractions must broadcast to a nonempty 1-d array")
         if den.min() < 1:
             raise ValueError("denominators must be >= 1")
         num = num % den
-        g = np.gcd(num, den)
-        num, den = num // g, den // g
-        max_den = int(den.max())
-        _check_int64(max_den)
+        try:
+            _check_int64(int(den.max()))
+        except CapacityError:  # the reduced pairs may still fit: reduce them all first
+            g = np.gcd(num, den)
+            num, den = num // g, den // g
+            _check_int64(int(den.max()))
         # Within that limit distinct points differ by >= 1/max_den^2 > 2^-32,
         # far above float resolution, so the float order is the exact order.
         order = np.argsort(num / den)
         num, den = num[order], den[order]
         kind = self.kind or f"exact({num.size})"
+        delta, cross = _min_gap(num, den, kind)
+        unit = cross == 1  # gcd(a, q) divides a'q - aq': a unit one proves both pairs reduced
+        rest = np.flatnonzero(~(unit | np.roll(unit, 1)))
+        g = np.gcd(num[rest], den[rest])
+        num[rest], den[rest] = num[rest] // g, den[rest] // g
         pts = num / den
         for arr in (num, den, pts):
             arr.setflags(write=False)
         object.__setattr__(self, "fractions", (num, den))
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "delta", _min_gap(num, den, kind))
+        object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "points", pts)
-        self._class_weights(den, max_den)
+        self._class_weights(den, int(den.max()))
 
     def _class_weights(self, den: np.ndarray, max_den: int) -> None:
         """Set ``_weights``, ``_partial`` and ``_sample`` from one pass over the pairs (m, d)."""
@@ -187,12 +198,12 @@ class LargeSieveResult(NamedTuple):
 def _check_int64(max_den: int) -> None:
     """Raise CapacityError unless 2*max_den^4 fits in int64 (max_den < 2^15.5).
 
-    The certification products need far less: every cross-product a'q - aq'
-    of pairs with 0 <= a < q <= max_den, the wrap pair's (a + q)q' included,
-    is below 2*max_den^2.  The limit is what keeps distinct reduced points
-    more than 2^-32 apart, so the float ``argsort`` is exact, and keeps
-    ``_class_weights``' tables and (m, d) pair arrays small; a wider one
-    would let a few points with a huge denominator allocate GiBs.
+    It bounds the pairs as given, or if they fail, the reduced pairs.  The
+    cross-products need far less (each is below 2*max_den^2, the wrap's
+    (a + q)q' included); the limit keeps distinct points more than 2^-32
+    apart, so the float ``argsort`` is exact, and keeps ``_class_weights``'
+    tables and (m, d) pair arrays small; a wider one would let a few points
+    with a huge denominator allocate GiBs.
     """
     if 2 * max_den**4 > _INT64_MAX:
         raise CapacityError(
@@ -200,24 +211,28 @@ def _check_int64(max_den: int) -> None:
         )
 
 
-def _min_gap(num: np.ndarray, den: np.ndarray, kind: str) -> float:
-    """The exact minimal circular gap of the sorted reduced num/den, rounded down.
+def _min_gap(num: np.ndarray, den: np.ndarray, kind: str) -> tuple[float, np.ndarray]:
+    """The exact minimal circular gap of the sorted num/den, rounded down.
 
     Consecutive pairs, the wrap pair (last, first + 1) included, must have
     cross-product a'q - aq' >= 1: 0 is a repeated point (ValueError), below
-    0 the points are out of order (InvariantError).  So each gap
-    (a'q - aq')/(qq') is >= 1/max(den)^2.  ``_check_int64(max(den))`` must
-    hold, so the products fit in int64.
+    0 the points are out of order (InvariantError), named in lowest terms.
+    So each gap (a'q - aq')/(qq') >= 1/max(den)^2, one float for a/q and
+    ga/gq.  ``_check_int64(max(den))`` must hold.  Returns (delta, cross).
     """
-    nxt_num = np.append(num[1:], num[0] + den[0])
-    nxt_den = np.append(den[1:], den[0])
-    cross = nxt_num * den - num * nxt_den
-    span = den * nxt_den
+    cross, span = np.empty_like(num), np.empty_like(den)
+    cross[:-1] = num[1:] * den[:-1] - num[:-1] * den[1:]
+    cross[-1] = (num[0] + den[0]) * den[-1] - num[-1] * den[0]
+    np.multiply(den[:-1], den[1:], out=span[:-1])
+    span[-1] = den[-1] * den[0]
     i = int(np.argmin(cross))
-    pair = f"{num[i]}/{den[i]} and {nxt_num[i]}/{nxt_den[i]}"
-    if cross[i] == 0:
-        raise ValueError(f"{kind}: points {pair} are not distinct modulo 1")
-    if cross[i] < 0:
+    if cross[i] < 1:
+        j = (i + 1) % num.size  # the wrap pair's second point is first + 1
+        a, q = np.array([num[i], num[j] + (j == 0) * den[j]]), den[[i, j]]
+        g = np.gcd(a, q)
+        pair = f"{a[0] // g[0]}/{q[0] // g[0]} and {a[1] // g[1]}/{q[1] // g[1]}"
+        if cross[i] == 0:
+            raise ValueError(f"{kind}: points {pair} are not distinct modulo 1")
         raise InvariantError(f"{kind}: points {pair} are out of order")
     # Float division is monotone, so the exact minimum has the smallest float;
     # the slack only widens the exact comparison to near-ties.
@@ -226,8 +241,7 @@ def _min_gap(num: np.ndarray, den: np.ndarray, kind: str) -> float:
     pairs = np.unique(np.stack([cross[near], span[near]], axis=1), axis=0)
     gap = min(Fraction(int(c), int(s)) for c, s in pairs)
     delta = float(gap)  # rounded to nearest; step back one ulp if that overshot
-    return math.nextafter(delta, 0.0) if Fraction(delta) > gap else delta
-
+    return (math.nextafter(delta, 0.0) if Fraction(delta) > gap else delta), cross
 
 def _residues(moduli: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
     """All pairs (a, q) with q in ``moduli`` and first <= a <= q - 1, as int64 arrays."""
@@ -245,7 +259,7 @@ def build_point_set(tables, kind: str, parameter: int) -> SpacedPointSet:
     ``parameter`` is Q for ``reduced_farey`` and P for the prime families;
     it must be >= 2 and at most ``tables.n_max``, since the family comes
     from ``tables.primes`` (``reduced_farey`` keeps a/q unless a prime p | q
-    divides a, so no gcd is taken before the constructor's reduction).
+    divides a, so its pairs are reduced Farey neighbours and take no gcd).
     Raises ValueError for a bad kind or parameter and CapacityError, before
     any array is built, if its denominators exceed the limit of
     ``_check_int64``.  No family repeats a point (a reduced

@@ -226,6 +226,15 @@ class TestKernelGapRows:
         assert all(r.detail == "MemoryError: no room for h" for r in failed)
         assert all(r.passed for r in rows if r not in failed)
 
+    def test_rejected_p_gives_error_rows(self, tables):
+        rows = experiments.kernel_gap_rows(tables, [64, 128], 1)
+        assert [r.params for r in rows] == [
+            {"n": n, "p": 1, "kind": kind, "m": None} for kind in GAP_KINDS for n in (64, 128)
+        ]
+        assert all(r.measured == {"invariant_ok": True, "error": "ValueError"} for r in rows)
+        assert all(r.detail == "ValueError: P must be >= 2, got 1" for r in rows)
+        assert not any(r.passed for r in rows)
+
 
 # Rows recorded at commit 3db415c, before the weighted-sum report and the
 # one-row gap scan were folded into the row functions: (measured, ratios) per
@@ -540,6 +549,28 @@ class TestPrimeCountFloor:
         with pytest.raises(ValueError):
             prime_count_floor_row(tables, 16)
 
+    @staticmethod
+    def brute(tables, n_hi):
+        """pi(n) * log(n) / n at every n in 17..n_hi, pi from a cumulative sum."""
+        is_prime = np.zeros(n_hi + 1, dtype=np.int64)
+        is_prime[tables.primes[tables.primes <= n_hi]] = 1
+        n = np.arange(17, n_hi + 1)
+        return n, np.cumsum(is_prime)[n] * np.log(n) / n
+
+    def test_matches_every_n(self, tables):
+        n, vals = self.brute(tables, 4000)
+        for n_max in range(17, 4001):
+            row = prime_count_floor_row(tables, n_max)
+            arg = int(np.argmin(vals[: n_max - 16]))
+            assert (row.measured["min_ratio"], row.measured["argmin_n"]) == (vals[arg], n[arg])
+
+    @pytest.mark.parametrize("n_max", [10**6, 1 << 20])
+    def test_matches_at_scale(self, tables_big, n_max):
+        n, vals = self.brute(tables_big, n_max)
+        arg = int(np.argmin(vals))
+        row = prime_count_floor_row(tables_big, n_max)
+        assert (row.measured["min_ratio"], row.measured["argmin_n"]) == (vals[arg], n[arg])
+
 
 class TestLargeSieveTrials:
     def test_small_batch(self, tables):
@@ -566,6 +597,28 @@ class TestLargeSieveTrials:
         row = large_sieve_trials(tables, trials=200, seed=seed)
         assert row.measured["max_ratio"] == pytest.approx(max_ratio, rel=1e-12)
         assert row.measured["mean_ratio"] == pytest.approx(mean_ratio, rel=1e-12)
+        assert row.detail == detail
+
+    @pytest.mark.parametrize(
+        "trials, seed, max_ratio, mean_ratio, detail",
+        [
+            (
+                200,
+                7,
+                0.8869692017648647,
+                0.12681957750464828,
+                "worst: prime_square_farey(3), ones, N=301",
+            ),
+            (1000, 0, 0.847629757720238, 0.11852263446620641, "worst: prime_farey(5), ones, N=83"),
+        ],
+    )
+    def test_row_is_pinned(self, tables, trials, seed, max_ratio, mean_ratio, detail):
+        # recorded at commit 7483334, before point sets were certified by
+        # their cross-products; the row keeps every bit
+        row = large_sieve_trials(tables, trials, seed=seed)
+        assert row.measured["max_ratio"] == max_ratio
+        assert row.measured["mean_ratio"] == mean_ratio
+        assert row.measured["margin"] == 1.0 - max_ratio
         assert row.detail == detail
 
     def test_window_boundaries_keep_values(self, tables, monkeypatch):

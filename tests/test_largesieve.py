@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import sievenorm as sn
 from sievenorm import largesieve
 from sievenorm.errors import CapacityError, InvariantError
+from sievenorm.experiments import _TRIAL_PARAM_POOL, _TRIAL_SQUARE_POOL
 
 
 def fraction_point_set(tables, kind, parameter):
@@ -139,8 +140,9 @@ class TestBuildPointSet:
         with pytest.raises(InvariantError, match="out of order"):
             largesieve._min_gap(num, den, "hand(order)")
         num, den = np.array([0, 1, 1]), np.array([1, 3, 2])
-        ok = largesieve._min_gap(num, den, "hand(ok)")
+        ok, cross = largesieve._min_gap(num, den, "hand(ok)")
         assert ok == fraction_delta([Fraction(0), Fraction(1, 3), Fraction(1, 2)])
+        assert cross.tolist() == [1, 1, 1]  # Farey neighbours, the wrap 1/2 -> 1/1 included
 
     def test_int64_guard_precedes_allocation(self, tables):
         tracemalloc.start()
@@ -248,6 +250,113 @@ class TestExactPointSet:
         i = pick % len(ps)
         with pytest.raises(ValueError, match="not distinct"):
             sn.SpacedPointSet((np.append(num, (n[i] - d[i]) * k), np.append(den, d[i] * k)))
+
+
+def gcd_first(num, den, kind):
+    """The set by a second route: reduce every pair by its gcd, sort by value,
+    take delta by Fraction over the near-minimal gaps, then the class weights."""
+    num, den = (a.astype(np.int64) for a in np.broadcast_arrays(num, den))
+    num = num % den
+    g = np.gcd(num, den)
+    num, den = num // g, den // g
+    order = np.argsort(num / den)
+    num, den = num[order], den[order]
+    nxt_num, nxt_den = np.roll(num, -1), np.roll(den, -1)
+    nxt_num[-1] += nxt_den[-1]
+    gaps = (nxt_num * den - num * nxt_den) / (den * nxt_den)
+    near = np.flatnonzero(gaps <= gaps.min() * (1 + 1e-6))
+    gap = min(
+        Fraction(int(nxt_num[i]), int(nxt_den[i])) - Fraction(int(num[i]), int(den[i]))
+        for i in near
+    )
+    delta = float(gap)
+    if Fraction(delta) > gap:
+        delta = math.nextafter(delta, 0.0)
+    ref = object.__new__(sn.SpacedPointSet)
+    fields = {"fractions": (num, den), "kind": kind, "delta": delta, "points": num / den}
+    for name, value in fields.items():
+        object.__setattr__(ref, name, value)
+    ref._class_weights(den, int(den.max()))
+    return ref
+
+
+def assert_same_set(ps, ref):
+    assert all(np.array_equal(a, b) for a, b in zip(ps.fractions, ref.fractions))
+    assert np.array_equal(ps.points, ref.points)
+    assert ps.delta == ref.delta
+    assert all(np.array_equal(a, b) for a, b in zip(ps._weights, ref._weights))
+    assert np.array_equal(ps._partial, ref._partial)
+    assert all(np.array_equal(a, b) for a, b in zip(ps._sample, ref._sample))
+
+
+class TestCertifiedReduction:
+    """The constructor sorts the pairs as given, certifies them by their
+    cross-products and takes a gcd only where no unit cross-product proves a
+    pair reduced; a gcd-first route must give the same set."""
+
+    @pytest.mark.parametrize(
+        "kind, pool",
+        [
+            ("reduced_farey", _TRIAL_PARAM_POOL),
+            ("prime_farey", _TRIAL_PARAM_POOL),
+            ("prime_square_farey", _TRIAL_SQUARE_POOL),
+        ],
+    )
+    def test_families_match_gcd_first(self, tables, monkeypatch, kind, pool):
+        given = []
+
+        def spy(fractions, kind=""):
+            given.append(fractions)
+            return sn.SpacedPointSet(fractions, kind)
+
+        monkeypatch.setattr(largesieve, "SpacedPointSet", spy)
+        for param in pool:
+            ps = largesieve.build_point_set(tables, kind, param)
+            assert_same_set(ps, gcd_first(*given[-1], ps.kind))
+
+    def test_farey_neighbours_take_no_gcd(self, tables, monkeypatch):
+        sizes, gcd = [], np.gcd
+
+        def counted(a, b):
+            sizes.append(np.size(a))
+            return gcd(a, b)
+
+        monkeypatch.setattr(np, "gcd", counted)
+        for Q in _TRIAL_PARAM_POOL:
+            sn.build_point_set(tables, "reduced_farey", Q)
+        assert sum(sizes) == 0
+        # 2/4 is reducible, so no cross-product with it is 1: it reaches the gcd
+        sn.build_point_set(tables, "prime_square_farey", 2)
+        assert sum(sizes) >= 1
+
+    @pytest.mark.parametrize(
+        "num, den, fractions, delta",
+        [
+            # the unreduced max den fails the int64 guard: reduce all, then accept
+            ([0, 50000], [1, 100000], ([0, 1], [1, 2]), 0.5),
+            # 2/4 sits between certified neighbours 0/1 and 2/3
+            ([0, 2, 2], [1, 4, 3], ([0, 1, 2], [1, 2, 3]), 1 / 6),
+            ([6, 3, 10], [8, 9, 12], ([1, 3, 5], [3, 4, 6]), 1 / 12),
+        ],
+    )
+    def test_hand_sets(self, num, den, fractions, delta):
+        ps = sn.SpacedPointSet((num, den))
+        assert [a.tolist() for a in ps.fractions] == list(fractions)
+        assert ps.delta == delta
+        assert_same_set(ps, gcd_first(np.array(num), np.array(den), ps.kind))
+
+    @pytest.mark.parametrize(
+        "num, den, pair",
+        [
+            ([1, 2], [2, 4], "1/2 and 1/2"),
+            ([0, 2, 1, 2], [1, 4, 2, 3], "1/2 and 1/2"),
+            ([0, 3, 1], [1, 3, 2], "0/1 and 0/1"),
+            ([4, 6, 1], [6, 9, 5], "2/3 and 2/3"),
+        ],
+    )
+    def test_repeats_are_named_in_lowest_terms(self, num, den, pair):
+        with pytest.raises(ValueError, match=f"hand: points {pair} are not distinct modulo 1"):
+            sn.SpacedPointSet((num, den), "hand")
 
 
 def check_one(seq, ps, shift=0.0):
