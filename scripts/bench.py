@@ -5,7 +5,8 @@
 
 Runs perfbench/run.py on both workloads, with --trace 0 and --trace 1, and
 keeps each run's command, ``# meta`` line and final JSON line.  ``tree_dirty``
-says if src/ or scripts/ differ from the HEAD that ``git_sha`` names.
+says if src/, scripts/ or perfbench/ differ from the HEAD that ``git_sha``
+names.
 """
 
 import argparse
@@ -28,7 +29,7 @@ def run(*args: str) -> dict:
 
 
 def tree_dirty() -> bool | None:
-    cmd = ["git", "status", "--porcelain", "--", "src", "scripts"]
+    cmd = ["git", "status", "--porcelain", "--", "src", "scripts", "perfbench"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     return bool(proc.stdout.strip()) if proc.returncode == 0 else None
 

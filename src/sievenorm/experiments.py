@@ -43,6 +43,7 @@ from .errors import InvariantError
 from .expsum import (
     CoefficientSequence,
     KernelSpec,
+    _low_frequency_value,
     grid_eval_kernel,
     grid_eval_sequence,
 )
@@ -243,33 +244,17 @@ def mobius_ramanujan_weighted_sum(tables: ArithmeticTables, N: int, Q: int) -> f
 # experiment rows
 
 
-def _gap_specs(kind: str, N: int, P: int | None) -> list[KernelSpec]:
-    """The grids a gap row reads: the kernel's, T_N's and, for ``h_truncated``, h's (same P)."""
-    spec = KernelSpec(kind, N, P=P)
-    specs = [spec, KernelSpec("fejer", N)]
-    if kind == "h_truncated":
-        specs.append(KernelSpec("h", N, P=spec.P))
-    return specs
-
-
-def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b|, through one temporary array."""
-    diff = a - b
-    return float(np.max(np.abs(diff, out=diff)))
-
-
-def _gap_row(tables: ArithmeticTables, specs: list, M: int, grid) -> ExperimentRow:
-    """The gap row of ``specs`` (from ``_gap_specs``) on the M-point grids ``grid(spec)`` gives."""
-    spec = specs[0]
+def _gap_row(tables: ArithmeticTables, spec: KernelSpec, M: int, fejer_grid) -> ExperimentRow:
+    """The gap row of ``spec`` on its M-point grid against ``fejer_grid``, T_N's."""
     kind, N, P = spec.kind, spec.N, spec.P
     notes = []
     if M < 4 * N:
         note = f"grid M={M} below 4N={4 * N}: scan may under-resolve peaks"
         warnings.warn(note, stacklevel=3)
         notes.append(note)
-    kernel_grid = grid(spec)
-    fejer_grid = grid(specs[1])
-    max_gap = _max_abs_diff(kernel_grid, fejer_grid)
+    kernel_grid = grid_eval_kernel(tables, spec, M).values
+    diff = kernel_grid - fejer_grid
+    max_gap = float(np.max(np.abs(diff, out=diff)))
     min_value = float(np.min(kernel_grid))
     log_n = math.log(N)
     if kind == "gstar":
@@ -299,8 +284,9 @@ def _gap_row(tables: ArithmeticTables, specs: list, M: int, grid) -> ExperimentR
         "gap_over_scale": max_gap / scale,
     }
     if kind == "h_truncated":
-        trunc_gap = _max_abs_diff(grid(specs[2]), kernel_grid)
-        # d_k >= 0 and sum_{|k| <= P} d_k = mean_p p*(2*floor(P/p) + 1) <= 3P
+        trunc_gap = _low_frequency_value(tables, spec, 0.0)
+        # d_k >= 0 and sum_{|k| <= P} d_k = mean_p p*(2*floor(P/p) + 1) <= 3P; h - h_truncated
+        # has only the nonnegative terms (1 - |k|/N)*d_k, |k| <= P, so its sup is its value at 0
         trunc_tolerance = 3.0 * P * (1.0 + 1e-9)
         invariants.append((trunc_gap <= trunc_tolerance, "truncation gap exceeds 3P"))
         measured["truncation_gap"] = trunc_gap
@@ -328,38 +314,33 @@ def kernel_gap_rows(
     truncation cost); the scale ceiling N^(3/4) log N (``gstar``) or
     sqrt(N) log N (``h``-family) is informational and reported as a ratio.
 
-    N runs outermost.  At each N every grid is built once, on first use --
-    T_N once for all kinds, and h once for both ``h`` and ``h_truncated``,
-    which share P -- and dropped after the last row that reads it, so at
-    most one N's grids are alive.  Rows come back kind-major, the order of
-    one job per (kind, N).  A (kind, N) that raises, a kind outside
-    ``GAP_KINDS`` or a p that ``KernelSpec`` rejects included, gives an error
-    row with that job's params (p and m as given); the other rows still run.
+    N runs outermost.  At each N, T_N's grid is built once, for the first
+    row that needs it, and shared by every kind; each kernel's own grid is
+    built and freed inside its row, so at most T_N's grid and one kernel
+    grid are alive.  ``h_truncated`` reads its truncation cost
+    exactly, as h - h_truncated at 0, so it builds no h grid.  Rows come back
+    kind-major, the order of one job per (kind, N).  A (kind, N) that
+    raises, a kind outside ``GAP_KINDS`` or a p that ``KernelSpec`` rejects
+    included, gives an error row with that job's params (p and m as given);
+    the other rows still run.
     """
     rows = {}
     for N in n:
         M = 8 * N if m is None else m
-        grids = {}
-
-        def grid(spec):
-            if spec not in grids:
-                grids[spec] = grid_eval_kernel(tables, spec, M).values
-            return grids[spec]
-
-        for i, k in enumerate(kind):
+        fejer_grid = None
+        for k in kind:
             t0 = time.perf_counter()
             try:
                 if k not in GAP_KINDS:
                     choices = ", ".join(GAP_KINDS)
                     raise ValueError(f"kernel gap scan needs one of {choices}, got {k!r}")
-                rows[k, N] = _gap_row(tables, _gap_specs(k, N, p), M, grid)
+                spec = KernelSpec(k, N, P=p)
+                if fejer_grid is None:
+                    fejer_grid = grid_eval_kernel(tables, KernelSpec("fejer", N), M).values
+                rows[k, N] = _gap_row(tables, spec, M, fejer_grid)
             except Exception as exc:
                 params = {"n": N, "p": p, "kind": k, "m": m}
                 rows[k, N] = _error_row("kernel_gap", params, exc, t0)
-            # one N and P fix the spec of each kernel kind: keep the kinds a later row reads
-            later = {r for j in kind[i + 1 :] for r in (j, "fejer", "h" if j == "h_truncated" else j)}
-            for spec in [s for s in grids if s.kind not in later]:
-                del grids[spec]
     return [rows[k, N] for k in kind for N in n]
 
 

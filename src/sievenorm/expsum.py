@@ -384,9 +384,10 @@ def eval_kernel(tables: "ArithmeticTables", spec: KernelSpec, alpha: float) -> f
 
 def _low_frequency_value(tables: "ArithmeticTables", spec: KernelSpec, alpha: float) -> float:
     """sum_{|k| <= P} (1 - |k|/N)*d_k*e(k alpha) for the h-kernel coefficients d."""
-    w = spectral_weights(tables, KernelSpec("h", spec.N, P=spec.P))
-    k = np.arange(1, min(spec.P, spec.N) + 1)
-    return float(w[spec.N] + 2.0 * np.dot(w[spec.N + k], np.cos(TWO_PI * alpha * k)))
+    N = spec.N
+    k = np.arange(min(spec.P, N) + 1)
+    w = (1.0 - k / N) * kernel_coefficients(tables, KernelSpec("h", N, P=spec.P))[N + k]
+    return float(w[0] + 2.0 * np.dot(w[1:], np.cos(TWO_PI * alpha * k[1:])))
 
 
 def eval_kernel_spectral(tables: "ArithmeticTables", spec: KernelSpec, alpha: float) -> float:

@@ -175,7 +175,7 @@ class TestKernelGapScan:
 
 
 class TestKernelGapRows:
-    """The suite's kernel_gap job: the whole ladder, its grids shared per N."""
+    """The suite's kernel_gap job: the whole ladder, T_N's grid shared per N."""
 
     def spy(self, monkeypatch):
         calls, original = [], experiments.grid_eval_kernel
@@ -202,9 +202,23 @@ class TestKernelGapRows:
         scans = [
             gap_row(tables_mid, n, kind) for kind in GAP_KINDS for n in experiments.DEFAULT_LADDER
         ]
-        assert len(calls) == 28  # one row at a time: T_N per kind, h again for h_truncated
+        assert len(calls) == 24  # one row at a time: T_N and the kind's own grid
         assert _strip_runtime(first) == scans
         assert _strip_runtime(second) == scans
+
+    def test_lone_h_truncated_row_builds_no_h_grid(self, tables, monkeypatch):
+        calls = self.spy(monkeypatch)
+        gap_row(tables, 256, "h_truncated")
+        assert calls == [("fejer", 256, 2048), ("h_truncated", 256, 2048)]
+
+    def test_truncation_gap_is_the_low_frequency_value_at_zero(self, tables_mid):
+        ladder = experiments.DEFAULT_LADDER
+        rows = kernel_gap_rows(tables_mid, ladder, None, ["h_truncated"])
+        for row, N in zip(rows, ladder):
+            spec = expsum.KernelSpec("h_truncated", N)
+            assert row.measured["truncation_gap"] == expsum._low_frequency_value(
+                tables_mid, spec, 0.0
+            )
 
     def test_failing_grid_fails_only_the_rows_that_read_it(self, tables, monkeypatch):
         original = experiments.grid_eval_kernel
@@ -220,9 +234,8 @@ class TestKernelGapRows:
             (kind, n) for kind in GAP_KINDS for n in (64, 128)
         ]
         failed = [r for r in rows if "error" in r.measured]
-        assert [r.params for r in failed] == [
-            {"n": 128, "p": None, "kind": kind, "m": None} for kind in ("h", "h_truncated")
-        ]
+        # h_truncated reads no h grid: its truncation cost comes from h's coefficients
+        assert [r.params for r in failed] == [{"n": 128, "p": None, "kind": "h", "m": None}]
         assert all(r.detail == "MemoryError: no room for h" for r in failed)
         assert all(r.passed for r in rows if r not in failed)
 

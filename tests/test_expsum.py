@@ -315,6 +315,18 @@ class TestDuality:
             assert sn.duality_gap(tables_mid, sn.KernelSpec("k_part3", N), alphas) <= 1e-9
 
 
+class TestLowFrequencyValue:
+    @settings(deadline=None, max_examples=60)
+    @given(N=st.integers(1, 2048), P=st.integers(2, 4096), alpha=ALPHAS)
+    def test_slice_matches_full_spectral_weights(self, tables, N, P, alpha):
+        # the helper reads 2*min(P, N) + 1 weights; the full formula builds all 2N + 1
+        w = sn.spectral_weights(tables, sn.KernelSpec("h", N, P=P))
+        k = np.arange(1, min(P, N) + 1)
+        full = float(w[N] + 2.0 * np.dot(w[N + k], np.cos(expsum.TWO_PI * alpha * k)))
+        spec = sn.KernelSpec("h_truncated", N, P=P)
+        assert expsum._low_frequency_value(tables, spec, alpha) == full
+
+
 class TestKPart3:
     def test_frozen_origin_value(self, tables):
         # only q=1 contributes: |F_4(0)|^2 = 16

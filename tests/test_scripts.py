@@ -22,7 +22,7 @@ def test_bench_records_every_run(tmp_path, monkeypatch):
     def fake_run(cmd, **kwargs):
         calls.append(cmd)
         if cmd[0] == "git":
-            assert cmd == ["git", "status", "--porcelain", "--", "src", "scripts"]
+            assert cmd == ["git", "status", "--porcelain", "--", "src", "scripts", "perfbench"]
             assert kwargs["cwd"] == tmp_path
             return subprocess.CompletedProcess(cmd, 0, stdout=" M src/sievenorm/arith.py\n")
         meta = {"workload": cmd[cmd.index("--workload") + 1], "traced": cmd[-1] == "1"}
