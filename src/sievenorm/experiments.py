@@ -45,7 +45,7 @@ from .expsum import (
     KernelSpec,
     _low_frequency_value,
     grid_eval_kernel,
-    grid_eval_sequence,
+    kernel_coefficients,
 )
 from . import largesieve
 from .largesieve import FAREY_KINDS, build_point_set, large_sieve_check, sieve_bound_for_kernel_gap
@@ -472,40 +472,37 @@ def lambda_kernel_integral_row(
     """The weighted Mobius/Ramanujan sum by both routes, against 3QN^2/pi^2.
 
     ``v_spectral`` sums mu(q) * sum_n (N - n) * Lambda(n) * c_q(-n) directly
-    (c_q in closed form at prime powers, summed per prime); ``v_quadrature``
-    integrates S_Lambda against the signed kernel on M = 4N samples, above the
-    exactness threshold 2(N + N) for the product of a degree-N sum and a
-    degree-N kernel, so the rectangle rule is exact.  Its coefficients come
-    from the divisor form of c_q (products of mu over d*m, see ``expsum``),
-    which shares no code with the prime-power closed form, so the two routes
-    agree to roundoff: route_bound = 16*eps*log2(M)*||s||*||k||/M (two
-    length-M inverse FFTs, then Cauchy-Schwarz on the dot product), and
-    ``routes_agree`` holds when they differ by at most that.  The exact
-    integral is real, so an imaginary part above route_bound raises
-    InvariantError.  ``v_over_target`` is v_spectral over the asymptotic
-    prediction 3*Q*N^2/pi^2; its ratio band gates only N >= 4096.
+    (c_q in closed form at prime powers, summed per prime).  ``v_quadrature``
+    integrates S_Lambda against the signed kernel by Parseval, as sum_{n <= N}
+    Lambda(n) * (1 - n/N) * c_n over its coefficients, which come from the
+    divisor form of c_q (products of mu over d*m, see ``expsum``) and share
+    no code with the prime-power closed form.
+
+    The routes agree to roundoff.  A sum of m floats in any order errs by at
+    most gamma_{m-1} = (m-1)*u/(1 - (m-1)*u), u = eps/2, times the sum of
+    their absolute values.  c_n is an exact integer and 1 - n/N is within 2u,
+    so v_quadrature errs by at most gamma_{N+3} * A, A = sum Lambda(n)*|c_n|.
+    v_spectral's W = sum (N - n)*Lambda(n) and its W_p err by at most
+    gamma_{N+1} relative, and its final 1 + pi(Q) terms add in absolute value
+    to at most 2Q*W (#squarefree q <= Q and each p * #{q : p | q} are at most
+    Q), so it errs by at most gamma_{N+pi(Q)+4} * 2Q*W.  From N = 2 on that
+    gamma is at most 2*eps*(N + pi(Q)), and at N = 1 both sums are 0, so
+    ``routes_agree`` holds when the gap is at most route_bound =
+    2*eps*(N + pi(Q))*(A + 2Q*W).  ``v_over_target`` is v_spectral over the
+    asymptotic prediction 3*Q*N^2/pi^2; its ratio band gates only N >= 4096.
 
     ``rel_tol`` decides nothing; it labels the row like the ``lambda_l1`` one.
     """
     spec = KernelSpec("k_part3", N, Q=Q)
     Q = spec.Q
     v_spectral = mobius_ramanujan_weighted_sum(tables, N, Q)
-    M = 4 * N
-    seq = coefficient_sequence(tables, "mangoldt", N)
-    s_grid = grid_eval_sequence(seq, M).values
-    k_grid = grid_eval_kernel(tables, spec, M).values
-    mean = complex(np.dot(s_grid, k_grid)) / M
-    norms = float(np.linalg.norm(s_grid) * np.linalg.norm(k_grid))
-    route_bound = 16.0 * float(np.finfo(float).eps) * math.log2(M) * norms / M
-    # Freed before the row is built: grids still alive then leave glibc's heap
-    # holding a few MiB more over repeated suite passes.
-    del s_grid, k_grid
-    if abs(mean.imag) > route_bound:
-        raise InvariantError(
-            f"signed-kernel integral has imaginary residue {mean.imag:.3e} above the "
-            f"roundoff bound {route_bound:.3e} at N={N}, Q={Q}"
-        )
-    v_quadrature = float(mean.real)
+    lam = tables.mangoldt[1 : N + 1]
+    coef = kernel_coefficients(tables, spec)[N + 1 :]
+    v_quadrature = float(np.dot(lam, (1.0 - np.arange(1, N + 1) / N) * coef))
+    w_sum = float(np.dot(N - np.arange(1.0, N + 1), lam))
+    pi_q = int(np.count_nonzero(tables.primes <= Q))
+    scale = float(np.dot(lam, np.abs(coef))) + 2.0 * Q * w_sum
+    route_bound = 2.0 * float(np.finfo(float).eps) * (N + pi_q) * scale
     target = 3.0 * Q * N * N / math.pi**2
     ratio = v_spectral / target
     band_lo, band_hi = 0.6, 1.4

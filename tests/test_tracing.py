@@ -65,7 +65,8 @@ def test_counts_of_every_counted_kind(tables):
 def test_every_traced_call_reaches_its_span(tables, monkeypatch):
     # A module that stops looking a name up (calling it through another module,
     # say) leaves the name defined but its span count at 0; the counts below
-    # were recorded at commit 3db415c with perfbench's own wrapping.
+    # were recorded at commit 3db415c with perfbench's own wrapping, less the
+    # grids and sequence of the lambda_kernel_integral rows, which build none.
     tracer = TRACING_MODULE.Tracer()
     for name, (lookups, count_kind) in WRAPPED.items():
         attr = name.rsplit(".", 1)[1]
@@ -82,9 +83,9 @@ def test_every_traced_call_reaches_its_span(tables, monkeypatch):
     assert len(rows) == 10 and all(row.passed for row in rows)
     spans = {name: sum(s.name == name for s in tracer.spans) for name in WRAPPED}
     assert spans == {
-        "arith.coefficient_sequence": 3,
-        "expsum.grid_eval_kernel": 10,
-        "expsum.grid_eval_sequence": 2,
+        "arith.coefficient_sequence": 1,
+        "expsum.grid_eval_kernel": 8,
+        "expsum.grid_eval_sequence": 0,
         "expsum.eval_sequence": 0,
         "quadrature.l1_norm": 1,
         "largesieve.build_point_set": 0,
