@@ -66,6 +66,7 @@ from .largesieve import (
     SpacedPointSet,
     build_point_set,
     large_sieve_check,
+    point_count,
     sieve_bound_for_kernel_gap,
 )
 from .quadrature import (

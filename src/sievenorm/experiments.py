@@ -316,13 +316,14 @@ def kernel_gap_rows(
 
     N runs outermost.  At each N, T_N's grid is built once, for the first
     row that needs it, and shared by every kind; each kernel's own grid is
-    built and freed inside its row, so at most T_N's grid and one kernel
-    grid are alive.  ``h_truncated`` reads its truncation cost
-    exactly, as h - h_truncated at 0, so it builds no h grid.  Rows come back
-    kind-major, the order of one job per (kind, N).  A (kind, N) that
-    raises, a kind outside ``GAP_KINDS`` or a p that ``KernelSpec`` rejects
-    included, gives an error row with that job's params (p and m as given);
-    the other rows still run.
+    built and freed inside its row, so at most T_N's grid, one kernel grid
+    and, while that grid is built, its half spectrum (the M//2 + 1 complex
+    bins ``irfft`` reads) are alive.  ``h_truncated`` reads its truncation
+    cost exactly, as h - h_truncated at 0, so it builds no h grid.  Rows
+    come back kind-major, the order of one job per (kind, N).  A (kind, N)
+    that raises, a kind outside ``GAP_KINDS`` or a p that ``KernelSpec``
+    rejects included, gives an error row with that job's params (p and m as
+    given); the other rows still run.
     """
     rows = {}
     for N in n:
@@ -675,6 +676,7 @@ _TRIAL_PARAM_POOL = (3, 5, 8, 13, 22, 37, 61, 100, 165, 272, 449, 741, 1000)
 _TRIAL_SQUARE_POOL = (2, 3, 5, 7, 11, 17, 23, 31)
 _TRIAL_SEQ_KINDS = ("random_complex", "squarefree_random", "mobius", "ones", "mangoldt")
 #: Trials drawn, then checked one point set at a time; caps the sequences held.
+#: Each set is built, checked on its trials and dropped, so one set is alive.
 _TRIAL_WINDOW = 1000
 
 
@@ -689,7 +691,11 @@ def large_sieve_trials(
     Point-set parameters are drawn from fixed pools (capped at 31 for the
     prime-square family, whose point count grows like P^3); sequence length
     is budgeted against the point count so one trial stays around a few
-    million evaluations.  Any ratio above 1 + 1e-9 raises InvariantError
+    million evaluations.  The budget reads each set's size from
+    ``largesieve.point_count``, so a window's trials are drawn before any
+    set exists; then each drawn set is built, checked on its trials and
+    dropped, so only one set is alive at a time (a set drawn in two windows
+    is built in each).  Any ratio above 1 + 1e-9 raises InvariantError
     inside large_sieve_check, so a returned row means every trial honored
     the bound.
     """
@@ -704,16 +710,13 @@ def large_sieve_trials(
     kinds = tuple(k for k, pool in sorted(pools.items()) if pool)
     if not kinds:
         raise ValueError(f"max_param={max_param} leaves every parameter pool empty")
-    sets: dict[tuple[str, int], object] = {}
     max_ratio, ratio_sum, worst = 0.0, 0.0, ""
     for start in range(0, trials, _TRIAL_WINDOW):
         drawn: dict[tuple[str, int], list] = {}
         for t in range(min(_TRIAL_WINDOW, trials - start)):
             kind = kinds[int(rng.integers(0, len(kinds)))]
             key = (kind, pools[kind][int(rng.integers(0, len(pools[kind])))])
-            if key not in sets:
-                sets[key] = build_point_set(tables, *key)
-            n_hi = max(16, min(512, TRIAL_WORK_BUDGET // len(sets[key])))
+            n_hi = max(16, min(512, TRIAL_WORK_BUDGET // largesieve.point_count(tables, *key)))
             N = int(rng.integers(8, n_hi + 1))
             seq_kind = _TRIAL_SEQ_KINDS[int(rng.integers(0, len(_TRIAL_SEQ_KINDS)))]
             seq_seed, shift = int(rng.integers(0, 2**31)), float(rng.uniform())
@@ -721,7 +724,7 @@ def large_sieve_trials(
         checked = {}
         for key, batch in drawn.items():
             seqs = [coefficient_sequence(tables, k, N, seed=s) for _, k, N, s, _ in batch]
-            results = large_sieve_check(seqs, sets[key], [b[4] for b in batch])
+            results = large_sieve_check(seqs, build_point_set(tables, *key), [b[4] for b in batch])
             for (t, k, N, _, _), res in zip(batch, results):
                 checked[t] = (res.ratio, f"{key[0]}({key[1]}), {k}, N={N}")
         for _, (ratio, label) in sorted(checked.items()):

@@ -42,9 +42,9 @@ stay independent.
 Sums on the uniform grids fold the coefficients into bins k mod M (exact
 aliasing) and take one inverse FFT.  A sequence, complex in general, takes a
 complex one (``_inverse_fold``).  Kernel weights are real and even, so their
-bins are too, and half of them give all M real values by one ``irfft``.  The
-large sieve takes no transform (``largesieve`` sums residue-class energies
-instead).
+bins are too, and half of them, folded straight into ``irfft``'s complex
+input, give all M real values.  The large sieve takes no transform
+(``largesieve`` sums residue-class energies instead).
 """
 
 from __future__ import annotations
@@ -448,16 +448,22 @@ def grid_eval_kernel(tables: "ArithmeticTables", spec: KernelSpec, M: int) -> Gr
     The 2N+1 spectral weights are real and even bit for bit: k and -k get
     the same additions in the same order, which is checked exactly
     (``InvariantError`` otherwise).  Folded into bins modulo M (exact
-    aliasing) by one real ``np.bincount``, they give bins b[r] = b[M - r] up
-    to roundoff, so one ``irfft`` of b[0..M//2] yields all M values.
-    ``GRID_BUDGET`` caps M.
+    aliasing), they give bins b[r] = b[M - r] up to roundoff, so one
+    ``irfft`` of b[0..M//2] yields all M values.  Only those M//2 + 1 bins
+    are kept, in the complex buffer that ``irfft`` reads: one ``np.add.at``
+    adds each weight in order of k, as a length-M ``np.bincount`` would, so
+    every M, aliased or not, gives that fold's bits.  ``GRID_BUDGET`` caps M.
     """
     _check_grid(M)
     w = spectral_weights(tables, spec)
     if not np.array_equal(w, w[::-1]):
         raise InvariantError(f"spectral weights of {spec} are not even in k")
-    b = np.bincount(np.arange(-spec.N, spec.N + 1) % M, weights=w, minlength=M)
-    v = np.fft.irfft(b[: M // 2 + 1], n=M, norm="forward")
+    half = M // 2
+    bins = np.arange(-spec.N, spec.N + 1) % M
+    np.minimum(bins, half + 1, out=bins)  # bins past M//2 share one slot irfft never reads
+    b = np.zeros(half + 2, dtype=np.complex128)
+    np.add.at(b.real, bins, w)
+    v = np.fft.irfft(b[: half + 1], n=M, norm="forward")
     return GridEvaluation(M=M, values=v, spec=spec)
 
 

@@ -17,6 +17,8 @@ only pairs with no unit cross-product take a gcd; Farey neighbours have
 a'q - aq' = 1 (Hardy and Wright, Thm. 28).  ``build_point_set`` generates
 the three Farey-type families used throughout this package and hands their
 pairs to it; nothing about the spacing is taken on faith from the parameter.
+``point_count`` gives a family's size from the sieve tables alone, and
+``build_point_set`` checks the certified set against it.
 
 Families (``kind`` strings):
 
@@ -50,7 +52,7 @@ strided subset of the full classes as the cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -99,13 +101,17 @@ class SpacedPointSet:
     points holds the full coprime class mod q.  ``delta`` is the exact
     minimal circular gap rounded toward zero; a single point is 1-spaced by
     convention.  ``kind`` names the set in messages and defaults to
-    ``exact(R)`` for R points.  Raises ValueError for bad arrays, a
-    denominator below 1 or a repeated point (1/2 and 2/4 included), and
-    CapacityError for a denominator above the limit of ``_check_int64``.
+    ``exact(R)`` for R points.  ``tables``, if given and reaching the max
+    den, supply mu and phi for the class weights; the set does not keep
+    them, and without them it sieves its own.  Raises ValueError for bad
+    arrays, a denominator below 1 or a repeated point (1/2 and 2/4
+    included), and CapacityError for a denominator above the limit of
+    ``_check_int64``.
     """
 
     fractions: tuple[np.ndarray, np.ndarray]
     kind: str = ""
+    tables: InitVar[object] = None
     delta: float = field(init=False)
     points: np.ndarray = field(init=False)
     # (d, w_d) with w_d != 0: the full classes' sum_{d | q} mu(q/d) * A_d
@@ -115,7 +121,7 @@ class SpacedPointSet:
     # the full classes that ``_cross_check`` re-derives pointwise
     _sample: _Sample = field(default=None, init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, tables) -> None:
         num, den = (np.asarray(a) for a in self.fractions)
         if not (np.issubdtype(num.dtype, np.integer) and np.issubdtype(den.dtype, np.integer)):
             raise ValueError("numerators and denominators must be integers")
@@ -148,11 +154,15 @@ class SpacedPointSet:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "points", pts)
-        self._class_weights(den, int(den.max()))
+        self._class_weights(den, int(den.max()), tables)
 
-    def _class_weights(self, den: np.ndarray, max_den: int) -> None:
-        """Set ``_weights``, ``_partial`` and ``_sample`` from one pass over the pairs (m, d)."""
-        tables = build_tables(max(2, max_den))
+    def _class_weights(self, den: np.ndarray, max_den: int, tables=None) -> None:
+        """Set ``_weights``, ``_partial`` and ``_sample`` from one pass over the pairs (m, d).
+
+        mu and phi come from ``tables`` if they reach ``max_den``, else from new ones.
+        """
+        if tables is None or tables.n_max < max_den:
+            tables = build_tables(max(2, max_den))
         mobius, phi = tables.mobius[: max_den + 1], tables.phi[: max_den + 1]
         full = np.bincount(den, minlength=max_den + 1) == phi
         full[0] = False
@@ -253,6 +263,33 @@ def _residues(moduli: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
     return num, den
 
 
+def _check_family(tables, kind: str, parameter: int) -> int:
+    """The family's parameter as an int, after the checks ``build_point_set`` lists."""
+    if kind not in FAREY_KINDS:
+        raise ValueError(f"unknown point-set kind {kind!r}")
+    parameter = int(parameter)
+    if parameter < 2:
+        raise ValueError(f"parameter must be >= 2, got {parameter}")
+    _check_int64(parameter**2 if kind == "prime_square_farey" else parameter)
+    if parameter > tables.n_max:
+        raise ValueError(f"tables cover n <= {tables.n_max} < parameter {parameter}")
+    return parameter
+
+
+def point_count(tables, kind: str, parameter: int) -> int:
+    """The number of points in ``build_point_set(tables, kind, parameter)``, from the tables alone.
+
+    sum_{q <= Q} phi(q) for ``reduced_farey`` (q = 1 holds 0/1), and
+    sum_{p <= P} (p - 1) or sum_{p <= P} (p^2 - 1) for the prime families.
+    Raises as ``build_point_set`` does, and builds no point.
+    """
+    parameter = _check_family(tables, kind, parameter)
+    if kind == "reduced_farey":
+        return int(tables.phi[1 : parameter + 1].sum())
+    ps = tables.primes[: np.searchsorted(tables.primes, parameter, side="right")].astype(np.int64)
+    return int(((ps * ps if kind == "prime_square_farey" else ps) - 1).sum())
+
+
 def build_point_set(tables, kind: str, parameter: int) -> SpacedPointSet:
     """Construct one of the Farey families as a certified ``SpacedPointSet``.
 
@@ -264,16 +301,11 @@ def build_point_set(tables, kind: str, parameter: int) -> SpacedPointSet:
     any array is built, if its denominators exceed the limit of
     ``_check_int64``.  No family repeats a point (a reduced
     a/p^2 is b/p^2 or b/p, each from one a), and every gap of the set is
-    >= 1/max(den)^2, the family's 1/Q^2, 1/P^2 or 1/P^4.
+    >= 1/max(den)^2, the family's 1/Q^2, 1/P^2 or 1/P^4.  The certified set
+    must hold ``point_count`` points (InvariantError otherwise), and its
+    class weights read mu and phi from ``tables`` where they reach.
     """
-    if kind not in FAREY_KINDS:
-        raise ValueError(f"unknown point-set kind {kind!r}")
-    parameter = int(parameter)
-    if parameter < 2:
-        raise ValueError(f"parameter must be >= 2, got {parameter}")
-    _check_int64(parameter**2 if kind == "prime_square_farey" else parameter)
-    if parameter > tables.n_max:
-        raise ValueError(f"tables cover n <= {tables.n_max} < parameter {parameter}")
+    parameter = _check_family(tables, kind, parameter)
     ps = tables.primes[tables.primes <= parameter].astype(np.int64)
     if kind == "reduced_farey":
         num, den = _residues(np.arange(1, parameter + 1), 0)
@@ -284,7 +316,13 @@ def build_point_set(tables, kind: str, parameter: int) -> SpacedPointSet:
         num, den = num[keep], den[keep]
     else:
         num, den = _residues(ps * ps if kind == "prime_square_farey" else ps, 1)
-    return SpacedPointSet((num, den), f"{kind}({parameter})")
+    point_set = SpacedPointSet((num, den), f"{kind}({parameter})", tables)
+    count = point_count(tables, kind, parameter)
+    if len(point_set) != count:
+        raise InvariantError(
+            f"{point_set.kind}: certified {len(point_set)} points, the tables count {count}"
+        )
+    return point_set
 
 
 def _class_energies(coeffs: np.ndarray, n: np.ndarray, row: np.ndarray, moduli) -> np.ndarray:

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -195,6 +196,18 @@ class TestKernelGapRows:
 
         monkeypatch.setattr(experiments, "grid_eval_kernel", counted)
         return calls
+
+    def test_warm_peak_holds_two_grids_and_a_half_spectrum(self, tables_mid):
+        # T_N's and one kernel's 4 MiB grid at N = 2^16, plus the kernel's
+        # 4 MiB half spectrum and irfft's output while it is built
+        kernel_gap_rows(tables_mid, [1 << 16])  # warm: the coefficients are cached
+        tracemalloc.start()
+        try:
+            kernel_gap_rows(tables_mid, [1 << 16])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * 2**20
 
     def test_default_ladder_builds_each_grid_once_per_pass(self, tables_mid, monkeypatch):
         calls = self.spy(monkeypatch)
@@ -597,6 +610,31 @@ class TestPrimeCountFloor:
 
 
 class TestLargeSieveTrials:
+    def test_peak_holds_one_point_set(self, tables):
+        # building reduced_farey(1000) peaks near 21 MiB on its own, so the
+        # pass stays near that only while the other 33 sets are not kept
+        tracemalloc.start()
+        try:
+            large_sieve_trials(tables, trials=200, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
+    def test_each_drawn_set_is_built_once_and_dropped(self, tables, monkeypatch):
+        alive, built, original = [], [], experiments.build_point_set
+
+        def tracked(tables, kind, param):
+            ps = original(tables, kind, param)
+            built.append((kind, param))
+            alive.append(weakref.ref(ps))
+            assert sum(ref() is not None for ref in alive) == 1
+            return ps
+
+        monkeypatch.setattr(experiments, "build_point_set", tracked)
+        large_sieve_trials(tables, trials=200, seed=7)
+        assert len(built) == len(set(built)) == 34
+
     def test_small_batch(self, tables):
         row = large_sieve_trials(tables, trials=25, seed=3, max_param=165)
         assert row.experiment == "large_sieve"

@@ -481,6 +481,22 @@ class TestGridEvalKernel:
         want = [sn.eval_kernel(tables, spec, j / M) for j in range(M)]
         np.testing.assert_allclose(grid.values, want, rtol=1e-8, atol=1e-6)
 
+    @pytest.mark.parametrize("kind", sn.KERNEL_KINDS)
+    @pytest.mark.parametrize(
+        "factor, extra", [(1, 0), (2, 0), (2, 1), (8, 0)], ids=["N", "2N", "2N+1", "8N"]
+    )
+    def test_half_spectrum_fold_matches_full_bincount(self, tables, kind, factor, extra):
+        # the reference folds all M bins with one length-M real bincount, as
+        # grid_eval_kernel once did; M = N aliases, M = 2N only k = +-N, and
+        # M = 2N + 1 is the smallest alias-free grid
+        for N in (64, 101):
+            spec, M = sn.KernelSpec(kind, N), factor * N + extra
+            w = sn.spectral_weights(tables, spec)
+            bins = np.bincount(np.arange(-N, N + 1) % M, weights=w, minlength=M)
+            want = np.fft.irfft(bins[: M // 2 + 1], n=M, norm="forward")
+            got = sn.grid_eval_kernel(tables, spec, M).values
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
     def test_asymmetric_weights_raise(self, tables, monkeypatch):
         spec = sn.KernelSpec("gstar", 64, P=2)
         w = np.array(sn.spectral_weights(tables, spec))

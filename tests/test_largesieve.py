@@ -168,6 +168,72 @@ class TestBuildPointSet:
                 sn.build_point_set(tables, kind, tables.n_max + 1)
 
 
+class TestPointCount:
+    @pytest.mark.parametrize(
+        "kind, pool",
+        [
+            ("reduced_farey", _TRIAL_PARAM_POOL),
+            ("prime_farey", _TRIAL_PARAM_POOL),
+            ("prime_square_farey", _TRIAL_SQUARE_POOL),
+        ],
+    )
+    def test_counts_the_built_set(self, tables, kind, pool):
+        for param in (2, 3, *pool):
+            count = sn.point_count(tables, kind, param)
+            assert isinstance(count, int)
+            assert count == len(sn.build_point_set(tables, kind, param))
+
+    @pytest.mark.parametrize(
+        "kind, param, match",
+        [
+            ("nope", 5, "unknown point-set kind"),
+            ("reduced_farey", 1, "must be >= 2"),
+            ("prime_farey", 41, "tables cover"),
+            ("prime_square_farey", 41, "tables cover"),
+        ],
+    )
+    def test_raises_what_the_builder_raises(self, kind, param, match):
+        tables = sn.build_tables(40)
+        for route in (sn.point_count, sn.build_point_set):
+            with pytest.raises(ValueError, match=match):
+                route(tables, kind, param)
+
+    def test_wrong_count_is_caught(self, tables, monkeypatch):
+        count = largesieve.point_count
+        monkeypatch.setattr(largesieve, "point_count", lambda *args: count(*args) + 1)
+        with pytest.raises(InvariantError, match=r"prime_farey\(13\): certified 35 points"):
+            sn.build_point_set(tables, "prime_farey", 13)
+
+
+class TestClassWeightTables:
+    """``_class_weights`` reads mu and phi from the caller's tables where they
+    reach max_den and sieves its own only where they do not."""
+
+    def test_families_sieve_no_tables_of_their_own(self, tables, monkeypatch):
+        built = []
+        monkeypatch.setattr(largesieve, "build_tables", lambda n: built.append(n))
+        for kind, pool in (("reduced_farey", _TRIAL_PARAM_POOL), ("prime_square_farey", (2, 31))):
+            for param in pool:
+                sn.build_point_set(tables, kind, param)
+        assert built == []
+
+    def test_short_tables_and_bare_sets_sieve_their_own(self, monkeypatch):
+        small = sn.build_tables(40)
+        built, build_tables = [], largesieve.build_tables
+
+        def counted(n):
+            built.append(n)
+            return build_tables(n)
+
+        monkeypatch.setattr(largesieve, "build_tables", counted)
+        ps = sn.build_point_set(small, "prime_square_farey", 31)  # max den 961 > 40
+        bare = sn.SpacedPointSet(ps.fractions)
+        assert built == [961, 961]
+        assert all(np.array_equal(a, b) for a, b in zip(ps._weights, bare._weights))
+        assert all(np.array_equal(a, b) for a, b in zip(ps._sample, bare._sample))
+        assert "tables" not in vars(ps)  # init-only: the set keeps no tables
+
+
 class TestExactPointSet:
     def test_measures_gap(self):
         ps = sn.SpacedPointSet(([1, 2, 9], 10))
@@ -305,9 +371,9 @@ class TestCertifiedReduction:
     def test_families_match_gcd_first(self, tables, monkeypatch, kind, pool):
         given = []
 
-        def spy(fractions, kind=""):
+        def spy(fractions, kind="", tables=None):
             given.append(fractions)
-            return sn.SpacedPointSet(fractions, kind)
+            return sn.SpacedPointSet(fractions, kind, tables)
 
         monkeypatch.setattr(largesieve, "SpacedPointSet", spy)
         for param in pool:
