@@ -54,6 +54,14 @@ class ArithmeticTables:
     ``spf[n]`` is the smallest prime factor of n (0 for n < 2); ``mobius``,
     ``phi`` and ``mangoldt`` are the usual mu(n), phi(n), Lambda(n); ``primes``
     lists all primes <= n_max in increasing order.
+
+    Each table has the narrowest dtype that holds it exactly: ``spf`` and
+    ``phi`` are int32, as spf(n) and phi(n) are at most n <= TABLE_BUDGET
+    (2^26) < 2^31; ``mobius`` is int8 (-1, 0, 1); ``mangoldt`` is float64
+    and ``primes`` int64.  Comparisons, gathers, ``bincount`` weights (cast to
+    float64), ``np.sum``/``np.cumsum`` (which accumulate in int64) and
+    ``int()`` read them exactly.  ``np.dot`` and ``@`` do not widen: a dot of
+    two int8 slices wraps past 127, so widen one operand first.
     """
 
     n_max: int
@@ -89,7 +97,7 @@ def build_tables(n_max: int) -> ArithmeticTables:
         if sieve[p]:
             sieve[p * p :: p] = False
     small = np.flatnonzero(sieve)  # the primes <= sqrt(n_max)
-    spf = np.zeros(n_max + 1, dtype=np.int64)
+    spf = np.zeros(n_max + 1, dtype=np.int32)
     for p in small[::-1].tolist():
         spf[p::p] = p
     large = np.flatnonzero(spf[2:] == 0) + 2  # the primes above sqrt(n_max)
@@ -97,13 +105,13 @@ def build_tables(n_max: int) -> ArithmeticTables:
     primes = np.concatenate([small, large])
     mangoldt = np.zeros(n_max + 1)
     mangoldt[primes] = list(map(math.log, primes.tolist()))
-    mobius = np.empty(n_max + 1, dtype=np.int64)
-    phi = np.empty(n_max + 1, dtype=np.int64)
+    mobius = np.empty(n_max + 1, dtype=np.int8)
+    phi = np.empty(n_max + 1, dtype=np.int32)
     mobius[:2] = phi[:2] = (0, 1)
     for k in range(1, n_max.bit_length()):
         lo, hi = 1 << k, min(2 << k, n_max + 1)
         p = spf[lo:hi]
-        m = np.arange(lo, hi)
+        m = np.arange(lo, hi, dtype=np.int32)
         m //= p
         same = spf[m] == p  # p^2 divides n
         np.negative(mobius[m], out=mobius[lo:hi])[same] = 0

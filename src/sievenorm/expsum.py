@@ -268,7 +268,7 @@ def _build_coefficients(tables: "ArithmeticTables", spec: KernelSpec) -> np.ndar
         trains, count = [], 1
         for d in np.flatnonzero(mob[: spec.Q + 1]).tolist():
             m = np.arange(1, spec.Q // d + 1)
-            w_d = int(np.dot(mob[d * m], mob[m]))
+            w_d = int(np.dot(mob[d * m].astype(np.int64), mob[m]))  # int8 dot would wrap
             if w_d:
                 trains.append((d, float(N) * d * w_d))
     else:

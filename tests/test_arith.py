@@ -37,7 +37,8 @@ def trial_division_tables(n_max):
 
 
 # sha256 of each table's bytes at n_max = 2^20, recorded from the prime-slice
-# sieve that updated mu, phi and Lambda on the multiples of each prime
+# sieve that updated mu, phi and Lambda on the multiples of each prime; the
+# integer tables are hashed widened to int64, the dtype they were pinned in
 TABLES_2_20 = {
     "spf": "210f92d85832b9ac0f8125901d36884525bded65cc26d29afb083c20cdb8ee10",
     "mobius": "c5dd2938518cc813ff04a2296858fd893760fc937eb51567bea9445a3cf75856",
@@ -65,7 +66,24 @@ class TestBuildTables:
 
     def test_pinned_at_2_20(self, tables_big):
         for name, digest in TABLES_2_20.items():
-            assert hashlib.sha256(getattr(tables_big, name).tobytes()).hexdigest() == digest, name
+            table = getattr(tables_big, name)
+            if table.dtype.kind == "i":
+                table = table.astype(np.int64)
+            assert hashlib.sha256(table.tobytes()).hexdigest() == digest, name
+
+    def test_narrow_dtypes_at_2_20(self, tables_big):
+        dtypes = {name: getattr(tables_big, name).dtype for name in TABLES_2_20}
+        assert dtypes == {
+            "spf": np.int32,
+            "mobius": np.int8,
+            "phi": np.int32,
+            "mangoldt": np.float64,
+            "primes": np.int64,
+        }
+        assert sum(getattr(tables_big, name).nbytes for name in TABLES_2_20) <= 18 << 20
+        # spf(n) and phi(n) are at most n, so the int32 tables hold every size the budget allows
+        assert np.iinfo(tables_big.spf.dtype).max >= sn.arith.TABLE_BUDGET
+        assert np.iinfo(tables_big.phi.dtype).max >= sn.arith.TABLE_BUDGET
 
     def test_build_peak_stays_near_what_it_keeps(self):
         # four full-length tables are kept; the block temporaries stay within half as much more
