@@ -61,7 +61,8 @@ class ArithmeticTables:
     and ``primes`` int64.  Comparisons, gathers, ``bincount`` weights (cast to
     float64), ``np.sum``/``np.cumsum`` (which accumulate in int64) and
     ``int()`` read them exactly.  ``np.dot`` and ``@`` do not widen: a dot of
-    two int8 slices wraps past 127, so widen one operand first.
+    two int8 slices wraps once its value passes 127, so widen one operand
+    first.
     """
 
     n_max: int

