@@ -330,7 +330,6 @@ def kernel_gap_rows(
         M = 8 * N if m is None else m
         fejer_grid = None
         for k in kind:
-            t0 = time.perf_counter()
             try:
                 if k not in GAP_KINDS:
                     choices = ", ".join(GAP_KINDS)
@@ -341,7 +340,7 @@ def kernel_gap_rows(
                 rows[k, N] = _gap_row(tables, spec, M, fejer_grid)
             except Exception as exc:
                 params = {"n": N, "p": p, "kind": k, "m": m}
-                rows[k, N] = _error_row("kernel_gap", params, exc, t0)
+                rows[k, N] = _error_row("kernel_gap", params, exc)
     return [rows[k, N] for k in kind for N in n]
 
 
@@ -935,7 +934,7 @@ def default_suite_config() -> SuiteConfig:
     )
 
 
-def _error_row(name: str, params: dict, exc: Exception, t0: float) -> ExperimentRow:
+def _error_row(name: str, params: dict, exc: Exception, runtime_s: float = 0.0) -> ExperimentRow:
     """A failed row for a job that raised; ``measured["error"]`` names the class."""
     invariant_failure = isinstance(exc, InvariantError)
     return ExperimentRow(
@@ -945,7 +944,7 @@ def _error_row(name: str, params: dict, exc: Exception, t0: float) -> Experiment
         reference={},
         ratios={},
         passed=False,
-        runtime_s=time.perf_counter() - t0,
+        runtime_s=runtime_s,
         detail=f"{type(exc).__name__}: {exc}",
     )
 
@@ -1008,13 +1007,13 @@ def run_suite(config: SuiteConfig | None = None, tables: ArithmeticTables | None
 
     def run(entry):
         (name, params), error = entry
-        t0 = time.perf_counter()
         if error is not None:
-            return [_error_row(name, params, error, t0)]
+            return [_error_row(name, params, error)]
+        t0 = time.perf_counter()
         try:
             return run_job(tables, name, params)
         except Exception as exc:
-            return [_error_row(name, params, exc, t0)]
+            return [_error_row(name, params, exc, time.perf_counter() - t0)]
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:

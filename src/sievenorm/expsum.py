@@ -321,10 +321,6 @@ def spectral_weights(tables: "ArithmeticTables", spec: KernelSpec) -> np.ndarray
 # kernel evaluation from translates (primary route)
 
 
-# Cached per tables object as the coefficients are, but apart: the routes share nothing.
-_SCHEMES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _translate_scheme(tables: "ArithmeticTables", spec: KernelSpec):
     """(shifts, weights) so that the kernel is sum_i weights[i]*T_N(x - shifts[i]).
 
@@ -334,36 +330,19 @@ def _translate_scheme(tables: "ArithmeticTables", spec: KernelSpec):
     tables do not reach P or Q.
     """
     _check_coverage(tables, spec)
-    cache = _SCHEMES.setdefault(tables, {})
-    if spec in cache:
-        return cache[spec]
-    shifts: list[float] = []
-    weights: list[float] = []
-    if spec.kind in ("gstar", "h", "h_truncated"):
-        primes = tables.primes
-        ps = primes[primes <= spec.P]
-        w = 1.0 / ps.size
-        for p in ps.tolist():
-            q = p * p if spec.kind == "gstar" else p
-            for a in range(1, q + 1):
-                shifts.append(a / q)
-                weights.append(w)
-    else:  # k_part3
+    if spec.kind == "k_part3":
         mob = tables.mobius
-        for q in range(1, spec.Q + 1):
-            m = int(mob[q])
-            if m == 0:
-                continue
-            a = np.arange(1, q + 1)
-            for ai in a[np.gcd(a, q) == 1].tolist():
-                shifts.append(ai / q)
-                weights.append(m * float(spec.N))
-    sh = np.array(shifts)
-    wt = np.array(weights)
-    sh.setflags(write=False)
-    wt.setflags(write=False)
-    cache[spec] = sh, wt
-    return sh, wt
+        moduli = np.flatnonzero(mob[: spec.Q + 1]).tolist()  # mu(q) = 0 adds nothing
+        residues = [np.arange(1, q + 1) for q in moduli]
+        residues = [a[np.gcd(a, q) == 1] for a, q in zip(residues, moduli)]
+        weights = np.repeat(mob[moduli] * float(spec.N), [a.size for a in residues])
+    else:
+        ps = tables.primes[tables.primes <= spec.P].tolist()
+        moduli = [p * p if spec.kind == "gstar" else p for p in ps]
+        residues = [np.arange(1, q + 1) for q in moduli]
+        weights = np.full(sum(moduli), 1.0 / len(moduli))
+    shifts = np.concatenate([a / q for a, q in zip(residues, moduli)])
+    return shifts, weights
 
 
 def eval_kernel(tables: "ArithmeticTables", spec: KernelSpec, alpha: float) -> float:

@@ -203,6 +203,15 @@ class TestOtherCommands:
         ]
         assert any(c == f"# config={cfg}" for c in comments)
 
+    def test_suite_without_config_runs_the_default_suite(self, capsys, monkeypatch):
+        small = experiments.SuiteConfig(experiments=(("mangoldt_weighted_sum", {"n": 64}),))
+        monkeypatch.setattr(cli, "default_suite_config", lambda: small)
+        code, out, _ = run_cli(capsys, ["suite"])
+        assert code == 0
+        comments, _, rows = parse_csv(out)
+        assert "# config=default" in comments
+        assert [r[0] for r in rows] == ["mangoldt_weighted_sum"]
+
     def test_empirical_miss_names_its_check(self, capsys, tmp_path):
         cfg = tmp_path / "floor.cfg"
         cfg.write_text("floor = 1e9\nexperiment = prime_l1\nn = 64\n")
@@ -369,6 +378,23 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "must be finite" in err
+
+    def test_table_budget_exits_1(self, capsys):
+        # build_tables refuses the size before it allocates anything
+        code, out, err = run_cli(capsys, ["norm", "--kind", "mobius", "--n", "70000000"])
+        assert code == 1
+        assert out == ""
+        assert err == "sievenorm: error: n_max 70000000 exceeds table budget 67108864\n"
+
+    def test_wrong_type_in_config_is_error_row(self, capsys, tmp_path):
+        cfg = tmp_path / "abc.cfg"
+        cfg.write_text("experiment = mangoldt_weighted_sum\nn = abc\n")
+        code, out, _ = run_cli(capsys, ["suite", "--config", str(cfg)])
+        assert code == 1
+        _, _, rows = parse_csv(out)
+        assert len(rows) == 1
+        assert field_map(rows[0][2])["error"] == "ValueError"
+        assert rows[0][7] == "ValueError: mangoldt_weighted_sum: n must be int, got 'abc'"
 
     def test_no_command_prints_help(self, capsys):
         code, _, err = run_cli(capsys, [])

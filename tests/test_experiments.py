@@ -270,6 +270,12 @@ class TestKernelGapRows:
         assert all(r.detail == "ValueError: P must be >= 2, got 1" for r in rows)
         assert not any(r.passed for r in rows)
 
+    def test_direct_call_times_no_row(self, tables):
+        # run_job gives the job's rows their time; called directly, result and error rows read 0.0
+        rows = kernel_gap_rows(tables, [64], kind=["gstar", "fejer"])
+        assert [r.measured.get("error") for r in rows] == [None, "ValueError"]
+        assert [r.runtime_s for r in rows] == [0.0, 0.0]
+
 
 # Rows recorded at commit 3db415c, before the weighted-sum report and the
 # one-row gap scan were folded into the row functions: (measured, ratios) per

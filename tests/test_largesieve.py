@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -232,6 +233,16 @@ class TestClassWeightTables:
         assert all(np.array_equal(a, b) for a, b in zip(ps._weights, bare._weights))
         assert all(np.array_equal(a, b) for a, b in zip(ps._sample, bare._sample))
         assert "tables" not in vars(ps)  # init-only: the set keeps no tables
+
+    def test_tables_that_miscount_a_class_fail_the_self_check(self, tables):
+        # phi(5) = 2 makes {1/5, 2/5} read as the full class mod 5
+        phi = tables.phi.copy()
+        phi[5] = 2
+        bad = dataclasses.replace(tables, phi=phi)
+        fractions = (np.array([1, 2]), 5)
+        with pytest.raises(InvariantError, match="class weights do not count the full classes"):
+            sn.SpacedPointSet(fractions, tables=bad)
+        assert len(sn.SpacedPointSet(fractions, tables=tables)) == 2
 
 
 class TestExactPointSet:
