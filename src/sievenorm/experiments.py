@@ -39,17 +39,20 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .arith import SEQUENCE_KINDS, ArithmeticTables, build_tables, coefficient_sequence
-from .errors import InvariantError
+from .errors import CapacityError, InvariantError
 from .expsum import (
     CoefficientSequence,
     KernelSpec,
     _low_frequency_value,
-    grid_eval_kernel,
+    grid_eval_kernel,  # unused here; perfbench/tracing.py wraps the name where it looks it up
     kernel_coefficients,
+    kernel_row,
+    row_batches,
+    row_split,
 )
 from . import largesieve
 from .largesieve import FAREY_KINDS, build_point_set, large_sieve_check, sieve_bound_for_kernel_gap
-from .quadrature import DEFAULT_REL_TOL, l1_norm
+from .quadrature import DEFAULT_REL_TOL, SAMPLE_BUDGET, l1_norm
 
 DEFAULT_FLOOR = 0.1
 DEFAULT_LADDER = (1 << 10, 1 << 12, 1 << 14, 1 << 16)
@@ -244,18 +247,16 @@ def mobius_ramanujan_weighted_sum(tables: ArithmeticTables, N: int, Q: int) -> f
 # experiment rows
 
 
-def _gap_row(tables: ArithmeticTables, spec: KernelSpec, M: int, fejer_grid) -> ExperimentRow:
-    """The gap row of ``spec`` on its M-point grid against ``fejer_grid``, T_N's."""
+def _gap_row(
+    tables: ArithmeticTables, spec: KernelSpec, M: int, max_gap: float, min_value: float
+) -> ExperimentRow:
+    """The gap row of ``spec`` from the max of |K - T_N| and the min of K on the grid j/M."""
     kind, N, P = spec.kind, spec.N, spec.P
     notes = []
     if M < 4 * N:
         note = f"grid M={M} below 4N={4 * N}: scan may under-resolve peaks"
         warnings.warn(note, stacklevel=3)
         notes.append(note)
-    kernel_grid = grid_eval_kernel(tables, spec, M).values
-    diff = kernel_grid - fejer_grid
-    max_gap = float(np.max(np.abs(diff, out=diff)))
-    min_value = float(np.min(kernel_grid))
     log_n = math.log(N)
     if kind == "gstar":
         certified = sieve_bound_for_kernel_gap(tables, N, P, "gstar")
@@ -299,6 +300,41 @@ def _gap_row(tables: ArithmeticTables, spec: KernelSpec, M: int, fejer_grid) -> 
     return _row("kernel_gap", params, measured, reference, ratios, invariants, notes=notes)
 
 
+def _gap_extremes(tables: ArithmeticTables, N: int, specs: dict, M: int) -> dict:
+    """kind -> (max |K - T_N|, min K) on the grid j/M, or the exception that kind raised.
+
+    ``row_split(M, M/4)`` splits the grid into D rows of B points (D = 4 if
+    4 | M and M/4 <= ``expsum._CHUNK``), and only rows s <= D/2 run: K and
+    T_N are even, so row D - s is row s reversed.  T_N's row is transformed
+    once per s and shared by every kind, and each kind's row is reduced at
+    once, so no M-point array exists.  A kind that raises (its evenness
+    check runs before its first row) runs no more rows; if T_N's row raises,
+    every kind still running fails with it.
+    """
+    B = row_split(M, max(1, M // 4))
+    out = dict.fromkeys(specs, (0.0, math.inf))
+    fejer = KernelSpec("fejer", N)
+    for s in (s for t, _ in row_batches(M, B, mirror=True) for s in t.tolist()):
+        live = [k for k, v in out.items() if not isinstance(v, Exception)]
+        if not live:
+            break
+        try:
+            base = kernel_row(tables, fejer, M, B, s)
+        except Exception as exc:
+            out.update(dict.fromkeys(live, exc))
+            break
+        for k in live:
+            try:
+                values = kernel_row(tables, specs[k], M, B, s)
+                gap, low = out[k]
+                low = min(low, float(values.min()))
+                values -= base
+                out[k] = (max(gap, float(np.max(np.abs(values, out=values)))), low)
+            except Exception as exc:
+                out[k] = exc
+    return out
+
+
 def kernel_gap_rows(
     tables: ArithmeticTables,
     n: Sequence[int],
@@ -309,38 +345,45 @@ def kernel_gap_rows(
     """Scan |kernel - T_N| on a uniform grid per (kind, N); compare against its ceilings.
 
     Grid default is M = 8N; anything below 4N may under-resolve the peaks and
-    triggers a warning note in the row.  The certified ceiling comes from the
-    large-sieve bound (for ``h_truncated``: the ``h`` ceiling plus the 3P
-    truncation cost); the scale ceiling N^(3/4) log N (``gstar``) or
-    sqrt(N) log N (``h``-family) is informational and reported as a ratio.
+    triggers a warning note in the row.  ``quadrature.SAMPLE_BUDGET`` caps M
+    (CapacityError).  The certified ceiling comes from the large-sieve bound
+    (for ``h_truncated``: the ``h`` ceiling plus the 3P truncation cost); the
+    scale ceiling N^(3/4) log N (``gstar``) or sqrt(N) log N (``h``-family)
+    is informational and reported as a ratio.
 
-    N runs outermost.  At each N, T_N's grid is built once, for the first
-    row that needs it, and shared by every kind; each kernel's own grid is
-    built and freed inside its row, so at most T_N's grid, one kernel grid
-    and, while that grid is built, its half spectrum (the M//2 + 1 complex
-    bins ``irfft`` reads) are alive.  ``h_truncated`` reads its truncation
-    cost exactly, as h - h_truncated at 0, so it builds no h grid.  Rows
-    come back kind-major, the order of one job per (kind, N).  A (kind, N)
-    that raises, a kind outside ``GAP_KINDS`` or a p that ``KernelSpec``
+    N runs outermost.  At each N the grid is read row by row through
+    ``expsum.kernel_row`` (``_gap_extremes``): T_N's row once per row offset
+    for every kind, and at most T_N's row and one kind's row, of at most
+    ``expsum._CHUNK`` points each, are alive.  ``h_truncated`` reads its
+    truncation cost exactly, as h - h_truncated at 0, so it runs no h row.
+    Rows come back kind-major, the order of one job per (kind, N).  A (kind,
+    N) that raises, a kind outside ``GAP_KINDS`` or a p that ``KernelSpec``
     rejects included, gives an error row with that job's params (p and m as
     given); the other rows still run.
     """
     rows = {}
     for N in n:
         M = 8 * N if m is None else m
-        fejer_grid = None
-        for k in kind:
+        specs, results = {}, {}
+        for k in dict.fromkeys(kind):
             try:
                 if k not in GAP_KINDS:
                     choices = ", ".join(GAP_KINDS)
                     raise ValueError(f"kernel gap scan needs one of {choices}, got {k!r}")
-                spec = KernelSpec(k, N, P=p)
-                if fejer_grid is None:
-                    fejer_grid = grid_eval_kernel(tables, KernelSpec("fejer", N), M).values
-                rows[k, N] = _gap_row(tables, spec, M, fejer_grid)
+                if M > SAMPLE_BUDGET:
+                    raise CapacityError(f"grid size {M} exceeds budget {SAMPLE_BUDGET}")
+                specs[k] = KernelSpec(k, N, P=p)
             except Exception as exc:
-                params = {"n": N, "p": p, "kind": k, "m": m}
-                rows[k, N] = _error_row("kernel_gap", params, exc)
+                results[k] = exc
+        if specs:
+            results.update(_gap_extremes(tables, N, specs, M))
+        for k, result in results.items():
+            try:
+                if isinstance(result, Exception):
+                    raise result
+                rows[k, N] = _gap_row(tables, specs[k], M, *result)
+            except Exception as exc:
+                rows[k, N] = _error_row("kernel_gap", {"n": N, "p": p, "kind": k, "m": m}, exc)
     return [rows[k, N] for k in kind for N in n]
 
 

@@ -67,11 +67,15 @@ TWO_PI_I = 2.0j * math.pi
 
 KERNEL_KINDS = ("fejer", "gstar", "h", "h_truncated", "k_part3")
 
-#: Hard ceiling on grid sizes / dense coefficient arrays (number of samples).
+#: Hard ceiling on the whole-grid routes' M (``grid_eval_sequence``, ``grid_eval_kernel``).
 GRID_BUDGET = 1 << 24
 
-# Evaluating sum a_n e(n alpha) at a batch of points materializes a
-# points-by-N table of powers; cap its element count so memory stays bounded.
+# Largest row-transform batch: one inverse FFT call evaluates at most this many points.
+_CHUNK = 1 << 19
+
+# Evaluating sum a_n e(n alpha) at a batch of points materializes points-by-
+# (2H + K) tables of powers and partial sums (H*K >= N, K ~ sqrt(N)); cap
+# their element count so memory stays bounded.
 _POINT_CHUNK_ELEMS = 1 << 22
 
 
@@ -232,19 +236,34 @@ def eval_T(N: int, alpha):
 def eval_sequence(seq: CoefficientSequence, alphas) -> np.ndarray:
     """S(alpha) = sum_n a_n e(n*alpha) at arbitrary points (1-d array out).
 
-    Powers of e(alpha) are built by cumulative products in chunks; relative
-    drift is of order N * machine-eps, comfortably below the tolerances used
-    anywhere in this package.  This pointwise route shares no code with the
-    fold-and-FFT grids (``grid_eval_sequence``) or the residue-class energies
-    of the large sieve, which it cross-checks.
+    With n - 1 = h*K + l, K ~ sqrt(N) a power of two and l < K, each power
+    z^n of z = e(alpha) is (z^K)^h * z^(l+1), from two cumulative tables per
+    point: z^1..z^K by products of z, and (z^K)^h, h < H = ceil(N/K), by
+    products of z^K = np.exp(2*pi*i*(K*alpha)).  Scaling by the power of two
+    K is exact, so the phase of z^K is K times that of z bit for bit, and z^K
+    carries one rounding of ``np.exp``, not a chain of K products; no power
+    is more than H + K products from its exp.  Both sums, over l and then over h, are
+    ``np.einsum`` loops, so no BLAS thread runs here.  This pointwise route
+    shares no code with the fold-and-FFT grids (``grid_eval_sequence``) or the
+    residue-class energies of the large sieve, which it cross-checks.
     """
     pts = np.atleast_1d(np.asarray(alphas, dtype=float)).reshape(-1)
+    K = 1 << (seq.N.bit_length() - 1) // 2
+    H = -(-seq.N // K)
+    a = np.zeros(H * K, dtype=np.complex128)
+    a[: seq.N] = seq.coeffs
+    a = a.reshape(H, K)
     out = np.empty(pts.shape[0], dtype=np.complex128)
-    step = max(1, _POINT_CHUNK_ELEMS // max(1, seq.N))
+    step = max(1, _POINT_CHUNK_ELEMS // (2 * H + K))
     for i in range(0, pts.shape[0], step):
-        z = np.exp(TWO_PI_I * pts[i : i + step])
-        powers = np.multiply.accumulate(np.broadcast_to(z[:, None], (z.shape[0], seq.N)), axis=1)
-        out[i : i + step] = powers @ seq.coeffs
+        p = pts[i : i + step]
+        z = np.exp(TWO_PI_I * p)
+        low = np.multiply.accumulate(np.broadcast_to(z[:, None], (p.size, K)), axis=1)
+        high = np.empty((p.size, H), dtype=np.complex128)
+        high[:, 0] = 1.0
+        high[:, 1:] = np.exp(TWO_PI_I * (K * p))[:, None]
+        np.multiply.accumulate(high, axis=1, out=high)
+        out[i : i + step] = np.einsum("ph,ph->p", high, np.einsum("hl,pl->ph", a, low))
     return out
 
 
@@ -444,6 +463,125 @@ def grid_eval_kernel(tables: "ArithmeticTables", spec: KernelSpec, M: int) -> Gr
     np.add.at(b.real, bins, w)
     v = np.fft.irfft(b[: half + 1], n=M, norm="forward")
     return GridEvaluation(M=M, values=v, spec=spec)
+
+
+# ---------------------------------------------------------------------------
+# row transforms: one engine for the L1 rows and the kernel-gap rows
+
+
+def row_split(M: int, width: int) -> int:
+    """B of the split of the grid j/M, j < M, into D = M/B rows of B points.
+
+    Sample j = D*i + s of row s < D sits at (i + s/D)/B, and the row is one
+    inverse FFT of B bins.  B is the largest divisor of M at most
+    min(width, ``_CHUNK``), so memory stays bounded.  Where that is below
+    half of it (M has no divisor near it, as a prime M has none), the rows
+    would be many and short, and B is the largest divisor at most ``_CHUNK``
+    instead: all of M up to ``_CHUNK``, and above it a prime M runs M rows
+    of one point, which costs time, not memory.
+    """
+    d = np.arange(1, isqrt(M) + 1)
+    d = d[M % d == 0]
+    divisors = np.concatenate((d, M // d))
+    cap = min(width, _CHUNK)
+    B = int(divisors[divisors <= cap].max())
+    return B if 2 * B >= cap else int(divisors[divisors <= _CHUNK].max())
+
+
+def row_batches(M: int, B: int, odd: bool = False, mirror: bool = False):
+    """Yield (rows s, weights) of the split M = D*B, at most ``_CHUNK`` samples a batch.
+
+    The rows are s < D, or the odd s only.  With ``mirror`` only s <= D/2
+    run, weighted 2 unless s = 0 or 2s = D: for a real sequence |S| and for
+    an even kernel the value itself satisfies row D - s = row s reversed,
+    since -(D*i + s) = D*(B - 1 - i) + (D - s) (mod M).  Otherwise every
+    weight is 1.
+    """
+    D = M // B
+    s = np.arange(1 if odd else 0, D, 2 if odd else 1)
+    w = np.ones(len(s))
+    if mirror:
+        s = s[2 * s <= D]
+        w = np.where((s == 0) | (2 * s == D), 1.0, 2.0)
+    rows = max(1, _CHUNK // B)
+    for lo in range(0, len(s), rows):
+        yield s[lo : lo + rows], w[lo : lo + rows]
+
+
+def phases(n, t, M: int) -> np.ndarray:
+    """e(t*n/M) for every pair of t and n, each argument reduced mod M in integers."""
+    return np.exp((TWO_PI_I / M) * (np.multiply.outer(t, n) % M))
+
+
+def twist_width(n: int) -> int:
+    """n rounded up to a multiple of the factor K that ``twist`` takes at that length."""
+    K = 1 << (n.bit_length() - 1) // 2
+    return -(-n // K) * K
+
+
+def twist(bins: np.ndarray, t, M: int, out: np.ndarray | None = None) -> np.ndarray:
+    """bins[..., k] * e(k*t/M) for every k < n = bins.shape[-1], into ``out`` or a new array.
+
+    ``t`` is one row or a 1-d array of rows (a leading axis of that length
+    in the result); ``out`` may be ``bins`` itself.  The phases are two
+    tables of about sqrt(n) entries, e(h*K*t/M) and e(l*t/M) over
+    k = h*K + l, with K = 2^floor((bit_length(n) - 1)/2), which must divide
+    n (``twist_width`` pads a length to one it divides).
+    """
+    n = bins.shape[-1]
+    K = 1 << (n.bit_length() - 1) // 2
+    x = np.multiply(
+        bins.reshape(*bins.shape[:-1], n // K, K),
+        phases(np.arange(0, n, K), t, M)[..., :, None],
+        out=None if out is None else out.reshape(*out.shape[:-1], n // K, K),
+    )
+    x *= phases(np.arange(K), t, M)[..., None, :]
+    return x.reshape(*x.shape[:-2], n)
+
+
+def _ramped(coef: np.ndarray, a: int, b: int, step: int) -> np.ndarray:
+    """Spectral weights (1 - |k|/N) * c_k for k = a, a + step, ... < b, from c_k = coef[N + k]."""
+    N = coef.size // 2
+    w = np.abs(np.arange(a, b, step, dtype=float))
+    w /= N
+    np.subtract(1.0, w, out=w)
+    w *= coef[N + a : N + b : step]
+    return w
+
+
+def kernel_row(tables: "ArithmeticTables", spec: KernelSpec, M: int, B: int, s: int) -> np.ndarray:
+    """Row s of the kernel's grid j/M split into D = M/B rows: its values at j = D*i + s, i < B.
+
+    The row is sum_r b[r] e(r*i/B) with the bins b[r] = sum over k = r
+    (mod B), |k| <= N, of w_k e(k*s/M), w the spectral weights.  Their
+    coefficients are checked even bit for bit first (``InvariantError``
+    otherwise), and the weights (1 - |k|/N) * c_k are even too, so b is
+    Hermitian and one ``irfft`` of b[r], r <= B/2, gives the B real values.
+    Each b[r] is e(r*s/M) (``twist``, in place) times sum_q w_{r+qB}
+    e(q*B*s/M), read as one slice of weights per chunk q, or, where the
+    chunks outnumber the residues r <= B/2 (a grid much coarser than N),
+    one strided slice per residue; so a row costs at most about sqrt(N)
+    slices, and no array longer than about B/2 + sqrt(B) complex bins, B
+    values or 2N/B chunks is made.
+    """
+    coef = kernel_coefficients(tables, spec)
+    if not np.array_equal(coef, coef[::-1]):
+        raise InvariantError(f"spectral weights of {spec} are not even in k")
+    N, half = spec.N, B // 2
+    bins = np.zeros(twist_width(half + 1), dtype=np.complex128)
+    q = np.arange(-((N + half) // B), N // B + 1)  # chunks k = q*B + r with r <= B/2, |k| <= N
+    chunk = phases(q * B, s, M)
+    if q.size <= half + 1:
+        for i, e in zip(q.tolist(), chunk):
+            lo, hi = max(0, -N - i * B), min(half, N - i * B) + 1
+            w = _ramped(coef, i * B + lo, i * B + hi, 1)
+            bins[lo:hi] += e * w if i else w  # e(0) = 1 exactly
+    else:
+        for r in range(half + 1):
+            a, b = -((N + r) // B), (N - r) // B  # the chunks that hold residue r
+            bins[r] = np.dot(chunk[a - q[0] : b - q[0] + 1], _ramped(coef, r + a * B, r + b * B + 1, B))
+    twist(bins, s, M, out=bins)
+    return np.fft.irfft(bins, n=B, norm="forward")
 
 
 def duality_gap(tables: "ArithmeticTables", spec: KernelSpec, alphas) -> float:

@@ -125,12 +125,14 @@ class SpacedPointSet:
         num, den = (np.asarray(a) for a in self.fractions)
         if not (np.issubdtype(num.dtype, np.integer) and np.issubdtype(den.dtype, np.integer)):
             raise ValueError("numerators and denominators must be integers")
-        num, den = (a.astype(np.int64, copy=False) for a in np.broadcast_arrays(num, den))
+        num, den = np.broadcast_arrays(num, den)
         if num.ndim != 1 or num.size == 0:
             raise ValueError("fractions must broadcast to a nonempty 1-d array")
         if den.min() < 1:
             raise ValueError("denominators must be >= 1")
-        num = num % den
+        # each pair-length array is dropped as soon as it is read: a Farey set holds ~10^5 pairs
+        num = np.remainder(num, den, dtype=np.int64)
+        den = den.astype(np.int64, copy=False)
         try:
             _check_int64(int(den.max()))
         except CapacityError:  # the reduced pairs may still fit: reduce them all first
@@ -140,10 +142,13 @@ class SpacedPointSet:
         # Within that limit distinct points differ by >= 1/max_den^2 > 2^-32,
         # far above float resolution, so the float order is the exact order.
         order = np.argsort(num / den)
-        num, den = num[order], den[order]
+        num = num[order]
+        den = den[order]
+        del order
         kind = self.kind or f"exact({num.size})"
         delta, cross = _min_gap(num, den, kind)
         unit = cross == 1  # gcd(a, q) divides a'q - aq': a unit one proves both pairs reduced
+        del cross
         rest = np.flatnonzero(~(unit | np.roll(unit, 1)))
         g = np.gcd(num[rest], den[rest])
         num[rest], den[rest] = num[rest] // g, den[rest] // g
@@ -230,11 +235,10 @@ def _min_gap(num: np.ndarray, den: np.ndarray, kind: str) -> tuple[float, np.nda
     So each gap (a'q - aq')/(qq') >= 1/max(den)^2, one float for a/q and
     ga/gq.  ``_check_int64(max(den))`` must hold.  Returns (delta, cross).
     """
-    cross, span = np.empty_like(num), np.empty_like(den)
-    cross[:-1] = num[1:] * den[:-1] - num[:-1] * den[1:]
+    cross = np.empty_like(num)
+    np.multiply(num[1:], den[:-1], out=cross[:-1])
+    cross[:-1] -= num[:-1] * den[1:]
     cross[-1] = (num[0] + den[0]) * den[-1] - num[-1] * den[0]
-    np.multiply(den[:-1], den[1:], out=span[:-1])
-    span[-1] = den[-1] * den[0]
     i = int(np.argmin(cross))
     if cross[i] < 1:
         j = (i + 1) % num.size  # the wrap pair's second point is first + 1
@@ -245,21 +249,31 @@ def _min_gap(num: np.ndarray, den: np.ndarray, kind: str) -> tuple[float, np.nda
             raise ValueError(f"{kind}: points {pair} are not distinct modulo 1")
         raise InvariantError(f"{kind}: points {pair} are out of order")
     # Float division is monotone, so the exact minimum has the smallest float;
-    # the slack only widens the exact comparison to near-ties.
-    gaps = cross / span
-    near = gaps <= gaps.min() * (1.0 + 1e-9)
-    pairs = np.unique(np.stack([cross[near], span[near]], axis=1), axis=0)
+    # the slack only widens the exact comparison to near-ties.  Each span
+    # q*q' < 2^31 is exact as a float, and the gaps overwrite the spans.
+    gaps = np.empty(num.size)
+    np.multiply(den[:-1], den[1:], out=gaps[:-1])
+    gaps[-1] = den[-1] * den[0]
+    np.divide(cross, gaps, out=gaps)
+    near = np.flatnonzero(gaps <= gaps.min() * (1.0 + 1e-9))
+    del gaps
+    span = den[near] * den[(near + 1) % num.size]
+    pairs = np.unique(np.stack([cross[near], span], axis=1), axis=0)
     gap = min(Fraction(int(c), int(s)) for c, s in pairs)
     delta = float(gap)  # rounded to nearest; step back one ulp if that overshot
     return (math.nextafter(delta, 0.0) if Fraction(delta) > gap else delta), cross
 
 def _residues(moduli: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """All pairs (a, q) with q in ``moduli`` and first <= a <= q - 1, as int64 arrays."""
-    moduli = np.asarray(moduli, dtype=np.int64)
+    """All pairs (a, q) with q in ``moduli`` and first <= a <= q - 1, as int32 arrays.
+
+    Every family's q and its pair count fit: ``_check_int64`` keeps q below
+    2^15.5, and the at most Q(Q + 1)/2 pairs below 2^30.
+    """
+    moduli = np.asarray(moduli, dtype=np.int32)
     counts = moduli - first
     den = np.repeat(moduli, counts)
-    starts = np.cumsum(counts) - counts
-    num = np.arange(den.size, dtype=np.int64) - np.repeat(starts, counts) + first
+    num = np.arange(den.size, dtype=np.int32)
+    num -= np.repeat(np.cumsum(counts, dtype=np.int32) - counts - first, counts)
     return num, den
 
 
@@ -290,6 +304,19 @@ def point_count(tables, kind: str, parameter: int) -> int:
     return int(((ps * ps if kind == "prime_square_farey" else ps) - 1).sum())
 
 
+def _family(tables, kind: str, parameter: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (num, den) pairs of a checked Farey family, for ``SpacedPointSet`` to certify."""
+    ps = tables.primes[tables.primes <= parameter].astype(np.int64)
+    if kind != "reduced_farey":
+        return _residues(ps * ps if kind == "prime_square_farey" else ps, 1)
+    num, den = _residues(np.arange(1, parameter + 1), 0)
+    keep = np.ones(num.size, dtype=bool)
+    for p in ps.tolist():  # block q holds a = 0..q-1; drop each a = 0 (mod p) for p | q
+        for q in range(p, parameter + 1, p):
+            keep[q * (q - 1) // 2 : q * (q + 1) // 2 : p] = False
+    return num[keep], den[keep]
+
+
 def build_point_set(tables, kind: str, parameter: int) -> SpacedPointSet:
     """Construct one of the Farey families as a certified ``SpacedPointSet``.
 
@@ -306,17 +333,7 @@ def build_point_set(tables, kind: str, parameter: int) -> SpacedPointSet:
     class weights read mu and phi from ``tables`` where they reach.
     """
     parameter = _check_family(tables, kind, parameter)
-    ps = tables.primes[tables.primes <= parameter].astype(np.int64)
-    if kind == "reduced_farey":
-        num, den = _residues(np.arange(1, parameter + 1), 0)
-        keep = np.ones(num.size, dtype=bool)
-        for p in ps.tolist():  # block q holds a = 0..q-1; drop each a = 0 (mod p) for p | q
-            for q in range(p, parameter + 1, p):
-                keep[q * (q - 1) // 2 : q * (q + 1) // 2 : p] = False
-        num, den = num[keep], den[keep]
-    else:
-        num, den = _residues(ps * ps if kind == "prime_square_farey" else ps, 1)
-    point_set = SpacedPointSet((num, den), f"{kind}({parameter})", tables)
+    point_set = SpacedPointSet(_family(tables, kind, parameter), f"{kind}({parameter})", tables)
     count = point_count(tables, kind, parameter)
     if len(point_set) != count:
         raise InvariantError(
@@ -345,14 +362,19 @@ def _class_energies(coeffs: np.ndarray, n: np.ndarray, row: np.ndarray, moduli) 
 def _cross_check(seq, point_set, shift, values, energy) -> None:
     """Check R(q) from ``values`` (S at the sample's points) against ``energy`` (its A_d).
 
-    With s = sum |a_n| and k(q) <= 2 phi(q) terms mu(q/d) * A_d in R(q): each
-    pointwise |S|^2 is within 22 * N * eps * s^2 (phase drift of the float
-    point and the cumulative powers); the twist's phase error, below
+    With s = sum |a_n| and k(q) <= 2 phi(q) terms mu(q/d) * A_d in R(q),
+    for a shift in [0, 1): the float point a/q + shift (< 2) is within
+    1.5 * eps of the exact one and 2*pi times it within 4*pi*eps more, so
+    e(n * alpha) drifts in phase by under 7*pi*n*eps < 22 * n * eps.  The
+    powers of ``eval_sequence`` add at most 4 * (H + K) * eps <= 16 *
+    sqrt(N) * eps <= 16 * N * eps (no chain is longer than H + K < 4 *
+    sqrt(N) products), so each pointwise |S|^2 is within
+    2 * (22 + 16) * N * eps * s^2.  The twist's phase error, below
     13 * N * eps, moves R(q) by 26 * N * phi(q) * eps * s^2; each A_d's class
-    sums and squares lose (2N + 5d) * eps * s^2, and the d sum to at most
-    k(q) * q.  That is under 52 * N * phi(q) + 6 * k(q) * q, so the bound
-    128 * eps * (N * phi(q) + k(q) * q) * s^2 holds with 2x to spare, while a
-    misplaced coefficient moves some A_d by about |a_n| * s.
+    sums and squares lose (2N + 5d) * eps * s^2, over k(q) terms.  That is
+    under 106 * N * phi(q) + 5 * k(q) * q, so the bound
+    128 * eps * (N * phi(q) + k(q) * q) * s^2 holds, while a misplaced
+    coefficient moves some A_d by about |a_n| * s.
     """
     sample = point_set._sample
     qs = sample.q

@@ -11,9 +11,11 @@ the new samples of the finer grid, its odd multiples of 1/M.  Every sample
 is S((i + t)/L), L = 2^ceil(log2 N), i < L, offset t in [0, 1): a grid is
 rows of L points, each one inverse FFT of twisted coefficients, in cache up to
 L = 2^16 (Bailey's four-step FFT, input stage pruned), in batches of at most
-``_CHUNK`` samples, so memory does not grow with N.  A real sequence has
-|S(-alpha)| = |S(alpha)|, so only offsets t <= 1/2 run.  ``SAMPLE_BUDGET``
-bounds the finest grid's sample count, that is the time an estimate may take.
+``expsum._CHUNK`` samples, so memory does not grow with N; the split, the
+twist and the mirror are ``expsum``'s row engine, which the kernel-gap rows
+share.  A real sequence has |S(-alpha)| = |S(alpha)|, so only offsets
+t <= 1/2 run.  ``SAMPLE_BUDGET`` bounds the finest grid's sample count, that
+is the time an estimate may take (and caps the kernel-gap grids too).
 
 Every estimate is cross-checked against two analytic envelopes before being
 returned: l1 <= sqrt(l2) (Cauchy-Schwarz) and l1 >= max_n |a_n| (projection
@@ -31,7 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InvariantError
-from .expsum import TWO_PI_I, CoefficientSequence, grid_eval_sequence
+from .expsum import (
+    CoefficientSequence,
+    grid_eval_sequence,
+    phases,
+    row_batches,
+    row_split,
+    twist,
+)
 
 DEFAULT_REL_TOL = 1e-4
 #: The L1 grids run over M = oversample * 2^ceil(log2 N), oversample from START to CAP.
@@ -39,9 +48,6 @@ OVERSAMPLE_START = 16
 OVERSAMPLE_CAP = 1024
 #: Cap on the finest L1 grid: 2^25 samples reach N = 2^20 at oversample 32.
 SAMPLE_BUDGET = 1 << 26
-
-# Largest transform batch: one ``ifft`` call evaluates at most this many points.
-_CHUNK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -77,46 +83,32 @@ def l2_norm_sq_quadrature(seq: CoefficientSequence, M: int | None = None) -> flo
 
 
 def _row_sum(seq: CoefficientSequence, M: int, odd: bool) -> float:
-    """Sum of |S(j/M)| over j < M, or over odd j only, by batched row transforms.
+    """Sum of |S(j/M)| over j < M, or over odd j only, by the row engine of ``expsum``.
 
-    |S(alpha)| = |sum_{m<N} a_{m+1} e(m*alpha)|.  With B = L = 2^ceil(log2 N)
-    capped at ``_CHUNK`` and D = M/B, sample j = D*i + s sits at (i + s/D)/B:
-    row s is one inverse FFT of the B bins sum_{m = k (mod B)} a_{m+1}
-    e(m*s/M) (exact aliasing; above ``_CHUNK`` the coefficients fold).  The
-    twist multiplies tables of e(h*K*s/M) and e(l*s/M) over k = h*K + l,
-    K ~ sqrt(B) (and e(q*B*s/M) for the fold), each argument reduced mod M in
-    integers before ``np.exp``.  For a real sequence row D - s mirrors row s:
-    only s <= D/2 run, weighted 2 unless s = 0 or 2s = D.
+    |S(alpha)| = |sum_{m<N} a_{m+1} e(m*alpha)|.  With L = 2^ceil(log2 N)
+    the split is B = min(L, ``_CHUNK``) (``row_split``): row s is one inverse
+    FFT of the B bins sum_{m = k (mod B)} a_{m+1} e(m*s/M) (exact aliasing;
+    above ``_CHUNK`` the coefficients fold, whole chunks by a product with
+    e(q*B*s/M), then the rest), twisted by e(k*s/M) (``twist``), in batches
+    of at most ``_CHUNK`` samples.  For a real sequence row D - s mirrors
+    row s, so only s <= D/2 run (``row_batches``).
     """
     L = 1 << (seq.N - 1).bit_length()
-    B = min(L, _CHUNK)
-    D, K = M // B, 1 << (B.bit_length() - 1) // 2
-    s = np.arange(1 if odd else 0, D, 2 if odd else 1)
-    w = np.ones(len(s))
-    if not np.any(seq.coeffs.imag):
-        s = s[2 * s <= D]
-        w = np.where((s == 0) | (2 * s == D), 1.0, 2.0)
-
-    def e(n, t: np.ndarray) -> np.ndarray:  # e(t*n/M) for every pair
-        return np.exp((TWO_PI_I / M) * (np.multiply.outer(t, n) % M))
+    B = row_split(M, L)
+    if L == B:
+        bins = np.concatenate((seq.coeffs, np.zeros(L - seq.N)))
 
     def folded(t: np.ndarray) -> np.ndarray:  # one row: whole chunks by a product, then the rest
         whole = seq.N - seq.N % B
-        x = e(np.arange(0, whole, B), t) @ seq.coeffs[:whole].reshape(-1, B)
-        x[:, : seq.N - whole] += e(whole, t)[:, None] * seq.coeffs[whole:]
-        return x.reshape(-1, B // K, K)
+        x = phases(np.arange(0, whole, B), t, M) @ seq.coeffs[:whole].reshape(-1, B)
+        x[:, : seq.N - whole] += phases(whole, t, M)[:, None] * seq.coeffs[whole:]
+        return x
 
-    if L == B:
-        bins = np.concatenate((seq.coeffs, np.zeros(L - seq.N))).reshape(B // K, K)
-    total, rows = 0.0, max(1, _CHUNK // B)
-    for lo in range(0, len(s), rows):
-        t = s[lo : lo + rows]  # a single row once the coefficients fold
-        x = bins if L == B else folded(t)
-        x = x * e(np.arange(0, B, K), t)[:, :, None]
-        x *= e(np.arange(K), t)[:, None, :]
-        x = x.reshape(len(t), B)
+    total = 0.0
+    for t, w in row_batches(M, B, odd, mirror=not np.any(seq.coeffs.imag)):
+        x = twist(bins if L == B else folded(t), t, M)
         np.fft.ifft(x, axis=1, norm="forward", out=x)
-        total += float(np.abs(x).sum(axis=1) @ w[lo : lo + rows])
+        total += float(np.abs(x).sum(axis=1) @ w)
         del x  # before the next fold, so that two batches at most are alive
     return total
 

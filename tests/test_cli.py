@@ -347,18 +347,18 @@ class TestExitCodes:
 
     def test_kernel_gap_grid_over_budget_gives_one_error_row_per_kind_and_n(self, capsys):
         # the ladder is one job, yet each (kind, N) still fails on its own row
-        code, out, err = run_cli(capsys, ["kernel-gap", "--n", "64", "128", "--m", "33554432"])
+        code, out, err = run_cli(capsys, ["kernel-gap", "--n", "64", "128", "--m", "67108865"])
         assert code == 1
         _, _, rows = parse_csv(out)
         assert [r[1] for r in rows] == [
-            f"n={n}|p=None|kind={kind}|m=33554432"
+            f"n={n}|p=None|kind={kind}|m=67108865"
             for kind in ("gstar", "h", "h_truncated")
             for n in (64, 128)
         ]
         for row in rows:
             assert row[2] == "invariant_ok=true|error=CapacityError"
             assert row[5] == "false"
-            assert row[7] == "CapacityError: grid size 33554432 exceeds budget 16777216"
+            assert row[7] == "CapacityError: grid size 67108865 exceeds budget 67108864"
         assert err.count("sievenorm: error: kernel_gap(") == 6
 
     @pytest.mark.parametrize(

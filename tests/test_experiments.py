@@ -185,21 +185,22 @@ class TestKernelGapScan:
 
 
 class TestKernelGapRows:
-    """The suite's kernel_gap job: the whole ladder, T_N's grid shared per N."""
+    """The suite's kernel_gap job: the whole ladder, T_N's rows shared per N."""
 
     def spy(self, monkeypatch):
-        calls, original = [], experiments.grid_eval_kernel
+        calls, original = [], experiments.kernel_row
 
-        def counted(tables, spec, M):
-            calls.append((spec.kind, spec.N, M))
-            return original(tables, spec, M)
+        def counted(tables, spec, M, B, s):
+            calls.append((spec.kind, spec.N, M, B, s))
+            return original(tables, spec, M, B, s)
 
-        monkeypatch.setattr(experiments, "grid_eval_kernel", counted)
+        monkeypatch.setattr(experiments, "kernel_row", counted)
         return calls
 
     def test_warm_peak_holds_two_grids_and_a_half_spectrum(self, tables_mid):
-        # T_N's and one kernel's 4 MiB grid at N = 2^16, plus the kernel's
-        # 4 MiB half spectrum and irfft's output while it is built
+        # rows of B = 2^17 points at N = 2^16: T_N's and one kernel's 1 MiB
+        # row, the kernel's 1 MiB of half-spectrum bins and irfft's work
+        # while that row is built; no 4 MiB grid of M = 2^19 points
         kernel_gap_rows(tables_mid, [1 << 16])  # warm: the coefficients are cached
         tracemalloc.start()
         try:
@@ -207,31 +208,49 @@ class TestKernelGapRows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 15 * 2**20
+        assert peak < 6 * 2**20
 
     def test_default_ladder_builds_each_grid_once_per_pass(self, tables_mid, monkeypatch):
         calls = self.spy(monkeypatch)
         cfg = SuiteConfig(experiments=(("kernel_gap", {}),))
         first = run_suite(cfg, tables=tables_mid)
         kinds = ("fejer", *GAP_KINDS)
-        each_once = sorted((k, n, 8 * n) for n in experiments.DEFAULT_LADDER for k in kinds)
+        # M = 8N splits into D = 4 rows of B = 2N; row 3 is row 1 reversed
+        ladder = experiments.DEFAULT_LADDER
+        each_once = sorted((k, n, 8 * n, 2 * n, s) for n in ladder for k in kinds for s in (0, 1, 2))
         assert sorted(calls) == each_once
         calls.clear()
-        # no grid outlives a pass: the second builds all 16 again
+        # no row outlives a pass: the second transforms all 48 again
         second = run_suite(cfg, tables=tables_mid)
         assert sorted(calls) == each_once
         calls.clear()
         scans = [
             gap_row(tables_mid, n, kind) for kind in GAP_KINDS for n in experiments.DEFAULT_LADDER
         ]
-        assert len(calls) == 24  # one row at a time: T_N and the kind's own grid
+        assert len(calls) == 72  # one (kind, N) at a time: T_N's 3 rows and the kind's own 3
         assert _strip_runtime(first) == scans
         assert _strip_runtime(second) == scans
+
+    @pytest.mark.filterwarnings("ignore:grid M=")  # below 4N: the row notes it
+    @pytest.mark.parametrize(
+        "M, B", [(1000, 250), (1001, 143), (2 * 101 + 1, 29), (211, 211), (96, 24), (7, 1)]
+    )
+    def test_only_rows_up_to_half_of_d_run(self, tables, monkeypatch, M, B):
+        # B is the largest divisor of M up to M/4, or M itself where none is
+        # near M/4: 1000 = 4 * 250, 1001 = 7 * 143, 203 = 7 * 29 (N = 101),
+        # 211 is prime, and 96 = 4 * 24 and 7 = 7 * 1 alias N = 101
+        calls = self.spy(monkeypatch)
+        gap_row(tables, 101, "h", M=M)
+        D = M // B
+        assert {c[:4] for c in calls} == {("fejer", 101, M, B), ("h", 101, M, B)}
+        assert sorted(c[4] for c in calls) == sorted(2 * list(range(D // 2 + 1)))
 
     def test_lone_h_truncated_row_builds_no_h_grid(self, tables, monkeypatch):
         calls = self.spy(monkeypatch)
         gap_row(tables, 256, "h_truncated")
-        assert calls == [("fejer", 256, 2048), ("h_truncated", 256, 2048)]
+        assert calls == [
+            (kind, 256, 2048, 512, s) for s in (0, 1, 2) for kind in ("fejer", "h_truncated")
+        ]
 
     def test_truncation_gap_is_the_low_frequency_value_at_zero(self, tables_mid):
         ladder = experiments.DEFAULT_LADDER
@@ -243,23 +262,49 @@ class TestKernelGapRows:
             )
 
     def test_failing_grid_fails_only_the_rows_that_read_it(self, tables, monkeypatch):
-        original = experiments.grid_eval_kernel
+        original = experiments.kernel_row
+        ran = []
 
-        def no_h(tables, spec, M):
-            if spec.kind == "h" and spec.N == 128:
+        def no_h(tables, spec, M, B, s):
+            ran.append((spec.kind, spec.N, s))
+            if spec.kind == "h" and spec.N == 128 and s == 1:
                 raise MemoryError("no room for h")
-            return original(tables, spec, M)
+            return original(tables, spec, M, B, s)
 
-        monkeypatch.setattr(experiments, "grid_eval_kernel", no_h)
+        monkeypatch.setattr(experiments, "kernel_row", no_h)
         rows = experiments.kernel_gap_rows(tables, [64, 128])
         assert [(r.params["kind"], r.params["n"]) for r in rows] == [
             (kind, n) for kind in GAP_KINDS for n in (64, 128)
         ]
         failed = [r for r in rows if "error" in r.measured]
-        # h_truncated reads no h grid: its truncation cost comes from h's coefficients
+        # h_truncated reads no h row: its truncation cost comes from h's coefficients
         assert [r.params for r in failed] == [{"n": 128, "p": None, "kind": "h", "m": None}]
         assert all(r.detail == "MemoryError: no room for h" for r in failed)
         assert all(r.passed for r in rows if r not in failed)
+        # the failed kind runs no more rows; the others run all three
+        assert ("h", 128, 2) not in ran and ("h_truncated", 128, 2) in ran
+
+    def test_uneven_spec_fails_before_any_of_its_rows(self, tables, monkeypatch):
+        h = expsum.kernel_coefficients(tables, expsum.KernelSpec("h", 64))
+        uneven = np.array(h)
+        uneven[0] += 1.0
+        original = expsum.kernel_coefficients
+
+        def coefficients(tables, spec):
+            return uneven if spec.kind == "h" else original(tables, spec)
+
+        monkeypatch.setattr(expsum, "kernel_coefficients", coefficients)
+        irfft, lengths = np.fft.irfft, []
+        monkeypatch.setattr(np.fft, "irfft", lambda x, n, **kw: lengths.append(n) or irfft(x, n, **kw))
+        rows = experiments.kernel_gap_rows(tables, [64], kind=["h", "gstar"])
+        assert rows[0].measured == {"invariant_ok": False, "error": "InvariantError"}
+        assert rows[0].detail.endswith("are not even in k")
+        assert rows[1].passed
+        assert lengths == [128] * 6  # rows 0, 1 and 2 of T_N and of gstar only
+
+    def test_grid_over_the_sample_budget_is_refused(self, tables):
+        (row,) = kernel_gap_rows(tables, [64], None, ["gstar"], experiments.SAMPLE_BUDGET + 1)
+        assert row.measured == {"invariant_ok": True, "error": "CapacityError"}
 
     def test_rejected_p_gives_error_rows(self, tables):
         rows = experiments.kernel_gap_rows(tables, [64, 128], 1)
@@ -282,6 +327,9 @@ class TestKernelGapRows:
 # (N, Q), and per (m, kind, N) for kernel_gap.  The fold keeps them bit for bit.
 # The lambda_kernel_integral pins at N = 256 were re-recorded when v_quadrature
 # became the Parseval sum: it moved by 2e-16 relative and the route gap to 0.
+# The kernel_gap pins were re-recorded when the rows came from mirrored row
+# transforms (expsum.kernel_row) instead of whole grids: max_gap moved by at
+# most 3e-16 relative and min_kernel_value by at most 1.3e-15 absolute.
 LAMBDA_KERNEL_PINS = {
     (64, 8): (
         {
@@ -319,7 +367,7 @@ GAP_PINS = {
     (None, "gstar", 128): (
         {
             "max_gap": 64.5625,
-            "min_kernel_value": 0.05515209459025171,
+            "min_kernel_value": 0.055152094590252915,
             "grid_m": 1024,
             "invariant_ok": True,
         },
@@ -328,7 +376,7 @@ GAP_PINS = {
     (None, "h", 64): (
         {
             "max_gap": 16.27206386791208,
-            "min_kernel_value": 0.04740919075065464,
+            "min_kernel_value": 0.047409190750655084,
             "grid_m": 512,
             "invariant_ok": True,
         },
@@ -336,12 +384,12 @@ GAP_PINS = {
     ),
     (None, "h", 128): (
         {
-            "max_gap": 26.202875236889767,
-            "min_kernel_value": 0.0727540613357048,
+            "max_gap": 26.202875236889763,
+            "min_kernel_value": 0.072754061335705,
             "grid_m": 1024,
             "invariant_ok": True,
         },
-        {"gap_over_certified": 0.5282837749372937, "gap_over_scale": 0.47733190434652584},
+        {"gap_over_certified": 0.5282837749372936, "gap_over_scale": 0.4773319043465257},
     ),
     (None, "h_truncated", 64): (
         {
@@ -359,15 +407,15 @@ GAP_PINS = {
     ),
     (None, "h_truncated", 128): (
         {
-            "max_gap": 24.28705429800536,
+            "max_gap": 24.287054298005362,
             "min_kernel_value": -21.83840872456857,
             "grid_m": 1024,
             "truncation_gap": 23.278125000000003,
             "invariant_ok": True,
         },
         {
-            "gap_over_certified": 0.2940321343584184,
-            "gap_over_scale": 0.2763206622331733,
+            "gap_over_certified": 0.29403213435841846,
+            "gap_over_scale": 0.27632066223317336,
             "truncation_over_3p": 0.7053977272727273,
         },
     ),
@@ -378,7 +426,7 @@ GAP_PINS = {
     (1024, "gstar", 128): (
         {
             "max_gap": 64.5625,
-            "min_kernel_value": 0.05515209459025171,
+            "min_kernel_value": 0.055152094590252915,
             "grid_m": 1024,
             "invariant_ok": True,
         },
@@ -386,21 +434,21 @@ GAP_PINS = {
     ),
     (1024, "h", 64): (
         {
-            "max_gap": 16.272063867912085,
-            "min_kernel_value": 0.047409190750655084,
+            "max_gap": 16.27206386791208,
+            "min_kernel_value": 0.04740919075065464,
             "grid_m": 1024,
             "invariant_ok": True,
         },
-        {"gap_over_certified": 0.5125059485956562, "gap_over_scale": 0.4890755384846927},
+        {"gap_over_certified": 0.5125059485956561, "gap_over_scale": 0.4890755384846926},
     ),
     (1024, "h", 128): (
         {
-            "max_gap": 26.202875236889767,
-            "min_kernel_value": 0.0727540613357048,
+            "max_gap": 26.202875236889763,
+            "min_kernel_value": 0.072754061335705,
             "grid_m": 1024,
             "invariant_ok": True,
         },
-        {"gap_over_certified": 0.5282837749372937, "gap_over_scale": 0.47733190434652584},
+        {"gap_over_certified": 0.5282837749372936, "gap_over_scale": 0.4773319043465257},
     ),
     (1024, "h_truncated", 64): (
         {
@@ -418,15 +466,15 @@ GAP_PINS = {
     ),
     (1024, "h_truncated", 128): (
         {
-            "max_gap": 24.28705429800536,
+            "max_gap": 24.287054298005362,
             "min_kernel_value": -21.83840872456857,
             "grid_m": 1024,
             "truncation_gap": 23.278125000000003,
             "invariant_ok": True,
         },
         {
-            "gap_over_certified": 0.2940321343584184,
-            "gap_over_scale": 0.2763206622331733,
+            "gap_over_certified": 0.29403213435841846,
+            "gap_over_scale": 0.27632066223317336,
             "truncation_over_3p": 0.7053977272727273,
         },
     ),

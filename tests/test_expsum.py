@@ -362,6 +362,58 @@ class TestEvalSequence:
             assert got[i] == pytest.approx(want, abs=1e-10)
 
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 17, 64, 1000, 4097])
+    def test_two_level_powers_stay_within_the_stated_drift(self, rng, N):
+        # H*K >= N pads the coefficients; the reference reduces n*a mod q in integers,
+        # so it takes e(n*a/q) with no phase drift at all
+        coeffs = rng.normal(size=N) + 1j * rng.normal(size=N)
+        seq = sn.CoefficientSequence(N, coeffs)
+        q = 9973
+        a = np.array([0, 1, 17, 4986, 4987, 9972, *rng.integers(0, q, 20)])
+        got = sn.eval_sequence(seq, a / q)
+        n = np.arange(1, N + 1)
+        want = np.exp((TWO_PI_I / q) * (np.multiply.outer(a, n) % q)) @ coeffs
+        s = np.abs(coeffs).sum()
+        # largesieve._cross_check: under 22 * N * eps of phase drift and 16 * sqrt(N) * eps of powers
+        bound = (22 * N + 16 * math.sqrt(N)) * np.finfo(float).eps * s
+        assert np.max(np.abs(got - want)) <= bound
+
+
+class TestKernelRow:
+    """Rows of the split M = D*B against the whole-grid reference."""
+
+    @pytest.mark.parametrize("kind", sn.KERNEL_KINDS)
+    @pytest.mark.parametrize("M", [8 * 128, 1000, 8 * 128 + 1, 200, 7])
+    def test_rows_rebuild_the_grid(self, tables, kind, M):
+        # M = 8N splits into 4 rows of 2N; 1000 = 4 * 250 (B not a power of
+        # two); 1025 = 5 * 205 is odd; 200 < 2N + 1 aliases into 4 rows of 50;
+        # 7 = 7 * 1 folds 257 weights into each one-bin row, residue by residue
+        spec = sn.KernelSpec(kind, 128)
+        B = expsum.row_split(M, max(1, M // 4))
+        D = M // B
+        rows = [expsum.kernel_row(tables, spec, M, B, s) for s in range(D)]
+        want = sn.grid_eval_kernel(tables, spec, M).values
+        got = np.stack(rows, axis=1).reshape(M)  # sample j = D*i + s
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        for s in range(1, D):  # the mirror: row D - s is row s reversed
+            assert np.max(np.abs(rows[D - s] - rows[s][::-1])) <= 1e-12 * np.max(np.abs(want))
+
+    def test_split_takes_the_largest_divisor_near_the_width(self):
+        assert expsum.row_split(8 * 1024, 2 * 1024) == 2 * 1024
+        assert expsum.row_split(1 << 24, 1 << 22) == expsum._CHUNK
+        assert expsum.row_split(1001, 250) == 143
+        assert expsum.row_split(211, 52) == 211  # prime: one row
+        assert expsum.row_split(2 * 211, 105) == 2 * 211
+
+    def test_asymmetric_coefficients_raise(self, tables, monkeypatch):
+        spec = sn.KernelSpec("gstar", 64, P=2)
+        c = np.array(sn.kernel_coefficients(tables, spec))
+        c[0] += 1e-12
+        monkeypatch.setattr(expsum, "kernel_coefficients", lambda tables, spec: c)
+        with pytest.raises(InvariantError, match="not even"):
+            expsum.kernel_row(tables, spec, 512, 128, 0)
+
+
 class TestGridEvalSequence:
     def test_frozen_examples(self, tables):
         ones3 = sn.coefficient_sequence(tables, "ones", 3)

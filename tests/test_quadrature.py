@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sievenorm as sn
+import sievenorm.expsum as expsum
 import sievenorm.quadrature as quadrature
 from sievenorm.errors import CapacityError, InvariantError
 from sievenorm.expsum import grid_eval_sequence
@@ -25,8 +26,8 @@ def check_row_sums(seq, monkeypatch):
     # below L, where the coefficients fold into _CHUNK bins
     L = 1 << (seq.N - 1).bit_length()
     M = quadrature.OVERSAMPLE_START * L
-    for chunk in sorted({quadrature._CHUNK, max(1, L // 4)}, reverse=True):
-        monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+    for chunk in sorted({expsum._CHUNK, max(1, L // 4)}, reverse=True):
+        monkeypatch.setattr(expsum, "_CHUNK", chunk)
         for G, shift, odd in [(M, 0.0, False), (M, 0.5, True), (2 * M, 0.0, False)]:
             one_shot = float(np.mean(np.abs(grid_eval_sequence(seq, G, shift=shift).values)))
             row_sum = quadrature._row_sum(seq, 2 * G if odd else G, odd)
@@ -43,7 +44,7 @@ def check_chunked_transforms(seq, monkeypatch):
         sizes.append(x.size)
         return ifft(x, *args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "_CHUNK", 256)
+    monkeypatch.setattr(expsum, "_CHUNK", 256)
     monkeypatch.setattr(np.fft, "ifft", recorded)
     chunked = sn.l1_norm(seq, rel_tol=1e-9)
     assert sizes and max(sizes) <= 256
@@ -190,15 +191,15 @@ class TestL1Norm:
 
         est, peak = traced_peak(random_sequence(1 << 18, 5))
         assert est.grids[0][0] == 1 << 22
-        assert peak < 3 * 16 * quadrature._CHUNK
+        assert peak < 3 * 16 * expsum._CHUNK
         # with L = 4 * _CHUNK the coefficients fold into rows of _CHUNK bins,
         # and a padded length-L copy alone would exceed the bound
-        monkeypatch.setattr(quadrature, "_CHUNK", 1 << 14)
-        N = 3 * quadrature._CHUNK + 5
+        monkeypatch.setattr(expsum, "_CHUNK", 1 << 14)
+        N = 3 * expsum._CHUNK + 5
         for seq in (random_sequence(N, 6), sn.CoefficientSequence(N, np.ones(N))):
             est, peak = traced_peak(seq)
             assert est.grids[0][0] == 1 << 20
-            assert peak < 3 * 16 * quadrature._CHUNK
+            assert peak < 3 * 16 * expsum._CHUNK
 
     def test_refinement_settles(self, tables, monkeypatch):
         # after the first refinement step the value barely moves: every later
