@@ -565,9 +565,9 @@ def kernel_row(tables: "ArithmeticTables", spec: KernelSpec, M: int, B: int, s: 
     values or 2N/B chunks is made.
     """
     coef = kernel_coefficients(tables, spec)
-    if not np.array_equal(coef, coef[::-1]):
-        raise InvariantError(f"spectral weights of {spec} are not even in k")
     N, half = spec.N, B // 2
+    if not np.array_equal(coef[N:], coef[N::-1]):
+        raise InvariantError(f"spectral weights of {spec} are not even in k")
     bins = np.zeros(twist_width(half + 1), dtype=np.complex128)
     q = np.arange(-((N + half) // B), N // B + 1)  # chunks k = q*B + r with r <= B/2, |k| <= N
     chunk = phases(q * B, s, M)
