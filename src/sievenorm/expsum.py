@@ -480,10 +480,12 @@ def row_split(M: int, width: int) -> int:
     instead: all of M up to ``_CHUNK``, and above it a prime M runs M rows
     of one point, which costs time, not memory.
     """
+    cap = min(width, _CHUNK)
+    if M % cap == 0:  # the L1 grids and M = 8N: no divisor search
+        return cap
     d = np.arange(1, isqrt(M) + 1)
     d = d[M % d == 0]
     divisors = np.concatenate((d, M // d))
-    cap = min(width, _CHUNK)
     B = int(divisors[divisors <= cap].max())
     return B if 2 * B >= cap else int(divisors[divisors <= _CHUNK].max())
 

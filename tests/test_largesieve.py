@@ -159,6 +159,20 @@ class TestBuildPointSet:
         # a family within the guard still certifies
         assert sn.build_point_set(tables, "prime_square_farey", 31).delta > 0
 
+    def test_build_holds_few_pair_length_arrays(self, tables):
+        # reduced_farey(1000) holds 304,192 pairs: 2.3 MiB per int64 array, and
+        # the finished set keeps 7 MiB (num, den and points); a build that held
+        # about nine such arrays at once would peak near 21 MiB
+        sn.build_point_set(tables, "reduced_farey", 1000)  # one-time state outside the trace
+        tracemalloc.start()
+        try:
+            point_set = sn.build_point_set(tables, "reduced_farey", 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(point_set) == 304_192
+        assert peak <= 13 << 20
+
     def test_validation(self, tables):
         with pytest.raises(ValueError):
             sn.build_point_set(tables, "nope", 5)
@@ -612,20 +626,6 @@ class TestLargeSieveCheck:
         seq = sn.CoefficientSequence(64, np.ones(64))
         with pytest.raises(InvariantError):
             check_one(seq, fake)
-
-    def test_build_holds_few_pair_length_arrays(self, tables):
-        # reduced_farey(1000) holds 304,192 pairs: 2.3 MiB per int64 array, and
-        # the finished set keeps 7 MiB (num, den and points); its build peaked
-        # at 21.4 MiB while it held about nine such arrays at once
-        sn.build_point_set(tables, "reduced_farey", 1000)  # warm the class-weight tables
-        tracemalloc.start()
-        try:
-            point_set = sn.build_point_set(tables, "reduced_farey", 1000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(point_set) == 304_192
-        assert peak <= 13 << 20
 
     def test_oversized_denominator_is_rejected(self):
         # a denominator past the int64 guard is refused when the set is
