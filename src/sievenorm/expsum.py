@@ -248,7 +248,7 @@ def eval_sequence(seq: CoefficientSequence, alphas) -> np.ndarray:
     residue-class energies of the large sieve, which it cross-checks.
     """
     pts = np.atleast_1d(np.asarray(alphas, dtype=float)).reshape(-1)
-    K = 1 << (seq.N.bit_length() - 1) // 2
+    K = _root2(seq.N)
     H = -(-seq.N // K)
     a = np.zeros(H * K, dtype=np.complex128)
     a[: seq.N] = seq.coeffs
@@ -515,9 +515,14 @@ def phases(n, t, M: int) -> np.ndarray:
     return np.exp((TWO_PI_I / M) * (np.multiply.outer(t, n) % M))
 
 
+def _root2(n: int) -> int:
+    """2^floor((bit_length(n) - 1)/2): the power of two at most sqrt(n), and above sqrt(n)/2."""
+    return 1 << (n.bit_length() - 1) // 2
+
+
 def twist_width(n: int) -> int:
     """n rounded up to a multiple of the factor K that ``twist`` takes at that length."""
-    K = 1 << (n.bit_length() - 1) // 2
+    K = _root2(n)
     return -(-n // K) * K
 
 
@@ -527,11 +532,11 @@ def twist(bins: np.ndarray, t, M: int, out: np.ndarray | None = None) -> np.ndar
     ``t`` is one row or a 1-d array of rows (a leading axis of that length
     in the result); ``out`` may be ``bins`` itself.  The phases are two
     tables of about sqrt(n) entries, e(h*K*t/M) and e(l*t/M) over
-    k = h*K + l, with K = 2^floor((bit_length(n) - 1)/2), which must divide
-    n (``twist_width`` pads a length to one it divides).
+    k = h*K + l, with K = ``_root2(n)``, which must divide n
+    (``twist_width`` pads a length to one it divides).
     """
     n = bins.shape[-1]
-    K = 1 << (n.bit_length() - 1) // 2
+    K = _root2(n)
     x = np.multiply(
         bins.reshape(*bins.shape[:-1], n // K, K),
         phases(np.arange(0, n, K), t, M)[..., :, None],
@@ -581,7 +586,8 @@ def kernel_row(tables: "ArithmeticTables", spec: KernelSpec, M: int, B: int, s: 
     else:
         for r in range(half + 1):
             a, b = -((N + r) // B), (N - r) // B  # the chunks that hold residue r
-            bins[r] = np.dot(chunk[a - q[0] : b - q[0] + 1], _ramped(coef, r + a * B, r + b * B + 1, B))
+            w = _ramped(coef, r + a * B, r + b * B + 1, B)
+            bins[r] = np.dot(chunk[a - q[0] : b - q[0] + 1], w)
     twist(bins, s, M, out=bins)
     return np.fft.irfft(bins, n=B, norm="forward")
 

@@ -217,7 +217,8 @@ class TestKernelGapRows:
         kinds = ("fejer", *GAP_KINDS)
         # M = 8N splits into D = 4 rows of B = 2N; row 3 is row 1 reversed
         ladder = experiments.DEFAULT_LADDER
-        each_once = sorted((k, n, 8 * n, 2 * n, s) for n in ladder for k in kinds for s in (0, 1, 2))
+        rows = (0, 1, 2)
+        each_once = sorted((k, n, 8 * n, 2 * n, s) for n in ladder for k in kinds for s in rows)
         assert sorted(calls) == each_once
         calls.clear()
         # no row outlives a pass: the second transforms all 48 again
@@ -295,7 +296,9 @@ class TestKernelGapRows:
 
         monkeypatch.setattr(expsum, "kernel_coefficients", coefficients)
         irfft, lengths = np.fft.irfft, []
-        monkeypatch.setattr(np.fft, "irfft", lambda x, n, **kw: lengths.append(n) or irfft(x, n, **kw))
+        monkeypatch.setattr(
+            np.fft, "irfft", lambda x, n, **kw: lengths.append(n) or irfft(x, n, **kw)
+        )
         rows = experiments.kernel_gap_rows(tables, [64], kind=["h", "gstar"])
         assert rows[0].measured == {"invariant_ok": False, "error": "InvariantError"}
         assert rows[0].detail.endswith("are not even in k")

@@ -374,7 +374,7 @@ class TestEvalSequence:
         n = np.arange(1, N + 1)
         want = np.exp((TWO_PI_I / q) * (np.multiply.outer(a, n) % q)) @ coeffs
         s = np.abs(coeffs).sum()
-        # largesieve._cross_check: under 22 * N * eps of phase drift and 16 * sqrt(N) * eps of powers
+        # largesieve._cross_check's drift: 22 * N * eps of phase, 16 * sqrt(N) * eps of powers
         bound = (22 * N + 16 * math.sqrt(N)) * np.finfo(float).eps * s
         assert np.max(np.abs(got - want)) <= bound
 
