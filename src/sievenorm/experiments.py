@@ -44,10 +44,10 @@ from .expsum import (
     CoefficientSequence,
     KernelSpec,
     _low_frequency_value,
+    _ramped,
     grid_eval_kernel,  # unused here; perfbench/tracing.py wraps the name where it looks it up
     kernel_coefficients,
     kernel_row,
-    row_batches,
     row_split,
 )
 from . import largesieve
@@ -307,14 +307,14 @@ def _gap_extremes(tables: ArithmeticTables, N: int, specs: dict, M: int) -> dict
     4 | M and M/4 <= ``expsum._CHUNK``), and only rows s <= D/2 run: K and
     T_N are even, so row D - s is row s reversed.  T_N's row is transformed
     once per s and shared by every kind, and each kind's row is reduced at
-    once, so no M-point array exists.  A kind that raises (its evenness
-    check runs before its first row) runs no more rows; if T_N's row raises,
-    every kind still running fails with it.
+    once, so no M-point array exists.  A kind that raises (uneven
+    coefficients raise in ``kernel_coefficients`` at its first row) runs no
+    more rows; if T_N's row raises, every kind still running fails with it.
     """
     B = row_split(M, max(1, M // 4))
     out = dict.fromkeys(specs, (0.0, math.inf))
     fejer = KernelSpec("fejer", N)
-    for s in (s for t, _ in row_batches(M, B, mirror=True) for s in t.tolist()):
+    for s in range(M // B // 2 + 1):
         live = [k for k, v in out.items() if not isinstance(v, Exception)]
         if not live:
             break
@@ -540,11 +540,11 @@ def lambda_kernel_integral_row(
     Q = spec.Q
     v_spectral = mobius_ramanujan_weighted_sum(tables, N, Q)
     lam = tables.mangoldt[1 : N + 1]
-    coef = kernel_coefficients(tables, spec)[N + 1 :]
-    v_quadrature = float(np.dot(lam, (1.0 - np.arange(1, N + 1) / N) * coef))
+    coef = kernel_coefficients(tables, spec)
+    v_quadrature = float(np.dot(lam, _ramped(coef, 1, N + 1, 1)))
     w_sum = float(np.dot(N - np.arange(1.0, N + 1), lam))
     pi_q = int(np.count_nonzero(tables.primes <= Q))
-    scale = float(np.dot(lam, np.abs(coef))) + 2.0 * Q * w_sum
+    scale = float(np.dot(lam, np.abs(coef[N + 1 :]))) + 2.0 * Q * w_sum
     route_bound = 2.0 * float(np.finfo(float).eps) * (N + pi_q) * scale
     target = 3.0 * Q * N * N / math.pi**2
     ratio = v_spectral / target

@@ -42,9 +42,9 @@ stay independent.
 Sums on the uniform grids fold the coefficients into bins k mod M (exact
 aliasing) and take one inverse FFT.  A sequence, complex in general, takes a
 complex one (``_inverse_fold``).  Kernel weights are real and even, so their
-bins are too, and half of them, folded straight into ``irfft``'s complex
-input, give all M real values.  The large sieve takes no transform
-(``largesieve`` sums residue-class energies instead).
+bins are too, and ``irfft`` of half of them gives all M real values.  The
+large sieve takes no transform (``largesieve`` sums residue-class energies
+instead).
 """
 
 from __future__ import annotations
@@ -301,7 +301,6 @@ def _build_coefficients(tables: "ArithmeticTables", spec: KernelSpec) -> np.ndar
     coef /= count
     if spec.kind == "h_truncated":
         coef[max(0, N - spec.P) : N + spec.P + 1] = 0.0
-    coef.setflags(write=False)
     return coef
 
 
@@ -313,14 +312,20 @@ def kernel_coefficients(tables: "ArithmeticTables", spec: KernelSpec) -> np.ndar
     (``gstar``) or q = p (``h``), p <= P prime; and (d, N*d*W_d), d <= Q, for
     ``k_part3`` = N * sum_{q <= Q} mu(q) * c_q(k) (see the module docstring).
     ``h_truncated`` is ``h`` with |k| <= P zeroed.  Every term is an integer
-    below 2^53, so the sums are exact.  ValueError if the tables do not reach
-    P or Q.
+    below 2^53, so the sums are exact, and c_k = c_{-k} bit for bit, which
+    each new array is checked for once (``InvariantError`` otherwise) before
+    it is cached read-only; every reader may fold k and -k together.
+    ValueError if the tables do not reach P or Q.
     """
     _check_coverage(tables, spec)
     cache = _COEFFICIENTS.setdefault(tables, {})
     coef = cache.get(spec)
     if coef is None:
-        coef = cache[spec] = _build_coefficients(tables, spec)
+        coef, N = _build_coefficients(tables, spec), spec.N
+        if not np.array_equal(coef[N:], coef[N::-1]):
+            raise InvariantError(f"coefficients of {spec} are not even in k")
+        coef.setflags(write=False)
+        cache[spec] = coef
     return coef
 
 
@@ -332,8 +337,23 @@ def _check_coverage(tables: "ArithmeticTables", spec: KernelSpec) -> None:
 
 def spectral_weights(tables: "ArithmeticTables", spec: KernelSpec) -> np.ndarray:
     """Weights (1 - |k|/N) * c_k, k = -N..N, of the kernel's expansion."""
-    N = spec.N
-    return (1.0 - np.abs(np.arange(-N, N + 1)) / N) * kernel_coefficients(tables, spec)
+    return _ramped(kernel_coefficients(tables, spec), -spec.N, spec.N + 1, 1)
+
+
+def _ramped(coef: np.ndarray, a: int, b: int, step: int) -> np.ndarray:
+    """Spectral weights (1 - |k|/N) * c_k for k = a, a + step, ... < b, from c_k = coef[N + k]."""
+    N = coef.size // 2
+    w = np.abs(np.arange(a, b, step, dtype=float))
+    w /= N
+    np.subtract(1.0, w, out=w)
+    w *= coef[N + a : N + b : step]
+    return w
+
+
+def _cosine_fold(w: np.ndarray, alpha: float) -> float:
+    """sum_{|k| < len(w)} w_|k| e(k alpha) = w_0 + 2 * sum_{k >= 1} w_k cos(2 pi k alpha)."""
+    k = np.arange(1, w.size)
+    return float(w[0] + 2.0 * np.dot(w[1:], np.cos(TWO_PI * float(alpha) * k)))
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +402,13 @@ def eval_kernel(tables: "ArithmeticTables", spec: KernelSpec, alpha: float) -> f
 
 def _low_frequency_value(tables: "ArithmeticTables", spec: KernelSpec, alpha: float) -> float:
     """sum_{|k| <= P} (1 - |k|/N)*d_k*e(k alpha) for the h-kernel coefficients d."""
-    N = spec.N
-    k = np.arange(min(spec.P, N) + 1)
-    w = (1.0 - k / N) * kernel_coefficients(tables, KernelSpec("h", N, P=spec.P))[N + k]
-    return float(w[0] + 2.0 * np.dot(w[1:], np.cos(TWO_PI * alpha * k[1:])))
+    d = kernel_coefficients(tables, KernelSpec("h", spec.N, P=spec.P))
+    return _cosine_fold(_ramped(d, 0, min(spec.P, spec.N) + 1, 1), alpha)
 
 
 def eval_kernel_spectral(tables: "ArithmeticTables", spec: KernelSpec, alpha: float) -> float:
     """Kernel value from its Fourier expansion (independent check route)."""
-    N = spec.N
-    w = spectral_weights(tables, spec)
-    k = np.arange(1, N + 1)
-    # Coefficients are even in k, so the sum folds onto cosines.
-    return float(w[N] + 2.0 * np.dot(w[N + 1 :], np.cos(TWO_PI * float(alpha) * k)))
+    return _cosine_fold(spectral_weights(tables, spec)[spec.N :], alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -443,25 +457,18 @@ def grid_eval_sequence(seq: CoefficientSequence, M: int, shift: float = 0.0) -> 
 def grid_eval_kernel(tables: "ArithmeticTables", spec: KernelSpec, M: int) -> GridEvaluation:
     """Kernel values at j/M, j = 0..M-1, as a real array.
 
-    The 2N+1 spectral weights are real and even bit for bit: k and -k get
-    the same additions in the same order, which is checked exactly
-    (``InvariantError`` otherwise).  Folded into bins modulo M (exact
-    aliasing), they give bins b[r] = b[M - r] up to roundoff, so one
-    ``irfft`` of b[0..M//2] yields all M values.  Only those M//2 + 1 bins
-    are kept, in the complex buffer that ``irfft`` reads: one ``np.add.at``
-    adds each weight in order of k, as a length-M ``np.bincount`` would, so
-    every M, aliased or not, gives that fold's bits.  ``GRID_BUDGET`` caps M.
+    The 2N+1 spectral weights are real and even bit for bit
+    (``kernel_coefficients`` checks c_k where it builds them).  One length-M
+    ``np.bincount`` folds them, in order of k, into bins modulo M (exact
+    aliasing), which satisfy b[r] = b[M - r] up to roundoff, so one
+    ``irfft`` of b[0..M//2] yields all M values.  This whole-grid route is
+    the tests' reference for the row engine (``kernel_row``); no suite row
+    runs it.  ``GRID_BUDGET`` caps M.
     """
     _check_grid(M)
     w = spectral_weights(tables, spec)
-    if not np.array_equal(w, w[::-1]):
-        raise InvariantError(f"spectral weights of {spec} are not even in k")
-    half = M // 2
-    bins = np.arange(-spec.N, spec.N + 1) % M
-    np.minimum(bins, half + 1, out=bins)  # bins past M//2 share one slot irfft never reads
-    b = np.zeros(half + 2, dtype=np.complex128)
-    np.add.at(b.real, bins, w)
-    v = np.fft.irfft(b[: half + 1], n=M, norm="forward")
+    b = np.bincount(np.arange(-spec.N, spec.N + 1) % M, weights=w, minlength=M)
+    v = np.fft.irfft(b[: M // 2 + 1], n=M, norm="forward")
     return GridEvaluation(M=M, values=v, spec=spec)
 
 
@@ -520,20 +527,14 @@ def _root2(n: int) -> int:
     return 1 << (n.bit_length() - 1) // 2
 
 
-def twist_width(n: int) -> int:
-    """n rounded up to a multiple of the factor K that ``twist`` takes at that length."""
-    K = _root2(n)
-    return -(-n // K) * K
-
-
 def twist(bins: np.ndarray, t, M: int, out: np.ndarray | None = None) -> np.ndarray:
     """bins[..., k] * e(k*t/M) for every k < n = bins.shape[-1], into ``out`` or a new array.
 
     ``t`` is one row or a 1-d array of rows (a leading axis of that length
     in the result); ``out`` may be ``bins`` itself.  The phases are two
     tables of about sqrt(n) entries, e(h*K*t/M) and e(l*t/M) over
-    k = h*K + l, with K = ``_root2(n)``, which must divide n
-    (``twist_width`` pads a length to one it divides).
+    k = h*K + l, with K = ``_root2(n)``, which must divide n (``kernel_row``
+    pads its bins to a multiple of it).
     """
     n = bins.shape[-1]
     K = _root2(n)
@@ -546,23 +547,13 @@ def twist(bins: np.ndarray, t, M: int, out: np.ndarray | None = None) -> np.ndar
     return x.reshape(*x.shape[:-2], n)
 
 
-def _ramped(coef: np.ndarray, a: int, b: int, step: int) -> np.ndarray:
-    """Spectral weights (1 - |k|/N) * c_k for k = a, a + step, ... < b, from c_k = coef[N + k]."""
-    N = coef.size // 2
-    w = np.abs(np.arange(a, b, step, dtype=float))
-    w /= N
-    np.subtract(1.0, w, out=w)
-    w *= coef[N + a : N + b : step]
-    return w
-
-
 def kernel_row(tables: "ArithmeticTables", spec: KernelSpec, M: int, B: int, s: int) -> np.ndarray:
     """Row s of the kernel's grid j/M split into D = M/B rows: its values at j = D*i + s, i < B.
 
     The row is sum_r b[r] e(r*i/B) with the bins b[r] = sum over k = r
-    (mod B), |k| <= N, of w_k e(k*s/M), w the spectral weights.  Their
-    coefficients are checked even bit for bit first (``InvariantError``
-    otherwise), and the weights (1 - |k|/N) * c_k are even too, so b is
+    (mod B), |k| <= N, of w_k e(k*s/M), w the spectral weights.  The
+    coefficients are even bit for bit (``kernel_coefficients`` checks them
+    where it builds them), and so are the weights (1 - |k|/N) * c_k, so b is
     Hermitian and one ``irfft`` of b[r], r <= B/2, gives the B real values.
     Each b[r] is e(r*s/M) (``twist``, in place) times sum_q w_{r+qB}
     e(q*B*s/M), read as one slice of weights per chunk q, or, where the
@@ -573,9 +564,8 @@ def kernel_row(tables: "ArithmeticTables", spec: KernelSpec, M: int, B: int, s: 
     """
     coef = kernel_coefficients(tables, spec)
     N, half = spec.N, B // 2
-    if not np.array_equal(coef[N:], coef[N::-1]):
-        raise InvariantError(f"spectral weights of {spec} are not even in k")
-    bins = np.zeros(twist_width(half + 1), dtype=np.complex128)
+    K = _root2(half + 1)
+    bins = np.zeros(-(-(half + 1) // K) * K, dtype=np.complex128)  # a multiple of twist's K
     q = np.arange(-((N + half) // B), N // B + 1)  # chunks k = q*B + r with r <= B/2, |k| <= N
     chunk = phases(q * B, s, M)
     if q.size <= half + 1:

@@ -289,12 +289,13 @@ class TestKernelGapRows:
         h = expsum.kernel_coefficients(tables, expsum.KernelSpec("h", 64))
         uneven = np.array(h)
         uneven[0] += 1.0
-        original = expsum.kernel_coefficients
+        original = expsum._build_coefficients
 
         def coefficients(tables, spec):
             return uneven if spec.kind == "h" else original(tables, spec)
 
-        monkeypatch.setattr(expsum, "kernel_coefficients", coefficients)
+        monkeypatch.setattr(expsum, "_COEFFICIENTS", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(expsum, "_build_coefficients", coefficients)
         irfft, lengths = np.fft.irfft, []
         monkeypatch.setattr(
             np.fft, "irfft", lambda x, n, **kw: lengths.append(n) or irfft(x, n, **kw)

@@ -232,6 +232,40 @@ class TestKernelCoefficients:
         c = sn.kernel_coefficients(tables, sn.KernelSpec("k_part3", N, Q=Q))
         np.testing.assert_array_equal(c, direct_k_part3(tables, N, Q))
 
+    def test_uneven_build_raises_in_the_cosine_folds(self, tables, monkeypatch):
+        # the cosine folds read c_k as c_{-k} and check nothing themselves; the
+        # check where coefficients are built refuses an uneven h for them too
+        original = expsum._build_coefficients
+
+        def uneven(tables, spec):
+            c = np.array(original(tables, spec))
+            c[0] += 1.0
+            return c
+
+        monkeypatch.setattr(expsum, "_COEFFICIENTS", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(expsum, "_build_coefficients", uneven)
+        with pytest.raises(InvariantError, match="not even"):
+            sn.eval_kernel_spectral(tables, sn.KernelSpec("h", 64), 0.1)
+        with pytest.raises(InvariantError, match="not even"):
+            expsum._low_frequency_value(tables, sn.KernelSpec("h_truncated", 64), 0.1)
+
+    @pytest.mark.parametrize("kind", sn.KERNEL_KINDS)
+    def test_ramp_is_the_spectral_weights_bit_for_bit(self, tables, kind):
+        # one ramp (1 - |k|/N) * c_k for every reader, and a strided slice of it
+        # (kernel_row's residue loop) matches the full weights entry for entry
+        for N in (64, 101):
+            spec = sn.KernelSpec(kind, N)
+            c = sn.kernel_coefficients(tables, spec)
+            want = (1.0 - np.abs(np.arange(-N, N + 1)) / N) * c
+            w = sn.spectral_weights(tables, spec)
+            assert w.view(np.int64).tolist() == want.view(np.int64).tolist()
+            for B in (7, 16, 2 * N + 1):
+                for r in range(B // 2 + 1):
+                    a, b = -((N + r) // B), (N - r) // B
+                    got = expsum._ramped(c, r + a * B, r + b * B + 1, B)
+                    part = want[N + r + a * B : N + r + b * B + 1 : B]
+                    assert got.view(np.int64).tolist() == part.view(np.int64).tolist()
+
     @pytest.mark.parametrize("N", sorted(K_PART3_LADDER))
     def test_k_part3_ladder_pinned(self, tables_mid, N):
         c = sn.kernel_coefficients(tables_mid, sn.KernelSpec("k_part3", N))
@@ -409,7 +443,8 @@ class TestKernelRow:
         spec = sn.KernelSpec("gstar", 64, P=2)
         c = np.array(sn.kernel_coefficients(tables, spec))
         c[0] += 1e-12
-        monkeypatch.setattr(expsum, "kernel_coefficients", lambda tables, spec: c)
+        monkeypatch.setattr(expsum, "_COEFFICIENTS", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(expsum, "_build_coefficients", lambda tables, spec: c)
         with pytest.raises(InvariantError, match="not even"):
             expsum.kernel_row(tables, spec, 512, 128, 0)
 
@@ -539,7 +574,7 @@ class TestGridEvalKernel:
     )
     def test_half_spectrum_fold_matches_full_bincount(self, tables, kind, factor, extra):
         # the reference folds all M bins with one length-M real bincount, as
-        # grid_eval_kernel once did; M = N aliases, M = 2N only k = +-N, and
+        # grid_eval_kernel does; M = N aliases, M = 2N only k = +-N, and
         # M = 2N + 1 is the smallest alias-free grid
         for N in (64, 101):
             spec, M = sn.KernelSpec(kind, N), factor * N + extra
@@ -551,9 +586,10 @@ class TestGridEvalKernel:
 
     def test_asymmetric_weights_raise(self, tables, monkeypatch):
         spec = sn.KernelSpec("gstar", 64, P=2)
-        w = np.array(sn.spectral_weights(tables, spec))
-        w[0] += 1e-12
-        monkeypatch.setattr(expsum, "spectral_weights", lambda tables, spec: w)
+        c = np.array(sn.kernel_coefficients(tables, spec))
+        c[0] += 1e-12
+        monkeypatch.setattr(expsum, "_COEFFICIENTS", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(expsum, "_build_coefficients", lambda tables, spec: c)
         with pytest.raises(InvariantError, match="not even"):
             sn.grid_eval_kernel(tables, spec, 256)
 
