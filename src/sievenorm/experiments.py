@@ -48,6 +48,7 @@ from .expsum import (
     grid_eval_kernel,  # unused here; perfbench/tracing.py wraps the name where it looks it up
     kernel_coefficients,
     kernel_row,
+    row_batches,
     row_split,
 )
 from . import largesieve
@@ -257,16 +258,11 @@ def _gap_row(
         note = f"grid M={M} below 4N={4 * N}: scan may under-resolve peaks"
         warnings.warn(note, stacklevel=3)
         notes.append(note)
-    log_n = math.log(N)
-    if kind == "gstar":
-        certified = sieve_bound_for_kernel_gap(tables, N, P, "gstar")
-        scale = N**0.75 * log_n
-    elif kind == "h":
-        certified = sieve_bound_for_kernel_gap(tables, N, P, "h")
-        scale = math.sqrt(N) * log_n
-    else:
-        certified = sieve_bound_for_kernel_gap(tables, N, P, "h") + 3.0 * P
-        scale = math.sqrt(N) * log_n + 3.0 * P
+    certified = sieve_bound_for_kernel_gap(tables, N, P, "gstar" if kind == "gstar" else "h")
+    scale = (N**0.75 if kind == "gstar" else math.sqrt(N)) * math.log(N)
+    if kind == "h_truncated":
+        certified += 3.0 * P
+        scale += 3.0 * P
     nonneg_floor = -1e-8 * N
     invariants = [(max_gap <= certified * (1.0 + 1e-12), "gap exceeds certified ceiling")]
     measured = {
@@ -300,41 +296,6 @@ def _gap_row(
     return _row("kernel_gap", params, measured, reference, ratios, invariants, notes=notes)
 
 
-def _gap_extremes(tables: ArithmeticTables, N: int, specs: dict, M: int) -> dict:
-    """kind -> (max |K - T_N|, min K) on the grid j/M, or the exception that kind raised.
-
-    ``row_split(M, M/4)`` splits the grid into D rows of B points (D = 4 if
-    4 | M and M/4 <= ``expsum._CHUNK``), and only rows s <= D/2 run: K and
-    T_N are even, so row D - s is row s reversed.  T_N's row is transformed
-    once per s and shared by every kind, and each kind's row is reduced at
-    once, so no M-point array exists.  A kind that raises (uneven
-    coefficients raise in ``kernel_coefficients`` at its first row) runs no
-    more rows; if T_N's row raises, every kind still running fails with it.
-    """
-    B = row_split(M, max(1, M // 4))
-    out = dict.fromkeys(specs, (0.0, math.inf))
-    fejer = KernelSpec("fejer", N)
-    for s in range(M // B // 2 + 1):
-        live = [k for k, v in out.items() if not isinstance(v, Exception)]
-        if not live:
-            break
-        try:
-            base = kernel_row(tables, fejer, M, B, s)
-        except Exception as exc:
-            out.update(dict.fromkeys(live, exc))
-            break
-        for k in live:
-            try:
-                values = kernel_row(tables, specs[k], M, B, s)
-                gap, low = out[k]
-                low = min(low, float(values.min()))
-                values -= base
-                out[k] = (max(gap, float(np.max(np.abs(values, out=values)))), low)
-            except Exception as exc:
-                out[k] = exc
-    return out
-
-
 def kernel_gap_rows(
     tables: ArithmeticTables,
     n: Sequence[int],
@@ -345,45 +306,62 @@ def kernel_gap_rows(
     """Scan |kernel - T_N| on a uniform grid per (kind, N); compare against its ceilings.
 
     Grid default is M = 8N; anything below 4N may under-resolve the peaks and
-    triggers a warning note in the row.  ``quadrature.SAMPLE_BUDGET`` caps M
-    (CapacityError).  The certified ceiling comes from the large-sieve bound
-    (for ``h_truncated``: the ``h`` ceiling plus the 3P truncation cost); the
-    scale ceiling N^(3/4) log N (``gstar``) or sqrt(N) log N (``h``-family)
-    is informational and reported as a ratio.
+    triggers a warning note in the row.  The certified ceiling comes from the
+    large-sieve bound (for ``h_truncated``: the ``h`` ceiling plus the 3P
+    truncation cost); the scale ceiling N^(3/4) log N (``gstar``) or
+    sqrt(N) log N (``h``-family) is informational and reported as a ratio.
 
-    N runs outermost.  At each N the grid is read row by row through
-    ``expsum.kernel_row`` (``_gap_extremes``): T_N's row once per row offset
-    for every kind, and at most T_N's row and one kind's row, of at most
-    ``expsum._CHUNK`` points each, are alive.  ``h_truncated`` reads its
-    truncation cost exactly, as h - h_truncated at 0, so it runs no h row.
-    Rows come back kind-major, the order of one job per (kind, N).  A (kind,
-    N) that raises, a kind outside ``GAP_KINDS`` or a p that ``KernelSpec``
-    rejects included, gives an error row with that job's params (p and m as
-    given); the other rows still run.
+    Every check runs before any row: per (kind, N), the kind is in
+    ``GAP_KINDS``, N >= 2, 1 <= M <= ``quadrature.SAMPLE_BUDGET``
+    (CapacityError above it), p suits ``KernelSpec``, and the tables reach P
+    and the coefficients are even (``kernel_coefficients``).  A (kind, N)
+    that fails gives an error row with the job's params (p and m as given);
+    the others still run.  Past the checks only resource exhaustion can
+    raise, and it fails the whole job.
+
+    N runs outermost.  ``row_split(M, M/4)`` splits the grid into D rows of
+    B points (D = 4 if 4 | M and M/4 <= ``expsum._CHUNK``), and
+    ``row_batches`` runs only rows s <= D/2, as K and T_N are even.  T_N's
+    row is transformed once per s for every kind, and each kind's row is
+    reduced at once into max |K - T_N| and min K, so no M-point array
+    exists.  ``h_truncated`` reads its truncation cost exactly, as
+    h - h_truncated at 0, so it runs no h row.  Rows come back kind-major,
+    the order of one job per (kind, N).
     """
     rows = {}
     for N in n:
         M = 8 * N if m is None else m
-        specs, results = {}, {}
+        specs = {}
         for k in dict.fromkeys(kind):
             try:
                 if k not in GAP_KINDS:
                     choices = ", ".join(GAP_KINDS)
                     raise ValueError(f"kernel gap scan needs one of {choices}, got {k!r}")
+                if N < 2 or M < 1:
+                    raise ValueError(f"kernel gap scan needs N >= 2 and M >= 1, got N={N}, M={M}")
                 if M > SAMPLE_BUDGET:
                     raise CapacityError(f"grid size {M} exceeds budget {SAMPLE_BUDGET}")
-                specs[k] = KernelSpec(k, N, P=p)
-            except Exception as exc:
-                results[k] = exc
-        if specs:
-            results.update(_gap_extremes(tables, N, specs, M))
-        for k, result in results.items():
-            try:
-                if isinstance(result, Exception):
-                    raise result
-                rows[k, N] = _gap_row(tables, specs[k], M, *result)
+                spec = KernelSpec(k, N, P=p)
+                kernel_coefficients(tables, spec)  # ValueError short of P, InvariantError uneven
+                specs[k] = spec
             except Exception as exc:
                 rows[k, N] = _error_row("kernel_gap", {"n": N, "p": p, "kind": k, "m": m}, exc)
+        if not specs:
+            continue
+        B = row_split(M, max(1, M // 4))
+        extremes = dict.fromkeys(specs, (0.0, math.inf))
+        fejer = KernelSpec("fejer", N)
+        for t, _ in row_batches(M, B, mirror=True):
+            for s in t.tolist():
+                base = kernel_row(tables, fejer, M, B, s)
+                for k, spec in specs.items():
+                    values = kernel_row(tables, spec, M, B, s)
+                    gap, low = extremes[k]
+                    low = min(low, float(values.min()))
+                    values -= base
+                    extremes[k] = (max(gap, float(np.max(np.abs(values, out=values)))), low)
+        for k, spec in specs.items():
+            rows[k, N] = _gap_row(tables, spec, M, *extremes[k])
     return [rows[k, N] for k in kind for N in n]
 
 
@@ -576,6 +554,8 @@ def lambda_l1_bounds(
     l1 <= sqrt(0.75 * N * log N) -- gate rows with N >= 1024, where the
     asymptotics have set in.
     """
+    if N < 2:
+        raise ValueError(f"N must be >= 2, got {N}")
     Q = KernelSpec("k_part3", N, Q=Q).Q
     est, l1_ratios = _l1(tables, "mangoldt", N, rel_tol)[1:]
     ratios = {k: l1_ratios[k] for k in ("l1_over_sqrt_n", "l1_over_sqrt_nlogn")}

@@ -470,6 +470,18 @@ class TestExitCodes:
         assert [field_map(r[2])["error"] for r in rows] == ["RuntimeError", "ValueError"]
         assert "RuntimeError: unexpected" in err
 
+    def test_kernel_gap_row_crash_exits_3(self, capsys, monkeypatch):
+        # a row transform that fails after kernel_gap's checks fails its whole job
+        def no_room(tables, spec, M, B, s):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(experiments, "kernel_row", no_room)
+        code, out, err = run_cli(capsys, ["kernel-gap", "--kind", "h", "--n", "64", "128"])
+        assert code == 3
+        _, _, rows = parse_csv(out)
+        assert [field_map(r[2])["error"] for r in rows] == ["MemoryError"]
+        assert "MemoryError: no room" in err
+
     def test_command_crash_exits_3(self, capsys, monkeypatch):
         def crashing_check(seqs, point_set, shifts):
             raise RuntimeError("unexpected")

@@ -262,28 +262,49 @@ class TestKernelGapRows:
                 tables_mid, spec, 0.0
             )
 
-    def test_failing_grid_fails_only_the_rows_that_read_it(self, tables, monkeypatch):
-        original = experiments.kernel_row
-        ran = []
+    def test_tables_short_of_p_fail_before_any_of_their_rows(self, monkeypatch):
+        # 2^5 tables reach every default P at N = 256, and gstar's P = 8 at
+        # N = 4096, but not h's P = 64 there
+        calls = self.spy(monkeypatch)
+        rows = kernel_gap_rows(sn.build_tables(32), [256, 4096])
+        failed = {(r.params["kind"], r.params["n"]): r for r in rows if "error" in r.measured}
+        assert sorted(failed) == [("h", 4096), ("h_truncated", 4096)]
+        assert all(r.detail == "ValueError: tables cover n <= 32 < P = 64" for r in failed.values())
+        assert all(r.passed for r in rows if r not in failed.values())
+        every = {(kind, N) for kind in ("fejer", *GAP_KINDS) for N in (256, 4096)}
+        assert {(kind, N) for kind, N, *_ in calls} == every - set(failed)
 
-        def no_h(tables, spec, M, B, s):
-            ran.append((spec.kind, spec.N, s))
+    @pytest.mark.parametrize("n, m", [(1, None), (64, 0), (64, -8)])
+    def test_n_below_two_or_m_below_one_gives_value_error_rows(self, tables, monkeypatch, n, m):
+        # N = 1 and m = 0 once divided by zero in the rows, and m = -8 gave a
+        # passed row with min_kernel_value = inf
+        calls = self.spy(monkeypatch)
+        rows = kernel_gap_rows(tables, [n], None, GAP_KINDS, m)
+        params = [{"n": n, "p": None, "kind": k, "m": m} for k in GAP_KINDS]
+        assert [r.params for r in rows] == params
+        assert all(r.measured == {"invariant_ok": True, "error": "ValueError"} for r in rows)
+        M = 8 * n if m is None else m
+        message = f"ValueError: kernel gap scan needs N >= 2 and M >= 1, got N={n}, M={M}"
+        assert all(r.detail == message for r in rows)
+        assert calls == []
+
+    def test_row_failure_after_the_checks_fails_the_job(self, tables, monkeypatch):
+        # past the checks only resource exhaustion can raise; it is not a
+        # (kind, N)'s fault, so the job gives one error row, as any row function does
+        original = experiments.kernel_row
+
+        def no_room(tables, spec, M, B, s):
             if spec.kind == "h" and spec.N == 128 and s == 1:
                 raise MemoryError("no room for h")
             return original(tables, spec, M, B, s)
 
-        monkeypatch.setattr(experiments, "kernel_row", no_h)
-        rows = experiments.kernel_gap_rows(tables, [64, 128])
-        assert [(r.params["kind"], r.params["n"]) for r in rows] == [
-            (kind, n) for kind in GAP_KINDS for n in (64, 128)
-        ]
-        failed = [r for r in rows if "error" in r.measured]
-        # h_truncated reads no h row: its truncation cost comes from h's coefficients
-        assert [r.params for r in failed] == [{"n": 128, "p": None, "kind": "h", "m": None}]
-        assert all(r.detail == "MemoryError: no room for h" for r in failed)
-        assert all(r.passed for r in rows if r not in failed)
-        # the failed kind runs no more rows; the others run all three
-        assert ("h", 128, 2) not in ran and ("h_truncated", 128, 2) in ran
+        monkeypatch.setattr(experiments, "kernel_row", no_room)
+        cfg = SuiteConfig(experiments=(("kernel_gap", {"n": [64, 128]}),))
+        (row,) = run_suite(cfg, tables=tables)
+        assert row.experiment == "kernel_gap"
+        assert row.params == {"n": [64, 128], "p": None, "kind": list(GAP_KINDS), "m": None}
+        assert row.measured == {"invariant_ok": True, "error": "MemoryError"}
+        assert row.detail == "MemoryError: no room for h"
 
     def test_uneven_spec_fails_before_any_of_its_rows(self, tables, monkeypatch):
         h = expsum.kernel_coefficients(tables, expsum.KernelSpec("h", 64))
@@ -615,6 +636,11 @@ class TestLambdaL1Bounds:
         assert row.measured["l1"] >= row.reference["analytic_lower"]
         assert 0.15 <= row.ratios["l1_over_sqrt_n"]
         assert row.ratios["l1_over_sqrt_nlogn"] <= math.sqrt(0.75)
+
+    def test_n_below_two_is_refused(self, tables):
+        # N = 1 has no l1_over_sqrt_nlogn ratio: refused up front, not a KeyError
+        with pytest.raises(ValueError, match="N must be >= 2, got 1"):
+            lambda_l1_bounds(tables, 1)
 
 
 class TestMangoldtWeightedSum:
