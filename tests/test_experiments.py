@@ -276,8 +276,8 @@ class TestKernelGapRows:
 
     @pytest.mark.parametrize("n, m", [(1, None), (64, 0), (64, -8)])
     def test_n_below_two_or_m_below_one_gives_value_error_rows(self, tables, monkeypatch, n, m):
-        # N = 1 and m = 0 once divided by zero in the rows, and m = -8 gave a
-        # passed row with min_kernel_value = inf
+        # past the checks, N = 1 and m = 0 would divide by zero, and m = -8
+        # would read no row and report min_kernel_value = inf
         calls = self.spy(monkeypatch)
         rows = kernel_gap_rows(tables, [n], None, GAP_KINDS, m)
         params = [{"n": n, "p": None, "kind": k, "m": m} for k in GAP_KINDS]
