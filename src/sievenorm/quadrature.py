@@ -44,9 +44,9 @@ from .expsum import (
 
 DEFAULT_REL_TOL = 1e-4
 #: The L1 grids run over M = oversample * 2^ceil(log2 N), oversample from START to CAP.
-OVERSAMPLE_START = 16
+OVERSAMPLE_START = 8
 OVERSAMPLE_CAP = 1024
-#: Cap on the finest L1 grid: 2^25 samples reach N = 2^20 at oversample 32.
+#: Cap on the finest L1 grid: 2^24 samples reach N = 2^20 at oversample 16.
 SAMPLE_BUDGET = 1 << 26
 
 

@@ -289,12 +289,12 @@ class TestFiniteJson:
         assert list(rows[1]["ratios"]) == ["l1_over_sqrt_n", "l1_over_sqrt_nlogn"]
 
     def test_norm_with_one_grid_omits_last_delta(self, capsys, monkeypatch):
-        # the coarsest grid for N = 64 has 16 * 64 samples; no second grid fits
-        monkeypatch.setattr(quadrature, "SAMPLE_BUDGET", 16 * 64)
+        # the coarsest grid for N = 64 has 8 * 64 samples; no second grid fits
+        monkeypatch.setattr(quadrature, "SAMPLE_BUDGET", 8 * 64)
         code, out, _ = run_cli(capsys, ["norm", "--kind", "ones", "--n", "64", "--json"])
         assert code == 0
         (row,) = strict_json(out)["rows"]
-        assert row["measured"]["grids"] == [[1024, row["measured"]["l1"]]]
+        assert row["measured"]["grids"] == [[512, row["measured"]["l1"]]]
         assert "last_delta" not in row["measured"]
         assert row["measured"]["converged"] is False and row["passed"] is False
 

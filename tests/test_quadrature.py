@@ -11,6 +11,7 @@ import sievenorm.expsum as expsum
 import sievenorm.quadrature as quadrature
 from sievenorm.errors import CapacityError, InvariantError
 from sievenorm.expsum import grid_eval_sequence
+from sievenorm.experiments import DEFAULT_LADDER
 
 
 def random_sequence(N, seed):
@@ -53,26 +54,37 @@ def check_chunked_transforms(seq, monkeypatch):
         assert vb == pytest.approx(va, rel=1e-12)
 
 
-# L1 grids of the six ladder sequences (seed 7, default rel_tol), as the
-# earlier one-transform-per-grid quadrature gave them; rows move them by
-# roundoff only.
+# The six L1 ladder kinds of the default suite.
+LADDER_KINDS = (
+    "mobius",
+    "squarefree_random",
+    "prime_indicator",
+    "chi3_on_primes",
+    "random_primes",
+    "mangoldt",
+)
+# L1 grids of the six ladder sequences (seed 7, default rel_tol).
 LADDER_GRIDS = {
-    ("mobius", 1024): ((16384, 21.872477397237915), (32768, 21.87249515443661)),
-    ("mobius", 4096): ((65536, 44.17096284990068), (131072, 44.17089320605266)),
-    ("squarefree_random", 1024): ((16384, 17.025147675955825), (32768, 17.025091838855182)),
-    ("squarefree_random", 4096): ((65536, 33.8706905778899), (131072, 33.870692037801135)),
-    ("prime_indicator", 1024): ((16384, 8.975574361342728), (32768, 8.975576652633148)),
-    ("prime_indicator", 4096): ((65536, 15.879864219450049), (131072, 15.879890469955878)),
-    ("chi3_on_primes", 1024): ((16384, 8.759818291982128), (32768, 8.759790664239244)),
-    ("chi3_on_primes", 4096): ((65536, 15.558418765503749), (131072, 15.55844490493919)),
-    ("random_primes", 1024): ((16384, 8.92466156632386), (32768, 8.924646957885194)),
-    ("random_primes", 4096): ((65536, 16.119470465894707), (131072, 16.11948234007341)),
-    ("mangoldt", 1024): ((16384, 51.985792755776316), (32768, 51.98749602163606)),
-    ("mangoldt", 4096): ((65536, 114.290017514078), (131072, 114.29116937138286)),
+    ("mobius", 1024): ((8192, 21.87173327585665), (16384, 21.872477397237915)),
+    ("mobius", 4096): ((32768, 44.1707228897315), (65536, 44.17096284990069)),
+    ("squarefree_random", 1024): ((8192, 17.02510972915728), (16384, 17.025147675955825)),
+    ("squarefree_random", 4096): ((32768, 33.87053635997294), (65536, 33.8706905778899)),
+    ("prime_indicator", 1024): ((8192, 8.975140352929206), (16384, 8.97557436134273)),
+    ("prime_indicator", 4096): ((32768, 15.879967092879781), (65536, 15.879864219450049)),
+    ("chi3_on_primes", 1024): ((8192, 8.759669436178498), (16384, 8.759818291982128)),
+    ("chi3_on_primes", 4096): ((32768, 15.558634723334032), (65536, 15.55841876550375)),
+    ("random_primes", 1024): ((8192, 8.924648461112676), (16384, 8.92466156632386)),
+    ("random_primes", 4096): ((32768, 16.119608154981854), (65536, 16.119470465894707)),
+    ("mangoldt", 1024): (
+        (8192, 51.976168190138225),
+        (16384, 51.98579275577631),
+        (32768, 51.987496021636055),
+    ),
+    ("mangoldt", 4096): ((32768, 114.27905609783575), (65536, 114.29001751407802)),
 }
 # M lists and ``converged`` of refinements that run many doublings (seed 7).
-_DEEP_1000 = [16384, 32768, 65536, 131072, 262144, 524288, 1048576]
-_DEEP_64 = [1024, 2048, 4096, 8192, 16384, 32768, 65536]
+_DEEP_1000 = [8192, 16384, 32768, 65536, 131072, 262144, 524288, 1048576]
+_DEEP_64 = [512, 1024, 2048, 4096, 8192, 16384, 32768, 65536]
 DEEP_GRIDS = {
     ("random_complex", 1000, 1e-9): (_DEEP_1000, True),
     ("mobius", 1000, 1e-9): (_DEEP_1000, True),
@@ -171,13 +183,51 @@ class TestL1Norm:
         for (_, got), (_, want) in zip(est.grids, expected):
             assert got == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("kind", LADDER_KINDS)
+    @pytest.mark.parametrize("N", DEFAULT_LADDER)
+    def test_ladder_within_rel_tol_of_fine_grid(self, tables_mid, kind, N):
+        # the stopping rule is a heuristic: hold each default estimate to one
+        # plain rectangle rule on 256L, far finer than where the ladder stops
+        seq = sn.coefficient_sequence(tables_mid, kind, N, seed=7)
+        est = sn.l1_norm(seq)
+        M = 256 << (N - 1).bit_length()
+        assert est.converged
+        reference = quadrature._row_sum(seq, M, odd=False) / M
+        assert est.value == pytest.approx(reference, rel=quadrature.DEFAULT_REL_TOL)
+
+    @pytest.mark.parametrize("k", [10, 12, 14])
+    def test_ones_matches_fejer_lebesgue_constant(self, tables_mid, k):
+        # |S| = |sin(pi N a) / sin(pi a)| for ones; at odd N = 2n + 1 its mean is
+        # L_n = 1/N + (2/pi) sum_{j <= n} tan(pi j / N) / j (Fejer, 1910)
+        N = (1 << k) - 1
+        j = np.arange(1, N // 2 + 1)
+        exact = 1 / N + 2 / math.pi * math.fsum(np.tan(math.pi * j / N) / j)
+        est = sn.l1_norm(sn.coefficient_sequence(tables_mid, "ones", N))
+        assert est.converged
+        assert est.value == pytest.approx(exact, rel=quadrature.DEFAULT_REL_TOL)
+
+    @pytest.mark.parametrize("N", [1000, 4096])
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_kink_free_sequence_is_exact(self, monkeypatch, N, fold):
+        # a_n = N - |n - N| for n < 2N gives S(a) = e(N a) |F_N(a)|^2 with
+        # F_N(a) = sum_{m < N} e(m a): |S| is a trigonometric polynomial of
+        # degree N - 1, so every grid with M >= N integrates it exactly to N;
+        # with _CHUNK below L the coefficients fold into _CHUNK bins
+        if fold:
+            monkeypatch.setattr(expsum, "_CHUNK", 256)
+        n = np.arange(1, 2 * N)
+        est = sn.l1_norm(sn.CoefficientSequence(2 * N - 1, N - np.abs(n - N)))
+        assert est.converged
+        for _, value in est.grids:
+            assert value == pytest.approx(N, rel=1e-12)
+
     @pytest.mark.parametrize("kind, N, rel_tol", sorted(DEEP_GRIDS))
     def test_deep_tolerance_grids_pinned(self, tables, kind, N, rel_tol):
         est = sn.l1_norm(sn.coefficient_sequence(tables, kind, N, seed=7), rel_tol=rel_tol)
         assert ([m for m, _ in est.grids], est.converged) == DEEP_GRIDS[kind, N, rel_tol]
 
     def test_large_n_converges_in_bounded_memory(self, monkeypatch):
-        # N = 2^18 samples 2^22..2^23 points; evaluated in row batches of
+        # N = 2^18 samples 2^21..2^22 points; evaluated in row batches of
         # _CHUNK samples its traced peak stays within three complex batches
         def traced_peak(seq):
             tracemalloc.start()
@@ -190,7 +240,7 @@ class TestL1Norm:
             return est, peak
 
         est, peak = traced_peak(random_sequence(1 << 18, 5))
-        assert est.grids[0][0] == 1 << 22
+        assert est.grids[0][0] == 1 << 21
         assert peak < 3 * 16 * expsum._CHUNK
         # with L = 4 * _CHUNK the coefficients fold into rows of _CHUNK bins,
         # and a padded length-L copy alone would exceed the bound
@@ -198,7 +248,7 @@ class TestL1Norm:
         N = 3 * expsum._CHUNK + 5
         for seq in (random_sequence(N, 6), sn.CoefficientSequence(N, np.ones(N))):
             est, peak = traced_peak(seq)
-            assert est.grids[0][0] == 1 << 20
+            assert est.grids[0][0] == 1 << 19
             assert peak < 3 * 16 * expsum._CHUNK
 
     def test_refinement_settles(self, tables, monkeypatch):
@@ -255,9 +305,9 @@ class TestL1Norm:
             sn.l1_norm(seq, rel_tol=0.0)
 
     def test_first_grid_over_budget(self, monkeypatch):
-        # N = 64 starts at M = 16 * 64 = 1024 samples
-        monkeypatch.setattr(quadrature, "SAMPLE_BUDGET", 512)
-        with pytest.raises(CapacityError, match="coarsest grid 1024 already exceeds budget 512"):
+        # N = 64 starts at M = 8 * 64 = 512 samples
+        monkeypatch.setattr(quadrature, "SAMPLE_BUDGET", 256)
+        with pytest.raises(CapacityError, match="coarsest grid 512 already exceeds budget 256"):
             sn.l1_norm(random_sequence(64, 0))
 
     @pytest.mark.parametrize(
