@@ -7,8 +7,8 @@ The package is organized bottom-up:
 - :mod:`sievenorm.arith` -- sieve tables (spf, mu, phi, Lambda), Ramanujan
   sums, and named coefficient sequences;
 - :mod:`sievenorm.quadrature` -- L1/L2 norms by refining rectangle rules;
-- :mod:`sievenorm.largesieve` -- certified well-spaced point sets and the
-  sharp large-sieve inequality;
+- :mod:`sievenorm.largesieve` -- exact well-spaced point sets (unions of
+  coprime classes, and certified pairs) and the sharp large-sieve inequality;
 - :mod:`sievenorm.experiments` -- the experiment battery tying it together;
 - :mod:`sievenorm.cli` -- the ``sievenorm`` command.
 """
@@ -62,6 +62,7 @@ from .expsum import (
 )
 from .largesieve import (
     FAREY_KINDS,
+    ClassPointSet,
     LargeSieveResult,
     SpacedPointSet,
     build_point_set,

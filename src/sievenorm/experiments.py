@@ -733,13 +733,16 @@ def large_sieve_trials(
     if not kinds:
         raise ValueError(f"max_param={max_param} leaves every parameter pool empty")
     max_ratio, ratio_sum, worst = 0.0, 0.0, ""
+    n_hi: dict[tuple[str, int], int] = {}  # each set's N budget, from its size
     for start in range(0, trials, _TRIAL_WINDOW):
         drawn: dict[tuple[str, int], list] = {}
         for t in range(min(_TRIAL_WINDOW, trials - start)):
             kind = kinds[int(rng.integers(0, len(kinds)))]
             key = (kind, pools[kind][int(rng.integers(0, len(pools[kind])))])
-            n_hi = max(16, min(512, TRIAL_WORK_BUDGET // largesieve.point_count(tables, *key)))
-            N = int(rng.integers(8, n_hi + 1))
+            if key not in n_hi:
+                count = largesieve.point_count(tables, *key)
+                n_hi[key] = max(16, min(512, TRIAL_WORK_BUDGET // count))
+            N = int(rng.integers(8, n_hi[key] + 1))
             seq_kind = _TRIAL_SEQ_KINDS[int(rng.integers(0, len(_TRIAL_SEQ_KINDS)))]
             seq_seed, shift = int(rng.integers(0, 2**31)), float(rng.uniform())
             drawn.setdefault(key, []).append((t, seq_kind, N, seq_seed, shift))

@@ -6,29 +6,50 @@ satisfies
 
     sum_r |S(alpha_r)|^2  <=  (N + 1/delta - 1) * sum_n |a_n|^2 .
 
-Every point set here is exact: int64 pairs (numerator, denominator), the
-points a/q in [0, 1).  ``SpacedPointSet((num, den))`` is the one constructor
-and *certifies* delta at runtime: the pairs are taken mod 1 and sorted, and
-every consecutive gap a'/q' - a/q = (a'q - aq')/(qq') is checked by integer
-cross-multiplication: each cross-product must be >= 1 (order and
-distinctness) and each gap at least 1/max(q)^2.  The exact minimal gap is
-only then rounded (downward) to a float.  gcd(a, q) divides a'q - aq', so
-only pairs with no unit cross-product take a gcd; Farey neighbours have
-a'q - aq' = 1 (Hardy and Wright, Thm. 28).  ``build_point_set`` generates
-the three Farey-type families used throughout this package and hands their
-pairs to it; nothing about the spacing is taken on faith from the parameter.
-``point_count`` gives a family's size from the sieve tables alone, and
-``build_point_set`` checks the certified set against it.
+Every point set here is exact, in one of two forms.
+
+``ClassPointSet(denominators, kind)`` is the union of the full coprime
+classes {a/q : 0 <= a < q, (a, q) = 1} over its denominators, and keeps no
+point.  Its delta follows from the two largest denominators q1 > q2.  Two
+points of one class differ modulo 1 by a multiple of 1/q >= 1/(q1*q2), and
+reduced a/q, a'/q' with q != q' by a nonzero multiple of 1/lcm(q, q') >=
+1/(q*q') >= 1/(q1*q2).  When q1 and q2 are coprime, the a mod q1 with
+a*q2 = 1 (mod q1) and a' = (a*q2 - 1)/q1 give a unit cross-product
+a*q2 - a'*q1 = 1, so the gap 1/(q1*q2) occurs (Farey neighbours; Hardy and
+Wright, Thm. 28).  So delta = 1/(q1*q2), rounded toward zero as ``_min_gap``
+rounds the certified gap; a set whose two largest denominators share a
+factor is refused.
+
+``SpacedPointSet((num, den))`` holds int64 pairs (numerator, denominator),
+the points a/q in [0, 1), and *certifies* delta at runtime: the pairs are
+taken mod 1 and sorted, and every consecutive gap a'/q' - a/q =
+(a'q - aq')/(qq') is checked by integer cross-multiplication: each
+cross-product must be >= 1 (order and distinctness) and each gap at least
+1/max(q)^2.  The exact minimal gap is only then rounded (downward) to a
+float.  gcd(a, q) divides a'q - aq', so only pairs with no unit
+cross-product take a gcd.
+
+``build_point_set`` gives the three Farey-type families used throughout this
+package as class sets from the sieve tables' primes.  Where the lemma does not
+apply it falls back to certifying the family's pairs, from ``farey_pairs``,
+with ``SpacedPointSet``: a single class (``prime_farey(2)`` is the one point
+1/2, 1-spaced by convention) or two largest denominators that share a factor
+(``prime_square_farey(2)``: 2 and 4, delta 1/4 where 1/(q1*q2) is 1/8).
+``SpacedPointSet(farey_pairs(tables, kind, parameter))`` is the reference
+pair route for every family.  ``point_count`` gives a family's size from the
+sieve tables alone, and ``build_point_set`` checks the set against it.
 
 Families (``kind`` strings):
 
 ``reduced_farey(Q)``
-    all reduced fractions a/q, q <= Q (0 represented as 0/1); delta >= 1/Q^2.
+    all reduced fractions a/q, q <= Q (0 represented as 0/1); delta =
+    1/(Q(Q - 1)).
 ``prime_farey(P)``
-    a/p for primes p <= P, 1 <= a <= p - 1; delta >= 1/P^2.
+    a/p for primes p <= P, 1 <= a <= p - 1; delta = 1/(p1*p2) for the two
+    largest primes p1 > p2 up to P, and 1 for P = 2.
 ``prime_square_farey(P)``
-    a/p^2 for primes p <= P, 1 <= a <= p^2 - 1, reduced (2/4 is stored as
-    1/2); delta >= 1/P^4.
+    a/p^2 for primes p <= P, 1 <= a <= p^2 - 1, reduced (2/4 is 1/2): the
+    classes mod p and p^2; delta = 1/(p1*p2)^2, and 1/4 for P = 2.
 ``exact(R)``
     R given fractions a/q (taken mod 1, stored reduced, distinct), the
     default kind of ``SpacedPointSet``; delta >= 1/max(q)^2.
@@ -44,9 +65,9 @@ the Ramanujan-sum expansion c_q(k) = sum_{d | (q,k)} mu(q/d) * d read
 backwards.  So every group of a set that is the full coprime class mod q
 becomes integer weights w_d on the residue-class energies A_d, built once
 per set; lhs is sum_d w_d * A_d, with A_d = d * sum |a_n|^2 once d >= N.
-Any other group (only sets outside the Farey families have one) is summed
-pointwise with ``eval_sequence``, which also re-derives R(q) for an evenly
-strided subset of the full classes as the cross-check.
+Any other group (only a ``SpacedPointSet`` outside the Farey families has
+one) is summed pointwise with ``eval_sequence``, which also re-derives R(q)
+for an evenly strided subset of the full classes as the cross-check.
 """
 
 from __future__ import annotations
@@ -75,11 +96,11 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 
 class _Sample(NamedTuple):
-    """The cross-check's full classes: the positions ``pos`` of their points,
+    """The cross-check's full classes: their ``points`` in ascending order,
     the class index ``cls`` of each, their denominators ``q``, and the terms
     ``pair_mu * A_{pair_d}`` of each R(q), by class index ``pair_cls``."""
 
-    pos: np.ndarray
+    points: np.ndarray
     cls: np.ndarray
     q: np.ndarray
     pair_cls: np.ndarray
@@ -116,7 +137,7 @@ class SpacedPointSet:
     points: np.ndarray = field(init=False)
     # (d, w_d) with w_d != 0: the full classes' sum_{d | q} mu(q/d) * A_d
     _weights: tuple = field(default=(), init=False, repr=False)
-    # positions of the points outside every full class, summed pointwise
+    # the points outside every full class, summed pointwise
     _partial: np.ndarray = field(default=None, init=False, repr=False)
     # the full classes that ``_cross_check`` re-derives pointwise
     _sample: _Sample = field(default=None, init=False, repr=False)
@@ -159,49 +180,76 @@ class SpacedPointSet:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "points", pts)
-        self._class_weights(den, int(den.max()), tables)
+        self._set_classes(tables)
 
-    def _class_weights(self, den: np.ndarray, max_den: int, tables=None) -> None:
-        """Set ``_weights``, ``_partial`` and ``_sample`` from one pass over the pairs (m, d).
-
-        mu and phi come from ``tables`` if they reach ``max_den``, else from new ones.
-        """
-        if tables is None or tables.n_max < max_den:
-            tables = build_tables(max(2, max_den))
-        mobius, phi = tables.mobius[: max_den + 1], tables.phi[: max_den + 1]
-        full = np.bincount(den, minlength=max_den + 1) == phi
+    def _set_classes(self, tables=None) -> None:
+        """Set ``_weights``, ``_partial`` and ``_sample``: q with phi(q) points is a full class."""
+        den, pts = self.fractions[1], self.points
+        mobius, phi = _mu_phi(tables, int(den.max()))
+        full = np.bincount(den, minlength=phi.size) == phi
         full[0] = False
-        # every pair (m, d) with m * d <= max_den and mu(m) != 0; q = m * d
-        m = np.flatnonzero(mobius)
-        counts = max_den // m
-        m = np.repeat(m, counts)
-        d = np.arange(m.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
-        q = m * d
-        hit = full[q]
-        w = np.bincount(d[hit], mobius[m[hit]], max_den + 1).astype(np.int64)
-        partial = np.flatnonzero(~full[den])
-        # a sequence a_1 = 1 has A_d = d, so sum_d w_d * d counts the full classes
-        if int(w @ np.arange(max_den + 1)) != den.size - partial.size:
-            raise InvariantError(f"{self.kind}: class weights do not count the full classes")
-        ds = np.flatnonzero(w)
-        object.__setattr__(self, "_weights", (ds, w[ds]))
-        object.__setattr__(self, "_partial", partial)
-        # the full classes that fit in CROSS_CHECK_POINTS, at the least stride
-        # that keeps their points under it
-        eligible = np.flatnonzero(full & (phi <= CROSS_CHECK_POINTS))
-        stride = 1
-        while phi[eligible[::stride]].sum() > CROSS_CHECK_POINTS:
-            stride += 1
-        qs = eligible[::stride]
-        index = np.full(max_den + 1, -1)
-        index[qs] = np.arange(qs.size)
-        pos = np.flatnonzero(index[den] >= 0)
-        pair = hit & (index[q] >= 0)
-        sample = _Sample(pos, index[den[pos]], qs, index[q[pair]], d[pair], mobius[m[pair]])
+        in_full = full[den]
+        object.__setattr__(self, "_partial", pts[~in_full])
+
+        def sampled(qs):
+            picked = np.isin(den, qs)
+            return pts[picked], den[picked]
+
+        weights, sample = _class_weights(full, mobius, phi, int(in_full.sum()), self.kind, sampled)
+        object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_sample", sample)
 
     def __len__(self) -> int:
         return int(self.points.size)
+
+
+@dataclass(frozen=True, eq=False)
+class ClassPointSet:
+    """The union of the full coprime classes {a/q : 0 <= a < q, (a, q) = 1}, q in ``denominators``.
+
+    It keeps the increasing denominators (read-only int64), ``delta`` =
+    1/(q1*q2) from the two largest (module docstring) and its size for
+    ``len``; it makes the points of the classes ``_cross_check`` samples and
+    no other.  ``tables`` serve as for ``SpacedPointSet``.  Raises
+    ValueError for fewer than two denominators, a denominator below 1,
+    denominators that do not increase, or two largest that share a factor,
+    and CapacityError for a denominator above the limit of ``_check_int64``.
+    """
+
+    denominators: np.ndarray
+    kind: str
+    tables: InitVar[object] = None
+    delta: float = field(init=False)
+    # as for SpacedPointSet; ``_partial`` is empty, since every class is full
+    _weights: tuple = field(default=(), init=False, repr=False)
+    _partial: np.ndarray = field(default=None, init=False, repr=False)
+    _sample: _Sample = field(default=None, init=False, repr=False)
+    _size: int = field(default=0, init=False, repr=False)
+
+    def __post_init__(self, tables) -> None:
+        dens = np.array(self.denominators, dtype=np.int64)
+        increasing = dens.ndim == 1 and dens.size > 0 and dens[0] >= 1
+        delta = _lemma_delta(dens) if increasing and np.all(dens[1:] > dens[:-1]) else None
+        if delta is None:
+            raise ValueError(
+                f"{self.kind}: need increasing denominators >= 1 whose two largest are coprime"
+            )
+        _check_int64(int(dens[-1]))
+        dens.setflags(write=False)
+        mobius, phi = _mu_phi(tables, int(dens[-1]))
+        full = np.zeros(phi.size, dtype=bool)
+        full[dens] = True
+        size = int(phi[dens].sum())
+        weights, sample = _class_weights(full, mobius, phi, size, self.kind, _coprime_classes)
+        object.__setattr__(self, "denominators", dens)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_partial", np.empty(0))
+        object.__setattr__(self, "_sample", sample)
+        object.__setattr__(self, "_size", size)
+
+    def __len__(self) -> int:
+        return self._size
 
 
 class LargeSieveResult(NamedTuple):
@@ -224,6 +272,20 @@ def _check_int64(max_den: int) -> None:
         raise CapacityError(
             f"denominators up to {max_den} exceed the certification limit 2*q^4 < 2^63"
         )
+
+
+def _round_down(gap: Fraction) -> float:
+    """``gap`` as a float, rounded toward zero."""
+    delta = float(gap)  # rounded to nearest; step back one ulp if that overshot
+    return math.nextafter(delta, 0.0) if Fraction(delta) > gap else delta
+
+
+def _lemma_delta(dens: np.ndarray) -> float | None:
+    """delta = 1/(q1*q2) of the classes over the increasing ``dens``, rounded
+    toward zero, or None unless there are two and the largest two are coprime."""
+    if dens.size < 2 or math.gcd(int(dens[-1]), int(dens[-2])) != 1:
+        return None
+    return _round_down(Fraction(1, int(dens[-1]) * int(dens[-2])))
 
 
 def _min_gap(num: np.ndarray, den: np.ndarray, kind: str) -> tuple[float, np.ndarray]:
@@ -258,10 +320,53 @@ def _min_gap(num: np.ndarray, den: np.ndarray, kind: str) -> tuple[float, np.nda
     near = np.flatnonzero(gaps <= gaps.min() * (1.0 + 1e-9))
     del gaps
     span = den[near] * den[(near + 1) % num.size]
-    pairs = np.unique(np.stack([cross[near], span], axis=1), axis=0)
-    gap = min(Fraction(int(c), int(s)) for c, s in pairs)
-    delta = float(gap)  # rounded to nearest; step back one ulp if that overshot
-    return (math.nextafter(delta, 0.0) if Fraction(delta) > gap else delta), cross
+    pairs = set(zip(cross[near].tolist(), span.tolist()))
+    return _round_down(min(Fraction(c, s) for c, s in pairs)), cross
+
+
+def _mu_phi(tables, max_den: int) -> tuple[np.ndarray, np.ndarray]:
+    """mu and phi on 0..max_den, from ``tables`` if they reach max_den, else from new ones."""
+    if tables is None or tables.n_max < max_den:
+        tables = build_tables(max(2, max_den))
+    return tables.mobius[: max_den + 1], tables.phi[: max_den + 1]
+
+
+def _class_weights(full, mobius, phi, count: int, kind: str, sampled) -> tuple[tuple, _Sample]:
+    """The weights (d, w_d) and the cross-check ``_Sample`` of the full classes q with ``full[q]``.
+
+    One pass over the pairs (m, d) with m * d <= max_den = ``full.size - 1``
+    builds both.  ``count`` is the number of points in the full classes, and
+    ``sampled(qs)`` gives the points of the classes ``qs`` with their
+    denominators, in ascending order.  Raises InvariantError if the weights
+    do not count ``count`` points.
+    """
+    max_den = full.size - 1
+    # every pair (m, d) with m * d <= max_den and mu(m) != 0; q = m * d
+    m = np.flatnonzero(mobius)
+    counts = max_den // m
+    m = np.repeat(m, counts)
+    d = np.arange(m.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    q = m * d
+    hit = full[q]
+    w = np.bincount(d[hit], mobius[m[hit]], max_den + 1).astype(np.int64)
+    # a sequence a_1 = 1 has A_d = d, so sum_d w_d * d counts the full classes
+    if int(w @ np.arange(max_den + 1)) != count:
+        raise InvariantError(f"{kind}: class weights do not count the full classes")
+    ds = np.flatnonzero(w)
+    # the full classes that fit in CROSS_CHECK_POINTS, at the least stride
+    # that keeps their points under it
+    eligible = np.flatnonzero(full & (phi <= CROSS_CHECK_POINTS))
+    stride = 1
+    while phi[eligible[::stride]].sum() > CROSS_CHECK_POINTS:
+        stride += 1
+    qs = eligible[::stride]
+    index = np.full(max_den + 1, -1)
+    index[qs] = np.arange(qs.size)
+    points, den = sampled(qs)
+    pair = hit & (index[q] >= 0)
+    sample = _Sample(points, index[den], qs, index[q[pair]], d[pair], mobius[m[pair]])
+    return (ds, w[ds]), sample
+
 
 def _residues(moduli: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
     """All pairs (a, q) with q in ``moduli`` and first <= a <= q - 1, as int32 arrays.
@@ -275,6 +380,16 @@ def _residues(moduli: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
     num = np.arange(den.size, dtype=np.int32)
     num -= np.repeat(np.cumsum(counts, dtype=np.int32) - counts - first, counts)
     return num, den
+
+
+def _coprime_classes(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points a/q with (a, q) = 1 of the classes ``qs``, and their q, in ascending order."""
+    num, den = _residues(qs, 0)
+    coprime = np.gcd(num, den) == 1
+    num, den = num[coprime], den[coprime]
+    pts = num / den
+    order = np.argsort(pts)
+    return pts[order], den[order]
 
 
 def _check_family(tables, kind: str, parameter: int) -> int:
@@ -304,8 +419,15 @@ def point_count(tables, kind: str, parameter: int) -> int:
     return int(((ps * ps if kind == "prime_square_farey" else ps) - 1).sum())
 
 
-def _family(tables, kind: str, parameter: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (num, den) pairs of a checked Farey family, for ``SpacedPointSet`` to certify."""
+def farey_pairs(tables, kind: str, parameter: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (num, den) pairs of a Farey family, for ``SpacedPointSet`` to certify.
+
+    ``SpacedPointSet(farey_pairs(tables, kind, parameter))`` is the family's
+    reference pair route.  ``reduced_farey`` keeps a/q unless a prime p | q
+    divides a, so its pairs are reduced Farey neighbours and take no gcd.
+    Raises as ``build_point_set`` does.
+    """
+    parameter = _check_family(tables, kind, parameter)
     ps = tables.primes[tables.primes <= parameter].astype(np.int64)
     if kind != "reduced_farey":
         return _residues(ps * ps if kind == "prime_square_farey" else ps, 1)
@@ -317,23 +439,33 @@ def _family(tables, kind: str, parameter: int) -> tuple[np.ndarray, np.ndarray]:
     return num[keep], den[keep]
 
 
-def build_point_set(tables, kind: str, parameter: int) -> SpacedPointSet:
-    """Construct one of the Farey families as a certified ``SpacedPointSet``.
+def build_point_set(tables, kind: str, parameter: int) -> ClassPointSet | SpacedPointSet:
+    """One of the Farey families, as a ``ClassPointSet`` where the spacing lemma applies.
 
     ``parameter`` is Q for ``reduced_farey`` and P for the prime families;
     it must be >= 2 and at most ``tables.n_max``, since the family comes
-    from ``tables.primes`` (``reduced_farey`` keeps a/q unless a prime p | q
-    divides a, so its pairs are reduced Farey neighbours and take no gcd).
-    Raises ValueError for a bad kind or parameter and CapacityError, before
-    any array is built, if its denominators exceed the limit of
-    ``_check_int64``.  No family repeats a point (a reduced
-    a/p^2 is b/p^2 or b/p, each from one a), and every gap of the set is
-    >= 1/max(den)^2, the family's 1/Q^2, 1/P^2 or 1/P^4.  The certified set
-    must hold ``point_count`` points (InvariantError otherwise), and its
-    class weights read mu and phi from ``tables`` where they reach.
+    from ``tables.primes``.  Raises ValueError for a bad kind or parameter
+    and CapacityError, before any array is built, if its denominators exceed
+    the limit of ``_check_int64``.  The family's classes are those of the
+    denominators q <= Q, p <= P, or p and p^2 for p <= P.  Where the two
+    largest are coprime the set is a ``ClassPointSet``; otherwise (the one
+    point of ``prime_farey(2)``, and ``prime_square_farey(2)``, whose 2 and
+    4 share a factor) it is the ``SpacedPointSet`` that certifies
+    ``farey_pairs``.  The set must hold ``point_count`` points
+    (InvariantError otherwise), and its class weights read mu and phi from
+    ``tables`` where they reach.
     """
     parameter = _check_family(tables, kind, parameter)
-    point_set = SpacedPointSet(_family(tables, kind, parameter), f"{kind}({parameter})", tables)
+    name = f"{kind}({parameter})"
+    if kind == "reduced_farey":
+        dens = np.arange(1, parameter + 1)
+    else:
+        ps = tables.primes[tables.primes <= parameter].astype(np.int64)
+        dens = ps if kind == "prime_farey" else np.sort(np.concatenate([ps, ps * ps]))
+    if _lemma_delta(dens) is None:
+        point_set = SpacedPointSet(farey_pairs(tables, kind, parameter), name, tables)
+    else:
+        point_set = ClassPointSet(dens, name, tables)
     count = point_count(tables, kind, parameter)
     if len(point_set) != count:
         raise InvariantError(
@@ -394,7 +526,9 @@ def _cross_check(seq, point_set, shift, values, energy) -> None:
 
 
 def large_sieve_check(
-    seqs: Sequence[CoefficientSequence], point_set: SpacedPointSet, shifts: Sequence[float]
+    seqs: Sequence[CoefficientSequence],
+    point_set: ClassPointSet | SpacedPointSet,
+    shifts: Sequence[float],
 ) -> list[LargeSieveResult]:
     """(lhs, rhs, ratio) of the large sieve for each ``seqs[t]`` at the points + ``shifts[t]``.
 
@@ -417,7 +551,9 @@ def large_sieve_check(
     n_max = max(seq.N for seq in seqs)
     ds, ws = point_set._weights
     pair_d = point_set._sample.pair_d
-    moduli = np.union1d(ds[ds < n_max], pair_d[pair_d < n_max])
+    used = np.zeros(n_max, dtype=bool)
+    used[ds[ds < n_max]] = used[pair_d[pair_d < n_max]] = True
+    moduli = np.flatnonzero(used)
     small = _class_energies(coeffs, n, row, moduli.tolist())
     l2 = np.array([l2_norm_sq(seq) for seq in seqs])
     lo = ds < n_max
@@ -426,7 +562,7 @@ def large_sieve_check(
     lo = pair_d < n_max
     pair_energy = np.outer(l2, pair_d.astype(float))
     pair_energy[:, lo] = small[:, np.searchsorted(moduli, pair_d[lo])]
-    picked = point_set.points[np.concatenate([point_set._partial, point_set._sample.pos])]
+    picked = np.concatenate([point_set._partial, point_set._sample.points])
     partial = point_set._partial.size
     results = []
     for seq, shift, seq_lhs, seq_l2, energy in zip(seqs, shifts.tolist(), lhs, l2, pair_energy):

@@ -11,6 +11,7 @@ import sievenorm as sn
 import sievenorm.cli as cli
 import sievenorm.experiments as experiments
 import sievenorm.expsum as expsum
+import sievenorm.largesieve as largesieve
 from sievenorm.experiments import (
     EXPERIMENTS,
     GAP_KINDS,
@@ -779,6 +780,19 @@ class TestLargeSieveTrials:
         row = sieve_check_row(tables, "reduced_farey", 22, 128, shift=0.3)
         assert row.measured["margin"] == 1.0 - row.ratios["lhs_over_rhs"]
         assert row.measured["margin"] > 0.0
+
+    def test_sieve_check_row_keeps_its_bits_on_the_pair_route(self, tables, monkeypatch):
+        # the README example, by the class set and by the certified pairs
+        row = sieve_check_row(tables, "reduced_farey", 22, 512)
+
+        def pair_route(tables, kind, param):
+            pairs = largesieve.farey_pairs(tables, kind, param)
+            return sn.SpacedPointSet(pairs, f"{kind}({param})", tables)
+
+        monkeypatch.setattr(experiments, "build_point_set", pair_route)
+        ref = sieve_check_row(tables, "reduced_farey", 22, 512)
+        for key in ("lhs", "rhs", "points", "delta"):
+            assert row.measured[key] == ref.measured[key]
 
     def test_validation(self, tables):
         with pytest.raises(ValueError):

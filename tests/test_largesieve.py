@@ -14,6 +14,12 @@ from sievenorm.errors import CapacityError, InvariantError
 from sievenorm.experiments import _TRIAL_PARAM_POOL, _TRIAL_SQUARE_POOL
 
 
+def pair_set(tables, kind, parameter):
+    """A Farey family by the reference pair route: ``SpacedPointSet`` certifies ``farey_pairs``."""
+    pairs = largesieve.farey_pairs(tables, kind, parameter)
+    return largesieve.SpacedPointSet(pairs, f"{kind}({parameter})", tables)
+
+
 def fraction_point_set(tables, kind, parameter):
     """Reference (points, delta) built with fractions.Fraction, one point at a time."""
     fracs = set()
@@ -42,27 +48,27 @@ def fraction_delta(ordered):
 
 class TestBuildPointSet:
     def test_frozen_reduced_farey_3(self, tables):
-        ps = sn.build_point_set(tables, "reduced_farey", 3)
+        ps = pair_set(tables, "reduced_farey", 3)
         np.testing.assert_allclose(ps.points, [0.0, 1 / 3, 1 / 2, 2 / 3])
         assert ps.delta == pytest.approx(1 / 6)
         assert ps.kind == "reduced_farey(3)"
 
     def test_frozen_prime_farey_3(self, tables):
-        ps = sn.build_point_set(tables, "prime_farey", 3)
+        ps = pair_set(tables, "prime_farey", 3)
         np.testing.assert_allclose(ps.points, [1 / 3, 1 / 2, 2 / 3])
         assert ps.delta == pytest.approx(1 / 6)
 
     def test_frozen_prime_square_farey_2(self, tables):
         # 1/4, 2/4, 3/4; 2/4 is stored reduced, as 1/2
-        ps = sn.build_point_set(tables, "prime_square_farey", 2)
+        ps = pair_set(tables, "prime_square_farey", 2)
         np.testing.assert_allclose(ps.points, [0.25, 0.5, 0.75])
         assert ps.delta == pytest.approx(0.25)
 
     def test_tiny_families(self, tables):
-        ps = sn.build_point_set(tables, "reduced_farey", 2)
+        ps = pair_set(tables, "reduced_farey", 2)
         np.testing.assert_allclose(ps.points, [0.0, 0.5])
         assert ps.delta == pytest.approx(0.5)
-        single = sn.build_point_set(tables, "prime_farey", 2)
+        single = pair_set(tables, "prime_farey", 2)
         np.testing.assert_allclose(single.points, [0.5])
         assert single.delta == 1.0  # singleton is 1-spaced by convention
 
@@ -73,7 +79,7 @@ class TestBuildPointSet:
             ("prime_square_farey", (5, 17, 100), 4),
         ]:
             for p in params:
-                ps = sn.build_point_set(tables, kind, p)
+                ps = pair_set(tables, kind, p)
                 # certified delta respects the analytic guarantee...
                 assert ps.delta >= 1.0 / p**power * (1 - 1e-12)
                 # ...and the float points honor it up to point-rounding (the
@@ -97,7 +103,7 @@ class TestBuildPointSet:
     def test_reduced_farey_is_every_coprime_pair(self, tables):
         # the prime sieve over each block q against math.gcd, block edges included
         for Q in range(2, 41):
-            num, den = sn.build_point_set(tables, "reduced_farey", Q).fractions
+            num, den = pair_set(tables, "reduced_farey", Q).fractions
             got = sorted(zip(den.tolist(), num.tolist()))
             assert got == [(q, a) for q in range(1, Q + 1) for a in range(q) if math.gcd(a, q) == 1]
 
@@ -117,13 +123,14 @@ class TestBuildPointSet:
     )
     def test_matches_fraction_reference(self, tables, kind, params):
         for p in params:
-            ps = sn.build_point_set(tables, kind, p)
+            ps = pair_set(tables, kind, p)
             points, delta = fraction_point_set(tables, kind, p)
             assert np.array_equal(ps.points, points)
             assert ps.delta == delta
+            assert sn.build_point_set(tables, kind, p).delta == delta  # the class route's lemma
 
     def test_exact_form(self, tables):
-        ps = sn.build_point_set(tables, "prime_square_farey", 3)
+        ps = pair_set(tables, "prime_square_farey", 3)
         num, den = ps.fractions
         assert num.dtype == den.dtype == np.int64
         assert np.array_equal(ps.points, num / den)
@@ -163,10 +170,10 @@ class TestBuildPointSet:
         # reduced_farey(1000) holds 304,192 pairs: 2.3 MiB per int64 array, and
         # the finished set keeps 7 MiB (num, den and points); a build that held
         # about nine such arrays at once would peak near 21 MiB
-        sn.build_point_set(tables, "reduced_farey", 1000)  # one-time state outside the trace
+        pair_set(tables, "reduced_farey", 1000)  # one-time state outside the trace
         tracemalloc.start()
         try:
-            point_set = sn.build_point_set(tables, "reduced_farey", 1000)
+            point_set = pair_set(tables, "reduced_farey", 1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -181,6 +188,79 @@ class TestBuildPointSet:
         for kind in ("reduced_farey", "prime_farey"):
             with pytest.raises(ValueError, match="tables cover"):
                 sn.build_point_set(tables, kind, tables.n_max + 1)
+
+
+class TestClassRoute:
+    """``build_point_set`` makes a ``ClassPointSet`` where the two largest
+    denominators are coprime; it must match the certified pair route bit for
+    bit in everything ``large_sieve_check`` reads."""
+
+    @staticmethod
+    def assert_same_reads(ps, ref):
+        assert ps.delta == ref.delta
+        assert len(ps) == len(ref)
+        # ``_sample`` holds the sampled points themselves, in ascending order
+        reads = (*ps._weights, ps._partial, *ps._sample)
+        for got, want in zip(reads, (*ref._weights, ref._partial, *ref._sample)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "kind, pool",
+        [
+            ("reduced_farey", _TRIAL_PARAM_POOL),
+            ("prime_farey", _TRIAL_PARAM_POOL),
+            ("prime_square_farey", _TRIAL_SQUARE_POOL),
+        ],
+    )
+    def test_matches_pair_route(self, tables, kind, pool):
+        # every pool family (reduced_farey(1000) included) and every parameter 2..64
+        fallback = []
+        for param in sorted({*pool, *range(2, 65)}):
+            ps = sn.build_point_set(tables, kind, param)
+            if type(ps) is sn.SpacedPointSet:
+                fallback.append(param)
+            else:
+                assert type(ps) is largesieve.ClassPointSet
+            self.assert_same_reads(ps, pair_set(tables, kind, param))
+        # one point (prime_farey(2)), or denominators 2 and 4 (prime_square_farey(2))
+        assert fallback == ([] if kind == "reduced_farey" else [2])
+
+    def test_short_tables_sieve_their_own(self, monkeypatch):
+        small = sn.build_tables(40)
+        built, build_tables = [], largesieve.build_tables
+
+        def counted(n):
+            built.append(n)
+            return build_tables(n)
+
+        monkeypatch.setattr(largesieve, "build_tables", counted)
+        ps = sn.build_point_set(small, "prime_square_farey", 31)  # max den 961 > 40
+        assert type(ps) is largesieve.ClassPointSet and built == [961]
+        self.assert_same_reads(ps, pair_set(small, "prime_square_farey", 31))
+
+    @pytest.mark.parametrize("dens", [[5, 7, 12], [1, 3, 4], [6, 9, 10, 11]])
+    def test_hand_sets_match_pair_route(self, dens):
+        num, den = zip(*[(a, q) for q in dens for a in range(q) if math.gcd(a, q) == 1])
+        ps = largesieve.ClassPointSet(np.array(dens), "hand")
+        assert ps.denominators.tolist() == dens
+        self.assert_same_reads(ps, sn.SpacedPointSet((np.array(num), np.array(den)), "hand"))
+
+    @pytest.mark.parametrize("dens", [[2, 4], [3, 6, 9], [7], [0, 1, 2], [], [1, 3, 2], [3, 3]])
+    def test_rejects_sets_outside_the_lemma(self, dens):
+        with pytest.raises(ValueError, match="two largest are coprime"):
+            largesieve.ClassPointSet(np.array(dens, dtype=np.int64), "hand")
+
+    def test_class_set_peak_is_small(self, tables):
+        # the pair route's build peaks near 13 MiB here; the class set makes no pair
+        sn.build_point_set(tables, "reduced_farey", 1000)  # one-time state outside the trace
+        tracemalloc.start()
+        try:
+            point_set = sn.build_point_set(tables, "reduced_farey", 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(point_set) == 304_192
+        assert peak < 1 << 20
 
 
 class TestPointCount:
@@ -241,7 +321,7 @@ class TestClassWeightTables:
             return build_tables(n)
 
         monkeypatch.setattr(largesieve, "build_tables", counted)
-        ps = sn.build_point_set(small, "prime_square_farey", 31)  # max den 961 > 40
+        ps = pair_set(small, "prime_square_farey", 31)  # max den 961 > 40
         bare = sn.SpacedPointSet(ps.fractions)
         assert built == [961, 961]
         assert all(np.array_equal(a, b) for a, b in zip(ps._weights, bare._weights))
@@ -285,7 +365,7 @@ class TestExactPointSet:
         assert ps.points.tolist() == [0.37]
 
     def test_matches_farey_family(self, tables):
-        ref = sn.build_point_set(tables, "reduced_farey", 22)
+        ref = pair_set(tables, "reduced_farey", 22)
         ps = sn.SpacedPointSet(ref.fractions)
         assert np.array_equal(ps.points, ref.points)
         assert ps.delta == ref.delta
@@ -367,7 +447,7 @@ def gcd_first(num, den, kind):
     fields = {"fractions": (num, den), "kind": kind, "delta": delta, "points": num / den}
     for name, value in fields.items():
         object.__setattr__(ref, name, value)
-    ref._class_weights(den, int(den.max()))
+    ref._set_classes()
     return ref
 
 
@@ -394,15 +474,15 @@ class TestCertifiedReduction:
         ],
     )
     def test_families_match_gcd_first(self, tables, monkeypatch, kind, pool):
-        given = []
+        given, farey_pairs = [], largesieve.farey_pairs
 
-        def spy(fractions, kind="", tables=None):
-            given.append(fractions)
-            return sn.SpacedPointSet(fractions, kind, tables)
+        def spy(*args):
+            given.append(farey_pairs(*args))
+            return given[-1]
 
-        monkeypatch.setattr(largesieve, "SpacedPointSet", spy)
+        monkeypatch.setattr(largesieve, "farey_pairs", spy)
         for param in pool:
-            ps = largesieve.build_point_set(tables, kind, param)
+            ps = pair_set(tables, kind, param)
             assert_same_set(ps, gcd_first(*given[-1], ps.kind))
 
     def test_farey_neighbours_take_no_gcd(self, tables, monkeypatch):
@@ -414,10 +494,10 @@ class TestCertifiedReduction:
 
         monkeypatch.setattr(np, "gcd", counted)
         for Q in _TRIAL_PARAM_POOL:
-            sn.build_point_set(tables, "reduced_farey", Q)
+            pair_set(tables, "reduced_farey", Q)
         assert sum(sizes) == 0
         # 2/4 is reducible, so no cross-product with it is 1: it reaches the gcd
-        sn.build_point_set(tables, "prime_square_farey", 2)
+        pair_set(tables, "prime_square_farey", 2)
         assert sum(sizes) >= 1
 
     @pytest.mark.parametrize(
@@ -513,6 +593,7 @@ class TestLargeSieveCheck:
         # matching the pointwise sum and its own one-element call
         param = 11 if kind == "prime_square_farey" else 100
         ps = sn.build_point_set(tables, kind, param)
+        points = pair_set(tables, kind, param).points
         seqs, shifts = [], []
         for seq_kind in ("random_complex", "mobius", "ones", "mangoldt"):
             for N, shift in ((8, 0.0), (97, rng.uniform()), (512, rng.uniform())):
@@ -521,7 +602,7 @@ class TestLargeSieveCheck:
         batch = sn.large_sieve_check(seqs, ps, shifts)
         assert len(batch) == len(seqs)
         for seq, shift, res in zip(seqs, shifts, batch):
-            pointwise = sn.eval_sequence(seq, ps.points + shift)
+            pointwise = sn.eval_sequence(seq, points + shift)
             want = float(np.sum(np.abs(pointwise) ** 2))
             assert res.lhs == pytest.approx(want, rel=1e-12)
             alone = check_one(seq, ps, shift)
@@ -529,7 +610,7 @@ class TestLargeSieveCheck:
             assert res.rhs == alone.rhs
 
     @staticmethod
-    def assert_matches_pointwise(tables, ps):
+    def assert_matches_pointwise(tables, ps, points):
         # N = 1 needs no energies, N = 5 sits below and N = 40 above most d
         seqs, shifts = [], []
         for N, shift in ((1, 0.25), (5, 0.0), (5, 0.6), (40, 0.0), (40, 0.3)):
@@ -537,7 +618,7 @@ class TestLargeSieveCheck:
                 seqs.append(sn.coefficient_sequence(tables, seq_kind, N, seed=N))
                 shifts.append(shift)
         for seq, shift, res in zip(seqs, shifts, sn.large_sieve_check(seqs, ps, shifts)):
-            want = float(np.sum(np.abs(sn.eval_sequence(seq, ps.points + shift)) ** 2))
+            want = float(np.sum(np.abs(sn.eval_sequence(seq, points + shift)) ** 2))
             assert res.lhs == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("M", [12, 30, 64])
@@ -545,20 +626,20 @@ class TestLargeSieveCheck:
         # a/M, a < M, reduces to the full coprime class mod d for every d | M
         ps = sn.SpacedPointSet((np.arange(M), M))
         assert ps._partial.size == 0
-        self.assert_matches_pointwise(tables, ps)
+        self.assert_matches_pointwise(tables, ps, ps.points)
 
     @pytest.mark.parametrize("num, den", [([1, 2, 9], 10), ([123], 1000)])
     def test_partial_groups_match_pointwise(self, tables, num, den):
         ps = sn.SpacedPointSet((num, den))
         assert ps._partial.size == len(ps)
-        self.assert_matches_pointwise(tables, ps)
+        self.assert_matches_pointwise(tables, ps, ps.points)
 
     @pytest.mark.parametrize("kind", sn.FAREY_KINDS)
     @pytest.mark.parametrize("param", [2, 3, 7])
     def test_small_families_match_pointwise(self, tables, kind, param):
         ps = sn.build_point_set(tables, kind, param)
         assert ps._partial.size == 0
-        self.assert_matches_pointwise(tables, ps)
+        self.assert_matches_pointwise(tables, ps, pair_set(tables, kind, param).points)
 
     def test_batch_validation(self, tables):
         ps = sn.build_point_set(tables, "reduced_farey", 5)
@@ -671,6 +752,6 @@ class TestSpacedPointSetType:
             sn.SpacedPointSet(([1], [10]), "x", delta=0.5)
 
     def test_points_read_only(self, tables):
-        ps = sn.build_point_set(tables, "reduced_farey", 4)
+        ps = pair_set(tables, "reduced_farey", 4)
         with pytest.raises(ValueError):
             ps.points[0] = 0.9
