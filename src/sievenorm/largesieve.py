@@ -9,35 +9,34 @@ satisfies
 Every point set here is exact, in one of two forms.
 
 ``ClassPointSet(denominators, kind)`` is the union of the full coprime
-classes {a/q : 0 <= a < q, (a, q) = 1} over its denominators, and keeps no
-point.  Its delta follows from the two largest denominators q1 > q2.  Two
-points of one class differ modulo 1 by a multiple of 1/q >= 1/(q1*q2), and
-reduced a/q, a'/q' with q != q' by a nonzero multiple of 1/lcm(q, q') >=
-1/(q*q') >= 1/(q1*q2).  When q1 and q2 are coprime, the a mod q1 with
-a*q2 = 1 (mod q1) and a' = (a*q2 - 1)/q1 give a unit cross-product
-a*q2 - a'*q1 = 1, so the gap 1/(q1*q2) occurs (Farey neighbours; Hardy and
-Wright, Thm. 28).  So delta = 1/(q1*q2), rounded toward zero as ``_min_gap``
-rounds the certified gap; a set whose two largest denominators share a
-factor is refused.
+classes {a/q : 0 <= a < q, (a, q) = 1} over its increasing denominators, and
+keeps no point.  Its delta follows from the two largest denominators q1 > q2
+where they are coprime.  Two points of one class differ modulo 1 by a
+multiple of 1/q >= 1/(q1*q2), and reduced a/q, a'/q' with q != q' by a
+nonzero multiple of 1/lcm(q, q') >= 1/(q*q') >= 1/(q1*q2).  When q1 and q2
+are coprime, the a mod q1 with a*q2 = 1 (mod q1) and a' = (a*q2 - 1)/q1 give
+a unit cross-product a*q2 - a'*q1 = 1, so the gap 1/(q1*q2) occurs (Farey
+neighbours; Hardy and Wright, Thm. 28).  So delta = 1/(q1*q2), rounded
+toward zero as ``_min_gap`` rounds the certified gap.  Where the lemma does
+not apply (one class, or two largest denominators that share a factor) the
+set certifies delta over its own coprime pairs with ``_min_gap``.
 
 ``SpacedPointSet((num, den))`` holds int64 pairs (numerator, denominator),
-the points a/q in [0, 1), and *certifies* delta at runtime: the pairs are
-taken mod 1 and sorted, and every consecutive gap a'/q' - a/q =
-(a'q - aq')/(qq') is checked by integer cross-multiplication: each
-cross-product must be >= 1 (order and distinctness) and each gap at least
-1/max(q)^2.  The exact minimal gap is only then rounded (downward) to a
-float.  gcd(a, q) divides a'q - aq', so only pairs with no unit
-cross-product take a gcd.
+the points a/q in [0, 1), and *certifies* delta at runtime in one straight
+line: the pairs are taken mod 1, divided by their gcds and sorted, and every
+consecutive gap a'/q' - a/q = (a'q - aq')/(qq') is checked by integer
+cross-multiplication: each cross-product must be >= 1 (order and
+distinctness) and each gap at least 1/max(q)^2.  The exact minimal gap is
+only then rounded (downward) to a float.
 
 ``build_point_set`` gives the three Farey-type families used throughout this
-package as class sets from the sieve tables' primes.  Where the lemma does not
-apply it falls back to certifying the family's pairs, from ``farey_pairs``,
-with ``SpacedPointSet``: a single class (``prime_farey(2)`` is the one point
-1/2, 1-spaced by convention) or two largest denominators that share a factor
-(``prime_square_farey(2)``: 2 and 4, delta 1/4 where 1/(q1*q2) is 1/8).
-``SpacedPointSet(farey_pairs(tables, kind, parameter))`` is the reference
-pair route for every family.  ``point_count`` gives a family's size from the
-sieve tables alone, and ``build_point_set`` checks the set against it.
+package as class sets from the sieve tables' primes, the lemma's and the
+certified ones alike (``prime_farey(2)`` is the one point 1/2, 1-spaced by
+convention; ``prime_square_farey(2)`` has denominators 2 and 4, delta 1/4
+where 1/(q1*q2) is 1/8).  ``SpacedPointSet(farey_pairs(tables, kind,
+parameter))`` is the independent reference pair route for every family.
+``point_count`` gives a family's size from the sieve tables alone, and
+``build_point_set`` checks the set against it.
 
 Families (``kind`` strings):
 
@@ -114,10 +113,8 @@ class SpacedPointSet:
 
     ``fractions = (num, den)`` are integers that broadcast to one nonempty
     1-d shape, e.g. ``SpacedPointSet((np.arange(M), M))``.  Each num is taken
-    mod its den, the pairs are sorted as given (a/q and ga/gq are one float)
-    and ``_min_gap`` certifies them; then each pair that no unit cross-product
-    proves reduced is divided by its gcd (every pair first, if the max den as
-    given fails ``_check_int64``).  They are stored as read-only int64 arrays
+    mod its den, each pair is divided by its gcd, and the sorted pairs are
+    certified by ``_min_gap``.  They are stored as read-only int64 arrays
     and ``points`` is ``num / den``, so a denominator that holds phi(q)
     points holds the full coprime class mod q.  ``delta`` is the exact
     minimal circular gap rounded toward zero; a single point is 1-spaced by
@@ -154,12 +151,11 @@ class SpacedPointSet:
         # each pair-length array is dropped as soon as it is read: a Farey set holds ~10^5 pairs
         num = np.remainder(num, den, dtype=np.int64)
         den = den.astype(np.int64, copy=False)
-        try:
-            _check_int64(int(den.max()))
-        except CapacityError:  # the reduced pairs may still fit: reduce them all first
-            g = np.gcd(num, den)
-            num, den = num // g, den // g
-            _check_int64(int(den.max()))
+        g = np.gcd(num, den)
+        num //= g
+        den = den // g
+        del g
+        _check_int64(int(den.max()))
         # Within that limit distinct points differ by >= 1/max_den^2 > 2^-32,
         # far above float resolution, so the float order is the exact order.
         order = np.argsort(num / den)
@@ -167,12 +163,7 @@ class SpacedPointSet:
         den = den[order]
         del order
         kind = self.kind or f"exact({num.size})"
-        delta, cross = _min_gap(num, den, kind)
-        unit = cross == 1  # gcd(a, q) divides a'q - aq': a unit one proves both pairs reduced
-        del cross
-        rest = np.flatnonzero(~(unit | np.roll(unit, 1)))
-        g = np.gcd(num[rest], den[rest])
-        num[rest], den[rest] = num[rest] // g, den[rest] // g
+        delta = _min_gap(num, den, kind)
         pts = num / den
         for arr in (num, den, pts):
             arr.setflags(write=False)
@@ -184,7 +175,7 @@ class SpacedPointSet:
 
     def _set_classes(self, tables=None) -> None:
         """Set ``_weights``, ``_partial`` and ``_sample``: q with phi(q) points is a full class."""
-        den, pts = self.fractions[1], self.points
+        (num, den), pts = self.fractions, self.points
         mobius, phi = _mu_phi(tables, int(den.max()))
         full = np.bincount(den, minlength=phi.size) == phi
         full[0] = False
@@ -193,7 +184,7 @@ class SpacedPointSet:
 
         def sampled(qs):
             picked = np.isin(den, qs)
-            return pts[picked], den[picked]
+            return num[picked], den[picked]
 
         weights, sample = _class_weights(full, mobius, phi, int(in_full.sum()), self.kind, sampled)
         object.__setattr__(self, "_weights", weights)
@@ -207,13 +198,14 @@ class SpacedPointSet:
 class ClassPointSet:
     """The union of the full coprime classes {a/q : 0 <= a < q, (a, q) = 1}, q in ``denominators``.
 
-    It keeps the increasing denominators (read-only int64), ``delta`` =
-    1/(q1*q2) from the two largest (module docstring) and its size for
-    ``len``; it makes the points of the classes ``_cross_check`` samples and
-    no other.  ``tables`` serve as for ``SpacedPointSet``.  Raises
-    ValueError for fewer than two denominators, a denominator below 1,
-    denominators that do not increase, or two largest that share a factor,
-    and CapacityError for a denominator above the limit of ``_check_int64``.
+    It keeps the increasing denominators (read-only int64), ``delta`` and
+    its size for ``len``.  delta is 1/(q1*q2) where the two largest are
+    coprime (module docstring); otherwise ``_min_gap`` certifies the set's
+    own coprime pairs, the only points it makes besides those of the classes
+    ``_cross_check`` samples.  ``tables`` serve as for ``SpacedPointSet``.
+    Raises ValueError unless the denominators are nonempty, at least 1 and
+    increasing, and CapacityError for a denominator above the limit of
+    ``_check_int64``.
     """
 
     denominators: np.ndarray
@@ -228,14 +220,14 @@ class ClassPointSet:
 
     def __post_init__(self, tables) -> None:
         dens = np.array(self.denominators, dtype=np.int64)
-        increasing = dens.ndim == 1 and dens.size > 0 and dens[0] >= 1
-        delta = _lemma_delta(dens) if increasing and np.all(dens[1:] > dens[:-1]) else None
-        if delta is None:
-            raise ValueError(
-                f"{self.kind}: need increasing denominators >= 1 whose two largest are coprime"
-            )
+        if dens.ndim != 1 or dens.size == 0 or dens[0] < 1 or np.any(dens[1:] <= dens[:-1]):
+            raise ValueError(f"{self.kind}: need increasing denominators >= 1")
         _check_int64(int(dens[-1]))
         dens.setflags(write=False)
+        if dens.size > 1 and math.gcd(int(dens[-1]), int(dens[-2])) == 1:
+            delta = _round_down(Fraction(1, int(dens[-1]) * int(dens[-2])))
+        else:
+            delta = _min_gap(*_coprime_classes(dens), self.kind)
         mobius, phi = _mu_phi(tables, int(dens[-1]))
         full = np.zeros(phi.size, dtype=bool)
         full[dens] = True
@@ -261,12 +253,11 @@ class LargeSieveResult(NamedTuple):
 def _check_int64(max_den: int) -> None:
     """Raise CapacityError unless 2*max_den^4 fits in int64 (max_den < 2^15.5).
 
-    It bounds the pairs as given, or if they fail, the reduced pairs.  The
-    cross-products need far less (each is below 2*max_den^2, the wrap's
-    (a + q)q' included); the limit keeps distinct points more than 2^-32
-    apart, so the float ``argsort`` is exact, and keeps ``_class_weights``'
-    tables and (m, d) pair arrays small; a wider one would let a few points
-    with a huge denominator allocate GiBs.
+    It bounds the reduced pairs.  The cross-products need far less (each is
+    below 2*max_den^2, the wrap's (a + q)q' included); the limit keeps
+    distinct points more than 2^-32 apart, so the float ``argsort`` is exact,
+    and keeps ``_class_weights``' tables and (m, d) pair arrays small; a
+    wider one would let a few points with a huge denominator allocate GiBs.
     """
     if 2 * max_den**4 > _INT64_MAX:
         raise CapacityError(
@@ -280,22 +271,13 @@ def _round_down(gap: Fraction) -> float:
     return math.nextafter(delta, 0.0) if Fraction(delta) > gap else delta
 
 
-def _lemma_delta(dens: np.ndarray) -> float | None:
-    """delta = 1/(q1*q2) of the classes over the increasing ``dens``, rounded
-    toward zero, or None unless there are two and the largest two are coprime."""
-    if dens.size < 2 or math.gcd(int(dens[-1]), int(dens[-2])) != 1:
-        return None
-    return _round_down(Fraction(1, int(dens[-1]) * int(dens[-2])))
-
-
-def _min_gap(num: np.ndarray, den: np.ndarray, kind: str) -> tuple[float, np.ndarray]:
-    """The exact minimal circular gap of the sorted num/den, rounded down.
+def _min_gap(num: np.ndarray, den: np.ndarray, kind: str) -> float:
+    """The exact minimal circular gap of the sorted, reduced int64 num/den, rounded down.
 
     Consecutive pairs, the wrap pair (last, first + 1) included, must have
     cross-product a'q - aq' >= 1: 0 is a repeated point (ValueError), below
-    0 the points are out of order (InvariantError), named in lowest terms.
-    So each gap (a'q - aq')/(qq') >= 1/max(den)^2, one float for a/q and
-    ga/gq.  ``_check_int64(max(den))`` must hold.  Returns (delta, cross).
+    0 the points are out of order (InvariantError).  So each gap
+    (a'q - aq')/(qq') >= 1/max(den)^2.  ``_check_int64(max(den))`` must hold.
     """
     cross = np.empty_like(num)
     np.multiply(num[1:], den[:-1], out=cross[:-1])
@@ -304,9 +286,7 @@ def _min_gap(num: np.ndarray, den: np.ndarray, kind: str) -> tuple[float, np.nda
     i = int(np.argmin(cross))
     if cross[i] < 1:
         j = (i + 1) % num.size  # the wrap pair's second point is first + 1
-        a, q = np.array([num[i], num[j] + (j == 0) * den[j]]), den[[i, j]]
-        g = np.gcd(a, q)
-        pair = f"{a[0] // g[0]}/{q[0] // g[0]} and {a[1] // g[1]}/{q[1] // g[1]}"
+        pair = f"{num[i]}/{den[i]} and {num[j] + (j == 0) * den[j]}/{den[j]}"
         if cross[i] == 0:
             raise ValueError(f"{kind}: points {pair} are not distinct modulo 1")
         raise InvariantError(f"{kind}: points {pair} are out of order")
@@ -321,7 +301,7 @@ def _min_gap(num: np.ndarray, den: np.ndarray, kind: str) -> tuple[float, np.nda
     del gaps
     span = den[near] * den[(near + 1) % num.size]
     pairs = set(zip(cross[near].tolist(), span.tolist()))
-    return _round_down(min(Fraction(c, s) for c, s in pairs)), cross
+    return _round_down(min(Fraction(c, s) for c, s in pairs))
 
 
 def _mu_phi(tables, max_den: int) -> tuple[np.ndarray, np.ndarray]:
@@ -336,8 +316,8 @@ def _class_weights(full, mobius, phi, count: int, kind: str, sampled) -> tuple[t
 
     One pass over the pairs (m, d) with m * d <= max_den = ``full.size - 1``
     builds both.  ``count`` is the number of points in the full classes, and
-    ``sampled(qs)`` gives the points of the classes ``qs`` with their
-    denominators, in ascending order.  Raises InvariantError if the weights
+    ``sampled(qs)`` gives the points num/den of the classes ``qs`` as integer
+    pairs (num, den), in ascending order.  Raises InvariantError if the weights
     do not count ``count`` points.
     """
     max_den = full.size - 1
@@ -362,9 +342,9 @@ def _class_weights(full, mobius, phi, count: int, kind: str, sampled) -> tuple[t
     qs = eligible[::stride]
     index = np.full(max_den + 1, -1)
     index[qs] = np.arange(qs.size)
-    points, den = sampled(qs)
+    num, den = sampled(qs)
     pair = hit & (index[q] >= 0)
-    sample = _Sample(points, index[den], qs, index[q[pair]], d[pair], mobius[m[pair]])
+    sample = _Sample(num / den, index[den], qs, index[q[pair]], d[pair], mobius[m[pair]])
     return (ds, w[ds]), sample
 
 
@@ -383,13 +363,12 @@ def _residues(moduli: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _coprime_classes(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The points a/q with (a, q) = 1 of the classes ``qs``, and their q, in ascending order."""
+    """The pairs (a, q) with (a, q) = 1 of the classes ``qs``, int64, in ascending order of a/q."""
     num, den = _residues(qs, 0)
     coprime = np.gcd(num, den) == 1
-    num, den = num[coprime], den[coprime]
-    pts = num / den
-    order = np.argsort(pts)
-    return pts[order], den[order]
+    num, den = num[coprime].astype(np.int64), den[coprime].astype(np.int64)
+    order = np.argsort(num / den)
+    return num[order], den[order]
 
 
 def _check_family(tables, kind: str, parameter: int) -> int:
@@ -424,8 +403,8 @@ def farey_pairs(tables, kind: str, parameter: int) -> tuple[np.ndarray, np.ndarr
 
     ``SpacedPointSet(farey_pairs(tables, kind, parameter))`` is the family's
     reference pair route.  ``reduced_farey`` keeps a/q unless a prime p | q
-    divides a, so its pairs are reduced Farey neighbours and take no gcd.
-    Raises as ``build_point_set`` does.
+    divides a, so its pairs are already reduced.  Raises as
+    ``build_point_set`` does.
     """
     parameter = _check_family(tables, kind, parameter)
     ps = tables.primes[tables.primes <= parameter].astype(np.int64)
@@ -439,33 +418,25 @@ def farey_pairs(tables, kind: str, parameter: int) -> tuple[np.ndarray, np.ndarr
     return num[keep], den[keep]
 
 
-def build_point_set(tables, kind: str, parameter: int) -> ClassPointSet | SpacedPointSet:
-    """One of the Farey families, as a ``ClassPointSet`` where the spacing lemma applies.
+def build_point_set(tables, kind: str, parameter: int) -> ClassPointSet:
+    """One of the Farey families, as a ``ClassPointSet``.
 
     ``parameter`` is Q for ``reduced_farey`` and P for the prime families;
     it must be >= 2 and at most ``tables.n_max``, since the family comes
     from ``tables.primes``.  Raises ValueError for a bad kind or parameter
     and CapacityError, before any array is built, if its denominators exceed
     the limit of ``_check_int64``.  The family's classes are those of the
-    denominators q <= Q, p <= P, or p and p^2 for p <= P.  Where the two
-    largest are coprime the set is a ``ClassPointSet``; otherwise (the one
-    point of ``prime_farey(2)``, and ``prime_square_farey(2)``, whose 2 and
-    4 share a factor) it is the ``SpacedPointSet`` that certifies
-    ``farey_pairs``.  The set must hold ``point_count`` points
-    (InvariantError otherwise), and its class weights read mu and phi from
-    ``tables`` where they reach.
+    denominators q <= Q, p <= P, or p and p^2 for p <= P.  The set must
+    hold ``point_count`` points (InvariantError otherwise), and its class
+    weights read mu and phi from ``tables`` where they reach.
     """
     parameter = _check_family(tables, kind, parameter)
-    name = f"{kind}({parameter})"
     if kind == "reduced_farey":
         dens = np.arange(1, parameter + 1)
     else:
         ps = tables.primes[tables.primes <= parameter].astype(np.int64)
         dens = ps if kind == "prime_farey" else np.sort(np.concatenate([ps, ps * ps]))
-    if _lemma_delta(dens) is None:
-        point_set = SpacedPointSet(farey_pairs(tables, kind, parameter), name, tables)
-    else:
-        point_set = ClassPointSet(dens, name, tables)
+    point_set = ClassPointSet(dens, f"{kind}({parameter})", tables)
     count = point_count(tables, kind, parameter)
     if len(point_set) != count:
         raise InvariantError(

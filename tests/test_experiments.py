@@ -696,15 +696,17 @@ class TestPrimeCountFloor:
 
 class TestLargeSieveTrials:
     def test_peak_holds_one_point_set(self, tables):
-        # building reduced_farey(1000) peaks near 21 MiB on its own, so the
-        # pass stays near that only while the other 33 sets are not kept
+        # the trial path builds no pair-length array: a pair-route build of
+        # reduced_farey(1000) alone peaks near 12 MiB, while the class sets
+        # keep the whole pass near 1 MiB (that each set is dropped is
+        # test_each_drawn_set_is_built_once_and_dropped's to check)
         tracemalloc.start()
         try:
             large_sieve_trials(tables, trials=200, seed=7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert peak < 4 * 2**20
 
     def test_each_drawn_set_is_built_once_and_dropped(self, tables, monkeypatch):
         alive, built, original = [], [], experiments.build_point_set
@@ -719,6 +721,34 @@ class TestLargeSieveTrials:
         monkeypatch.setattr(experiments, "build_point_set", tracked)
         large_sieve_trials(tables, trials=200, seed=7)
         assert len(built) == len(set(built)) == 34
+
+    def test_row_path_builds_no_pair_set(self, tables, monkeypatch):
+        calls = {"SpacedPointSet": 0, "farey_pairs": 0}
+        built, build_point_set = [], experiments.build_point_set
+
+        def counted(name):
+            original = getattr(largesieve, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(largesieve, name, wrapper)
+
+        def tracked(*args):
+            built.append(build_point_set(*args))
+            return built[-1]
+
+        for name in calls:
+            counted(name)
+        monkeypatch.setattr(experiments, "build_point_set", tracked)
+        large_sieve_trials(tables, 200, seed=7)
+        assert len(built) == 34
+        assert sum(len(ps) for ps in built) == 723_539
+        # one point, and denominators 2 and 4 that share a factor
+        for kind in ("prime_farey", "prime_square_farey"):
+            sieve_check_row(tables, kind, 2, 64)
+        assert calls == {"SpacedPointSet": 0, "farey_pairs": 0}
 
     def test_small_batch(self, tables):
         row = large_sieve_trials(tables, trials=25, seed=3, max_param=165)

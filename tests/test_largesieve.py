@@ -148,9 +148,8 @@ class TestBuildPointSet:
         with pytest.raises(InvariantError, match="out of order"):
             largesieve._min_gap(num, den, "hand(order)")
         num, den = np.array([0, 1, 1]), np.array([1, 3, 2])
-        ok, cross = largesieve._min_gap(num, den, "hand(ok)")
+        ok = largesieve._min_gap(num, den, "hand(ok)")
         assert ok == fraction_delta([Fraction(0), Fraction(1, 3), Fraction(1, 2)])
-        assert cross.tolist() == [1, 1, 1]  # Farey neighbours, the wrap 1/2 -> 1/1 included
 
     def test_int64_guard_precedes_allocation(self, tables):
         tracemalloc.start()
@@ -191,9 +190,9 @@ class TestBuildPointSet:
 
 
 class TestClassRoute:
-    """``build_point_set`` makes a ``ClassPointSet`` where the two largest
-    denominators are coprime; it must match the certified pair route bit for
-    bit in everything ``large_sieve_check`` reads."""
+    """``build_point_set`` makes a ``ClassPointSet`` for every family; by the
+    spacing lemma or by certifying its own pairs, it must match the certified
+    pair route bit for bit in everything ``large_sieve_check`` reads."""
 
     @staticmethod
     def assert_same_reads(ps, ref):
@@ -214,16 +213,10 @@ class TestClassRoute:
     )
     def test_matches_pair_route(self, tables, kind, pool):
         # every pool family (reduced_farey(1000) included) and every parameter 2..64
-        fallback = []
         for param in sorted({*pool, *range(2, 65)}):
             ps = sn.build_point_set(tables, kind, param)
-            if type(ps) is sn.SpacedPointSet:
-                fallback.append(param)
-            else:
-                assert type(ps) is largesieve.ClassPointSet
+            assert type(ps) is largesieve.ClassPointSet
             self.assert_same_reads(ps, pair_set(tables, kind, param))
-        # one point (prime_farey(2)), or denominators 2 and 4 (prime_square_farey(2))
-        assert fallback == ([] if kind == "reduced_farey" else [2])
 
     def test_short_tables_sieve_their_own(self, monkeypatch):
         small = sn.build_tables(40)
@@ -238,16 +231,23 @@ class TestClassRoute:
         assert type(ps) is largesieve.ClassPointSet and built == [961]
         self.assert_same_reads(ps, pair_set(small, "prime_square_farey", 31))
 
-    @pytest.mark.parametrize("dens", [[5, 7, 12], [1, 3, 4], [6, 9, 10, 11]])
+    @pytest.mark.parametrize(
+        "dens",
+        [[5, 7, 12], [1, 3, 4], [6, 9, 10, 11]]
+        # outside the lemma: one class ([2] is one point, 1-spaced by
+        # convention), or two largest denominators that share a factor
+        + [[2], [7], [2, 4], [4, 6], [3, 6, 9], [6, 10, 15], [1, 2, 4, 8]],
+    )
     def test_hand_sets_match_pair_route(self, dens):
         num, den = zip(*[(a, q) for q in dens for a in range(q) if math.gcd(a, q) == 1])
         ps = largesieve.ClassPointSet(np.array(dens), "hand")
         assert ps.denominators.tolist() == dens
+        assert ps.delta == fraction_delta(sorted(map(Fraction, num, den)))
         self.assert_same_reads(ps, sn.SpacedPointSet((np.array(num), np.array(den)), "hand"))
 
-    @pytest.mark.parametrize("dens", [[2, 4], [3, 6, 9], [7], [0, 1, 2], [], [1, 3, 2], [3, 3]])
-    def test_rejects_sets_outside_the_lemma(self, dens):
-        with pytest.raises(ValueError, match="two largest are coprime"):
+    @pytest.mark.parametrize("dens", [[0, 1, 2], [], [1, 3, 2], [3, 3]])
+    def test_rejects_bad_denominators(self, dens):
+        with pytest.raises(ValueError, match="need increasing denominators >= 1"):
             largesieve.ClassPointSet(np.array(dens, dtype=np.int64), "hand")
 
     def test_class_set_peak_is_small(self, tables):
@@ -461,9 +461,9 @@ def assert_same_set(ps, ref):
 
 
 class TestCertifiedReduction:
-    """The constructor sorts the pairs as given, certifies them by their
-    cross-products and takes a gcd only where no unit cross-product proves a
-    pair reduced; a gcd-first route must give the same set."""
+    """The constructor reduces every pair by its gcd, sorts the pairs and
+    certifies them by their cross-products; a gcd-first route, with its own
+    gap reduction, must give the same set."""
 
     @pytest.mark.parametrize(
         "kind, pool",
@@ -484,21 +484,6 @@ class TestCertifiedReduction:
         for param in pool:
             ps = pair_set(tables, kind, param)
             assert_same_set(ps, gcd_first(*given[-1], ps.kind))
-
-    def test_farey_neighbours_take_no_gcd(self, tables, monkeypatch):
-        sizes, gcd = [], np.gcd
-
-        def counted(a, b):
-            sizes.append(np.size(a))
-            return gcd(a, b)
-
-        monkeypatch.setattr(np, "gcd", counted)
-        for Q in _TRIAL_PARAM_POOL:
-            pair_set(tables, "reduced_farey", Q)
-        assert sum(sizes) == 0
-        # 2/4 is reducible, so no cross-product with it is 1: it reaches the gcd
-        pair_set(tables, "prime_square_farey", 2)
-        assert sum(sizes) >= 1
 
     @pytest.mark.parametrize(
         "num, den, fractions, delta",
