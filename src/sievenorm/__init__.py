@@ -8,7 +8,7 @@ The package is organized bottom-up:
   sums, and named coefficient sequences;
 - :mod:`sievenorm.quadrature` -- L1/L2 norms by refining rectangle rules;
 - :mod:`sievenorm.largesieve` -- exact well-spaced point sets (unions of
-  coprime classes, and certified pairs) and the sharp large-sieve inequality;
+  full coprime classes) and the sharp large-sieve inequality;
 - :mod:`sievenorm.experiments` -- the experiment battery tying it together;
 - :mod:`sievenorm.cli` -- the ``sievenorm`` command.
 """
@@ -64,7 +64,6 @@ from .largesieve import (
     FAREY_KINDS,
     ClassPointSet,
     LargeSieveResult,
-    SpacedPointSet,
     build_point_set,
     large_sieve_check,
     point_count,

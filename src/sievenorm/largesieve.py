@@ -6,37 +6,27 @@ satisfies
 
     sum_r |S(alpha_r)|^2  <=  (N + 1/delta - 1) * sum_n |a_n|^2 .
 
-Every point set here is exact, in one of two forms.
-
-``ClassPointSet(denominators, kind)`` is the union of the full coprime
-classes {a/q : 0 <= a < q, (a, q) = 1} over its increasing denominators, and
-keeps no point.  Its delta follows from the two largest denominators q1 > q2
-where they are coprime.  Two points of one class differ modulo 1 by a
-multiple of 1/q >= 1/(q1*q2), and reduced a/q, a'/q' with q != q' by a
-nonzero multiple of 1/lcm(q, q') >= 1/(q*q') >= 1/(q1*q2).  When q1 and q2
-are coprime, the a mod q1 with a*q2 = 1 (mod q1) and a' = (a*q2 - 1)/q1 give
-a unit cross-product a*q2 - a'*q1 = 1, so the gap 1/(q1*q2) occurs (Farey
-neighbours; Hardy and Wright, Thm. 28).  So delta = 1/(q1*q2), rounded
-toward zero as ``_min_gap`` rounds the certified gap.  Where the lemma does
-not apply (one class, or two largest denominators that share a factor) the
-set certifies delta over its own coprime pairs with ``_min_gap``.
-
-``SpacedPointSet((num, den))`` holds int64 pairs (numerator, denominator),
-the points a/q in [0, 1), and *certifies* delta at runtime in one straight
-line: the pairs are taken mod 1, divided by their gcds and sorted, and every
-consecutive gap a'/q' - a/q = (a'q - aq')/(qq') is checked by integer
-cross-multiplication: each cross-product must be >= 1 (order and
-distinctness) and each gap at least 1/max(q)^2.  The exact minimal gap is
-only then rounded (downward) to a float.
+Every point set here is exact: ``ClassPointSet(denominators, kind)`` is the
+union of the full coprime classes {a/q : 0 <= a < q, (a, q) = 1} over its
+increasing denominators, and keeps no point.  Its delta follows from the two
+largest denominators q1 > q2 where they are coprime.  Two points of one
+class differ modulo 1 by a multiple of 1/q >= 1/(q1*q2), and reduced a/q,
+a'/q' with q != q' by a nonzero multiple of 1/lcm(q, q') >= 1/(q*q') >=
+1/(q1*q2).  When q1 and q2 are coprime, the a mod q1 with a*q2 = 1 (mod q1)
+and a' = (a*q2 - 1)/q1 give a unit cross-product a*q2 - a'*q1 = 1, so the gap
+1/(q1*q2) occurs (Farey neighbours; Hardy and Wright, Thm. 28).  So delta =
+1/(q1*q2), rounded toward zero as ``_min_gap`` rounds the certified gap.
+Where the lemma does not apply (one class, or two largest denominators that
+share a factor) the set certifies delta over its own coprime pairs with
+``_min_gap``: each cross-product of consecutive sorted pairs must be >= 1, and
+the exact minimal gap is only then rounded (downward) to a float.
 
 ``build_point_set`` gives the three Farey-type families used throughout this
 package as class sets from the sieve tables' primes, the lemma's and the
 certified ones alike (``prime_farey(2)`` is the one point 1/2, 1-spaced by
 convention; ``prime_square_farey(2)`` has denominators 2 and 4, delta 1/4
-where 1/(q1*q2) is 1/8).  ``SpacedPointSet(farey_pairs(tables, kind,
-parameter))`` is the independent reference pair route for every family.
-``point_count`` gives a family's size from the sieve tables alone, and
-``build_point_set`` checks the set against it.
+where 1/(q1*q2) is 1/8).  ``point_count`` gives a family's size from the
+sieve tables alone, and ``build_point_set`` checks the set against it.
 
 Families (``kind`` strings):
 
@@ -49,24 +39,19 @@ Families (``kind`` strings):
 ``prime_square_farey(P)``
     a/p^2 for primes p <= P, 1 <= a <= p^2 - 1, reduced (2/4 is 1/2): the
     classes mod p and p^2; delta = 1/(p1*p2)^2, and 1/4 for P = 2.
-``exact(R)``
-    R given fractions a/q (taken mod 1, stored reduced, distinct), the
-    default kind of ``SpacedPointSet``; delta >= 1/max(q)^2.
 
 ``large_sieve_check`` evaluates a batch of shifted sequences on one set with
 no transform.  Parseval on Z/q and Mobius inversion over d | q give, for the
-twisted batch b_n = a_n * e(n * shift),
+twisted batch b_n = a_n * e(n * shift), each shift taken mod 1,
 
     sum_{(a,q)=1} |S(a/q)|^2  =  sum_{d | q} mu(q/d) * A_d,
     A_d = d * sum_{r mod d} |sum_{n = r (mod d)} b_n|^2 ,
 
 the Ramanujan-sum expansion c_q(k) = sum_{d | (q,k)} mu(q/d) * d read
-backwards.  So every group of a set that is the full coprime class mod q
-becomes integer weights w_d on the residue-class energies A_d, built once
-per set; lhs is sum_d w_d * A_d, with A_d = d * sum |a_n|^2 once d >= N.
-Any other group (only a ``SpacedPointSet`` outside the Farey families has
-one) is summed pointwise with ``eval_sequence``, which also re-derives R(q)
-for an evenly strided subset of the full classes as the cross-check.
+backwards.  So the classes of a set become integer weights w_d on the
+residue-class energies A_d, built once per set; lhs is sum_d w_d * A_d, with
+A_d = d * sum |a_n|^2 once d >= N.  ``eval_sequence`` re-derives R(q) for an
+evenly strided subset of the classes as the cross-check.
 """
 
 from __future__ import annotations
@@ -108,93 +93,6 @@ class _Sample(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class SpacedPointSet:
-    """Sorted points in [0, 1) with a certified minimal circular gap.
-
-    ``fractions = (num, den)`` are integers that broadcast to one nonempty
-    1-d shape, e.g. ``SpacedPointSet((np.arange(M), M))``.  Each num is taken
-    mod its den, each pair is divided by its gcd, and the sorted pairs are
-    certified by ``_min_gap``.  They are stored as read-only int64 arrays
-    and ``points`` is ``num / den``, so a denominator that holds phi(q)
-    points holds the full coprime class mod q.  ``delta`` is the exact
-    minimal circular gap rounded toward zero; a single point is 1-spaced by
-    convention.  ``kind`` names the set in messages and defaults to
-    ``exact(R)`` for R points.  ``tables``, if given and reaching the max
-    den, supply mu and phi for the class weights; the set does not keep
-    them, and without them it sieves its own.  Raises ValueError for bad
-    arrays, a denominator below 1 or a repeated point (1/2 and 2/4
-    included), and CapacityError for a denominator above the limit of
-    ``_check_int64``.
-    """
-
-    fractions: tuple[np.ndarray, np.ndarray]
-    kind: str = ""
-    tables: InitVar[object] = None
-    delta: float = field(init=False)
-    points: np.ndarray = field(init=False)
-    # (d, w_d) with w_d != 0: the full classes' sum_{d | q} mu(q/d) * A_d
-    _weights: tuple = field(default=(), init=False, repr=False)
-    # the points outside every full class, summed pointwise
-    _partial: np.ndarray = field(default=None, init=False, repr=False)
-    # the full classes that ``_cross_check`` re-derives pointwise
-    _sample: _Sample = field(default=None, init=False, repr=False)
-
-    def __post_init__(self, tables) -> None:
-        num, den = (np.asarray(a) for a in self.fractions)
-        if not (np.issubdtype(num.dtype, np.integer) and np.issubdtype(den.dtype, np.integer)):
-            raise ValueError("numerators and denominators must be integers")
-        num, den = np.broadcast_arrays(num, den)
-        if num.ndim != 1 or num.size == 0:
-            raise ValueError("fractions must broadcast to a nonempty 1-d array")
-        if den.min() < 1:
-            raise ValueError("denominators must be >= 1")
-        # each pair-length array is dropped as soon as it is read: a Farey set holds ~10^5 pairs
-        num = np.remainder(num, den, dtype=np.int64)
-        den = den.astype(np.int64, copy=False)
-        g = np.gcd(num, den)
-        num //= g
-        den = den // g
-        del g
-        _check_int64(int(den.max()))
-        # Within that limit distinct points differ by >= 1/max_den^2 > 2^-32,
-        # far above float resolution, so the float order is the exact order.
-        order = np.argsort(num / den)
-        num = num[order]
-        den = den[order]
-        del order
-        kind = self.kind or f"exact({num.size})"
-        delta = _min_gap(num, den, kind)
-        pts = num / den
-        for arr in (num, den, pts):
-            arr.setflags(write=False)
-        object.__setattr__(self, "fractions", (num, den))
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "points", pts)
-        self._set_classes(tables)
-
-    def _set_classes(self, tables=None) -> None:
-        """Set ``_weights``, ``_partial`` and ``_sample``: q with phi(q) points is a full class."""
-        (num, den), pts = self.fractions, self.points
-        mobius, phi = _mu_phi(tables, int(den.max()))
-        full = np.bincount(den, minlength=phi.size) == phi
-        full[0] = False
-        in_full = full[den]
-        object.__setattr__(self, "_partial", pts[~in_full])
-
-        def sampled(qs):
-            picked = np.isin(den, qs)
-            return num[picked], den[picked]
-
-        weights, sample = _class_weights(full, mobius, phi, int(in_full.sum()), self.kind, sampled)
-        object.__setattr__(self, "_weights", weights)
-        object.__setattr__(self, "_sample", sample)
-
-    def __len__(self) -> int:
-        return int(self.points.size)
-
-
-@dataclass(frozen=True, eq=False)
 class ClassPointSet:
     """The union of the full coprime classes {a/q : 0 <= a < q, (a, q) = 1}, q in ``denominators``.
 
@@ -202,26 +100,29 @@ class ClassPointSet:
     its size for ``len``.  delta is 1/(q1*q2) where the two largest are
     coprime (module docstring); otherwise ``_min_gap`` certifies the set's
     own coprime pairs, the only points it makes besides those of the classes
-    ``_cross_check`` samples.  ``tables`` serve as for ``SpacedPointSet``.
-    Raises ValueError unless the denominators are nonempty, at least 1 and
-    increasing, and CapacityError for a denominator above the limit of
-    ``_check_int64``.
+    ``_cross_check`` samples.  ``tables``, if given and reaching the largest
+    denominator, supply mu and phi for the class weights; the set does not
+    keep them, and without them it sieves its own.  Raises ValueError unless
+    the denominators are nonempty integers, at least 1 and increasing, and
+    CapacityError for a denominator above the limit of ``_check_int64``.
     """
 
     denominators: np.ndarray
     kind: str
     tables: InitVar[object] = None
     delta: float = field(init=False)
-    # as for SpacedPointSet; ``_partial`` is empty, since every class is full
+    # (d, w_d) with w_d != 0: the classes' sum_{d | q} mu(q/d) * A_d
     _weights: tuple = field(default=(), init=False, repr=False)
-    _partial: np.ndarray = field(default=None, init=False, repr=False)
+    # the classes that ``_cross_check`` re-derives pointwise
     _sample: _Sample = field(default=None, init=False, repr=False)
     _size: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self, tables) -> None:
-        dens = np.array(self.denominators, dtype=np.int64)
-        if dens.ndim != 1 or dens.size == 0 or dens[0] < 1 or np.any(dens[1:] <= dens[:-1]):
-            raise ValueError(f"{self.kind}: need increasing denominators >= 1")
+        dens = np.asarray(self.denominators)
+        bad = not np.issubdtype(dens.dtype, np.integer) or dens.ndim != 1 or dens.size == 0
+        if bad or dens[0] < 1 or np.any(dens[1:] <= dens[:-1]):
+            raise ValueError(f"{self.kind}: need increasing integer denominators >= 1")
+        dens = dens.astype(np.int64)
         _check_int64(int(dens[-1]))
         dens.setflags(write=False)
         if dens.size > 1 and math.gcd(int(dens[-1]), int(dens[-2])) == 1:
@@ -232,11 +133,10 @@ class ClassPointSet:
         full = np.zeros(phi.size, dtype=bool)
         full[dens] = True
         size = int(phi[dens].sum())
-        weights, sample = _class_weights(full, mobius, phi, size, self.kind, _coprime_classes)
+        weights, sample = _class_weights(full, mobius, phi, size, self.kind)
         object.__setattr__(self, "denominators", dens)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "_weights", weights)
-        object.__setattr__(self, "_partial", np.empty(0))
         object.__setattr__(self, "_sample", sample)
         object.__setattr__(self, "_size", size)
 
@@ -311,14 +211,12 @@ def _mu_phi(tables, max_den: int) -> tuple[np.ndarray, np.ndarray]:
     return tables.mobius[: max_den + 1], tables.phi[: max_den + 1]
 
 
-def _class_weights(full, mobius, phi, count: int, kind: str, sampled) -> tuple[tuple, _Sample]:
+def _class_weights(full, mobius, phi, count: int, kind: str) -> tuple[tuple, _Sample]:
     """The weights (d, w_d) and the cross-check ``_Sample`` of the full classes q with ``full[q]``.
 
     One pass over the pairs (m, d) with m * d <= max_den = ``full.size - 1``
-    builds both.  ``count`` is the number of points in the full classes, and
-    ``sampled(qs)`` gives the points num/den of the classes ``qs`` as integer
-    pairs (num, den), in ascending order.  Raises InvariantError if the weights
-    do not count ``count`` points.
+    builds both.  ``count`` is the number of points in the full classes.
+    Raises InvariantError if the weights do not count ``count`` points.
     """
     max_den = full.size - 1
     # every pair (m, d) with m * d <= max_den and mu(m) != 0; q = m * d
@@ -342,7 +240,7 @@ def _class_weights(full, mobius, phi, count: int, kind: str, sampled) -> tuple[t
     qs = eligible[::stride]
     index = np.full(max_den + 1, -1)
     index[qs] = np.arange(qs.size)
-    num, den = sampled(qs)
+    num, den = _coprime_classes(qs)
     pair = hit & (index[q] >= 0)
     sample = _Sample(num / den, index[den], qs, index[q[pair]], d[pair], mobius[m[pair]])
     return (ds, w[ds]), sample
@@ -398,26 +296,6 @@ def point_count(tables, kind: str, parameter: int) -> int:
     return int(((ps * ps if kind == "prime_square_farey" else ps) - 1).sum())
 
 
-def farey_pairs(tables, kind: str, parameter: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (num, den) pairs of a Farey family, for ``SpacedPointSet`` to certify.
-
-    ``SpacedPointSet(farey_pairs(tables, kind, parameter))`` is the family's
-    reference pair route.  ``reduced_farey`` keeps a/q unless a prime p | q
-    divides a, so its pairs are already reduced.  Raises as
-    ``build_point_set`` does.
-    """
-    parameter = _check_family(tables, kind, parameter)
-    ps = tables.primes[tables.primes <= parameter].astype(np.int64)
-    if kind != "reduced_farey":
-        return _residues(ps * ps if kind == "prime_square_farey" else ps, 1)
-    num, den = _residues(np.arange(1, parameter + 1), 0)
-    keep = np.ones(num.size, dtype=bool)
-    for p in ps.tolist():  # block q holds a = 0..q-1; drop each a = 0 (mod p) for p | q
-        for q in range(p, parameter + 1, p):
-            keep[q * (q - 1) // 2 : q * (q + 1) // 2 : p] = False
-    return num[keep], den[keep]
-
-
 def build_point_set(tables, kind: str, parameter: int) -> ClassPointSet:
     """One of the Farey families, as a ``ClassPointSet``.
 
@@ -466,9 +344,10 @@ def _cross_check(seq, point_set, shift, values, energy) -> None:
     """Check R(q) from ``values`` (S at the sample's points) against ``energy`` (its A_d).
 
     With s = sum |a_n| and k(q) <= 2 phi(q) terms mu(q/d) * A_d in R(q),
-    for a shift in [0, 1): the float point a/q + shift (< 2) is within
-    1.5 * eps of the exact one and 2*pi times it within 4*pi*eps more, so
-    e(n * alpha) drifts in phase by under 7*pi*n*eps < 22 * n * eps.  The
+    for the shift in [0, 1) that ``large_sieve_check`` passes: the float
+    point a/q + shift (< 2) is within 1.5 * eps of the exact one and 2*pi
+    times it within 4*pi*eps more, so e(n * alpha) drifts in phase by under
+    7*pi*n*eps < 22 * n * eps.  The
     powers of ``eval_sequence`` add at most 4 * (H + K) * eps <= 16 *
     sqrt(N) * eps <= 16 * N * eps (no chain is longer than H + K < 4 *
     sqrt(N) products), so each pointwise |S|^2 is within
@@ -498,21 +377,22 @@ def _cross_check(seq, point_set, shift, values, energy) -> None:
 
 def large_sieve_check(
     seqs: Sequence[CoefficientSequence],
-    point_set: ClassPointSet | SpacedPointSet,
+    point_set: ClassPointSet,
     shifts: Sequence[float],
 ) -> list[LargeSieveResult]:
     """(lhs, rhs, ratio) of the large sieve for each ``seqs[t]`` at the points + ``shifts[t]``.
 
-    Judging ratio <= 1 is the caller's job, but a ratio above 1 + 1e-9
-    raises InvariantError: the inequality is a theorem for any delta-spaced
-    set.  lhs is sum_d w_d * A_d over the set's weights (module docstring)
-    plus the pointwise sum over points outside the full classes; one
-    ``_class_energies`` call gives every A_d with d below the batch's
-    largest N, and A_d = d * sum |a_n|^2 above it, where each residue class
-    holds at most one term.  ``eval_sequence`` re-derives R(q) on at most
-    CROSS_CHECK_POINTS points of full classes per sequence (``_cross_check``).
+    Each shift is taken mod 1, so a shift and its fractional part give the
+    same bits.  Judging ratio <= 1 is the caller's job, but a ratio above
+    1 + 1e-9 raises InvariantError: the inequality is a theorem for any
+    delta-spaced set.  lhs is sum_d w_d * A_d over the set's weights (module
+    docstring); one ``_class_energies`` call gives every A_d with d below the
+    batch's largest N, and A_d = d * sum |a_n|^2 above it, where each residue
+    class holds at most one term.  ``eval_sequence`` re-derives R(q) on at
+    most CROSS_CHECK_POINTS points of the classes per sequence
+    (``_cross_check``).
     """
-    shifts = np.array(shifts, dtype=float)
+    shifts = np.array(shifts, dtype=float) % 1.0
     if not seqs or shifts.shape != (len(seqs),):
         raise ValueError(f"need one shift per sequence, got {len(seqs)} and {shifts.size}")
     row = np.repeat(np.arange(len(seqs)), [seq.N for seq in seqs])
@@ -533,13 +413,11 @@ def large_sieve_check(
     lo = pair_d < n_max
     pair_energy = np.outer(l2, pair_d.astype(float))
     pair_energy[:, lo] = small[:, np.searchsorted(moduli, pair_d[lo])]
-    picked = np.concatenate([point_set._partial, point_set._sample.points])
-    partial = point_set._partial.size
     results = []
     for seq, shift, seq_lhs, seq_l2, energy in zip(seqs, shifts.tolist(), lhs, l2, pair_energy):
-        values = eval_sequence(seq, picked + shift)
-        _cross_check(seq, point_set, shift, values[partial:], energy)
-        seq_lhs = float(seq_lhs + np.sum(np.abs(values[:partial]) ** 2))
+        values = eval_sequence(seq, point_set._sample.points + shift)
+        _cross_check(seq, point_set, shift, values, energy)
+        seq_lhs = float(seq_lhs)
         rhs = (seq.N + 1.0 / point_set.delta - 1.0) * float(seq_l2)
         ratio = seq_lhs / rhs if rhs > 0 else 0.0
         if not ratio <= 1.0 + RATIO_TOLERANCE:  # NaN fails too

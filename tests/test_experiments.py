@@ -1,8 +1,10 @@
 import dataclasses
 import inspect
 import math
+import re
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -723,32 +725,21 @@ class TestLargeSieveTrials:
         assert len(built) == len(set(built)) == 34
 
     def test_row_path_builds_no_pair_set(self, tables, monkeypatch):
-        calls = {"SpacedPointSet": 0, "farey_pairs": 0}
+        # the pair route lives in the tests only: no source file names it
+        pair_route = re.compile(r"\b(SpacedPointSet|farey_pairs|_partial)\b")
+        for path in sorted(Path(sn.__file__).parent.glob("*.py")):
+            assert not pair_route.findall(path.read_text()), path.name
         built, build_point_set = [], experiments.build_point_set
-
-        def counted(name):
-            original = getattr(largesieve, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(largesieve, name, wrapper)
 
         def tracked(*args):
             built.append(build_point_set(*args))
             return built[-1]
 
-        for name in calls:
-            counted(name)
         monkeypatch.setattr(experiments, "build_point_set", tracked)
         large_sieve_trials(tables, 200, seed=7)
+        assert all(type(ps) is largesieve.ClassPointSet for ps in built)
         assert len(built) == 34
         assert sum(len(ps) for ps in built) == 723_539
-        # one point, and denominators 2 and 4 that share a factor
-        for kind in ("prime_farey", "prime_square_farey"):
-            sieve_check_row(tables, kind, 2, 64)
-        assert calls == {"SpacedPointSet": 0, "farey_pairs": 0}
 
     def test_small_batch(self, tables):
         row = large_sieve_trials(tables, trials=25, seed=3, max_param=165)
@@ -811,18 +802,14 @@ class TestLargeSieveTrials:
         assert row.measured["margin"] == 1.0 - row.ratios["lhs_over_rhs"]
         assert row.measured["margin"] > 0.0
 
-    def test_sieve_check_row_keeps_its_bits_on_the_pair_route(self, tables, monkeypatch):
-        # the README example, by the class set and by the certified pairs
-        row = sieve_check_row(tables, "reduced_farey", 22, 512)
-
-        def pair_route(tables, kind, param):
-            pairs = largesieve.farey_pairs(tables, kind, param)
-            return sn.SpacedPointSet(pairs, f"{kind}({param})", tables)
-
-        monkeypatch.setattr(experiments, "build_point_set", pair_route)
-        ref = sieve_check_row(tables, "reduced_farey", 22, 512)
-        for key in ("lhs", "rhs", "points", "delta"):
-            assert row.measured[key] == ref.measured[key]
+    @pytest.mark.parametrize("shift", [-0.7, 3.3, 1000.3, 1e6])
+    def test_sieve_check_row_takes_the_shift_mod_one(self, tables, shift):
+        # the cross-check's roundoff bound is derived for a shift in [0, 1):
+        # an unreduced 1e6 breaks it, and lhs drifts with the integer part
+        row = sieve_check_row(tables, "reduced_farey", 22, 512, kind="mobius", shift=shift)
+        ref = sieve_check_row(tables, "reduced_farey", 22, 512, kind="mobius", shift=shift % 1.0)
+        assert row.passed
+        assert (row.measured, row.ratios) == (ref.measured, ref.ratios)
 
     def test_validation(self, tables):
         with pytest.raises(ValueError):

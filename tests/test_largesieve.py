@@ -13,11 +13,8 @@ from sievenorm import largesieve
 from sievenorm.errors import CapacityError, InvariantError
 from sievenorm.experiments import _TRIAL_PARAM_POOL, _TRIAL_SQUARE_POOL
 
-
-def pair_set(tables, kind, parameter):
-    """A Farey family by the reference pair route: ``SpacedPointSet`` certifies ``farey_pairs``."""
-    pairs = largesieve.farey_pairs(tables, kind, parameter)
-    return largesieve.SpacedPointSet(pairs, f"{kind}({parameter})", tables)
+import reference
+from reference import SpacedPointSet, pair_set
 
 
 def fraction_point_set(tables, kind, parameter):
@@ -138,11 +135,11 @@ class TestBuildPointSet:
         with pytest.raises(ValueError):
             num[0] = 2
         with pytest.raises(ValueError):
-            sn.SpacedPointSet(([0, 1], [1, 2, 3]))
+            SpacedPointSet(([0, 1], [1, 2, 3]))
 
     def test_certification_rejects_duplicates_and_short_gaps(self):
         with pytest.raises(ValueError, match="hand\\(dup\\): points 1/3 and 1/3 are not distinct"):
-            sn.SpacedPointSet(([0, 1, 1, 2], [1, 3, 3, 3]), "hand(dup)")
+            SpacedPointSet(([0, 1, 1, 2], [1, 3, 3, 3]), "hand(dup)")
         # the sorted order can fail only on the helper's own input: 1/2 before 1/3
         num, den = np.array([0, 1, 1]), np.array([1, 2, 3])
         with pytest.raises(InvariantError, match="out of order"):
@@ -192,16 +189,20 @@ class TestBuildPointSet:
 class TestClassRoute:
     """``build_point_set`` makes a ``ClassPointSet`` for every family; by the
     spacing lemma or by certifying its own pairs, it must match the certified
-    pair route bit for bit in everything ``large_sieve_check`` reads."""
+    pair route bit for bit in delta, size and the cross-check's points."""
 
     @staticmethod
     def assert_same_reads(ps, ref):
         assert ps.delta == ref.delta
         assert len(ps) == len(ref)
-        # ``_sample`` holds the sampled points themselves, in ascending order
-        reads = (*ps._weights, ps._partial, *ps._sample)
-        for got, want in zip(reads, (*ref._weights, ref._partial, *ref._sample)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # ``_sample`` holds the points of its classes, in ascending order: the
+        # reference's points whose denominators were sampled
+        sample = ps._sample
+        num, den = ref.fractions
+        picked = np.isin(den, sample.q)
+        assert sample.points.dtype == ref.points.dtype
+        assert np.array_equal(sample.points, ref.points[picked])
+        assert np.array_equal(sample.q[sample.cls], den[picked])
 
     @pytest.mark.parametrize(
         "kind, pool",
@@ -243,12 +244,17 @@ class TestClassRoute:
         ps = largesieve.ClassPointSet(np.array(dens), "hand")
         assert ps.denominators.tolist() == dens
         assert ps.delta == fraction_delta(sorted(map(Fraction, num, den)))
-        self.assert_same_reads(ps, sn.SpacedPointSet((np.array(num), np.array(den)), "hand"))
+        self.assert_same_reads(ps, SpacedPointSet((np.array(num), np.array(den)), "hand"))
 
-    @pytest.mark.parametrize("dens", [[0, 1, 2], [], [1, 3, 2], [3, 3]])
+    @pytest.mark.parametrize(
+        "dens",
+        [np.array(d, dtype=np.int64) for d in ([0, 1, 2], [], [1, 3, 2], [3, 3])]
+        # floats are not truncated: [2.5, 3.7] is not the classes mod 2 and 3
+        + [[2.5, 3.7]],
+    )
     def test_rejects_bad_denominators(self, dens):
-        with pytest.raises(ValueError, match="need increasing denominators >= 1"):
-            largesieve.ClassPointSet(np.array(dens, dtype=np.int64), "hand")
+        with pytest.raises(ValueError, match="need increasing integer denominators >= 1"):
+            largesieve.ClassPointSet(dens, "hand")
 
     def test_class_set_peak_is_small(self, tables):
         # the pair route's build peaks near 13 MiB here; the class set makes no pair
@@ -321,52 +327,52 @@ class TestClassWeightTables:
             return build_tables(n)
 
         monkeypatch.setattr(largesieve, "build_tables", counted)
-        ps = pair_set(small, "prime_square_farey", 31)  # max den 961 > 40
-        bare = sn.SpacedPointSet(ps.fractions)
+        ps = sn.build_point_set(small, "prime_square_farey", 31)  # max den 961 > 40
+        bare = largesieve.ClassPointSet(ps.denominators, ps.kind)
         assert built == [961, 961]
         assert all(np.array_equal(a, b) for a, b in zip(ps._weights, bare._weights))
         assert all(np.array_equal(a, b) for a, b in zip(ps._sample, bare._sample))
         assert "tables" not in vars(ps)  # init-only: the set keeps no tables
 
     def test_tables_that_miscount_a_class_fail_the_self_check(self, tables):
-        # phi(5) = 2 makes {1/5, 2/5} read as the full class mod 5
+        # phi(5) = 2 counts the class mod 5 as two points, while its weights
+        # w_1 = -1, w_5 = 1 count -1 + 5 = 4
         phi = tables.phi.copy()
         phi[5] = 2
         bad = dataclasses.replace(tables, phi=phi)
-        fractions = (np.array([1, 2]), 5)
         with pytest.raises(InvariantError, match="class weights do not count the full classes"):
-            sn.SpacedPointSet(fractions, tables=bad)
-        assert len(sn.SpacedPointSet(fractions, tables=tables)) == 2
+            largesieve.ClassPointSet([5], "hand", tables=bad)
+        assert len(largesieve.ClassPointSet([5], "hand", tables=tables)) == 4
 
 
 class TestExactPointSet:
     def test_measures_gap(self):
-        ps = sn.SpacedPointSet(([1, 2, 9], 10))
+        ps = SpacedPointSet(([1, 2, 9], 10))
         assert ps.delta == pytest.approx(0.1)
         assert ps.kind == "exact(3)"
         # mixed denominators: the exact minimal gap 1/3 - 1/4 = 1/12
-        assert sn.SpacedPointSet(([1, 1, 3], [3, 4, 4])).delta == pytest.approx(1 / 12)
+        assert SpacedPointSet(([1, 1, 3], [3, 4, 4])).delta == pytest.approx(1 / 12)
 
     def test_mod_one_and_duplicates(self):
-        ps = sn.SpacedPointSet(([-1, 5], 4))
+        ps = SpacedPointSet(([-1, 5], 4))
         assert ps.fractions[0].tolist() == [1, 3]
         assert ps.fractions[1].tolist() == [4, 4]
         np.testing.assert_array_equal(ps.points, [0.25, 0.75])
-        reduced = sn.SpacedPointSet(([0, 2, 6, 3], [4, 4, 8, 9]))  # stored reduced
+        reduced = SpacedPointSet(([0, 2, 6, 3], [4, 4, 8, 9]))  # stored reduced
         assert reduced.fractions[0].tolist() == [0, 1, 1, 3]
         assert reduced.fractions[1].tolist() == [1, 3, 2, 4]
         for num, den in (([1, 5], 4), ([1, 2], [2, 4]), ([0, 3], [1, 3])):
             with pytest.raises(ValueError, match="not distinct"):
-                sn.SpacedPointSet((num, den))
+                SpacedPointSet((num, den))
 
     def test_singleton(self):
-        ps = sn.SpacedPointSet(([37], 100))
+        ps = SpacedPointSet(([37], 100))
         assert ps.delta == 1.0
         assert ps.points.tolist() == [0.37]
 
     def test_matches_farey_family(self, tables):
         ref = pair_set(tables, "reduced_farey", 22)
-        ps = sn.SpacedPointSet(ref.fractions)
+        ps = SpacedPointSet(ref.fractions)
         assert np.array_equal(ps.points, ref.points)
         assert ps.delta == ref.delta
 
@@ -388,11 +394,11 @@ class TestExactPointSet:
     )
     def test_rejects_bad_shapes_and_denominators(self, num, den):
         with pytest.raises(ValueError):
-            sn.SpacedPointSet((num, den))
+            SpacedPointSet((num, den))
 
     def test_int64_guard(self):
         with pytest.raises(CapacityError):
-            sn.SpacedPointSet(([1, 2], 100_000))
+            SpacedPointSet(([1, 2], 100_000))
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -406,26 +412,26 @@ class TestExactPointSet:
         # one pair per distinct point mod 1, as drawn (unreduced, any sign)
         distinct = list({Fraction(a % q, q): (a, q) for a, q in pairs}.values())
         num, den = (np.array(column) for column in zip(*distinct))
-        ps = sn.SpacedPointSet((num, den))
+        ps = SpacedPointSet((num, den))
         n, d = ps.fractions
         assert np.all(np.gcd(n, d) == 1) and np.all((0 <= n) & (n < d))
         assert np.all(np.diff(ps.points) > 0)
         ordered = sorted(Fraction(a % q, q) for a, q in distinct)
         assert [Fraction(int(a), int(q)) for a, q in zip(n, d)] == ordered
         assert ps.delta == fraction_delta(ordered)
-        scaled = sn.SpacedPointSet((num * k, den * k))
+        scaled = SpacedPointSet((num * k, den * k))
         assert np.array_equal(scaled.fractions, ps.fractions)
         assert scaled.delta == ps.delta
-        assert all(np.array_equal(a, b) for a, b in zip(scaled._weights, ps._weights))
+        assert np.array_equal(scaled.points, ps.points)
         # any stored point again, here as an unreduced pair one turn lower
         i = pick % len(ps)
         with pytest.raises(ValueError, match="not distinct"):
-            sn.SpacedPointSet((np.append(num, (n[i] - d[i]) * k), np.append(den, d[i] * k)))
+            SpacedPointSet((np.append(num, (n[i] - d[i]) * k), np.append(den, d[i] * k)))
 
 
 def gcd_first(num, den, kind):
     """The set by a second route: reduce every pair by its gcd, sort by value,
-    take delta by Fraction over the near-minimal gaps, then the class weights."""
+    and take delta by Fraction over the near-minimal gaps."""
     num, den = (a.astype(np.int64) for a in np.broadcast_arrays(num, den))
     num = num % den
     g = np.gcd(num, den)
@@ -443,11 +449,10 @@ def gcd_first(num, den, kind):
     delta = float(gap)
     if Fraction(delta) > gap:
         delta = math.nextafter(delta, 0.0)
-    ref = object.__new__(sn.SpacedPointSet)
+    ref = object.__new__(SpacedPointSet)
     fields = {"fractions": (num, den), "kind": kind, "delta": delta, "points": num / den}
     for name, value in fields.items():
         object.__setattr__(ref, name, value)
-    ref._set_classes()
     return ref
 
 
@@ -455,9 +460,7 @@ def assert_same_set(ps, ref):
     assert all(np.array_equal(a, b) for a, b in zip(ps.fractions, ref.fractions))
     assert np.array_equal(ps.points, ref.points)
     assert ps.delta == ref.delta
-    assert all(np.array_equal(a, b) for a, b in zip(ps._weights, ref._weights))
-    assert np.array_equal(ps._partial, ref._partial)
-    assert all(np.array_equal(a, b) for a, b in zip(ps._sample, ref._sample))
+    assert len(ps) == len(ref)
 
 
 class TestCertifiedReduction:
@@ -473,17 +476,11 @@ class TestCertifiedReduction:
             ("prime_square_farey", _TRIAL_SQUARE_POOL),
         ],
     )
-    def test_families_match_gcd_first(self, tables, monkeypatch, kind, pool):
-        given, farey_pairs = [], largesieve.farey_pairs
-
-        def spy(*args):
-            given.append(farey_pairs(*args))
-            return given[-1]
-
-        monkeypatch.setattr(largesieve, "farey_pairs", spy)
+    def test_families_match_gcd_first(self, tables, kind, pool):
         for param in pool:
-            ps = pair_set(tables, kind, param)
-            assert_same_set(ps, gcd_first(*given[-1], ps.kind))
+            pairs = reference.farey_pairs(tables, kind, param)
+            ps = SpacedPointSet(pairs, f"{kind}({param})")
+            assert_same_set(ps, gcd_first(*pairs, ps.kind))
 
     @pytest.mark.parametrize(
         "num, den, fractions, delta",
@@ -496,7 +493,7 @@ class TestCertifiedReduction:
         ],
     )
     def test_hand_sets(self, num, den, fractions, delta):
-        ps = sn.SpacedPointSet((num, den))
+        ps = SpacedPointSet((num, den))
         assert [a.tolist() for a in ps.fractions] == list(fractions)
         assert ps.delta == delta
         assert_same_set(ps, gcd_first(np.array(num), np.array(den), ps.kind))
@@ -512,12 +509,17 @@ class TestCertifiedReduction:
     )
     def test_repeats_are_named_in_lowest_terms(self, num, den, pair):
         with pytest.raises(ValueError, match=f"hand: points {pair} are not distinct modulo 1"):
-            sn.SpacedPointSet((num, den), "hand")
+            SpacedPointSet((num, den), "hand")
 
 
 def check_one(seq, ps, shift=0.0):
     (res,) = sn.large_sieve_check([seq], ps, [shift])
     return res
+
+
+def equispaced(M):
+    """The M points a/M, a < M: the union of the full classes mod every d | M."""
+    return largesieve.ClassPointSet([d for d in range(1, M + 1) if M % d == 0], f"a/{M}")
 
 
 class TestLargeSieveCheck:
@@ -526,8 +528,8 @@ class TestLargeSieveCheck:
         N, M = 8, 16
         coeffs = rng.normal(size=N) + 1j * rng.normal(size=N)
         seq = sn.CoefficientSequence(N, coeffs)
-        ps = sn.SpacedPointSet((np.arange(M), M))
-        assert ps.delta == 1 / M
+        ps = equispaced(M)
+        assert ps.delta == 1 / M and len(ps) == M
         res = check_one(seq, ps)
         assert res.lhs == pytest.approx(M * sn.l2_norm_sq(seq), rel=1e-12)
         assert res.ratio == pytest.approx(M / (N + M - 1), rel=1e-12)
@@ -536,16 +538,17 @@ class TestLargeSieveCheck:
         # M = N + 1 sits at ratio (N+1)/2N; M >> N pushes the ratio toward 1
         N = 16
         seq = sn.CoefficientSequence(N, rng.normal(size=N) + 0j)
-        tight = check_one(seq, sn.SpacedPointSet((np.arange(N + 1), N + 1)))
+        tight = check_one(seq, equispaced(N + 1))
         assert tight.ratio == pytest.approx((N + 1) / (2 * N), rel=1e-12)
         M = 4096
-        wide = check_one(seq, sn.SpacedPointSet((np.arange(M), M)))
+        wide = check_one(seq, equispaced(M))
         assert wide.ratio == pytest.approx(M / (N + M - 1), rel=1e-12)
         assert wide.ratio > 0.99
 
     def test_single_point_is_cauchy_schwarz(self, rng):
         seq = sn.CoefficientSequence(32, rng.normal(size=32) + 0j)
-        ps = sn.SpacedPointSet(([123], 1000))
+        ps = largesieve.ClassPointSet([2], "one point")  # 1/2
+        assert len(ps) == 1 and ps.delta == 1.0
         res = check_one(seq, ps)
         assert res.rhs == pytest.approx(32 * sn.l2_norm_sq(seq))
         assert res.ratio <= 1.0
@@ -609,21 +612,12 @@ class TestLargeSieveCheck:
     @pytest.mark.parametrize("M", [12, 30, 64])
     def test_divisor_classes_match_pointwise(self, tables, M):
         # a/M, a < M, reduces to the full coprime class mod d for every d | M
-        ps = sn.SpacedPointSet((np.arange(M), M))
-        assert ps._partial.size == 0
-        self.assert_matches_pointwise(tables, ps, ps.points)
-
-    @pytest.mark.parametrize("num, den", [([1, 2, 9], 10), ([123], 1000)])
-    def test_partial_groups_match_pointwise(self, tables, num, den):
-        ps = sn.SpacedPointSet((num, den))
-        assert ps._partial.size == len(ps)
-        self.assert_matches_pointwise(tables, ps, ps.points)
+        self.assert_matches_pointwise(tables, equispaced(M), np.arange(M) / M)
 
     @pytest.mark.parametrize("kind", sn.FAREY_KINDS)
     @pytest.mark.parametrize("param", [2, 3, 7])
     def test_small_families_match_pointwise(self, tables, kind, param):
         ps = sn.build_point_set(tables, kind, param)
-        assert ps._partial.size == 0
         self.assert_matches_pointwise(tables, ps, pair_set(tables, kind, param).points)
 
     def test_batch_validation(self, tables):
@@ -685,9 +679,9 @@ class TestLargeSieveCheck:
 
     def test_lying_delta_is_caught(self):
         # a certified set whose delta is overwritten with a wild overstatement
-        # must trip the internal invariant: three near-coincident points
-        # behave like one
-        fake = sn.SpacedPointSet(([0, 1, 2], [1, 1000, 1000]), "hand(lying)")
+        # must trip the internal invariant: the points 0 and a/1000 near it
+        # behave like one point counted many times
+        fake = largesieve.ClassPointSet([1, 1000], "hand(lying)")
         object.__setattr__(fake, "delta", 1.0)
         seq = sn.CoefficientSequence(64, np.ones(64))
         with pytest.raises(InvariantError):
@@ -697,7 +691,7 @@ class TestLargeSieveCheck:
         # a denominator past the int64 guard is refused when the set is
         # built, before any length-q array could be asked for
         with pytest.raises(CapacityError):
-            sn.SpacedPointSet(([1, 2], 10**12))
+            largesieve.ClassPointSet([10**12], "hand")
 
     def test_peak_memory_is_bounded(self, tables):
         # a (sequences x points) complex array would be 26 * 304,193 * 16 B = 127 MB
@@ -730,11 +724,11 @@ class TestKernelGapBound:
 class TestSpacedPointSetType:
     def test_validation(self):
         with pytest.raises(ValueError):
-            sn.SpacedPointSet(([], []), "x")
+            SpacedPointSet(([], []), "x")
         with pytest.raises(ValueError):
-            sn.SpacedPointSet(([1], [0]), "x")
+            SpacedPointSet(([1], [0]), "x")
         with pytest.raises(TypeError):  # delta is derived, never an input
-            sn.SpacedPointSet(([1], [10]), "x", delta=0.5)
+            SpacedPointSet(([1], [10]), "x", delta=0.5)
 
     def test_points_read_only(self, tables):
         ps = pair_set(tables, "reduced_farey", 4)
