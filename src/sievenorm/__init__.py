@@ -46,19 +46,13 @@ from .experiments import (
 from .expsum import (
     KERNEL_KINDS,
     CoefficientSequence,
-    GridEvaluation,
     KernelSpec,
     distance_to_nearest_integer,
-    duality_gap,
     eval_F,
     eval_T,
     eval_kernel,
-    eval_kernel_spectral,
     eval_sequence,
-    grid_eval_kernel,
-    grid_eval_sequence,
     kernel_coefficients,
-    spectral_weights,
 )
 from .largesieve import (
     FAREY_KINDS,
@@ -73,7 +67,6 @@ from .quadrature import (
     L1Estimate,
     l1_norm,
     l2_norm_sq,
-    l2_norm_sq_quadrature,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -45,7 +45,6 @@ from .expsum import (
     KernelSpec,
     _low_frequency_value,
     _ramped,
-    grid_eval_kernel,  # unused here; perfbench/tracing.py wraps the name where it looks it up
     kernel_coefficients,
     kernel_row,
     row_batches,

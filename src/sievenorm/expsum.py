@@ -25,8 +25,8 @@ sets of rationals:
     a signed (not nonnegative) kernel used against prime-power weights.
 
 Every kernel can be evaluated both from its translate definition
-(``eval_kernel``) and from its coefficients (``eval_kernel_spectral``,
-``grid_eval_kernel``); the two routes share no code so tests can play them
+(``eval_kernel``) and from its coefficients, one row of a grid at a time
+(``kernel_row``); the two routes share no code so tests can play them
 against each other.  All coefficients have one form, a sum of spike trains
 w*[q | k] over (modulus q, weight w) pairs, each written by a strided slice;
 sum_{a=1}^{q} T_N(alpha - a/q) has the train q*[q | k].  ``fejer`` is the
@@ -38,13 +38,6 @@ coprime to q, and the divisor identity c_q(k) = sum_{d | (q,k)} mu(q/d) * d
 mu over d*m, which share no code with the prime-power closed form of
 ``experiments.mobius_ramanujan_weighted_sum``, so the two routes to that sum
 stay independent.
-
-Sums on the uniform grids fold the coefficients into bins k mod M (exact
-aliasing) and take one inverse FFT.  A sequence, complex in general, takes a
-complex one (``_inverse_fold``).  Kernel weights are real and even, so their
-bins are too, and ``irfft`` of half of them gives all M real values.  The
-large sieve takes no transform (``largesieve`` sums residue-class energies
-instead).
 """
 
 from __future__ import annotations
@@ -57,7 +50,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CapacityError, InvariantError
+from .errors import InvariantError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .arith import ArithmeticTables
@@ -66,9 +59,6 @@ TWO_PI = 2.0 * math.pi
 TWO_PI_I = 2.0j * math.pi
 
 KERNEL_KINDS = ("fejer", "gstar", "h", "h_truncated", "k_part3")
-
-#: Hard ceiling on the whole-grid routes' M (``grid_eval_sequence``, ``grid_eval_kernel``).
-GRID_BUDGET = 1 << 24
 
 # Largest row-transform batch: one inverse FFT call evaluates at most this many points.
 _CHUNK = 1 << 19
@@ -150,31 +140,6 @@ class KernelSpec:
                 raise ValueError(f"Q must be >= 1, got {self.Q}")
 
 
-@dataclass(frozen=True, eq=False)
-class GridEvaluation:
-    """Values of a kernel on the uniform grid j/M, or of a sequence on j/M or a shift of it.
-
-    ``values`` is read-only.  An ndarray that owns its memory is frozen in
-    place, so handing one over gives it up; a view or any other input is
-    copied first, so the caller's base array cannot change the values.
-    """
-
-    M: int
-    values: np.ndarray
-    spec: object = None
-
-    def __post_init__(self) -> None:
-        if self.M < 1:
-            raise ValueError(f"M must be >= 1, got {self.M}")
-        v = self.values
-        if not isinstance(v, np.ndarray) or v.base is not None:
-            v = np.array(v)
-        if v.shape != (self.M,):
-            raise ValueError(f"expected {self.M} values, got shape {v.shape}")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-
 # ---------------------------------------------------------------------------
 # scalar building blocks
 
@@ -244,7 +209,7 @@ def eval_sequence(seq: CoefficientSequence, alphas) -> np.ndarray:
     carries one rounding of ``np.exp``, not a chain of K products; no power
     is more than H + K products from its exp.  Both sums, over l and then over h, are
     ``np.einsum`` loops, so no BLAS thread runs here.  This pointwise route
-    shares no code with the fold-and-FFT grids (``grid_eval_sequence``) or the
+    shares no code with the row transforms of the L1 quadrature or the
     residue-class energies of the large sieve, which it cross-checks.
     """
     pts = np.atleast_1d(np.asarray(alphas, dtype=float)).reshape(-1)
@@ -335,11 +300,6 @@ def _check_coverage(tables: "ArithmeticTables", spec: KernelSpec) -> None:
         raise ValueError(f"tables cover n <= {tables.n_max} < {name} = {side}")
 
 
-def spectral_weights(tables: "ArithmeticTables", spec: KernelSpec) -> np.ndarray:
-    """Weights (1 - |k|/N) * c_k, k = -N..N, of the kernel's expansion."""
-    return _ramped(kernel_coefficients(tables, spec), -spec.N, spec.N + 1, 1)
-
-
 def _ramped(coef: np.ndarray, a: int, b: int, step: int) -> np.ndarray:
     """Spectral weights (1 - |k|/N) * c_k for k = a, a + step, ... < b, from c_k = coef[N + k]."""
     N = coef.size // 2
@@ -387,8 +347,8 @@ def _translate_scheme(tables: "ArithmeticTables", spec: KernelSpec):
 def eval_kernel(tables: "ArithmeticTables", spec: KernelSpec, alpha: float) -> float:
     """Kernel value at one point, computed from the translate definition.
 
-    This is the primary route; ``eval_kernel_spectral`` recomputes the same
-    value from Fourier coefficients.
+    This is the primary route; ``kernel_row`` computes the same values from
+    the Fourier coefficients.
     """
     a = float(alpha)
     if spec.kind == "fejer":
@@ -404,72 +364,6 @@ def _low_frequency_value(tables: "ArithmeticTables", spec: KernelSpec, alpha: fl
     """sum_{|k| <= P} (1 - |k|/N)*d_k*e(k alpha) for the h-kernel coefficients d."""
     d = kernel_coefficients(tables, KernelSpec("h", spec.N, P=spec.P))
     return _cosine_fold(_ramped(d, 0, min(spec.P, spec.N) + 1, 1), alpha)
-
-
-def eval_kernel_spectral(tables: "ArithmeticTables", spec: KernelSpec, alpha: float) -> float:
-    """Kernel value from its Fourier expansion (independent check route)."""
-    return _cosine_fold(spectral_weights(tables, spec)[spec.N :], alpha)
-
-
-# ---------------------------------------------------------------------------
-# uniform-grid evaluation
-
-
-def _check_grid(M: int) -> None:
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    if M > GRID_BUDGET:
-        raise CapacityError(f"grid size {M} exceeds budget {GRID_BUDGET}")
-
-
-def _inverse_fold(coeffs: np.ndarray, k: np.ndarray, M: int) -> np.ndarray:
-    """M * inverse FFT of the bins b[r] = sum of coeffs[i] over k[i] = r (mod M).
-
-    Folding aliases exactly: sum_r b[r] e(r*j/M) equals the sum of
-    coeffs[i] * e(k[i]*j/M) for every integer j, so the result holds that
-    sum at j/M, j = 0..M-1, whatever M is.  The result is a fresh array that
-    owns its memory.  ``coeffs`` are complex (a sequence's); real even kernel
-    weights take the ``irfft`` of ``grid_eval_kernel`` instead.
-    """
-    values = np.zeros(M, dtype=np.complex128)
-    np.add.at(values, k % M, coeffs)
-    np.fft.ifft(values, out=values)
-    values *= M
-    return values
-
-
-def grid_eval_sequence(seq: CoefficientSequence, M: int, shift: float = 0.0) -> GridEvaluation:
-    """S((j + shift)/M) for j = 0..M-1, from one inverse FFT of length M.
-
-    The coefficients are twisted by e(n*shift/M) and folded into frequency
-    bins n mod M (exact aliasing, so M may be below N + 1).  ``GRID_BUDGET``
-    caps M, the length of every array allocated here.  At shift = 0 and
-    M >= N + 1 each a_n sits alone in bin n.  The pointwise route
-    ``eval_sequence`` shares no code with this one; the L1 quadrature's row
-    transforms (``quadrature._row_sum``) are checked against this grid.
-    """
-    _check_grid(M)
-    n = np.arange(1, seq.N + 1)
-    coeffs = seq.coeffs * np.exp(TWO_PI_I * (shift / M) * n) if shift else seq.coeffs
-    return GridEvaluation(M=M, values=_inverse_fold(coeffs, n, M), spec=seq)
-
-
-def grid_eval_kernel(tables: "ArithmeticTables", spec: KernelSpec, M: int) -> GridEvaluation:
-    """Kernel values at j/M, j = 0..M-1, as a real array.
-
-    The 2N+1 spectral weights are real and even bit for bit
-    (``kernel_coefficients`` checks c_k where it builds them).  One length-M
-    ``np.bincount`` folds them, in order of k, into bins modulo M (exact
-    aliasing), which satisfy b[r] = b[M - r] up to roundoff, so one
-    ``irfft`` of b[0..M//2] yields all M values.  This whole-grid route is
-    the tests' reference for the row engine (``kernel_row``); no suite row
-    runs it.  ``GRID_BUDGET`` caps M.
-    """
-    _check_grid(M)
-    w = spectral_weights(tables, spec)
-    b = np.bincount(np.arange(-spec.N, spec.N + 1) % M, weights=w, minlength=M)
-    v = np.fft.irfft(b[: M // 2 + 1], n=M, norm="forward")
-    return GridEvaluation(M=M, values=v, spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -580,17 +474,3 @@ def kernel_row(tables: "ArithmeticTables", spec: KernelSpec, M: int, B: int, s: 
             bins[r] = np.dot(chunk[a - q[0] : b - q[0] + 1], w)
     twist(bins, s, M, out=bins)
     return np.fft.irfft(bins, n=B, norm="forward")
-
-
-def duality_gap(tables: "ArithmeticTables", spec: KernelSpec, alphas) -> float:
-    """Worst relative gap between translate and spectral values at given points.
-
-    The relative scale is max(1, |spectral value|) per point, so the check is
-    meaningful even near zeros of the kernel.
-    """
-    worst = 0.0
-    for a in np.atleast_1d(np.asarray(alphas, dtype=float)).tolist():
-        lhs = eval_kernel(tables, spec, a)
-        rhs = eval_kernel_spectral(tables, spec, a)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst

@@ -390,11 +390,14 @@ def large_sieve_check(
     batch's largest N, and A_d = d * sum |a_n|^2 above it, where each residue
     class holds at most one term.  ``eval_sequence`` re-derives R(q) on at
     most CROSS_CHECK_POINTS points of the classes per sequence
-    (``_cross_check``).
+    (``_cross_check``).  A shift that is not finite is a ValueError.
     """
-    shifts = np.array(shifts, dtype=float) % 1.0
+    shifts = np.array(shifts, dtype=float)
     if not seqs or shifts.shape != (len(seqs),):
         raise ValueError(f"need one shift per sequence, got {len(seqs)} and {shifts.size}")
+    if not np.all(np.isfinite(shifts)):
+        raise ValueError(f"shifts must be finite, got {shifts.tolist()}")
+    shifts %= 1.0
     row = np.repeat(np.arange(len(seqs)), [seq.N for seq in seqs])
     n = np.concatenate([np.arange(1, seq.N + 1) for seq in seqs])
     coeffs = np.concatenate([seq.coeffs for seq in seqs])

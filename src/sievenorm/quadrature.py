@@ -35,7 +35,6 @@ import numpy as np
 from .errors import CapacityError, InvariantError
 from .expsum import (
     CoefficientSequence,
-    grid_eval_sequence,
     phases,
     row_batches,
     row_split,
@@ -72,14 +71,6 @@ class L1Estimate:
 def l2_norm_sq(seq: CoefficientSequence) -> float:
     """Integral of |S|^2 over [0,1), computed exactly as sum |a_n|^2."""
     return float(np.vdot(seq.coeffs, seq.coeffs).real)
-
-
-def l2_norm_sq_quadrature(seq: CoefficientSequence, M: int | None = None) -> float:
-    """Same integral by the rectangle rule (exact once M >= 2N + 1)."""
-    if M is None:
-        M = 2 * seq.N + 2
-    g = grid_eval_sequence(seq, M)
-    return float(np.mean(np.abs(g.values) ** 2))
 
 
 def _row_sum(seq: CoefficientSequence, M: int, odd: bool) -> float:

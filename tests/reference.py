@@ -11,6 +11,19 @@ minimal gap is only then rounded (downward) to a float.
 ``SpacedPointSet(farey_pairs(tables, kind, parameter))`` builds a Farey
 family point by point, so its delta, size and points check those of
 ``build_point_set(tables, kind, parameter)``, which builds no pair.
+
+The whole-grid and pointwise spectral routes: independent references for the
+row engine of ``sievenorm.expsum`` and for its translate route.
+
+``grid_eval_sequence`` folds a sequence's coefficients into bins n mod M and
+takes one inverse FFT of length M, the grid that the L1 quadrature's row
+transforms (``quadrature._row_sum``) are checked against.
+``grid_eval_kernel`` does the same for a kernel's real even weights with one
+``irfft``, the grid that ``kernel_row`` is checked against.
+``eval_kernel_spectral`` sums a kernel's Fourier expansion at one point, and
+``duality_gap`` plays it against the translate route ``eval_kernel``.
+``l2_norm_sq_quadrature`` takes Parseval's integral by the rectangle rule.
+Each returns a plain array or float; nothing here caps M.
 """
 
 from __future__ import annotations
@@ -19,6 +32,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from sievenorm.expsum import (
+    TWO_PI_I,
+    _cosine_fold,
+    _ramped,
+    eval_kernel,
+    kernel_coefficients,
+)
 from sievenorm.largesieve import _check_family, _check_int64, _min_gap, _residues
 
 
@@ -101,3 +121,61 @@ def farey_pairs(tables, kind: str, parameter: int) -> tuple[np.ndarray, np.ndarr
 def pair_set(tables, kind: str, parameter: int) -> SpacedPointSet:
     """A Farey family by the pair route: ``SpacedPointSet`` certifies ``farey_pairs``."""
     return SpacedPointSet(farey_pairs(tables, kind, parameter), f"{kind}({parameter})")
+
+
+def grid_eval_sequence(seq, M: int, shift: float = 0.0) -> np.ndarray:
+    """S((j + shift)/M) for j = 0..M-1, from one inverse FFT of length M.
+
+    The coefficients are twisted by e(n*shift/M) and folded into frequency
+    bins b[r], the sum of a_n over n = r (mod M).  Folding aliases exactly:
+    sum_r b[r] e(r*j/M) equals sum_n a_n e(n*j/M) for every integer j, so M
+    may be below N + 1.  At shift = 0 and M >= N + 1 each a_n sits alone in
+    bin n.  The pointwise route ``eval_sequence`` shares no code with this one.
+    """
+    n = np.arange(1, seq.N + 1)
+    coeffs = seq.coeffs * np.exp(TWO_PI_I * (shift / M) * n) if shift else seq.coeffs
+    values = np.zeros(M, dtype=np.complex128)
+    np.add.at(values, n % M, coeffs)
+    np.fft.ifft(values, out=values)
+    values *= M
+    return values
+
+
+def grid_eval_kernel(tables, spec, M: int) -> np.ndarray:
+    """Kernel values at j/M, j = 0..M-1, as a real array.
+
+    The 2N+1 spectral weights are real and even bit for bit
+    (``kernel_coefficients`` checks c_k where it builds them).  One length-M
+    ``np.bincount`` folds them, in order of k, into bins modulo M (exact
+    aliasing), which satisfy b[r] = b[M - r] up to roundoff, so one
+    ``irfft`` of b[0..M//2] yields all M values.
+    """
+    w = _ramped(kernel_coefficients(tables, spec), -spec.N, spec.N + 1, 1)
+    b = np.bincount(np.arange(-spec.N, spec.N + 1) % M, weights=w, minlength=M)
+    return np.fft.irfft(b[: M // 2 + 1], n=M, norm="forward")
+
+
+def eval_kernel_spectral(tables, spec, alpha: float) -> float:
+    """Kernel value from its Fourier expansion: the weights of k = 0..N folded into cosines."""
+    return _cosine_fold(_ramped(kernel_coefficients(tables, spec), 0, spec.N + 1, 1), alpha)
+
+
+def duality_gap(tables, spec, alphas) -> float:
+    """Worst relative gap between translate and spectral values at given points.
+
+    The relative scale is max(1, |spectral value|) per point, so the check is
+    meaningful even near zeros of the kernel.
+    """
+    worst = 0.0
+    for a in np.atleast_1d(np.asarray(alphas, dtype=float)).tolist():
+        lhs = eval_kernel(tables, spec, a)
+        rhs = eval_kernel_spectral(tables, spec, a)
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return worst
+
+
+def l2_norm_sq_quadrature(seq, M: int | None = None) -> float:
+    """Integral of |S|^2 over [0, 1) by the rectangle rule (exact once M >= 2N + 1)."""
+    if M is None:
+        M = 2 * seq.N + 2
+    return float(np.mean(np.abs(grid_eval_sequence(seq, M)) ** 2))

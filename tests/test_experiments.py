@@ -32,6 +32,8 @@ from sievenorm.experiments import (
     squarefree_theorem_ratio,
 )
 
+import reference
+
 
 def brute_weighted_sum(tables, N, Q):
     total = 0.0
@@ -104,8 +106,8 @@ class TestVaughanV:
         # the rectangle rule on 4N points is exact for the degree-2N product S_Lambda * K
         M = 4 * N
         spec = sn.KernelSpec("k_part3", N)
-        s_grid = sn.grid_eval_sequence(sn.coefficient_sequence(tables, "mangoldt", N), M).values
-        mean = complex(np.dot(s_grid, sn.grid_eval_kernel(tables, spec, M).values)) / M
+        s_grid = reference.grid_eval_sequence(sn.coefficient_sequence(tables, "mangoldt", N), M)
+        mean = complex(np.dot(s_grid, reference.grid_eval_kernel(tables, spec, M))) / M
         v_quadrature = lambda_kernel_integral_row(tables, N).measured["v_quadrature"]
         assert mean.real == pytest.approx(v_quadrature, rel=1e-12)
         assert abs(mean.imag) <= 1e-12 * abs(v_quadrature)
@@ -590,7 +592,7 @@ class TestKernelAnnihilation:
         M = 2 * N + 2
         spec = sn.KernelSpec("gstar", N, P=P)
         seq = sn.coefficient_sequence(tables, "squarefree_random", N, seed=7)
-        s_grid = sn.grid_eval_sequence(seq, M).values
+        s_grid = reference.grid_eval_sequence(seq, M)
         scale = N * float(np.sum(np.abs(seq.coeffs)))
         for alpha in rng.uniform(0, 1, 10):
             k_vals = np.array(
@@ -604,7 +606,7 @@ class TestKernelAnnihilation:
         M = 2 * N + 2
         spec = sn.KernelSpec("h_truncated", N, P=8)
         seq = sn.coefficient_sequence(tables, "random_primes", N, seed=11)
-        s_grid = sn.grid_eval_sequence(seq, M).values
+        s_grid = reference.grid_eval_sequence(seq, M)
         scale = N * float(np.sum(np.abs(seq.coeffs)))
         for alpha in rng.uniform(0, 1, 10):
             k_vals = np.array(
@@ -620,7 +622,7 @@ class TestKernelAnnihilation:
         M = 2 * N + 2
         spec = sn.KernelSpec("h", N, P=8)
         seq = sn.coefficient_sequence(tables, "prime_indicator", N)
-        s_grid = sn.grid_eval_sequence(seq, M).values
+        s_grid = reference.grid_eval_sequence(seq, M)
         k_vals = np.array([sn.eval_kernel(tables, spec, -j / M) for j in range(M)])
         mean = np.dot(k_vals, s_grid) / M
         assert abs(mean) > 1e-3

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -627,6 +628,18 @@ class TestLargeSieveCheck:
             sn.large_sieve_check([seq, seq], ps, [0.0])
         with pytest.raises(ValueError, match="one shift per sequence"):
             sn.large_sieve_check([], ps, [])
+
+    @pytest.mark.parametrize("shift", [math.inf, -math.inf, math.nan])
+    def test_non_finite_shift_is_a_bad_input(self, tables, shift):
+        # a shift with no fractional part is the caller's error (ValueError),
+        # not a broken invariant, and is refused before the mod 1 can warn
+        ps = sn.build_point_set(tables, "reduced_farey", 10)
+        seq = sn.coefficient_sequence(tables, "mobius", 64)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="shifts must be finite"):
+                sn.large_sieve_check([seq, seq], ps, [0.5, shift])
+        assert not caught
 
     def test_corrupted_energies_are_caught(self, tables, monkeypatch):
         # a roll of one sequence's class sums inside one modulus only
