@@ -1,14 +1,16 @@
 """Sieve-backed arithmetic tables and coefficient-sequence factories.
 
-Two passes build every table.  The first writes the smallest prime factor
+Two passes build the tables.  The first writes the smallest prime factor
 spf by strided slices over the multiples of each prime p <= sqrt(n_max),
 largest p first, so the smallest writes last; an n >= 2 left at 0 is prime.
-The second reads each n as p * m with p = spf(n): mu(n) = 0 or -mu(m),
-phi(n) = phi(m) * p or phi(m) * (p - 1), and Lambda(n) = Lambda(m) or 0, as
-p does or does not divide m.  Since m <= n / 2, every n in [2^k, 2^(k+1))
-reads only below 2^k, so each dyadic block is a few vectorised gathers from
-the blocks before it.  Build once, share across all experiments -- the
-tables object is immutable and cheap to pass around.
+The second reads each n as p * m with p = spf(n): mu(n) = 0 or -mu(m), as p
+does or does not divide m.  Since m <= n / 2, every n in a block [lo, hi)
+with hi <= 2 * lo reads only below lo, so each block is a few vectorised
+gathers from the blocks before it.  phi(n) = phi(m) * p or phi(m) * (p - 1)
+runs the same blocks, but only on the first read of phi, and only to the n
+that read asks for; Lambda is log p at each prime power p^k, likewise
+derived on its first read.  Build once, share across all experiments -- the
+tables object is read-only and cheap to pass around.
 
 Also here: Ramanujan sums c_q(n) in closed form and by direct summation
 (two independent routes, kept apart for cross-checking), and the factory
@@ -19,7 +21,7 @@ turning a name like ``"mobius"`` or ``"chi3_on_primes"`` into a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -29,6 +31,10 @@ from .expsum import TWO_PI_I, CoefficientSequence
 
 #: Largest table size accepted by :func:`build_tables`.
 TABLE_BUDGET = 1 << 26
+
+# Most entries in one block of the recurrences over n = spf(n) * m, so each
+# block's gathers stay near 10 bytes an entry, about 0.6 MiB.
+_CHUNK = 1 << 16
 
 SEQUENCE_KINDS = (
     "mobius",
@@ -51,14 +57,14 @@ _CHI3 = np.array([0.0, 1.0, -1.0])
 class ArithmeticTables:
     """Read-only arithmetic tables for 0..n_max.
 
-    ``spf[n]`` is the smallest prime factor of n (0 for n < 2); ``mobius``,
-    ``phi`` and ``mangoldt`` are the usual mu(n), phi(n), Lambda(n); ``primes``
-    lists all primes <= n_max in increasing order.
+    ``spf[n]`` is the smallest prime factor of n (0 for n < 2); ``mobius`` is
+    mu(n); ``primes`` lists all primes <= n_max in increasing order.  phi and
+    Lambda are methods: ``phi(n)`` and ``mangoldt(n)`` return them on 0..n.
 
     Each table has the narrowest dtype that holds it exactly: ``spf`` and
-    ``phi`` are int32, as spf(n) and phi(n) are at most n <= TABLE_BUDGET
-    (2^26) < 2^31; ``mobius`` is int8 (-1, 0, 1); ``mangoldt`` is float64
-    and ``primes`` int64.  Comparisons, gathers, ``bincount`` weights (cast to
+    phi are int32, as spf(n) and phi(n) are at most n <= TABLE_BUDGET
+    (2^26) < 2^31; ``mobius`` is int8 (-1, 0, 1); Lambda is float64 and
+    ``primes`` int64.  Comparisons, gathers, ``bincount`` weights (cast to
     float64), ``np.sum``/``np.cumsum`` (which accumulate in int64) and
     ``int()`` read them exactly.  ``np.dot`` and ``@`` do not widen: a dot of
     two int8 slices wraps once its value passes 127, so widen one operand
@@ -68,24 +74,91 @@ class ArithmeticTables:
     n_max: int
     spf: np.ndarray
     mobius: np.ndarray
-    phi: np.ndarray
-    mangoldt: np.ndarray
     primes: np.ndarray
+    # the phi and Lambda prefixes derived so far, keyed by the function that
+    # derives each; threads that race on a read store equal prefixes, each
+    # valid, so no lock is needed
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def is_prime(self, n: int) -> bool:
         if not 0 <= n <= self.n_max:
             raise ValueError(f"n={n} outside tables (n_max={self.n_max})")
         return n >= 2 and int(self.spf[n]) == n
 
+    def phi(self, n: int) -> np.ndarray:
+        """Euler's phi on 0..n, read-only (phi(0) = 0).  Requires 0 <= n <= n_max."""
+        return self._prefix(_phi_prefix, n)
+
+    def mangoldt(self, n: int) -> np.ndarray:
+        """von Mangoldt's Lambda on 0..n, read-only, float64.  Requires 0 <= n <= n_max."""
+        return self._prefix(_mangoldt_prefix, n)
+
+    def _prefix(self, derive, n: int) -> np.ndarray:
+        """``derive``'s table on 0..n, from the prefix kept for it.
+
+        A prefix to k < n is replaced by one to max(n, 2k), capped at n_max,
+        so any run of reads derives O(largest n) entries in all and keeps a
+        prefix to less than twice the largest n asked.
+        """
+        if not 0 <= n <= self.n_max:
+            raise ValueError(f"n={n} outside tables (n_max={self.n_max})")
+        kept = self._derived.get(derive)
+        if kept is None or kept.size <= n:
+            grown = n if kept is None else min(max(n, 2 * (kept.size - 1)), self.n_max)
+            kept = derive(self, grown)
+            kept.setflags(write=False)
+            self._derived[derive] = kept
+        return kept[: n + 1]
+
+
+def _blocks(stop: int):
+    """The blocks [lo, hi) that tile 2..stop - 1, with hi <= 2 * lo and at most _CHUNK entries.
+
+    Every n in a block reads n / spf(n) <= n / 2 < lo, so the recurrences fill
+    each block from the blocks before it.
+    """
+    lo = 2
+    while lo < stop:
+        hi = min(2 * lo, lo + _CHUNK, stop)
+        yield lo, hi
+        lo = hi
+
+
+def _phi_prefix(tables: ArithmeticTables, n: int) -> np.ndarray:
+    """phi on 0..n: phi(p * m) = phi(m) * (p - 1 + [p | m]) with p = spf(p * m)."""
+    spf = tables.spf
+    phi = np.empty(n + 1, dtype=np.int32)
+    phi[:2] = (0, 1)[: n + 1]
+    for lo, hi in _blocks(n + 1):
+        p = spf[lo:hi]
+        m = np.arange(lo, hi, dtype=np.int32)
+        m //= p
+        np.multiply(phi[m], p - 1 + (spf[m] == p), out=phi[lo:hi])
+    return phi
+
+
+def _mangoldt_prefix(tables: ArithmeticTables, n: int) -> np.ndarray:
+    """Lambda on 0..n: ``math.log(p)`` at each prime p <= n, copied to its powers p^k <= n."""
+    ps = tables.primes[: np.searchsorted(tables.primes, n, side="right")]
+    lam = np.zeros(n + 1)
+    lam[ps] = list(map(math.log, ps.tolist()))
+    ps = ps[: np.searchsorted(ps, math.isqrt(n), side="right")]
+    power = ps * ps
+    while ps.size:
+        lam[power] = lam[ps]
+        more = power <= n // ps  # the next power is still <= n
+        ps, power = ps[more], power[more] * ps[more]
+    return lam
+
 
 def build_tables(n_max: int) -> ArithmeticTables:
     """Sieve up to n_max (inclusive) in the two passes of the module docstring.
 
     The primes <= sqrt(n_max) that pass 1 strides over come from a small
-    boolean sieve.  Lambda is ``math.log(p)`` at each prime p, and pass 2
-    copies it to the higher powers of p.  n_max must be at least 2; sizes
-    beyond the module budget (2^26) raise :class:`CapacityError` rather than
-    silently thrashing memory.
+    boolean sieve.  Pass 2 computes mu alone; phi and Lambda are derived on
+    their first read.  n_max must be at least 2; sizes beyond the module
+    budget (2^26) raise :class:`CapacityError` rather than silently
+    thrashing memory.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -104,26 +177,17 @@ def build_tables(n_max: int) -> ArithmeticTables:
     large = np.flatnonzero(spf[2:] == 0) + 2  # the primes above sqrt(n_max)
     spf[large] = large
     primes = np.concatenate([small, large])
-    mangoldt = np.zeros(n_max + 1)
-    mangoldt[primes] = list(map(math.log, primes.tolist()))
     mobius = np.empty(n_max + 1, dtype=np.int8)
-    phi = np.empty(n_max + 1, dtype=np.int32)
-    mobius[:2] = phi[:2] = (0, 1)
-    for k in range(1, n_max.bit_length()):
-        lo, hi = 1 << k, min(2 << k, n_max + 1)
+    mobius[:2] = (0, 1)
+    for lo, hi in _blocks(n_max + 1):
         p = spf[lo:hi]
         m = np.arange(lo, hi, dtype=np.int32)
         m //= p
-        same = spf[m] == p  # p^2 divides n
-        np.negative(mobius[m], out=mobius[lo:hi])[same] = 0
-        np.multiply(phi[m], p - 1 + same, out=phi[lo:hi])
-        mangoldt[lo:hi][same] = mangoldt[m[same]]  # 0 unless m is a power of p
+        np.negative(mobius[m], out=mobius[lo:hi])[spf[m] == p] = 0  # 0 where p^2 divides n
 
-    for arr in (spf, mobius, phi, mangoldt, primes):
+    for arr in (spf, mobius, primes):
         arr.setflags(write=False)
-    return ArithmeticTables(
-        n_max=n_max, spf=spf, mobius=mobius, phi=phi, mangoldt=mangoldt, primes=primes
-    )
+    return ArithmeticTables(n_max=n_max, spf=spf, mobius=mobius, primes=primes)
 
 
 def prime_count(tables: ArithmeticTables, x: int) -> int:
@@ -153,7 +217,8 @@ def ramanujan_sum(tables: ArithmeticTables, q: int, n: int) -> int:
     mu = int(tables.mobius[d])
     if mu == 0:
         return 0
-    return mu * int(tables.phi[q]) // int(tables.phi[d])
+    phi = tables.phi(q)
+    return mu * int(phi[q]) // int(phi[d])
 
 
 @lru_cache(maxsize=512)
@@ -205,7 +270,7 @@ def coefficient_sequence(
     if kind == "mobius":
         coeffs = tables.mobius[1 : N + 1].astype(np.complex128)
     elif kind == "mangoldt":
-        coeffs = tables.mangoldt[1 : N + 1].astype(np.complex128)
+        coeffs = tables.mangoldt(N)[1:].astype(np.complex128)
     elif kind == "prime_indicator":
         coeffs = prime.astype(np.complex128)
     elif kind == "theta":

@@ -232,7 +232,7 @@ def mobius_ramanujan_weighted_sum(tables: ArithmeticTables, N: int, Q: int) -> f
     """
     if not 1 <= Q <= N <= tables.n_max:
         raise ValueError(f"need 1 <= Q <= N <= {tables.n_max}, got Q={Q}, N={N}")
-    lam = tables.mangoldt[: N + 1]
+    lam = tables.mangoldt(N)
     n_idx = np.flatnonzero(lam)
     weights = (N - n_idx) * lam[n_idx]
     per_prime = np.bincount(tables.spf[n_idx], weights=weights)
@@ -516,7 +516,7 @@ def lambda_kernel_integral_row(
     spec = KernelSpec("k_part3", N, Q=Q)
     Q = spec.Q
     v_spectral = mobius_ramanujan_weighted_sum(tables, N, Q)
-    lam = tables.mangoldt[1 : N + 1]
+    lam = tables.mangoldt(N)[1:]
     coef = kernel_coefficients(tables, spec)
     v_quadrature = float(np.dot(lam, _ramped(coef, 1, N + 1, 1)))
     w_sum = float(np.dot(N - np.arange(1.0, N + 1), lam))
@@ -596,7 +596,7 @@ def mangoldt_weighted_sum_row(tables: ArithmeticTables, N: int) -> ExperimentRow
     """
     if not 2 <= N <= tables.n_max:
         raise ValueError(f"N={N} outside 2..{tables.n_max}")
-    lam = tables.mangoldt[: N + 1]
+    lam = tables.mangoldt(N)
     n_idx = np.flatnonzero(lam)
     value = float(np.dot(N - n_idx, lam[n_idx]))
     target = N * N / 2.0

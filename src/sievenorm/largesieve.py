@@ -208,7 +208,7 @@ def _mu_phi(tables, max_den: int) -> tuple[np.ndarray, np.ndarray]:
     """mu and phi on 0..max_den, from ``tables`` if they reach max_den, else from new ones."""
     if tables is None or tables.n_max < max_den:
         tables = build_tables(max(2, max_den))
-    return tables.mobius[: max_den + 1], tables.phi[: max_den + 1]
+    return tables.mobius[: max_den + 1], tables.phi(max_den)
 
 
 def _class_weights(full, mobius, phi, count: int, kind: str) -> tuple[tuple, _Sample]:
@@ -291,7 +291,7 @@ def point_count(tables, kind: str, parameter: int) -> int:
     """
     parameter = _check_family(tables, kind, parameter)
     if kind == "reduced_farey":
-        return int(tables.phi[1 : parameter + 1].sum())
+        return int(tables.phi(parameter)[1:].sum())
     ps = tables.primes[: np.searchsorted(tables.primes, parameter, side="right")].astype(np.int64)
     return int(((ps * ps if kind == "prime_square_farey" else ps) - 1).sum())
 

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -48,6 +50,14 @@ TABLES_2_20 = {
 }
 
 
+KEPT = ("spf", "mobius", "primes")
+
+
+def full_table(tables, name):
+    """The named table on 0..n_max: a kept field, or phi or Lambda read to n_max."""
+    return getattr(tables, name) if name in KEPT else getattr(tables, name)(tables.n_max)
+
+
 class TestBuildTables:
     # the dyadic block edges 2^k - 1, 2^k, 2^k + 1 and the sqrt(n_max) edges 31^2 - 1, 31^2
     @pytest.mark.parametrize(
@@ -60,19 +70,19 @@ class TestBuildTables:
         spf, mobius, phi, mangoldt, primes = trial_division_tables(n_max)
         assert t.spf.tolist() == spf
         assert t.mobius.tolist() == mobius
-        assert t.phi.tolist() == phi
-        assert t.mangoldt.tolist() == mangoldt  # math.log(p) at each prime power, bit for bit
+        assert t.phi(n_max).tolist() == phi
+        assert t.mangoldt(n_max).tolist() == mangoldt  # math.log(p) at each prime power, bit for bit
         assert t.primes.tolist() == primes
 
     def test_pinned_at_2_20(self, tables_big):
         for name, digest in TABLES_2_20.items():
-            table = getattr(tables_big, name)
+            table = full_table(tables_big, name)
             if table.dtype.kind == "i":
                 table = table.astype(np.int64)
             assert hashlib.sha256(table.tobytes()).hexdigest() == digest, name
 
     def test_narrow_dtypes_at_2_20(self, tables_big):
-        dtypes = {name: getattr(tables_big, name).dtype for name in TABLES_2_20}
+        dtypes = {name: full_table(tables_big, name).dtype for name in TABLES_2_20}
         assert dtypes == {
             "spf": np.int32,
             "mobius": np.int8,
@@ -80,34 +90,37 @@ class TestBuildTables:
             "mangoldt": np.float64,
             "primes": np.int64,
         }
-        assert sum(getattr(tables_big, name).nbytes for name in TABLES_2_20) <= 18 << 20
+        # the tables keep spf, mu and the primes; phi and Lambda are derived on demand
+        assert sum(getattr(tables_big, name).nbytes for name in KEPT) <= 6 << 20
         # spf(n) and phi(n) are at most n, so int32 holds every size the budget allows
         assert np.iinfo(tables_big.spf.dtype).max >= sn.arith.TABLE_BUDGET
 
     def test_build_peak_stays_near_what_it_keeps(self):
-        # four full-length tables are kept; the block temporaries stay within half as much more
+        # spf, mu and the primes are kept; the block temporaries stay within half as much more
         tracemalloc.start()
         try:
             t = sn.build_tables(1 << 20)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert kept >= sum(getattr(t, k).nbytes for k in TABLES_2_20)
+        assert kept >= sum(getattr(t, k).nbytes for k in KEPT)
         assert peak <= 1.5 * kept
 
     def test_mobius_first_ten(self, tables):
         assert tables.mobius[1:11].tolist() == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
     def test_mangoldt_values(self, tables):
-        assert tables.mangoldt[8] == pytest.approx(math.log(2))
-        assert tables.mangoldt[6] == 0.0
-        assert tables.mangoldt[7] == pytest.approx(math.log(7))
-        assert tables.mangoldt[1] == 0.0
+        lam = tables.mangoldt(8)
+        assert lam[8] == pytest.approx(math.log(2))
+        assert lam[6] == 0.0
+        assert lam[7] == pytest.approx(math.log(7))
+        assert lam[1] == 0.0
 
     def test_phi_spot_values(self, tables):
-        assert tables.phi[1] == 1
-        assert tables.phi[12] == 4
-        assert tables.phi[97] == 96
+        phi = tables.phi(97)
+        assert phi[1] == 1
+        assert phi[12] == 4
+        assert phi[97] == 96
 
     def test_spf_and_prime_list(self, tables):
         assert tables.spf[1] == 0
@@ -121,11 +134,67 @@ class TestBuildTables:
         t = sn.build_tables(2)
         assert t.primes.tolist() == [2]
         assert t.mobius[2] == -1
-        assert t.phi[2] == 1
+        assert t.phi(2).tolist() == [0, 1, 1]
+        assert t.mangoldt(0).tolist() == [0.0]
 
     def test_tables_are_read_only(self, tables):
         with pytest.raises(ValueError):
             tables.mobius[3] = 7
+        for derived in (tables.phi(100), tables.mangoldt(100)):
+            with pytest.raises(ValueError):
+                derived[3] = 7
+
+    @pytest.mark.parametrize("name", ["phi", "mangoldt"])
+    def test_derived_range(self, tables, name):
+        read = getattr(tables, name)
+        for n in (-1, tables.n_max + 1):
+            with pytest.raises(ValueError):
+                read(n)
+        assert read(0).size == 1
+        assert read(tables.n_max).size == tables.n_max + 1
+
+    @pytest.mark.parametrize("name", ["phi", "mangoldt"])
+    def test_growing_prefix_keeps_its_bits(self, name):
+        # reads that grow the kept prefix give the bits of one read to n_max
+        n_max = 10_000
+        grown = sn.build_tables(n_max)
+        ns = (10, 1000, n_max)
+        reads = [getattr(grown, name)(n) for n in ns]
+        want = getattr(sn.build_tables(n_max), name)(n_max)
+        for n, got in zip(ns, reads):
+            assert got.tobytes() == want[: n + 1].tobytes()
+
+    def test_threads_racing_on_first_reads_get_the_same_bits(self):
+        # more threads than cores and a short switch interval make the
+        # check-then-store in the prefix read interleave on each round's fresh
+        # tables; every read must still be the prefix of one read to n_max
+        n_max = 1 << 12
+        fresh = sn.build_tables(n_max)
+        want = {name: getattr(fresh, name)(n_max) for name in ("phi", "mangoldt")}
+        reads = [(name, n) for n in (2, n_max, 3, 1000, 5, 4000) for name in want] * 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(20):
+                    t = sn.build_tables(n_max)
+                    futures = [pool.submit(getattr(t, name), n) for name, n in reads]
+                    for (name, n), future in zip(reads, futures):
+                        got = future.result(timeout=60)
+                        assert got.tobytes() == want[name][: n + 1].tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_prefix_grows_geometrically(self):
+        t = sn.build_tables(1 << 14)
+        sizes = []
+        for n in range(1, 1 << 12, 7):
+            t.phi(n)
+            sizes.append(t._derived[sn.arith._phi_prefix].size)
+            assert sizes[-1] < 2 * n + 2
+        # a new prefix at least doubles, so few are derived along the way
+        assert len(set(sizes)) <= 13
+        assert sn.arith._mangoldt_prefix not in t._derived  # reading phi derives no Lambda
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -144,7 +213,7 @@ class TestBuildTables:
         # is asserted, only the trend and a loose band.
         ratios = []
         for n in (1 << 10, 1 << 12, 1 << 14, 1 << 16):
-            lam = tables_mid.mangoldt[1 : n + 1]
+            lam = tables_mid.mangoldt(n)[1:]
             ratios.append(float(np.dot(lam, lam)) / (n * math.log(n)))
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
         assert all(0.5 < r < 1.05 for r in ratios)
@@ -201,7 +270,7 @@ class TestRamanujanSum:
 
     def test_n_zero_gives_phi(self, tables):
         for q in range(1, 21):
-            assert sn.ramanujan_sum(tables, q, 0) == int(tables.phi[q])
+            assert sn.ramanujan_sum(tables, q, 0) == int(tables.phi(q)[q])
 
     def test_even_in_n(self, tables):
         for q in (7, 12, 30):
@@ -288,7 +357,7 @@ class TestCoefficientSequence:
 
     def test_mangoldt_sequence_matches_table(self, tables):
         seq = sn.coefficient_sequence(tables, "mangoldt", 50)
-        np.testing.assert_allclose(seq.coeffs.real, tables.mangoldt[1:51])
+        assert seq.coeffs.real.tolist() == tables.mangoldt(50)[1:].tolist()
 
     def test_validation(self, tables):
         with pytest.raises(ValueError):

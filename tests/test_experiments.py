@@ -43,7 +43,7 @@ def brute_weighted_sum(tables, N, Q):
             continue
         inner = 0.0
         for n in range(1, N + 1):
-            lam = tables.mangoldt[n]
+            lam = tables.mangoldt(N)[n]
             if lam:
                 inner += (N - n) * lam * sn.ramanujan_sum(tables, q, -n)
         total += mq * inner
@@ -58,7 +58,7 @@ class TestWeightedSum:
 
     def test_q1_is_chebyshev_weighted(self, tables):
         # c_1(n) = 1, so Q = 1 reduces to sum (N - n) Lambda(n)
-        lam = tables.mangoldt[:17]
+        lam = tables.mangoldt(16)
         expected = sum((16 - n) * lam[n] for n in range(1, 17))
         assert mobius_ramanujan_weighted_sum(tables, 16, 1) == pytest.approx(expected)
 
@@ -135,9 +135,9 @@ class TestVaughanV:
         # |c_q| <= phi(q) termwise, so |V| <= sum_{q<=Q} phi(q) * sum (N-n) Lambda(n)
         N, Q = 128, 11
         row = lambda_kernel_integral_row(tables, N, Q)
-        lam = tables.mangoldt[: N + 1]
+        lam = tables.mangoldt(N)
         cheb = float(np.dot(N - np.arange(N + 1), lam))
-        crude = float(np.sum(tables.phi[1 : Q + 1])) * cheb
+        crude = float(np.sum(tables.phi(Q)[1:])) * cheb
         assert abs(row.measured["v_spectral"]) <= crude
 
 
@@ -946,6 +946,29 @@ class TestRunSuite:
         serial = run_suite(SuiteConfig(experiments=base, workers=1), tables=tables)
         threaded = run_suite(SuiteConfig(experiments=base, workers=2), tables=tables)
         assert _strip_runtime(serial) == _strip_runtime(threaded)
+
+    def test_workers_share_first_reads_of_fresh_tables(self):
+        # both threads may derive Lambda or phi on a first read of new tables;
+        # each stores equal arrays, so the rows match a serial run's
+        base = (
+            ("lambda_l1", {"n": [256, 1024]}),
+            ("large_sieve", {"trials": 4, "max_param": 40}),
+        )
+        serial = run_suite(SuiteConfig(experiments=base, workers=1), tables=sn.build_tables(4096))
+        fresh = sn.build_tables(4096)
+        threaded = run_suite(SuiteConfig(experiments=base, workers=2), tables=fresh)
+        assert _strip_runtime(serial) == _strip_runtime(threaded)
+        assert all(row.passed for row in threaded)
+        assert fresh.mangoldt(1024).tobytes() == sn.build_tables(4096).mangoldt(1024).tobytes()
+
+    def test_default_suite_derives_short_prefixes(self):
+        # the default rows read Lambda to 2^16 and phi to the largest Farey
+        # denominator, so 2^20 tables derive neither to n_max
+        tables = sn.build_tables(1 << 20)
+        run_suite(None, tables=tables)
+        kept = {derive.__name__: table.size for derive, table in tables._derived.items()}
+        assert kept["_mangoldt_prefix"] < 1 << 17
+        assert kept["_phi_prefix"] < 2048
 
     def test_second_pass_builds_no_coefficients(self, monkeypatch):
         # 8 ladder N ask for 40 kernel specs: the first pass builds each once,
